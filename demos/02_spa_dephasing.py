@@ -18,17 +18,17 @@ c = nmwit.choi_of(m)
 print("snapshot Choi eigenvalues:", np.round(c.spectrum.eigenvalues, 6))
 print("trace-norm excess ||C||_1 - 1 =", nmwit.trace_norm(c.matrix) - 1)
 
-p_star = nmwit.optimal_p(m)
+dec = nmwit.optimal_decomposition(c)
+p_star = dec.omega
 print("\noptimal mixing weight p* =", p_star)
 print("closed form 4e/(1+4e)   =", 4 * eps / (1 + 4 * eps))
 
 print("\nspectrum of the mixture around p*:")
 for p in (0.0, p_star / 2, p_star, p_star + 1e-3, 0.1):
-    lam = nmwit.spa_mix(m, p).spectrum.eigenvalues[0]
+    lam = nmwit.eig_hermitian(p * np.eye(4) / 4 + (1 - p) * c.matrix).eigenvalues[0]
     marker = "<- boundary" if abs(p - p_star) < 1e-12 else ""
     print(f"  p={p:9.6f}  lambda_min={lam:+.3e} {marker}")
 
-dec = nmwit.optimal_decomposition(m)
 print("\noptimal decomposition: omega =", dec.omega, " nu =", dec.nu)
 print("omega + nu =", dec.omega + dec.nu)
 print("on-boundary SPA Choi eigenvalues:", np.round(dec.spa_choi.spectrum.eigenvalues, 8))

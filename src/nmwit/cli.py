@@ -178,8 +178,8 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     cfg.format = _merged(args, file_cfg, "format", "csv")
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"unknown format {cfg.format!r}")
-    if not cfg.epsilon > 0:
-        raise ConfigError(f"epsilon must be > 0, got {cfg.epsilon!r}")
+    if not 0 < cfg.epsilon < np.inf:
+        raise ConfigError(f"epsilon must be finite and > 0, got {cfg.epsilon!r}")
     if not cfg.tolerance > 0:
         raise ConfigError(f"tolerance must be > 0, got {cfg.tolerance!r}")
 
@@ -320,8 +320,8 @@ def cmd_witness(cfg: ScenarioConfig) -> int:
     exports = []
     for t in cfg.t_grid:
         m = lindblad.small_time_map(cfg.generator, t, cfg.epsilon)
-        W = witness.build_witness(m)
         c = choi.choi_of(m)
+        W = witness.build_witness(m, c)
         value = witness.evaluate(W, c)
         detected = witness.classify_by_witness(W, c, cfg.tolerance) == witness.NON_MARKOVIAN_DETECTED
         rows.append([t, W.omega, W.nu, value, detected])
@@ -338,8 +338,8 @@ def cmd_spa(cfg: ScenarioConfig) -> int:
     rows = []
     for t in cfg.t_grid:
         m = lindblad.small_time_map(cfg.generator, t, cfg.epsilon)
-        dec = spa.optimal_decomposition(m)
-        rows.append([t, dec.lambda_minus, dec.p_star, dec.omega, dec.nu])
+        dec = spa.optimal_decomposition(choi.choi_of(m))
+        rows.append([t, dec.lambda_minus, dec.omega, dec.omega, dec.nu])
     _emit(cfg, ["t", "lambda_minus", "p_star", "omega", "nu"], rows)
     return EXIT_OK
 
@@ -386,7 +386,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-    except ConfigError as e:
+    except (ConfigError, NmwitError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -19,6 +19,7 @@ a negative eigenvalue of (id (x) Map)(state) cannot occur on separable input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,12 @@ class MapFamilyPoint:
 
     gamma1: float
     gamma2: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.gamma1) and math.isfinite(self.gamma2)):
+            raise ParameterOutOfRange(
+                f"map coefficients must be finite, got gamma1={self.gamma1!r}, gamma2={self.gamma2!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -149,6 +156,13 @@ def _batch_output_min_eig(pt: MapFamilyPoint, nx, ny, z) -> np.ndarray:
     return (a_out + d_out) / 2 - np.sqrt(((a_out - d_out) / 2) ** 2 + b_sq)
 
 
+# Poles and an equatorial direction, as (nx, ny, z). The output eigenvalue
+# depends on the input only through z^2, linearly under the square root, so
+# its minimum over the sphere sits at z = +-1 or z = 0; uniform samples
+# never reach those exactly.
+_EXTREMAL_BLOCH = (np.array([0.0, 0.0, 1.0]), np.zeros(3), np.array([1.0, -1.0, 0.0]))
+
+
 def is_positive(
     pt: MapFamilyPoint,
     n_samples: int = 10_000,
@@ -159,8 +173,9 @@ def is_positive(
     """Positivity of the family map, established two independent ways.
 
     Samples n_samples Bloch-uniform pure states (deterministic stream derived
-    from seed and the point coordinates), applies the map and checks the
-    minimum output eigenvalue; the closed-form Bloch criterion is evaluated
+    from seed and the point coordinates) plus the extremal directions
+    z = +-1 and z = 0, applies the map and checks the minimum output
+    eigenvalue; the closed-form Bloch criterion is evaluated
     alongside and the two must agree, otherwise a RuntimeError is raised.
     """
     if n_samples < 1:
@@ -168,8 +183,11 @@ def is_positive(
     closed = _bloch_positive(pt, tolerance)
     rng = np.random.default_rng(_point_seed(seed, pt))
     nx, ny, z = _sample_bloch(n_samples, rng)
-    lam = _batch_output_min_eig(pt, nx, ny, z)
-    sampled = bool(lam.min() >= -tolerance)
+    lam = min(
+        _batch_output_min_eig(pt, nx, ny, z).min(),
+        _batch_output_min_eig(pt, *_EXTREMAL_BLOCH).min(),
+    )
+    sampled = bool(lam >= -tolerance)
     if sampled != closed:
         raise RuntimeError(
             f"positivity checks disagree at gamma1={pt.gamma1:g}, gamma2={pt.gamma2:g}: "
@@ -228,14 +246,18 @@ def werner_threshold(
 
     Returns None when not even p = 1 is detected. The detection region in p
     is an interval ending at 1, so bisection on the indicator is exact up to
-    the requested resolution.
+    the requested resolution, or up to float spacing when that is coarser.
     """
+    if not 0.0 < resolution < np.inf:
+        raise ParameterOutOfRange(f"resolution must be finite and > 0, got {resolution!r}")
     detected, _ = detect_entanglement(werner(1.0).matrix, pt, tolerance)
     if not detected:
         return None
     lo, hi = 0.0, 1.0
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if detect_entanglement(werner(mid).matrix, pt, tolerance)[0]:
             hi = mid
         else:

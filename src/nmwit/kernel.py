@@ -18,12 +18,11 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonHermitianInput
 
-#: Default tolerances for the Hermiticity / positivity / trace predicates and
-#: for spectral reconstruction. Overridable per call.
+#: Default tolerances for the Hermiticity / positivity / trace predicates.
+#: Overridable per call.
 TOL_HERM = 1e-9
 TOL_PSD = 1e-9
 TOL_TRACE = 1e-9
-TOL_RECON = 1e-9
 
 
 def frozen(values) -> np.ndarray:
@@ -36,7 +35,6 @@ def frozen(values) -> np.ndarray:
 SIGMA_X = frozen([[0, 1], [1, 0]])
 SIGMA_Y = frozen([[0, -1j], [1j, 0]])
 SIGMA_Z = frozen([[1, 0], [0, -1]])
-IDENTITY_2 = frozen(np.eye(2))
 
 #: Lookup used by the JSON generator format; keys are lower-case.
 PAULI_BY_NAME = {"sigma_x": SIGMA_X, "sigma_y": SIGMA_Y, "sigma_z": SIGMA_Z}
@@ -83,8 +81,6 @@ def projector(v: np.ndarray) -> np.ndarray:
 
 # Two-qubit Bell kets in the computational basis.
 BELL_PHI_PLUS = frozen(np.array([1, 0, 0, 1]) / np.sqrt(2))
-BELL_PHI_MINUS = frozen(np.array([1, 0, 0, -1]) / np.sqrt(2))
-BELL_PSI_PLUS = frozen(np.array([0, 1, 1, 0]) / np.sqrt(2))
 BELL_PSI_MINUS = frozen(np.array([0, 1, -1, 0]) / np.sqrt(2))
 
 

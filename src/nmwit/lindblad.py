@@ -50,6 +50,8 @@ class CoefficientModel:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown coefficient kind {self.kind!r}")
+        if not all(math.isfinite(v) for v in (self.value, self.scale, *self.times)):
+            raise ParameterOutOfRange("coefficient value, scale and times must be finite")
         if self.kind == "tabulated":
             if len(self.times) != len(self.values) or len(self.times) < 2:
                 raise ValueError("tabulated coefficient needs >= 2 aligned (time, value) pairs")
@@ -150,17 +152,24 @@ def eternal_depolarizer() -> LindbladGenerator:
     return gen
 
 
+def _dissipator(gen: LindbladGenerator, X: np.ndarray, t: float, ancilla: int) -> np.ndarray:
+    """(id_ancilla (x) L_t)(X): each jump L enters as E = I_ancilla (x) L."""
+    eye = np.eye(ancilla)
+    out = np.zeros_like(X)
+    for coef, L in gen.terms:
+        g = coef(t)
+        E = np.kron(eye, L)
+        K = np.kron(eye, dag(L) @ L)
+        out += g * (E @ X @ dag(E) - 0.5 * (K @ X + X @ K))
+    return out
+
+
 def apply_generator(gen: LindbladGenerator, rho: np.ndarray, t: float) -> np.ndarray:
     """L_t(rho): traceless, and Hermitian whenever rho is Hermitian."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (gen.dim, gen.dim):
         raise DimensionMismatch(f"rho shape {rho.shape} does not match generator dim {gen.dim}")
-    out = np.zeros_like(rho)
-    for coef, L in gen.terms:
-        g = coef(t)
-        LdL = dag(L) @ L
-        out += g * (L @ rho @ dag(L) - 0.5 * (LdL @ rho + rho @ LdL))
-    return out
+    return _dissipator(gen, rho, t, 1)
 
 
 @dataclass(frozen=True)
@@ -174,6 +183,10 @@ class SmallTimeMap:
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
             raise NonPositiveEpsilon(f"epsilon must be > 0, got {self.epsilon!r}")
+        if not (math.isfinite(self.epsilon) and math.isfinite(self.t)):
+            raise ParameterOutOfRange(
+                f"t and epsilon must be finite, got t={self.t!r}, epsilon={self.epsilon!r}"
+            )
 
     @property
     def dim(self) -> int:
@@ -199,14 +212,7 @@ def extend_and_apply(m: SmallTimeMap, X: np.ndarray) -> np.ndarray:
     d = m.dim
     if X.shape != (d * d, d * d):
         raise DimensionMismatch(f"expected shape {(d * d, d * d)}, got {X.shape}")
-    eye = np.eye(d)
-    acc = np.zeros_like(X)
-    for coef, L in m.generator.terms:
-        g = coef(m.t)
-        E = np.kron(eye, L)
-        K = np.kron(eye, dag(L) @ L)
-        acc += g * (E @ X @ dag(E) - 0.5 * (K @ X + X @ K))
-    return X + m.epsilon * acc
+    return X + m.epsilon * _dissipator(m.generator, X, m.t, d)
 
 
 def _jump_from_desc(desc) -> np.ndarray:

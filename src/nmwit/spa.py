@@ -9,11 +9,11 @@ the smallest p that lands the mixture on the completely-positive boundary is
 with lambda_- the most negative Choi eigenvalue (0 for CP maps). The same
 quantity written as the optimal decomposition
 
-    sigma_tilde = omega * I/d^2 + nu * (id (x) N)(sigma),   omega = p*, nu = 1 - p*
+    sigma_tilde = omega * I/d^2 + nu * C,   omega = p*, nu = 1 - p*,
 
-is what the witness construction consumes. The identity term is normalized to
-the maximally mixed state so sigma_tilde keeps unit trace alongside
-omega + nu = 1.
+with C the snapshot's Choi state, is what the witness construction
+consumes. The identity term is normalized to the maximally mixed state so
+sigma_tilde keeps unit trace alongside omega + nu = 1.
 """
 
 from __future__ import annotations
@@ -22,67 +22,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choi import ChoiState, choi_of, choi_state
-from .errors import ParameterOutOfRange
+from .choi import ChoiState, choi_state
 from .kernel import TOL_PSD
-from .lindblad import SmallTimeMap
 
 
 @dataclass(frozen=True)
 class SpaDecomposition:
-    """(|lambda_-|, p*, omega, nu) plus the on-boundary mixed Choi state."""
+    """(|lambda_-|, omega = p*, nu) plus the on-boundary mixed Choi state."""
 
     lambda_minus: float
-    p_star: float
     omega: float
     nu: float
     spa_choi: ChoiState
 
 
-def spa_mix(m: SmallTimeMap, p: float) -> ChoiState:
-    """Choi state of the depolarizer mixture p*Theta + (1-p)*N.
-
-    The depolarizer contributes the maximally mixed state on the doubled
-    space, so the mixture's Choi is p*I/d^2 + (1-p)*choi_of(m).
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ParameterOutOfRange(f"mixing parameter must lie in [0, 1], got {p!r}")
-    c = choi_of(m)
-    n = c.matrix.shape[0]
-    return choi_state(p * np.eye(n) / n + (1.0 - p) * c.matrix, m.t, m.epsilon)
-
-
-def _lambda_minus(m: SmallTimeMap, tol_psd: float) -> float:
-    lam_min = float(choi_of(m).spectrum.eigenvalues[0])
-    # Eigenvalues above -tol_psd count as zero: CP maps need no approximation.
-    return -lam_min if lam_min < -tol_psd else 0.0
-
-
-def optimal_p(m: SmallTimeMap, tol_psd: float = TOL_PSD) -> float:
-    """Smallest depolarizer weight that renders the mixture completely positive."""
-    lam = _lambda_minus(m, tol_psd)
-    a = lam * m.dim**2
-    return a / (a + 1.0)
-
-
-def optimal_decomposition(m: SmallTimeMap, tol_psd: float = TOL_PSD) -> SpaDecomposition:
+def optimal_decomposition(choi: ChoiState, tol_psd: float = TOL_PSD) -> SpaDecomposition:
     """Optimal (omega, nu) split of the structural physical approximation.
 
-    The returned spa_choi sits exactly on the CP boundary: its minimum
+    choi is the snapshot's Choi state; d^2 is its matrix dimension. The
+    returned spa_choi sits exactly on the CP boundary: its minimum
     eigenvalue is zero up to roundoff.
     """
-    c = choi_of(m)
-    lam_min = float(c.spectrum.eigenvalues[0])
+    lam_min = float(choi.spectrum.eigenvalues[0])
+    # Eigenvalues above -tol_psd count as zero: CP maps need no approximation.
     lam = -lam_min if lam_min < -tol_psd else 0.0
-    a = lam * m.dim**2
+    n = choi.matrix.shape[0]
+    a = lam * n
     p = a / (a + 1.0)
     nu = 1.0 / (a + 1.0)
-    n = c.matrix.shape[0]
-    mixed = p * np.eye(n) / n + (1.0 - p) * c.matrix
+    mixed = p * np.eye(n) / n + (1.0 - p) * choi.matrix
     return SpaDecomposition(
         lambda_minus=lam,
-        p_star=p,
         omega=p,
         nu=nu,
-        spa_choi=choi_state(mixed, m.t, m.epsilon),
+        spa_choi=choi_state(mixed, choi.t, choi.epsilon),
     )

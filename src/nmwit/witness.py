@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choi import ChoiState
+from .choi import ChoiState, choi_of
 from .errors import DegenerateMinimum, DimensionMismatch, NonHermitianJump
-from .kernel import TOL_HERM, dag, eig_hermitian, frozen, is_hermitian, projector
-from .lindblad import SmallTimeMap, extend_and_apply
+from .kernel import TOL_HERM, dag, frozen, is_hermitian, projector
+from .lindblad import LindbladGenerator, SmallTimeMap, constant, extend_and_apply, small_time_map
 from .spa import optimal_decomposition
 
 MARKOVIAN_CONSISTENT = "markovian_consistent"
@@ -68,17 +68,13 @@ def adjoint_identity_residual(
     alpha = np.asarray(alpha, dtype=complex)
     n = rho.shape[0]
     k = G.shape[0]
-    if n % k != 0 or alpha.shape != (n,):
+    if n != k * k or alpha.shape != (n,):
         raise DimensionMismatch(f"incompatible shapes: G {G.shape}, alpha {alpha.shape}, rho {rho.shape}")
-    E = np.kron(np.eye(n // k), G)
-    K = np.kron(np.eye(n // k), dag(G) @ G)
-
-    def ext(X):
-        return X + gamma * (E @ X @ dag(E) - 0.5 * (K @ X + X @ K))
-
+    # N is the epsilon = 1 snapshot of the one-term generator (gamma, G).
+    m = small_time_map(LindbladGenerator(dim=k, terms=((constant(gamma), G),)), 0.0, 1.0)
     P = projector(alpha)
-    lhs = np.trace(P @ ext(rho))
-    rhs = np.trace(ext(P) @ rho)
+    lhs = np.trace(P @ extend_and_apply(m, rho))
+    rhs = np.trace(extend_and_apply(m, P) @ rho)
     return float(abs(lhs - rhs))
 
 
@@ -105,28 +101,19 @@ def adjoint_identity_max_residual(draws: int = 100, seed: int = 0) -> float:
 
 def build_witness(
     m: SmallTimeMap,
-    sigma: np.ndarray | None = None,
+    choi: ChoiState | None = None,
     degeneracy_tol: float = 1e-12,
 ) -> WitnessOperator:
     """Witness operator for the snapshot map m.
 
-    sigma is the bipartite input state fed to the SPA decomposition; the
-    default (None) is the canonical maximally entangled projector, for which
-    sigma_tilde coincides with the on-boundary SPA Choi state. Raises
-    DegenerateMinimum when the two lowest eigenvalues of sigma_tilde are
-    within degeneracy_tol, because the minimizing eigenvector is then not
-    well defined.
+    choi is m's Choi state, choi_of(m); pass it when the caller already has
+    it, otherwise it is built here. Raises DegenerateMinimum when the two
+    lowest eigenvalues of the SPA state sigma_tilde are within
+    degeneracy_tol, because the minimizing eigenvector is then not well
+    defined.
     """
-    dec = optimal_decomposition(m)
-    if sigma is None:
-        sigma_tilde = dec.spa_choi.matrix
-    else:
-        sigma = np.asarray(sigma, dtype=complex)
-        n = m.dim**2
-        if sigma.shape != (n, n):
-            raise DimensionMismatch(f"sigma shape {sigma.shape}, expected {(n, n)}")
-        sigma_tilde = dec.omega * np.eye(n) / n + dec.nu * extend_and_apply(m, sigma)
-    spec = eig_hermitian(sigma_tilde)
+    dec = optimal_decomposition(choi_of(m) if choi is None else choi)
+    spec = dec.spa_choi.spectrum
     if spec.eigenvalues[1] - spec.eigenvalues[0] < degeneracy_tol:
         raise DegenerateMinimum(
             f"minimum eigenvalue of the SPA state is degenerate at t={m.t:g} "

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -50,7 +51,7 @@ def test_criterion_2_spa_threshold_formula():
     for eps in (0.005, 0.01, 0.05):
         for gamma in (-1.0, -0.5):
             m = _dephasing_map(eps, gamma)
-            p = nmwit.optimal_p(m)
+            p = nmwit.optimal_decomposition(nmwit.choi_of(m)).omega
             assert abs(p - 4 * eps * abs(gamma) / (1 + 4 * eps * abs(gamma))) < 1e-12
             assert abs(p - spa_onset_bisect(nmwit.choi_of(m).matrix)) < 1e-8
     _report(2, "optimal mixing weight matches 4e|G|/(1+4e|G|) and the bisection onset")
@@ -59,7 +60,7 @@ def test_criterion_2_spa_threshold_formula():
 def test_criterion_3_eternal_thresholds_and_detection():
     for t in ETERNAL_INSTANTS:
         m = _eternal_map(t)
-        dec = nmwit.optimal_decomposition(m)
+        dec = nmwit.optimal_decomposition(nmwit.choi_of(m))
         th = np.tanh(t)
         assert abs(dec.omega - 4 * EPS * th / (1 + 4 * EPS * th)) < 1e-12
         assert abs(dec.nu - 1 / (1 + 4 * EPS * th)) < 1e-12
@@ -158,19 +159,28 @@ def _run_cli(args, out_dir, tag):
     return result.stdout
 
 
+# Criterion 8's invocations, each with the name of its stdout golden file.
+CLI_INVOCATIONS = [
+    ("divisibility.csv",
+     ["divisibility", "--scenario", "eternal", "--epsilon", "0.01",
+      "--t-start", "0.1", "--t-stop", "4.0", "--t-steps", "40", "--seed", "3"]),
+    ("witness.csv",
+     ["witness", "--scenario", "eternal", "--t-start", "0.25", "--t-stop", "4.0",
+      "--t-steps", "5", "--seed", "3", "--export-witness", "wit.json"]),
+    ("spa.csv",
+     ["spa", "--scenario", "dephasing", "--gamma-d", "-1", "--t-start", "1", "--seed", "3"]),
+    ("entangle_point.csv",
+     ["entangle", "--gamma1", "0.5", "--gamma2", "0.5", "--p", "0.5", "--seed", "3"]),
+    ("entangle_scan.json",
+     ["entangle", "--scan", "--gamma1-range", "0:0.6:7", "--gamma2-range", "0:1:11",
+      "--samples", "2000", "--seed", "3", "--format", "json"]),
+    ("prop1.csv", ["prop1", "--draws", "100", "--seed", "3"]),
+]
+GOLDEN = Path(__file__).parent / "golden"
+
+
 def test_criterion_8_cli_determinism(tmp_path):
-    invocations = [
-        ["divisibility", "--scenario", "eternal", "--epsilon", "0.01",
-         "--t-start", "0.1", "--t-stop", "4.0", "--t-steps", "40", "--seed", "3"],
-        ["witness", "--scenario", "eternal", "--t-start", "0.25", "--t-stop", "4.0",
-         "--t-steps", "5", "--seed", "3", "--export-witness", "wit.json"],
-        ["spa", "--scenario", "dephasing", "--gamma-d", "-1", "--t-start", "1", "--seed", "3"],
-        ["entangle", "--gamma1", "0.5", "--gamma2", "0.5", "--p", "0.5", "--seed", "3"],
-        ["entangle", "--scan", "--gamma1-range", "0:0.6:7", "--gamma2-range", "0:1:11",
-         "--samples", "2000", "--seed", "3", "--format", "json"],
-        ["prop1", "--draws", "100", "--seed", "3"],
-    ]
-    for k, args in enumerate(invocations):
+    for k, (_, args) in enumerate(CLI_INVOCATIONS):
         dir_a, dir_b = tmp_path / f"a{k}", tmp_path / f"b{k}"
         dir_a.mkdir(), dir_b.mkdir()
         out_a = _run_cli(args, dir_a, "a")
@@ -182,3 +192,15 @@ def test_criterion_8_cli_determinism(tmp_path):
             if fa.exists():
                 assert fa.read_bytes() == fb.read_bytes()
     _report(8, "byte-identical outputs across repeated seeded runs of all subcommands")
+
+
+def test_cli_output_matches_golden_files(tmp_path):
+    # A change that alters any byte here must update the golden file and say
+    # why in CHANGES.md.
+    for k, (golden, args) in enumerate(CLI_INVOCATIONS):
+        run_dir = tmp_path / str(k)
+        run_dir.mkdir()
+        out = _run_cli(args, run_dir, golden)
+        assert out.encode() == (GOLDEN / golden).read_bytes(), f"stdout differs from {golden}"
+        if (run_dir / "wit.json").exists():
+            assert (run_dir / "wit.json").read_bytes() == (GOLDEN / "wit.json").read_bytes()

@@ -231,3 +231,14 @@ def test_output_file_and_numeric_precision(tmp_path):
     _, rows = csv_rows(text)
     # 12 significant digits round-trip
     assert rows[0][3] == f"{-0.007390790252975192:.12g}"
+
+
+def test_non_finite_or_malformed_generator_input_exits_2(tmp_path):
+    assert run_cli("spa", "--scenario", "dephasing", "--gamma-d", "nan").returncode == 2
+    assert run_cli("divisibility", "--epsilon", "inf").returncode == 2
+    wrong_shape = tmp_path / "wrong_shape.json"
+    wrong_shape.write_text(json.dumps({"dim": 2, "terms": [
+        {"coefficient": {"kind": "constant", "value": 1.0}, "jump": {"matrix": [[1]]}}]}))
+    r = run_cli("divisibility", "--scenario", "custom", "--generator", str(wrong_shape))
+    assert r.returncode == 2
+    assert "config error" in r.stderr

@@ -67,6 +67,19 @@ def test_positivity_sampling_agrees_with_closed_form():
         assert got == (max(abs(s), abs(u)) <= 1 + 2e-9)
 
 
+@pytest.mark.parametrize("delta", [1e-9, 1e-8, 1e-7, 1e-6])
+@pytest.mark.parametrize("point", [(0.5, 0.2), (0.3, 0.7)])
+def test_positivity_cross_check_just_outside_the_boundary(point, delta):
+    # Past gamma1 = 1/2 the worst input is a pole, past gamma1 + gamma2 = 1 it
+    # is on the equator; uniform samples reach neither. Both offsets put the
+    # worst output eigenvalue at -2*delta, so both checks must agree (no
+    # RuntimeError) that the map is not positive.
+    g1, g2 = point
+    outside = pt(g1 + delta, g2) if g1 == 0.5 else pt(g1, g2 + 2 * delta)
+    assert not nmwit.is_positive(outside)
+    assert nmwit.is_positive(pt(g1, g2))
+
+
 def test_positivity_is_deterministic_per_seed():
     a = nmwit.is_positive(pt(0.31, 0.42), 500, seed=9)
     b = nmwit.is_positive(pt(0.31, 0.42), 500, seed=9)

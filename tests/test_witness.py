@@ -79,16 +79,6 @@ def test_dephasing_witness_matrix_matches_bell_oracle():
     assert np.abs(W.matrix - expected).max() < 1e-12
 
 
-def test_alternative_input_state_path():
-    m = _dephasing_map()
-    sigma = nmwit.projector(np.array([1, 0, 0, -1]) / np.sqrt(2))
-    W = nmwit.build_witness(m, sigma=sigma)
-    rebuilt = W.nu * nmwit.extend_and_apply(m, nmwit.projector(W.tau))
-    assert np.abs(W.matrix - rebuilt).max() < 1e-12
-    # the minimizer moves to the opposite-parity Bell state for this input
-    assert abs(np.vdot(W.tau, BELL_PHI_PLUS)) > 1 - 1e-12
-
-
 # --- evaluation --------------------------------------------------------------
 
 def test_dephasing_self_evaluation():
@@ -120,7 +110,7 @@ def test_identity_chain():
     for m in (_dephasing_map(), _eternal_map(0.25), _eternal_map(2.0)):
         W = nmwit.build_witness(m)
         c = nmwit.choi_of(m)
-        dec = nmwit.optimal_decomposition(m)
+        dec = nmwit.optimal_decomposition(c)
         val = nmwit.evaluate(W, c)
         assert val == pytest.approx(W.nu * c.spectrum.eigenvalues[0], abs=1e-10)
         mu_min = dec.spa_choi.spectrum.eigenvalues[0]
