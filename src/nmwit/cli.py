@@ -180,8 +180,8 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
         raise ConfigError(f"unknown format {cfg.format!r}")
     if not 0 < cfg.epsilon < np.inf:
         raise ConfigError(f"epsilon must be finite and > 0, got {cfg.epsilon!r}")
-    if not cfg.tolerance > 0:
-        raise ConfigError(f"tolerance must be > 0, got {cfg.tolerance!r}")
+    if not 0 < cfg.tolerance < np.inf:
+        raise ConfigError(f"tolerance must be finite and > 0, got {cfg.tolerance!r}")
 
     seed = getattr(args, "seed", None)
     if seed is None:
@@ -254,12 +254,16 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
 
             def as_range(r, name):
                 if isinstance(r, str):
-                    return _parse_range(r, name)
-                try:
-                    lo, hi, steps = r
-                    return float(lo), float(hi), int(steps)
-                except (TypeError, ValueError):
-                    raise ConfigError(f"{name} must be [lo, hi, steps], got {r!r}") from None
+                    lo, hi, steps = _parse_range(r, name)
+                else:
+                    try:
+                        lo, hi, steps = r
+                        lo, hi, steps = float(lo), float(hi), int(steps)
+                    except (TypeError, ValueError):
+                        raise ConfigError(f"{name} must be [lo, hi, steps], got {r!r}") from None
+                if not np.isfinite(hi - lo):  # also catches an overflowing span
+                    raise ConfigError(f"{name} needs finite bounds and span, got {lo!r}:{hi!r}")
+                return lo, hi, steps
 
             cfg.gamma1_range = as_range(r1, "--gamma1-range")
             cfg.gamma2_range = as_range(r2, "--gamma2-range")
@@ -272,6 +276,9 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
             if cfg.gamma1 is None or cfg.gamma2 is None or cfg.p is None:
                 raise ConfigError("single-point mode requires --gamma1, --gamma2 and --p")
             cfg.gamma1, cfg.gamma2, cfg.p = float(cfg.gamma1), float(cfg.gamma2), float(cfg.p)
+            # Built here only to validate, so that bad values exit as config errors.
+            entanglement.MapFamilyPoint(cfg.gamma1, cfg.gamma2)
+            entanglement.werner(cfg.p)
             header.extend([("gamma1", cfg.gamma1), ("gamma2", cfg.gamma2), ("p", cfg.p)])
     elif cfg.command == "prop1":
         cfg.draws = int(_merged(args, file_cfg, "draws", 100))

@@ -163,6 +163,32 @@ def werner_threshold_closed(g1, g2):
 
 
 # ---------------------------------------------------------------------------
+# Bloch-uniform pure states, with the azimuth the package does not draw
+
+def sample_bloch(n, rng):
+    """(nx, ny, z) components of n Bloch-sphere-uniform unit vectors.
+
+    z is drawn first, so it is the z-stream that is_positive draws from an
+    identically seeded generator.
+    """
+    z = rng.uniform(-1.0, 1.0, size=n)
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    r = np.sqrt(1.0 - z * z)
+    return r * np.cos(phi), r * np.sin(phi), z
+
+
+def sample_pure_states(n, rng):
+    """(n, 2, 2) batch of pure-state density matrices, Bloch-sphere uniform."""
+    nx, ny, z = sample_bloch(n, rng)
+    rho = np.empty((n, 2, 2), dtype=complex)
+    rho[:, 0, 0] = (1.0 + z) / 2
+    rho[:, 1, 1] = (1.0 - z) / 2
+    rho[:, 0, 1] = (nx - 1j * ny) / 2
+    rho[:, 1, 0] = (nx + 1j * ny) / 2
+    return rho
+
+
+# ---------------------------------------------------------------------------
 # Seeded random inputs
 
 def rand_hermitian(rng, n):

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import nmwit
+from nmwit import cli
 
 from oracles import spa_onset_bisect, werner_threshold_closed
 
@@ -204,3 +205,13 @@ def test_cli_output_matches_golden_files(tmp_path):
         assert out.encode() == (GOLDEN / golden).read_bytes(), f"stdout differs from {golden}"
         if (run_dir / "wit.json").exists():
             assert (run_dir / "wit.json").read_bytes() == (GOLDEN / "wit.json").read_bytes()
+
+
+def test_full_phase_scan_matches_golden_file(tmp_path):
+    # The 61x101 grid at 10k samples, as the benchmark and the README run it,
+    # in-process; the small scan above covers only 7x11 points.
+    out = tmp_path / "scan.csv"
+    args = ["entangle", "--scan", "--gamma1-range", "0:0.6:61", "--gamma2-range", "0:1:101",
+            "--samples", "10000", "--seed", "0", "--output", str(out)]
+    assert cli.main(args) == 0
+    assert out.read_bytes() == (GOLDEN / "entangle_scan_full.csv").read_bytes()

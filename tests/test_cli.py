@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from nmwit import cli
+
 
 def run_cli(*args, env_extra=None):
     env = os.environ.copy()
@@ -233,9 +235,19 @@ def test_output_file_and_numeric_precision(tmp_path):
     assert rows[0][3] == f"{-0.007390790252975192:.12g}"
 
 
-def test_non_finite_or_malformed_generator_input_exits_2(tmp_path):
+def test_non_finite_or_malformed_generator_input_exits_2(tmp_path, capsys):
     assert run_cli("spa", "--scenario", "dephasing", "--gamma-d", "nan").returncode == 2
     assert run_cli("divisibility", "--epsilon", "inf").returncode == 2
+    # These used to exit 3 (--tolerance inf: 0) from the command itself.
+    for argv in (
+        ["divisibility", "--tolerance", "inf"],
+        ["entangle", "--gamma1", "0.5", "--gamma2", "0.5", "--p", "2"],
+        ["entangle", "--gamma1", "nan", "--gamma2", "0.5", "--p", "0.5"],
+        *(["entangle", "--scan", f"--gamma1-range={r}", "--gamma2-range", "0:1:3"]
+          for r in ("nan:0.6:3", "0:inf:3", "-1e308:1e308:3")),
+    ):
+        assert cli.main(argv) == 2, argv
+        assert "config error" in capsys.readouterr().err, argv
     wrong_shape = tmp_path / "wrong_shape.json"
     wrong_shape.write_text(json.dumps({"dim": 2, "terms": [
         {"coefficient": {"kind": "constant", "value": 1.0}, "jump": {"matrix": [[1]]}}]}))

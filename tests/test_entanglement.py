@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nmwit
 from nmwit.errors import DimensionMismatch, EmptyGrid, MapNotPositive, ParameterOutOfRange
-from nmwit.entanglement import bloch_factors
+from nmwit.entanglement import _extend, _werner_thresholds, bloch_factors, extend_family_map
 
 from oracles import (
     rand_density,
+    rand_hermitian,
     rand_separable,
+    sample_bloch,
+    sample_pure_states,
     werner_extended_min_eig,
     werner_threshold_closed,
 )
@@ -87,13 +92,13 @@ def test_positivity_is_deterministic_per_seed():
 
 
 def test_batch_positivity_path_matches_map_application():
-    # the vectorized sampling path must agree with family_map_apply + eigvalsh
-    from nmwit.entanglement import _batch_output_min_eig, _sample_bloch, sample_pure_states
+    # the z-only sampling path must agree with family_map_apply + eigvalsh on
+    # the full pure states those z-components belong to
+    from nmwit.entanglement import _output_min_eig
 
-    rng = np.random.default_rng(68)
     for point in (pt(0.5, 0.5), pt(0.3, 0.8), pt(0.55, 0.2)):
-        nx, ny, z = _sample_bloch(50, np.random.default_rng(4))
-        fast = _batch_output_min_eig(point, nx, ny, z)
+        _, _, z = sample_bloch(50, np.random.default_rng(4))
+        fast = _output_min_eig(point, z)
         rhos = sample_pure_states(50, np.random.default_rng(4))
         slow = [
             np.linalg.eigvalsh(nmwit.family_map_apply(point, rho))[0] for rho in rhos
@@ -203,6 +208,54 @@ def test_werner_threshold_matches_closed_form():
 
 def test_werner_threshold_none_for_cp_points():
     assert nmwit.werner_threshold(pt(0.2, 0.2)) is None
+
+
+def _loop_threshold(point, resolution=1e-6, tolerance=1e-9):
+    """Scalar bisection, one detect_entanglement per step: the batched reference."""
+    if not nmwit.detect_entanglement(nmwit.werner(1.0).matrix, point, tolerance)[0]:
+        return None
+    lo, hi = 0.0, 1.0
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if nmwit.detect_entanglement(nmwit.werner(mid).matrix, point, tolerance)[0]:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    g1=st.floats(0.05, 0.5),
+    fractions=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8),
+)
+def test_batched_werner_thresholds_match_per_point_bisection(g1, fractions):
+    # One gamma1 row of positive-but-not-CP points, 1 - 2*g1 < g2 <= 1 - g1,
+    # where the closed-form onset is 1/(8*g1 + 4*g2 - 3).
+    g2 = np.array([1.0 - 2.0 * g1 + f * g1 for f in fractions])
+    batch = _werner_thresholds(np.full(len(g2), g1), g2, 1e-6, 1e-9)
+    for thr, b in zip(batch, g2):
+        point = pt(g1, float(b))
+        assert thr == nmwit.werner_threshold(point) == _loop_threshold(point)
+        assert abs(thr - 1.0 / (8.0 * g1 + 4.0 * b - 3.0)) < 2e-6
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    coeffs=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_extension_matches_per_point(coeffs, seed):
+    rng = np.random.default_rng(seed)
+    X = np.stack([rand_hermitian(rng, 4) for _ in coeffs])
+    g1, g2 = np.array(coeffs).T
+    stacked = _extend(g1, g2, X)
+    shared = _extend(g1, g2, X[0])
+    for k, (a, b) in enumerate(coeffs):
+        assert np.array_equal(stacked[k], extend_family_map(pt(a, b), X[k]))
+        assert np.array_equal(shared[k], extend_family_map(pt(a, b), X[0]))
 
 
 def test_phase_scan_small_grid():

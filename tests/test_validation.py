@@ -2,10 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import nmwit
+from nmwit.entanglement import _werner_thresholds
 from nmwit.errors import ParameterOutOfRange
+
+from oracles import werner_threshold_closed
 
 NAN, INF = math.nan, math.inf
 HALF = nmwit.MapFamilyPoint(0.5, 0.5)
@@ -46,3 +50,13 @@ def test_werner_threshold_ends_at_float_spacing():
     thr = nmwit.werner_threshold(HALF, resolution=1e-300)
     assert abs(thr - 1 / 3) < 1e-6
     assert abs(thr - nmwit.werner_threshold(HALF)) < 1e-6
+    # In one batch, points reach float spacing after different numbers of
+    # steps, and an undetected point never starts; each stops on its own.
+    g1 = np.array([0.5, 0.5, 0.4, 0.3, 0.2])
+    g2 = np.array([0.5, 0.3, 0.45, 0.6, 0.2])
+    batch = _werner_thresholds(g1, g2, 1e-300, 1e-9)
+    assert batch[-1] is None
+    for a, b, thr in zip(g1[:-1], g2[:-1], batch[:-1]):
+        point = nmwit.MapFamilyPoint(float(a), float(b))
+        assert thr == nmwit.werner_threshold(point, resolution=1e-300)
+        assert abs(thr - werner_threshold_closed(a, b)) < 1e-6
