@@ -5,6 +5,11 @@ computational-basis maximally entangled state. The map is completely positive
 exactly when this state is positive semidefinite, so the sign of its minimum
 eigenvalue classifies the instant as divisible (memoryless) or not; the
 trace-norm excess ||C||_1 - 1 is the equivalent scalar indicator.
+
+A grid of instants is one stacked pass: choi_grid builds every Choi state
+from the generator's compiled Choi images, checks each and diagonalizes them
+in one call, and verdicts classifies the stack. choi_state, choi_of and
+classify are the one-instant case.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGrid
-from .kernel import Spectrum, eig_hermitian, frozen, max_entangled, projector, trace_norm
-from .lindblad import LindbladGenerator, SmallTimeMap, extend_and_apply, small_time_map
+from .kernel import Spectrum, eigh_checked, frozen, in_grid_order
+from .lindblad import LindbladGenerator, SmallTimeMap, choi_matrices, coefficients, small_time_map
 
 
 @dataclass(frozen=True)
@@ -31,20 +36,37 @@ class ChoiState:
     spectrum: Spectrum
 
 
+def checked_spectrum(matrices: np.ndarray) -> Spectrum:
+    """Spectra of a stack of Choi matrices; raises for the first that is not
+    Hermitian (NonHermitianInput) or, failing that, not of unit trace (ValueError)."""
+    spectrum = eigh_checked(matrices)
+    tr = np.trace(matrices, axis1=1, axis2=2).real
+    off = abs(tr - 1.0) > 1e-9
+    if off.any():
+        raise ValueError(f"Choi matrix trace {tr[off.argmax()]!r} is not 1")
+    return spectrum
+
+
 def choi_state(matrix: np.ndarray, t: float, epsilon: float) -> ChoiState:
     """Wrap a matrix as a ChoiState, enforcing Hermiticity and unit trace."""
     matrix = frozen(matrix)
-    spectrum = eig_hermitian(matrix)
-    tr = np.trace(matrix).real
-    if abs(tr - 1.0) > 1e-9:
-        raise ValueError(f"Choi matrix trace {tr!r} is not 1")
-    return ChoiState(matrix=matrix, t=t, epsilon=epsilon, spectrum=spectrum)
+    return ChoiState(matrix, t, epsilon, checked_spectrum(matrix[None])[0])
+
+
+def choi_grid(gen: LindbladGenerator, times, epsilon: float):
+    """(coefficient rows, Choi matrices, their spectra) for the snapshots at times."""
+    # Checks the snapshots as small_time_map does: the first non-finite t, else the first t.
+    small_time_map(gen, times[int(np.argmin(np.isfinite(times)))], epsilon)
+    c = coefficients(gen, times)
+    matrices = choi_matrices(gen, c, epsilon)
+    matrices.setflags(write=False)
+    return c, matrices, checked_spectrum(matrices)
 
 
 def choi_of(m: SmallTimeMap) -> ChoiState:
     """Choi state (id (x) N)(|phi+><phi+|) of a snapshot map."""
-    bell = projector(max_entangled(m.dim))
-    return choi_state(extend_and_apply(m, bell), m.t, m.epsilon)
+    _, matrices, spectrum = choi_grid(m.generator, [m.t], m.epsilon)
+    return ChoiState(matrices[0], m.t, m.epsilon, spectrum[0])
 
 
 @dataclass(frozen=True)
@@ -61,15 +83,19 @@ class DivisibilityVerdict:
     tolerance: float
 
 
+def verdicts(matrices: np.ndarray, eigenvalues: np.ndarray, tolerance: float) -> list:
+    """DivisibilityVerdict of each of a stack of checked Choi matrices with ascending eigenvalues.
+
+    The trace norm takes its own eigvalsh: summing the cached eigenvalues
+    changes the last digit of trace_norm_excess.
+    """
+    excess = np.abs(np.linalg.eigvalsh(matrices)).sum(axis=1) - 1.0
+    return [DivisibilityVerdict(lam, ex, lam >= -tolerance, tolerance)
+            for lam, ex in zip(eigenvalues[:, 0].tolist(), excess.tolist())]
+
+
 def classify(choi: ChoiState, tolerance: float = 1e-9) -> DivisibilityVerdict:
-    lam_min = float(choi.spectrum.eigenvalues[0])
-    excess = trace_norm(choi.matrix) - 1.0
-    return DivisibilityVerdict(
-        minimum_eigenvalue=lam_min,
-        trace_norm_excess=excess,
-        markovian=lam_min >= -tolerance,
-        tolerance=tolerance,
-    )
+    return verdicts(choi.matrix[None], choi.spectrum.eigenvalues[None], tolerance)[0]
 
 
 def scan(
@@ -84,6 +110,6 @@ def scan(
         raise EmptyGrid("t_grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("t_grid must be strictly ascending")
-    return [
-        (t, classify(choi_of(small_time_map(gen, t, epsilon)), tolerance)) for t in grid
-    ]
+    _, matrices, spectrum = in_grid_order(lambda ts: choi_grid(gen, ts, epsilon),
+                                          lambda t: choi_of(small_time_map(gen, t, epsilon)), grid)
+    return list(zip(grid, verdicts(matrices, spectrum.eigenvalues, tolerance)))

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import choi, entanglement, lindblad, spa, witness
 from .errors import DegenerateMinimum, MapNotPositive, NmwitError
+from .kernel import in_grid_order
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -146,6 +147,15 @@ def _parse_range(text: str, name: str) -> tuple[float, float, int]:
         raise ConfigError(f"{name} must look like lo:hi:steps, got {text!r}") from None
 
 
+def _as(kind, value, name: str):
+    """kind(value) for a flag or config-file value; a ConfigError naming it if that fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}") from None
+
+
 def _merged(args: argparse.Namespace, file_cfg: dict, key: str, default):
     flag = getattr(args, key, None)
     if flag is not None:
@@ -171,9 +181,9 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     if cfg.scenario not in _SCENARIOS:
         raise ConfigError(f"unknown scenario {cfg.scenario!r}")
     cfg.generator_file = _merged(args, file_cfg, "generator", None)
-    cfg.gamma_d = float(_merged(args, file_cfg, "gamma_d", -1.0))
-    cfg.epsilon = float(_merged(args, file_cfg, "epsilon", 0.01))
-    cfg.tolerance = float(_merged(args, file_cfg, "tolerance", 1e-9))
+    cfg.gamma_d = _as(float, _merged(args, file_cfg, "gamma_d", -1.0), "gamma_d")
+    cfg.epsilon = _as(float, _merged(args, file_cfg, "epsilon", 0.01), "epsilon")
+    cfg.tolerance = _as(float, _merged(args, file_cfg, "tolerance", 1e-9), "tolerance")
     cfg.output = _merged(args, file_cfg, "output", None)
     cfg.format = _merged(args, file_cfg, "format", "csv")
     if cfg.format not in ("csv", "json"):
@@ -193,7 +203,7 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
             raise ConfigError(
                 f"NMWIT_SEED must be an integer, got {os.environ['NMWIT_SEED']!r}"
             ) from None
-    cfg.seed = int(seed) if seed is not None else 0
+    cfg.seed = _as(int, seed, "seed") if seed is not None else 0
     if cfg.seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
 
@@ -202,7 +212,9 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     t_stop = getattr(args, "t_stop", None)
     t_steps = getattr(args, "t_steps", None)
     if t_start is None and t_stop is None and t_steps is None and "t_grid" in file_cfg:
-        grid = [float(t) for t in file_cfg["t_grid"]]
+        if not isinstance(file_cfg["t_grid"], list):
+            raise ConfigError(f"t_grid must be a list of numbers, got {file_cfg['t_grid']!r}")
+        grid = [_as(float, t, "t_grid entry") for t in file_cfg["t_grid"]]
         if not grid:
             raise ConfigError("t_grid in config file is empty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -210,9 +222,10 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
         cfg.t_grid = grid
         cfg.echo = [("t_grid", "[" + " ".join(_fmt(t) for t in grid) + "]")]
     else:
-        start = float(t_start if t_start is not None else file_cfg.get("t_start", 1.0))
-        steps = int(t_steps if t_steps is not None else file_cfg.get("t_steps", 1))
-        stop = float(t_stop if t_stop is not None else file_cfg.get("t_stop", start))
+        start = _as(float, t_start if t_start is not None else file_cfg.get("t_start", 1.0),
+                    "t_start")
+        steps = _as(int, t_steps if t_steps is not None else file_cfg.get("t_steps", 1), "t_steps")
+        stop = _as(float, t_stop if t_stop is not None else file_cfg.get("t_stop", start), "t_stop")
         if steps < 1:
             raise ConfigError(f"t_steps must be >= 1, got {steps}")
         if steps > 1 and not stop > start:
@@ -243,7 +256,7 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
         cfg.gamma2 = _merged(args, file_cfg, "gamma2", None)
         cfg.p = _merged(args, file_cfg, "p", None)
         cfg.scan = bool(getattr(args, "scan", False) or file_cfg.get("scan", False))
-        cfg.samples = int(_merged(args, file_cfg, "samples", 10_000))
+        cfg.samples = _as(int, _merged(args, file_cfg, "samples", 10_000), "samples")
         if cfg.samples < 1:
             raise ConfigError("samples must be >= 1")
         if cfg.scan:
@@ -275,13 +288,15 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
         else:
             if cfg.gamma1 is None or cfg.gamma2 is None or cfg.p is None:
                 raise ConfigError("single-point mode requires --gamma1, --gamma2 and --p")
-            cfg.gamma1, cfg.gamma2, cfg.p = float(cfg.gamma1), float(cfg.gamma2), float(cfg.p)
+            cfg.gamma1 = _as(float, cfg.gamma1, "gamma1")
+            cfg.gamma2 = _as(float, cfg.gamma2, "gamma2")
+            cfg.p = _as(float, cfg.p, "p")
             # Built here only to validate, so that bad values exit as config errors.
             entanglement.MapFamilyPoint(cfg.gamma1, cfg.gamma2)
             entanglement.werner(cfg.p)
             header.extend([("gamma1", cfg.gamma1), ("gamma2", cfg.gamma2), ("p", cfg.p)])
     elif cfg.command == "prop1":
-        cfg.draws = int(_merged(args, file_cfg, "draws", 100))
+        cfg.draws = _as(int, _merged(args, file_cfg, "draws", 100), "draws")
         if cfg.draws < 1:
             raise ConfigError("draws must be >= 1")
         header.append(("draws", cfg.draws))
@@ -323,30 +338,36 @@ def cmd_divisibility(cfg: ScenarioConfig) -> int:
 
 
 def cmd_witness(cfg: ScenarioConfig) -> int:
-    rows = []
-    exports = []
-    for t in cfg.t_grid:
-        m = lindblad.small_time_map(cfg.generator, t, cfg.epsilon)
-        c = choi.choi_of(m)
-        W = witness.build_witness(m, c)
-        value = witness.evaluate(W, c)
-        detected = witness.classify_by_witness(W, c, cfg.tolerance) == witness.NON_MARKOVIAN_DETECTED
-        rows.append([t, W.omega, W.nu, value, detected])
-        if cfg.export_witness:
-            exports.append(witness.witness_to_dict(W))
+    matrices, omega, nu, tau, witnesses = witness.witness_scan(
+        cfg.generator, cfg.t_grid, cfg.epsilon)
+    values = witness.witness_values(nu, tau, matrices)
+    omega, nu = omega.tolist(), nu.tolist()
+    rows = [[t, o, n, v, v < -cfg.tolerance] for t, o, n, v in zip(cfg.t_grid, omega, nu, values)]
     _emit(cfg, ["t", "omega", "nu", "witness_value", "detected"], rows)
     if cfg.export_witness:
+        exports = [
+            witness.witness_to_dict(witness.WitnessOperator(
+                matrix=W, nu=n, omega=o, tau=v,
+                source_map=lindblad.small_time_map(cfg.generator, t, cfg.epsilon)))
+            for t, o, n, v, W in zip(cfg.t_grid, omega, nu, tau, witnesses)
+        ]
         with open(cfg.export_witness, "w", encoding="utf-8", newline="") as fh:
             fh.write(json.dumps(_round12(exports), indent=2) + "\n")
     return EXIT_OK
 
 
 def cmd_spa(cfg: ScenarioConfig) -> int:
-    rows = []
-    for t in cfg.t_grid:
-        m = lindblad.small_time_map(cfg.generator, t, cfg.epsilon)
-        dec = spa.optimal_decomposition(choi.choi_of(m))
-        rows.append([t, dec.lambda_minus, dec.omega, dec.omega, dec.nu])
+    gen, eps = cfg.generator, cfg.epsilon
+
+    def stacked(times):
+        _, matrices, spectrum = choi.choi_grid(gen, times, eps)
+        return spa.spa_grid(matrices, spectrum.eigenvalues)[:3]
+
+    def single(t):
+        spa.optimal_decomposition(choi.choi_of(lindblad.small_time_map(gen, t, eps)))
+
+    lam, omega, nu = (x.tolist() for x in in_grid_order(stacked, single, cfg.t_grid))
+    rows = [[t, lm, o, o, n] for t, lm, o, n in zip(cfg.t_grid, lam, omega, nu)]
     _emit(cfg, ["t", "lambda_minus", "p_star", "omega", "nu"], rows)
     return EXIT_OK
 

@@ -1,10 +1,12 @@
 """Dense complex-matrix foundation.
 
 Construction helpers (Paulis, Bell vectors, projectors), Hermitian
-eigendecomposition, Kronecker products, partial trace and trace norm.
-All functions take and return plain numpy arrays; arrays produced here are
-marked read-only, and every operation is a pure function, so values can be
-shared freely across threads.
+eigendecomposition and trace norm. All functions take and return plain numpy
+arrays; arrays produced here are marked read-only, and every operation is a
+pure function, so values can be shared freely across threads.
+
+Eigendecomposition works on stacks: eigh_checked diagonalizes a stack in
+one call, and eig_hermitian is its one-matrix case.
 
 Intended scale is small dense matrices (qubit and two-qubit operators, up to
 dimension ~16); there is no sparse or arbitrary-precision path.
@@ -16,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonHermitianInput
+from .errors import NonHermitianInput
 
-#: Default tolerances for the Hermiticity / positivity / trace predicates.
+#: Default tolerances for the Hermiticity / positivity predicates.
 #: Overridable per call.
 TOL_HERM = 1e-9
 TOL_PSD = 1e-9
-TOL_TRACE = 1e-9
 
 
 def frozen(values) -> np.ndarray:
@@ -50,21 +51,6 @@ def is_hermitian(M: np.ndarray, tol: float = TOL_HERM) -> bool:
     return M.ndim == 2 and M.shape[0] == M.shape[1] and np.abs(M - dag(M)).max() < tol
 
 
-def is_density(
-    M: np.ndarray,
-    tol_herm: float = TOL_HERM,
-    tol_psd: float = TOL_PSD,
-    tol_trace: float = TOL_TRACE,
-) -> bool:
-    """Hermitian, positive semidefinite (within tol) and unit trace."""
-    M = np.asarray(M)
-    if not is_hermitian(M, tol_herm):
-        return False
-    if abs(np.trace(M).real - 1.0) >= tol_trace:
-        return False
-    return np.linalg.eigvalsh(M)[0] >= -tol_psd
-
-
 def max_entangled(d: int) -> np.ndarray:
     """Ket sum_i |ii> / sqrt(d) on a d*d bipartite space."""
     v = np.zeros(d * d, dtype=complex)
@@ -86,32 +72,49 @@ BELL_PSI_MINUS = frozen(np.array([0, 1, -1, 0]) / np.sqrt(2))
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of a stack of them.
 
-    eigenvalues are real and ascending; column k of eigenvectors is the
-    orthonormal eigenvector for eigenvalues[k]. Within a degenerate subspace
-    the basis choice is arbitrary and callers must not rely on it.
+    eigenvalues are real and ascending along the last axis; column k of
+    eigenvectors is the orthonormal eigenvector for eigenvalues[..., k].
+    Within a degenerate subspace the basis choice is arbitrary and callers
+    must not rely on it. Indexing selects from a stack (None adds an axis).
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        """Sum_k lambda_k |v_k><v_k|."""
-        return (self.eigenvectors * self.eigenvalues) @ dag(self.eigenvectors)
+    def __getitem__(self, index) -> Spectrum:
+        return Spectrum(self.eigenvalues[index], self.eigenvectors[index])
 
 
-def eig_hermitian(M: np.ndarray, tol_herm: float = TOL_HERM) -> Spectrum:
-    """Ascending eigendecomposition of a Hermitian matrix.
+def in_grid_order(stacked, single, times):
+    """stacked(times): one pass over a whole grid, which raises if any instant fails.
 
-    Raises NonHermitianInput when the input fails the Hermiticity check at
-    tol_herm.
+    When it raises, single(t) replays the instants one by one, so that the
+    error raised is the one a loop over the grid raises: that of the first
+    failing instant in grid order, at its first failing check.
     """
-    M = np.asarray(M, dtype=complex)
-    if not is_hermitian(M, tol_herm):
+    try:
+        return stacked(times)
+    except Exception:
+        for t in times:
+            single(t)
+        raise
+
+
+def eigh_checked(M: np.ndarray, tol_herm: float = TOL_HERM) -> Spectrum:
+    """Ascending eigendecompositions of a stack (k, n, n) of Hermitian matrices, in one call.
+
+    Raises NonHermitianInput for the first matrix that fails the Hermiticity
+    check at tol_herm.
+    """
+    if M.ndim != 3 or M.shape[1] != M.shape[2]:
+        raise NonHermitianInput(f"expected square matrices, got shape {M.shape[1:]}")
+    deviation = np.abs(M - M.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    if not (deviation < tol_herm).all():
+        k = int(np.argmin(deviation < tol_herm))
         raise NonHermitianInput(
-            f"matrix is not Hermitian within {tol_herm:g} "
-            f"(max deviation {np.abs(M - dag(M)).max():.3g})"
+            f"matrix is not Hermitian within {tol_herm:g} (max deviation {deviation[k]:.3g})"
         )
     vals, vecs = np.linalg.eigh(M)
     vals.setflags(write=False)
@@ -119,27 +122,13 @@ def eig_hermitian(M: np.ndarray, tol_herm: float = TOL_HERM) -> Spectrum:
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
-def tensor(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kronecker product A (x) B."""
-    return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
+def eig_hermitian(M: np.ndarray, tol_herm: float = TOL_HERM) -> Spectrum:
+    """Ascending eigendecomposition of a Hermitian matrix (eigh_checked on one matrix).
 
-
-def partial_trace(X: np.ndarray, subsystem: str, dims: tuple[int, int]) -> np.ndarray:
-    """Trace out one factor of a bipartite operator.
-
-    subsystem names the factor that is traced OUT ("first" or "second");
-    dims = (d1, d2) are the factor dimensions with d1*d2 = dim(X).
+    Raises NonHermitianInput when the input fails the Hermiticity check at
+    tol_herm.
     """
-    X = np.asarray(X, dtype=complex)
-    d1, d2 = dims
-    if X.shape != (d1 * d2, d1 * d2):
-        raise DimensionMismatch(f"expected shape {(d1 * d2, d1 * d2)}, got {X.shape}")
-    T = X.reshape(d1, d2, d1, d2)
-    if subsystem == "first":
-        return np.einsum("ijik->jk", T)
-    if subsystem == "second":
-        return np.einsum("ijkj->ik", T)
-    raise ValueError(f"subsystem must be 'first' or 'second', got {subsystem!r}")
+    return eigh_checked(np.asarray(M, dtype=complex)[None], tol_herm)[0]
 
 
 def trace_norm(X: np.ndarray) -> float:

@@ -8,6 +8,13 @@ and the snapshot map over a short step is kept in first-order form
 N = id + epsilon * L_t, never exponentiated: the threshold formulas downstream
 are exact for the first-order map and only approximate for exp(epsilon L).
 
+A generator is compiled once, at construction: per term, the pair
+E = I_d (x) L, K = I_d (x) L^dag L acting on d^2 x d^2 operators, and the
+Choi image B_a = E P E^dag - (K P + P K)/2 with P = |phi+><phi+|. A grid of
+instants is then one stack: coefficients() gives the rows c_a(t), the Choi
+states are P + epsilon * sum_a c_a(t) B_a, and extend() applies id (x) N to
+a stack. The single-instant functions are the one-instant case.
+
 Generators and maps are immutable; evaluation is pure, so grids of instants
 can be processed concurrently without shared state.
 """
@@ -22,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveEpsilon, ParameterOutOfRange
-from .kernel import PAULI_BY_NAME, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, frozen
+from .kernel import PAULI_BY_NAME, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, frozen, max_entangled, projector
 
 _KINDS = ("constant", "eternal_tanh", "tabulated", "callable")
 
@@ -105,11 +112,16 @@ def _as_coefficient(c) -> CoefficientModel:
 
 @dataclass(frozen=True)
 class LindbladGenerator:
-    """Diagonal-form generator: at most dim^2 (coefficient, jump) terms."""
+    """Diagonal-form generator: at most dim^2 (coefficient, jump) terms.
+
+    extended and choi_images are compiled from the terms (module docstring).
+    """
 
     dim: int
     terms: tuple[tuple[CoefficientModel, np.ndarray], ...]
     label: str = "custom"
+    extended: tuple = field(init=False, repr=False, compare=False)
+    choi_images: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.terms) > self.dim**2:
@@ -123,6 +135,10 @@ class LindbladGenerator:
                 )
             checked.append((_as_coefficient(coef), jump))
         object.__setattr__(self, "terms", tuple(checked))
+        eye = np.eye(self.dim)
+        extended = tuple((np.kron(eye, L), np.kron(eye, dag(L) @ L)) for _, L in checked)
+        object.__setattr__(self, "extended", extended)
+        object.__setattr__(self, "choi_images", tuple(_images(extended, _choi_input(self.dim))))
 
 
 def dephasing(coefficient=-1.0) -> LindbladGenerator:
@@ -152,16 +168,48 @@ def eternal_depolarizer() -> LindbladGenerator:
     return gen
 
 
-def _dissipator(gen: LindbladGenerator, X: np.ndarray, t: float, ancilla: int) -> np.ndarray:
-    """(id_ancilla (x) L_t)(X): each jump L enters as E = I_ancilla (x) L."""
-    eye = np.eye(ancilla)
-    out = np.zeros_like(X)
-    for coef, L in gen.terms:
-        g = coef(t)
-        E = np.kron(eye, L)
-        K = np.kron(eye, dag(L) @ L)
-        out += g * (E @ X @ dag(E) - 0.5 * (K @ X + X @ K))
+def _choi_input(d: int) -> np.ndarray:
+    """P = |phi+><phi+| on the d^2-dimensional space."""
+    return projector(max_entangled(d))
+
+
+def _images(pairs, X: np.ndarray, c: np.ndarray | None = None):
+    """Each term's E X E^dag - (K X + X K)/2 for a matrix or stack X, times c[..., a] if given."""
+    for a, (E, K) in enumerate(pairs):
+        image, sym = E @ X @ dag(E), K @ X
+        sym += X @ K
+        sym *= 0.5
+        image -= sym
+        if c is not None:
+            image *= c[..., a, None, None]
+        yield image
+
+
+def _sum(terms, X: np.ndarray, epsilon: float | None = None) -> np.ndarray:
+    """The terms added to zero in term order, then X + epsilon * sum if epsilon is given."""
+    out = np.zeros(X.shape, dtype=complex)
+    for term in terms:
+        out += term
+    if epsilon is not None:
+        out *= epsilon
+        out += X
     return out
+
+
+def coefficients(gen: LindbladGenerator, times) -> np.ndarray:
+    """c_a(t) of each term (columns) at each instant (rows), evaluated in grid order."""
+    return np.array([[coef(t) for coef, _ in gen.terms] for t in times], dtype=float)
+
+
+def choi_matrices(gen: LindbladGenerator, c: np.ndarray, epsilon: float) -> np.ndarray:
+    """Snapshot Choi matrices P + epsilon * sum_a c[:, a] B_a for coefficient rows c."""
+    P = np.broadcast_to(_choi_input(gen.dim), (len(c),) + (gen.dim**2,) * 2)
+    return _sum((c[:, a, None, None] * B for a, B in enumerate(gen.choi_images)), P, epsilon)
+
+
+def extend(gen: LindbladGenerator, c: np.ndarray, epsilon: float, X: np.ndarray) -> np.ndarray:
+    """X + epsilon * (id (x) L)(X) for coefficient rows c and one matrix or a stack X."""
+    return _sum(_images(gen.extended, X, c), X, epsilon)
 
 
 def apply_generator(gen: LindbladGenerator, rho: np.ndarray, t: float) -> np.ndarray:
@@ -169,7 +217,8 @@ def apply_generator(gen: LindbladGenerator, rho: np.ndarray, t: float) -> np.nda
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (gen.dim, gen.dim):
         raise DimensionMismatch(f"rho shape {rho.shape} does not match generator dim {gen.dim}")
-    return _dissipator(gen, rho, t, 1)
+    pairs = [(L, dag(L) @ L) for _, L in gen.terms]
+    return _sum(_images(pairs, rho, coefficients(gen, [t])[0]), rho)
 
 
 @dataclass(frozen=True)
@@ -206,13 +255,13 @@ def extend_and_apply(m: SmallTimeMap, X: np.ndarray) -> np.ndarray:
     """(id (x) N)(X) for a bipartite operator X on the d^2-dimensional space.
 
     Identity acts on the first factor, the snapshot map on the second.
-    Linear in X and Hermiticity-preserving.
+    Linear in X and Hermiticity-preserving. The one-instant case of extend.
     """
     X = np.asarray(X, dtype=complex)
     d = m.dim
     if X.shape != (d * d, d * d):
         raise DimensionMismatch(f"expected shape {(d * d, d * d)}, got {X.shape}")
-    return X + m.epsilon * _dissipator(m.generator, X, m.t, d)
+    return extend(m.generator, coefficients(m.generator, [m.t])[0], m.epsilon, X)
 
 
 def _jump_from_desc(desc) -> np.ndarray:

@@ -14,6 +14,9 @@ quantity written as the optimal decomposition
 with C the snapshot's Choi state, is what the witness construction
 consumes. The identity term is normalized to the maximally mixed state so
 sigma_tilde keeps unit trace alongside omega + nu = 1.
+
+spa_grid computes the decomposition for a stack of Choi states, and
+optimal_decomposition is its one-instant case.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choi import ChoiState, choi_state
+from .choi import ChoiState, checked_spectrum
 from .kernel import TOL_PSD
 
 
@@ -36,6 +39,20 @@ class SpaDecomposition:
     spa_choi: ChoiState
 
 
+def spa_grid(matrices: np.ndarray, eigenvalues: np.ndarray, tol_psd: float = TOL_PSD):
+    """(lambda_minus, omega, nu, mixed spectra, mixed) for Choi matrices with ascending spectra."""
+    lam_min = eigenvalues[:, 0]
+    # Eigenvalues above -tol_psd count as zero: CP maps need no approximation.
+    lam = np.where(lam_min < -tol_psd, -lam_min, 0.0)
+    n = matrices.shape[-1]
+    a = lam * n
+    p = a / (a + 1.0)
+    mixed = (1.0 - p)[:, None, None] * matrices
+    mixed += p[:, None, None] * np.eye(n) / n
+    mixed.setflags(write=False)
+    return lam, p, 1.0 / (a + 1.0), checked_spectrum(mixed), mixed
+
+
 def optimal_decomposition(choi: ChoiState, tol_psd: float = TOL_PSD) -> SpaDecomposition:
     """Optimal (omega, nu) split of the structural physical approximation.
 
@@ -43,17 +60,7 @@ def optimal_decomposition(choi: ChoiState, tol_psd: float = TOL_PSD) -> SpaDecom
     returned spa_choi sits exactly on the CP boundary: its minimum
     eigenvalue is zero up to roundoff.
     """
-    lam_min = float(choi.spectrum.eigenvalues[0])
-    # Eigenvalues above -tol_psd count as zero: CP maps need no approximation.
-    lam = -lam_min if lam_min < -tol_psd else 0.0
-    n = choi.matrix.shape[0]
-    a = lam * n
-    p = a / (a + 1.0)
-    nu = 1.0 / (a + 1.0)
-    mixed = p * np.eye(n) / n + (1.0 - p) * choi.matrix
-    return SpaDecomposition(
-        lambda_minus=lam,
-        omega=p,
-        nu=nu,
-        spa_choi=choi_state(mixed, choi.t, choi.epsilon),
-    )
+    lam, p, nu, spectrum, mixed = spa_grid(choi.matrix[None], choi.spectrum.eigenvalues[None],
+                                           tol_psd)
+    return SpaDecomposition(lambda_minus=float(lam[0]), omega=float(p[0]), nu=float(nu[0]),
+                            spa_choi=ChoiState(mixed[0], choi.t, choi.epsilon, spectrum[0]))

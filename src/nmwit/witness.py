@@ -13,6 +13,11 @@ dynamics being probed. Evaluation against Choi states therefore goes through
 the projector form, which is manifestly nonnegative on every positive
 semidefinite (divisible-snapshot) Choi state and negative on the Choi state
 the witness was built from whenever that state has a negative eigenvalue.
+
+A grid of instants is one stacked pass: witness_grid mixes every Choi state
+with the depolarizer, diagonalizes the mixtures in one call and forms every
+witness matrix with one stacked extension; build_witness is its one-instant
+case. Values are taken per instant, as evaluate takes one.
 """
 
 from __future__ import annotations
@@ -21,11 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choi import ChoiState, choi_of
+from .choi import ChoiState, choi_grid, choi_of
 from .errors import DegenerateMinimum, DimensionMismatch, NonHermitianJump
-from .kernel import TOL_HERM, dag, frozen, is_hermitian, projector
-from .lindblad import LindbladGenerator, SmallTimeMap, constant, extend_and_apply, small_time_map
-from .spa import optimal_decomposition
+from .kernel import TOL_HERM, dag, in_grid_order, is_hermitian, projector
+from .lindblad import LindbladGenerator, SmallTimeMap, coefficients, constant, extend
+from .lindblad import extend_and_apply, small_time_map
+from .spa import spa_grid
 
 MARKOVIAN_CONSISTENT = "markovian_consistent"
 NON_MARKOVIAN_DETECTED = "non_markovian_detected"
@@ -99,35 +105,70 @@ def adjoint_identity_max_residual(draws: int = 100, seed: int = 0) -> float:
     return worst
 
 
+def witness_grid(gen: LindbladGenerator, times, epsilon: float, c: np.ndarray, matrices: np.ndarray,
+                 eigenvalues: np.ndarray, degeneracy_tol: float = 1e-12):
+    """(omega, nu, tau, witness matrices) for snapshots of gen at times.
+
+    c, matrices and eigenvalues are the snapshots' coefficient rows and Choi
+    matrices with their ascending spectra (see choi.choi_grid). Raises
+    DegenerateMinimum for the first SPA state whose two lowest eigenvalues
+    are within degeneracy_tol, because its minimizing eigenvector is then
+    not well defined.
+    """
+    _, omega, nu, mixed = spa_grid(matrices, eigenvalues)[:4]
+    gap = mixed.eigenvalues[:, 1] - mixed.eigenvalues[:, 0]
+    if (gap < degeneracy_tol).any():
+        k = int(np.argmax(gap < degeneracy_tol))
+        raise DegenerateMinimum(f"minimum eigenvalue of the SPA state is degenerate "
+                                f"at t={times[k]:g} (gap {gap[k]:.3g})")
+    tau = np.ascontiguousarray(mixed.eigenvectors[:, :, 0])
+    del mixed  # frees the eigenvectors before the stacked extension
+    witnesses = extend(gen, c, epsilon, tau[:, :, None] * tau.conj()[:, None, :])
+    witnesses *= nu[:, None, None]
+    tau.setflags(write=False)
+    witnesses.setflags(write=False)
+    return omega, nu, tau, witnesses
+
+
 def build_witness(
     m: SmallTimeMap,
     choi: ChoiState | None = None,
     degeneracy_tol: float = 1e-12,
 ) -> WitnessOperator:
-    """Witness operator for the snapshot map m.
+    """Witness operator for the snapshot map m (witness_grid at one instant).
 
     choi is m's Choi state, choi_of(m); pass it when the caller already has
-    it, otherwise it is built here. Raises DegenerateMinimum when the two
-    lowest eigenvalues of the SPA state sigma_tilde are within
-    degeneracy_tol, because the minimizing eigenvector is then not well
-    defined.
+    it, otherwise it is built here. Raises DegenerateMinimum as witness_grid.
     """
-    dec = optimal_decomposition(choi_of(m) if choi is None else choi)
-    spec = dec.spa_choi.spectrum
-    if spec.eigenvalues[1] - spec.eigenvalues[0] < degeneracy_tol:
-        raise DegenerateMinimum(
-            f"minimum eigenvalue of the SPA state is degenerate at t={m.t:g} "
-            f"(gap {spec.eigenvalues[1] - spec.eigenvalues[0]:.3g})"
-        )
-    tau = spec.eigenvectors[:, 0]
-    matrix = dec.nu * extend_and_apply(m, projector(tau))
-    return WitnessOperator(
-        matrix=frozen(matrix),
-        nu=dec.nu,
-        omega=dec.omega,
-        tau=frozen(tau),
-        source_map=m,
-    )
+    choi = choi_of(m) if choi is None else choi
+    omega, nu, tau, matrices = witness_grid(
+        m.generator, [m.t], m.epsilon, coefficients(m.generator, [m.t]), choi.matrix[None],
+        choi.spectrum.eigenvalues[None], degeneracy_tol)
+    return WitnessOperator(matrix=matrices[0], nu=float(nu[0]), omega=float(omega[0]), tau=tau[0],
+                           source_map=m)
+
+
+def witness_scan(gen: LindbladGenerator, times, epsilon: float):
+    """(Choi matrices, omega, nu, tau, witness matrices) over a grid, in one stacked pass.
+
+    Fails as a loop of build_witness over the grid fails (see in_grid_order).
+    """
+    def stacked(ts):
+        c, matrices, spectrum = choi_grid(gen, ts, epsilon)
+        eigenvalues = spectrum.eigenvalues
+        del spectrum  # the pass needs no Choi eigenvectors; free them before it peaks
+        return (matrices, *witness_grid(gen, ts, epsilon, c, matrices, eigenvalues))
+
+    return in_grid_order(stacked, lambda t: build_witness(small_time_map(gen, t, epsilon)), times)
+
+
+def _value(nu: float, tau: np.ndarray, matrix: np.ndarray) -> float:
+    return float(np.real(nu * np.vdot(tau, matrix @ tau)))
+
+
+def witness_values(nu: np.ndarray, tau: np.ndarray, matrices: np.ndarray) -> list[float]:
+    """nu * <tau| C |tau> of each instant of a stack, as evaluate computes it."""
+    return [_value(n, v, C) for n, v, C in zip(nu.tolist(), tau, matrices)]
 
 
 def evaluate(W: WitnessOperator, choi: ChoiState) -> float:
@@ -143,7 +184,7 @@ def evaluate(W: WitnessOperator, choi: ChoiState) -> float:
         raise DimensionMismatch(
             f"witness dimension {W.tau.shape[0]} vs Choi dimension {choi.matrix.shape[0]}"
         )
-    return float(np.real(W.nu * np.vdot(W.tau, choi.matrix @ W.tau)))
+    return _value(W.nu, W.tau, choi.matrix)
 
 
 def classify_by_witness(W: WitnessOperator, choi: ChoiState, tolerance: float = 1e-9) -> str:

@@ -4,11 +4,19 @@ Nothing here shares a code path with the package: eigenvalues come from a
 hand-rolled Jacobi rotation solver, generator actions from Pauli-basis
 coefficient algebra, Choi matrices from explicit Bell-projector sums, and SPA
 thresholds from bisection on the positivity indicator.
+
+The linear-algebra helpers that only tests use (tensor, partial_trace,
+is_density, reconstruct) live here too, as does the per-instant reference
+pipeline that the package's stacked pass must reproduce bit for bit: the
+Lindblad term loop with a Kronecker product per term and call, and one
+eigensolve per matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from nmwit.errors import DimensionMismatch
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -216,3 +224,86 @@ def rand_separable(rng, terms=4):
     for w in weights:
         out += w * np.kron(rand_density(rng, 2), rand_density(rng, 2))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Linear-algebra helpers used only by tests
+
+def tensor(A, B):
+    """Kronecker product A (x) B."""
+    return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
+
+
+def partial_trace(X, subsystem, dims):
+    """Trace out one factor of a bipartite operator.
+
+    subsystem names the factor that is traced OUT ("first" or "second");
+    dims = (d1, d2) are the factor dimensions with d1*d2 = dim(X).
+    """
+    X = np.asarray(X, dtype=complex)
+    d1, d2 = dims
+    if X.shape != (d1 * d2, d1 * d2):
+        raise DimensionMismatch(f"expected shape {(d1 * d2, d1 * d2)}, got {X.shape}")
+    T = X.reshape(d1, d2, d1, d2)
+    if subsystem == "first":
+        return np.einsum("ijik->jk", T)
+    if subsystem == "second":
+        return np.einsum("ijkj->ik", T)
+    raise ValueError(f"subsystem must be 'first' or 'second', got {subsystem!r}")
+
+
+def is_density(M, tol_herm=1e-9, tol_psd=1e-9, tol_trace=1e-9):
+    """Hermitian, positive semidefinite (within tol) and unit trace."""
+    M = np.asarray(M)
+    if not (M.ndim == 2 and M.shape[0] == M.shape[1] and np.abs(M - M.conj().T).max() < tol_herm):
+        return False
+    if abs(np.trace(M).real - 1.0) >= tol_trace:
+        return False
+    return np.linalg.eigvalsh(M)[0] >= -tol_psd
+
+
+def reconstruct(spectrum):
+    """Sum_k lambda_k |v_k><v_k| of an eigendecomposition."""
+    V = spectrum.eigenvectors
+    return (V * spectrum.eigenvalues) @ V.conj().T
+
+
+# ---------------------------------------------------------------------------
+# Per-instant reference pipeline: Choi state, SPA, witness
+
+def dissipator(gen, X, t, ancilla):
+    """(id_ancilla (x) L_t)(X), building E = I (x) L and K = I (x) L^dag L per term and call."""
+    eye = np.eye(ancilla)
+    out = np.zeros_like(X)
+    for coef, L in gen.terms:
+        g = coef(t)
+        E = np.kron(eye, L)
+        K = np.kron(eye, L.conj().T @ L)
+        out += g * (E @ X @ E.conj().T - 0.5 * (K @ X + X @ K))
+    return out
+
+
+def reference_snapshot(gen, t, eps):
+    """(Choi matrix, eigenvalues, omega, nu, tau, witness, value) of one instant.
+
+    omega, nu, tau, witness and value are None when the SPA minimum is degenerate.
+    """
+    d = gen.dim
+    phi = np.zeros(d * d, dtype=complex)
+    phi[:: d + 1] = 1.0 / np.sqrt(d)
+    P = np.outer(phi, phi.conj())
+    C = P + eps * dissipator(gen, P, t, d)
+    vals = np.linalg.eigh(C)[0]
+    lam_min = float(vals[0])
+    lam = -lam_min if lam_min < -1e-9 else 0.0
+    n = C.shape[0]
+    a = lam * n
+    omega, nu = a / (a + 1.0), 1.0 / (a + 1.0)
+    mvals, mvecs = np.linalg.eigh(omega * np.eye(n) / n + (1.0 - omega) * C)
+    if mvals[1] - mvals[0] < 1e-12:
+        return C, vals, None, None, None, None, None
+    tau = np.array(mvecs[:, 0])
+    X = np.outer(tau, tau.conj())
+    W = nu * (X + eps * dissipator(gen, X, t, d))
+    value = float(np.real(nu * np.vdot(tau, C @ tau)))
+    return C, vals, omega, nu, tau, W, value

@@ -6,6 +6,7 @@ fails the corresponding criterion.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -195,16 +196,43 @@ def test_criterion_8_cli_determinism(tmp_path):
     _report(8, "byte-identical outputs across repeated seeded runs of all subcommands")
 
 
+def _grid_1000(scenario_args, epsilon, start, stop):
+    return [*scenario_args, "--epsilon", epsilon, "--t-start", start, "--t-stop", stop,
+            "--t-steps", "1000", "--seed", "3"]
+
+
+_ETERNAL = _grid_1000(["--scenario", "eternal"], "0.0137", "0.05", "5")
+# Constant, eternal_tanh and tabulated coefficients, and a non-Pauli Hermitian jump.
+_CUSTOM = ["--scenario", "custom", "--generator", "custom_generator.json"]
+
+# Pinned byte for byte beside criterion 8's invocations, but not run twice:
+# (stdout golden, arguments, exported file or None).
+GOLDEN_INVOCATIONS = [
+    *((golden, args, "wit.json" if "wit.json" in args else None)
+      for golden, args in CLI_INVOCATIONS),
+    *((f"eternal_{cmd}_1000.csv", [cmd, *_ETERNAL], None)
+      for cmd in ("divisibility", "witness", "spa")),
+    *((f"custom_{cmd}_1000.csv", [cmd, *_grid_1000(_CUSTOM, "0.02", "0.01", "4.99")], None)
+      for cmd in ("divisibility", "witness", "spa")),
+    ("custom_witness_100.json",
+     ["witness", *_CUSTOM, "--epsilon", "0.02", "--t-start", "0.1", "--t-stop", "4.9",
+      "--t-steps", "100", "--seed", "3", "--format", "json",
+      "--export-witness", "custom_witness_100_export.json"],
+     "custom_witness_100_export.json"),
+]
+
+
 def test_cli_output_matches_golden_files(tmp_path):
     # A change that alters any byte here must update the golden file and say
     # why in CHANGES.md.
-    for k, (golden, args) in enumerate(CLI_INVOCATIONS):
+    for k, (golden, args, exported) in enumerate(GOLDEN_INVOCATIONS):
         run_dir = tmp_path / str(k)
         run_dir.mkdir()
+        shutil.copy(GOLDEN / "custom_generator.json", run_dir)
         out = _run_cli(args, run_dir, golden)
         assert out.encode() == (GOLDEN / golden).read_bytes(), f"stdout differs from {golden}"
-        if (run_dir / "wit.json").exists():
-            assert (run_dir / "wit.json").read_bytes() == (GOLDEN / "wit.json").read_bytes()
+        if exported:
+            assert (run_dir / exported).read_bytes() == (GOLDEN / exported).read_bytes()
 
 
 def test_full_phase_scan_matches_golden_file(tmp_path):

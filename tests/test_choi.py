@@ -5,7 +5,7 @@ import nmwit
 from nmwit.errors import EmptyGrid
 from nmwit.kernel import BELL_PHI_PLUS
 
-from oracles import bell_choi, bell_weights, rand_unitary
+from oracles import bell_choi, bell_weights, rand_unitary, tensor
 
 EPS = 0.01
 
@@ -127,7 +127,25 @@ def test_verdict_is_invariant_under_local_unitary_input():
     m = _map(nmwit.eternal_depolarizer(), t=1.3)
     c = nmwit.choi_of(m)
     for _ in range(5):
-        U4 = nmwit.tensor(rand_unitary(rng, 2), np.eye(2))
+        U4 = tensor(rand_unitary(rng, 2), np.eye(2))
         rotated = U4 @ nmwit.projector(BELL_PHI_PLUS) @ U4.conj().T
         alt = nmwit.extend_and_apply(m, rotated)
         assert np.abs(np.linalg.eigvalsh(alt) - c.spectrum.eigenvalues).max() < 1e-10
+
+
+def test_scan_fails_with_the_first_failing_instant_in_grid_order():
+    # A whole grid is one stacked pass, but it must fail as a loop over the
+    # instants fails: non-finite at t=2 wins over out of domain at t=3.5, and
+    # a trace failure at t=1 wins over both.
+    nan_from_2 = nmwit.from_callable(lambda t: float("nan") if t >= 2 else 1.0)
+    table_to_3 = nmwit.tabulated([0.0, 3.0], [1.0, 1.0])
+    terms = ((nan_from_2, nmwit.SIGMA_X), (table_to_3, nmwit.SIGMA_Z))
+    gen = nmwit.LindbladGenerator(dim=2, terms=terms)
+    with pytest.raises(ValueError, match="non-finite value at t=2"):
+        nmwit.scan(gen, [1.0, 2.0, 3.5], EPS)
+    huge_at_1 = nmwit.from_callable(lambda t: 1e300 if t == 1 else 1.0)
+    gen = nmwit.LindbladGenerator(dim=2, terms=((huge_at_1, nmwit.SIGMA_X), *gen.terms))
+    with pytest.raises(ValueError, match="Choi matrix trace"):
+        nmwit.scan(gen, [1.0, 2.0, 3.5], EPS)
+    with pytest.raises(nmwit.ParameterOutOfRange, match="t=inf"):
+        nmwit.scan(gen, [0.5, float("inf")], EPS)

@@ -254,3 +254,96 @@ def test_non_finite_or_malformed_generator_input_exits_2(tmp_path, capsys):
     r = run_cli("divisibility", "--scenario", "custom", "--generator", str(wrong_shape))
     assert r.returncode == 2
     assert "config error" in r.stderr
+
+
+def _tabulated_generator(tmp_path, times, values, jump):
+    path = tmp_path / "tabulated.json"
+    path.write_text(json.dumps({"dim": 2, "terms": [
+        {"coefficient": {"kind": "tabulated", "times": times, "values": values}, "jump": jump}]}))
+    return str(path)
+
+
+_GRID = ["--t-start", "0.5", "--t-stop", "2", "--t-steps", "4"]
+_DEGENERATE_AT_HALF = ("degenerate minimum: minimum eigenvalue of the SPA state is degenerate "
+                       "at t=0.5 (gap 0)")
+_PAST_DOMAIN = "numerical failure: t=1.5 outside tabulated domain [0, 1]"
+_NOT_FINITE = "numerical failure: t and epsilon must be finite, got t=nan, epsilon=0.01"
+
+
+# Exit code and last stderr line of grids that fail. They are those of a loop
+# over the instants, although a grid runs as one stacked pass: the first
+# failing instant in grid order decides the error, and within that instant
+# its first failing check. Each case is (tabulated coefficient or None for the
+# eternal scenario, extra arguments, {command: (exit code, last stderr line)}).
+GRID_ORDER_CASES = {
+    # SPA minimum degenerate from t=0.5 on (a CP snapshot with two zero
+    # eigenvalues); the table ends before t=1.5.
+    "degenerate_then_past_domain": (
+        ([0, 1], [2, 2], "sigma_z"), _GRID,
+        {"divisibility": (3, _PAST_DOMAIN), "witness": (4, _DEGENERATE_AT_HALF),
+         "spa": (3, _PAST_DOMAIN)}),
+    "starts_before_domain": (
+        ([1, 3], [-1, -1], "sigma_z"), _GRID,
+        {cmd: (3, "numerical failure: t=0.5 outside tabulated domain [1, 3]")
+         for cmd in ("divisibility", "witness", "spa")}),
+    # Trace check fails at t=0.5 (the terms cancel to a trace of 0).
+    "trace_then_past_domain": (
+        ([0, 1], [1e300, 1e300], "sigma_x"), _GRID,
+        {cmd: (3, "numerical failure: Choi matrix trace np.float64(0.0) is not 1")
+         for cmd in ("divisibility", "witness", "spa")}),
+    # epsilon * c overflows, so the Hermiticity check fails at t=0.5.
+    "overflow_then_past_domain": (
+        ([0, 1], [1e308, 1e308], "sigma_x"), [*_GRID, "--epsilon", "10"],
+        {cmd: (3, "numerical failure: matrix is not Hermitian within 1e-09 (max deviation nan)")
+         for cmd in ("divisibility", "witness", "spa")}),
+    "non_finite_instant": (
+        None, ["--t-start", "nan"],
+        {cmd: (3, _NOT_FINITE) for cmd in ("divisibility", "witness", "spa")}),
+    # t=0.5 degenerate, then an instant that is not finite.
+    "degenerate_then_non_finite": (
+        ([0, 1], [2, 2], "sigma_z"), ["--config", "nan_grid.json"],
+        {"divisibility": (3, _NOT_FINITE), "witness": (4, _DEGENERATE_AT_HALF),
+         "spa": (3, _NOT_FINITE)}),
+}
+
+
+@pytest.mark.parametrize("command", ["divisibility", "witness", "spa"])
+@pytest.mark.parametrize("case", sorted(GRID_ORDER_CASES))
+def test_first_failing_instant_in_grid_order_decides_the_error(
+    case, command, tmp_path, monkeypatch, capsys
+):
+    coefficient, extra, expected = GRID_ORDER_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nan_grid.json").write_text('{"t_grid": [0.5, NaN]}')
+    argv = [command, *extra]
+    if coefficient is not None:
+        generator = _tabulated_generator(tmp_path, *coefficient)
+        argv += ["--scenario", "custom", "--generator", generator]
+    code = cli.main(argv)
+    assert (code, capsys.readouterr().err.splitlines()[-1]) == expected[command]
+
+
+@pytest.mark.parametrize("command, config", [
+    ("spa", {"gamma_d": "abc"}),
+    ("divisibility", {"epsilon": "abc"}),
+    ("divisibility", {"tolerance": None}),
+    ("prop1", {"seed": "abc"}),
+    ("divisibility", {"seed": 1e400}),
+    ("divisibility", {"t_start": "abc"}),
+    ("divisibility", {"t_stop": [1]}),
+    ("divisibility", {"t_steps": "abc"}),
+    ("divisibility", {"t_steps": 1e400}),
+    ("divisibility", {"t_grid": [0.5, "abc"]}),
+    ("divisibility", {"t_grid": 5}),
+    ("divisibility", {"t_grid": "123"}),
+    ("entangle", {"scan": True, "gamma1_range": "0:1:2", "gamma2_range": "0:1:2",
+                  "samples": "abc"}),
+    ("prop1", {"draws": "abc"}),
+    ("entangle", {"gamma1": "abc", "gamma2": 0.5, "p": 0.5}),
+    ("entangle", {"gamma1": 0.5, "gamma2": 0.5, "p": [1]}),
+])
+def test_wrongly_typed_config_value_exits_2(command, config, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")

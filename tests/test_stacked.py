@@ -1,0 +1,111 @@
+"""The stacked grid pass against the per-instant reference, and its invariants.
+
+A generator's time grid runs as one stacked Choi -> SPA -> witness pass; the
+reference in oracles.reference_snapshot builds each instant alone, with a
+Kronecker product per term and call and one eigensolve per matrix. The two
+must agree bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import nmwit
+from nmwit.choi import choi_grid
+from nmwit.errors import DegenerateMinimum
+from nmwit.witness import witness_grid, witness_scan, witness_values
+
+from oracles import reference_snapshot
+
+_value = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def coefficients(draw):
+    kind = draw(st.sampled_from(("constant", "eternal_tanh", "tabulated")))
+    if kind == "constant":
+        return nmwit.constant(draw(_value))
+    if kind == "eternal_tanh":
+        return nmwit.eternal_tanh(draw(st.floats(-1.5, 1.5)))
+    inner = draw(st.lists(st.floats(0.1, 4.9), max_size=3, unique=True))
+    times = [0.0, *sorted(inner), 5.0]
+    return nmwit.tabulated(times, [draw(_value) for _ in times])
+
+
+@st.composite
+def hermitian_jumps(draw):
+    a, b, re, im = (draw(st.floats(-1.0, 1.0)) for _ in range(4))
+    return np.array([[a, re - 1j * im], [re + 1j * im, b]])
+
+
+@st.composite
+def generators(draw):
+    terms = draw(st.lists(st.tuples(coefficients(), hermitian_jumps()), min_size=1, max_size=4))
+    return nmwit.LindbladGenerator(dim=2, terms=tuple(terms))
+
+
+grids = st.lists(st.floats(0.01, 4.99), min_size=1, max_size=12, unique=True).map(sorted)
+epsilons = st.floats(0.001, 0.05)
+
+
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(gen=generators(), grid=grids, eps=epsilons)
+def test_stacked_pass_matches_per_instant_reference(gen, grid, eps):
+    refs = [reference_snapshot(gen, t, eps) for t in grid]
+    c, matrices, spectrum = choi_grid(gen, grid, eps)
+    for k, (C, vals, *_) in enumerate(refs):
+        assert _same_bits(matrices[k], C)
+        assert _same_bits(spectrum.eigenvalues[k], vals)
+    # The first instant with a degenerate SPA minimum ends the pass, as it ends a loop.
+    first = next((k for k, ref in enumerate(refs) if ref[2] is None), len(grid))
+    if first < len(grid):
+        with pytest.raises(DegenerateMinimum, match=f"at t={grid[first]:g} "):
+            witness_scan(gen, grid, eps)
+    if first == 0:
+        return
+    n = slice(first)
+    omega, nu, tau, witnesses = witness_grid(
+        gen, grid[n], eps, c[n], matrices[n], spectrum.eigenvalues[n])
+    values = witness_values(nu, tau, matrices)
+    for k in range(first):
+        _, _, ref_omega, ref_nu, ref_tau, ref_W, ref_value = refs[k]
+        assert (omega[k], nu[k], values[k]) == (ref_omega, ref_nu, ref_value)
+        assert _same_bits(tau[k], ref_tau)
+        assert _same_bits(witnesses[k], ref_W)
+        # The public one-instant functions are the same pass on a one-instant stack.
+        m = nmwit.small_time_map(gen, grid[k], eps)
+        choi = nmwit.choi_of(m)
+        W = nmwit.build_witness(m, choi)
+        assert _same_bits(choi.matrix, matrices[k])
+        assert _same_bits(W.matrix, witnesses[k])
+        assert nmwit.evaluate(W, choi) == values[k]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(gen=generators(), grid=grids, eps=epsilons)
+def test_choi_trace_is_one(gen, grid, eps):
+    _, matrices, _ = choi_grid(gen, grid, eps)
+    assert np.abs(np.trace(matrices, axis1=1, axis2=2) - 1.0).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(gen=generators(), t=st.floats(0.01, 4.99), eps=epsilons,
+       cp_rates=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+       cp_t=st.floats(0.0, 3.0), cp_eps=epsilons)
+def test_witness_sign_on_indivisible_and_cp_snapshots(gen, t, eps, cp_rates, cp_t, cp_eps):
+    m = nmwit.small_time_map(gen, t, eps)
+    choi = nmwit.choi_of(m)
+    lam_min = choi.spectrum.eigenvalues[0]
+    if lam_min >= -1e-9:
+        return
+    W = nmwit.build_witness(m, choi)
+    value = nmwit.evaluate(W, choi)
+    assert value < 0
+    assert abs(value - W.nu * lam_min) <= 1e-12
+    cp = nmwit.choi_of(nmwit.small_time_map(nmwit.depolarizer(*cp_rates), cp_t, cp_eps))
+    assert nmwit.evaluate(W, cp) >= -1e-12
