@@ -204,18 +204,10 @@ def is_positive(
     return closed
 
 
-def _choi_weights(g1, g2) -> np.ndarray:
-    return np.sort(np.stack([1.0 - 2.0 * g1 - g2, g1, g1, g2], axis=-1), axis=-1)
-
-
-def choi_weights(pt: MapFamilyPoint) -> np.ndarray:
-    """Closed-form Choi eigenvalues {1-2*g1-g2, g1, g1, g2}, ascending."""
-    return _choi_weights(pt.gamma1, pt.gamma2)
-
-
 def _cp_batch(g1: np.ndarray, g2: np.ndarray, tolerance: float) -> np.ndarray:
     """Complete positivity of each point (g1[k], g2[k]), closed form vs one stacked eigvalsh."""
-    closed = _choi_weights(g1, g2)
+    # Closed-form Choi eigenvalues {1-2*g1-g2, g1, g1, g2}, ascending.
+    closed = np.sort(np.stack([1.0 - 2.0 * g1 - g2, g1, g1, g2], axis=-1), axis=-1)
     numeric = np.linalg.eigvalsh(_extend(g1, g2, _CHOI_INPUT))
     mismatch = np.abs(closed - numeric).max(axis=-1) > 1e-12
     if mismatch.any():

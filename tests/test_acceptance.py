@@ -219,6 +219,20 @@ GOLDEN_INVOCATIONS = [
       "--t-steps", "100", "--seed", "3", "--format", "json",
       "--export-witness", "custom_witness_100_export.json"],
      "custom_witness_100_export.json"),
+    # Runs driven by the config_*.json files, one of them with overriding flags.
+    ("file_t_grid_divisibility.csv", ["divisibility", "--config", "config_t_grid.json"], None),
+    ("file_t_grid_witness.json", ["witness", "--config", "config_t_grid_json.json"], None),
+    ("file_scan_strings.csv", ["entangle", "--config", "config_scan_strings.json"], None),
+    ("file_scan_lists.json", ["entangle", "--config", "config_scan_lists.json"], None),
+    ("file_custom_witness.csv", ["witness", "--config", "config_custom.json"],
+     "file_custom_export.json"),
+    ("file_override_divisibility.csv",
+     ["divisibility", "--config", "config_override.json", "--epsilon", "0.01",
+      "--t-start", "0.25", "--t-stop", "2", "--t-steps", "4"], None),
+    ("file_override_entangle.json",
+     ["entangle", "--config", "config_override.json", "--p", "0.3", "--format", "json"], None),
+    ("file_override_prop1.csv", ["prop1", "--config", "config_override.json", "--seed", "4"],
+     None),
 ]
 
 
@@ -228,7 +242,8 @@ def test_cli_output_matches_golden_files(tmp_path):
     for k, (golden, args, exported) in enumerate(GOLDEN_INVOCATIONS):
         run_dir = tmp_path / str(k)
         run_dir.mkdir()
-        shutil.copy(GOLDEN / "custom_generator.json", run_dir)
+        for source in (GOLDEN / "custom_generator.json", *GOLDEN.glob("config_*.json")):
+            shutil.copy(source, run_dir)
         out = _run_cli(args, run_dir, golden)
         assert out.encode() == (GOLDEN / golden).read_bytes(), f"stdout differs from {golden}"
         if exported:

@@ -341,9 +341,39 @@ def test_first_failing_instant_in_grid_order_decides_the_error(
     ("prop1", {"draws": "abc"}),
     ("entangle", {"gamma1": "abc", "gamma2": 0.5, "p": 0.5}),
     ("entangle", {"gamma1": 0.5, "gamma2": 0.5, "p": [1]}),
+    # Non-integral values for integer keys, once truncated.
+    ("divisibility", {"t_start": 0.5, "t_stop": 1, "t_steps": 2.5}),
+    ("prop1", {"seed": 3.9}),
+    ("entangle", {"scan": True, "gamma1_range": "0:1:2", "gamma2_range": "0:1:2",
+                  "samples": 10.9}),
+    ("entangle", {"scan": True, "gamma1_range": [0, 0.5, 2.7], "gamma2_range": "0:1:2"}),
+    # Booleans and strings where the other is meant, and paths that are not strings.
+    ("prop1", {"seed": True}),
+    ("entangle", {"scan": "false", "gamma1_range": "0:1:2", "gamma2_range": "0:1:2"}),
+    ("divisibility", {"output": 2}),
+    ("witness", {"export_witness": 2}),
 ])
 def test_wrongly_typed_config_value_exits_2(command, config, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert cli.main([command, "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"epsilonn": 0.02}))
+    assert cli.main(["divisibility", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: unknown config key 'epsilonn' in {path}\n"
+    # A key that another subcommand reads is accepted.
+    path.write_text(json.dumps({"draws": 5, "gamma1_range": "0:1:2", "export_witness": "w.json"}))
+    assert cli.main(["divisibility", "--config", str(path)]) == 0
+
+
+def test_numpy_warnings_stay_off_stderr(tmp_path):
+    generator = _tabulated_generator(tmp_path, [0, 1], [1e308, 1e308], "sigma_x")
+    r = run_cli("divisibility", "--scenario", "custom", "--generator", generator,
+                *_GRID, "--epsilon", "10")
+    assert r.returncode == 3
+    assert r.stderr == ("numerical failure: matrix is not Hermitian within 1e-09 "
+                        "(max deviation nan)\n")
