@@ -1,7 +1,7 @@
 """Phase diagram of the two-parameter map family.
 
-Each grid point is classified as positive (double-checked: pure-state
-sampling against the Bloch closed form), completely positive (Choi spectrum),
+Each grid point is classified as positive (Bloch closed form, checked against
+the map's transfer matrix), completely positive (Choi spectrum),
 and, where positive but not CP, tagged with the bisected Werner detection
 threshold. The numerically found region differs from the nominal one: the
 positive region is gamma1 <= 1/2 AND gamma1 + gamma2 <= 1, the map is NCP
@@ -11,7 +11,7 @@ entangled range) only where 2*gamma1 + gamma2 = 3/2.
 
 import nmwit
 
-rows = nmwit.phase_scan((0.0, 0.6), (0.0, 1.0), (13, 11), n_samples=4000, seed=0)
+rows = nmwit.phase_scan((0.0, 0.6), (0.0, 1.0), (13, 11))
 
 print("legend: '.' not positive | 'c' positive and CP | digits = Werner threshold")
 print("        (threshold printed as first decimal digit: 3 -> 0.3x, etc.)\n")

@@ -43,7 +43,7 @@ def checked_spectrum(matrices: np.ndarray) -> Spectrum:
     tr = np.trace(matrices, axis1=1, axis2=2).real
     off = abs(tr - 1.0) > 1e-9
     if off.any():
-        raise ValueError(f"Choi matrix trace {tr[off.argmax()]!r} is not 1")
+        raise ValueError(f"Choi matrix trace {tr[off.argmax()]:.6g} is not 1")
     return spectrum
 
 

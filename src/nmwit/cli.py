@@ -68,7 +68,8 @@ _COMMANDS = {
         ("--scan", {"action": "store_true", "help": "run a phase scan instead"}),
         ("--gamma1-range", {"help": "lo:hi:steps"}),
         ("--gamma2-range", {"help": "lo:hi:steps"}),
-        ("--samples", {"type": int, "help": "pure-state samples per grid point"}),
+        ("--samples", {"type": int,
+                       "help": "checked and echoed; the scan decides positivity without sampling"}),
     )),
     "prop1": ("randomized adjoint-identity suite", (
         ("--draws", {"type": int, "help": "number of random draws (default 100)"}),
@@ -207,6 +208,12 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
         cfg.update(_parse_keys({"seed": os.environ["NMWIT_SEED"]}, "NMWIT_SEED"))
     if cfg.setdefault("seed", 0) < 0:
         raise ConfigError("seed must be a nonnegative integer")
+    # Unwritable output paths fail here, before any computation or output.
+    for key in ("output", "export_witness") if args.command == "witness" else ("output",):
+        parent = os.path.dirname(os.path.abspath(cfg[key])) if cfg[key] else None
+        if parent and not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+            raise ConfigError(
+                f"cannot write {key} {cfg[key]}: {parent} is not a writable directory")
 
     if "t_grid" in cfg and not {"t_start", "t_stop", "t_steps"} & flags.keys():
         grid = cfg["t_grid"]
@@ -232,7 +239,7 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
                 raise ConfigError("scenario=custom requires --generator")
             try:
                 cfg["generator"] = lindblad.load_generator(path)
-            except (OSError, json.JSONDecodeError, ValueError, KeyError) as e:
+            except (OSError, ValueError) as e:  # bad JSON and MalformedDescription included
                 raise ConfigError(f"cannot load generator {path}: {e}") from None
             echo.append(("generator", path))
         elif cfg["scenario"] == "dephasing":
@@ -336,9 +343,7 @@ def cmd_entangle(cfg: argparse.Namespace) -> int:
     if cfg.scan:
         (lo1, hi1, n1), (lo2, hi2, n2) = cfg.gamma1_range, cfg.gamma2_range
         results = entanglement.phase_scan(
-            (lo1, hi1), (lo2, hi2), (n1, n2),
-            n_samples=cfg.samples, tolerance=cfg.tolerance, seed=cfg.seed,
-        )
+            (lo1, hi1), (lo2, hi2), (n1, n2), tolerance=cfg.tolerance)
         rows = [[r.gamma1, r.gamma2, r.positive, r.cp, r.werner_threshold] for r in results]
         _emit(cfg, ["gamma1", "gamma2", "positive", "cp", "werner_threshold"], rows)
         return EXIT_OK

@@ -9,16 +9,17 @@ unital and trace preserving, acting on Bloch vectors as
 (x, y, z) -> (s x, s y, u z) with s = 1 - 2*g1 - 2*g2 and u = 1 - 4*g1.
 Positivity of the map is therefore equivalent to max(|s|, |u|) <= 1, and
 complete positivity to nonnegativity of the Choi weights
-{1 - 2*g1 - g2, g1, g1, g2}. Both facts are re-derived numerically at every
-use: positivity by seeded pure-state sampling against the closed form, and
-complete positivity by dense diagonalization against the closed form.
+{1 - 2*g1 - g2, g1, g1, g2}. Both closed forms are checked against the map
+itself at every use, from its stacked Choi matrices J: the Pauli transfer
+matrix read off J must be diag(1, s, s, u), and the spectrum of J must be the
+Choi weights. A disagreement raises CrossCheckFailed.
 
-The output spectrum of a pure input depends on its Bloch vector only through
-z, since nx^2 + ny^2 = 1 - z^2, so positivity sampling draws z alone. The
-phase scan works one gamma1 row at a time: one stacked diagonalization checks
-complete positivity for the whole row, and the Werner thresholds of the row's
-positive-but-not-CP points are bisected in lockstep, one stacked
-diagonalization per bisection step, each point stopping on its own.
+The phase scan works one gamma1 row at a time: one Choi stack checks the whole
+row, and the Werner thresholds of the row's positive-but-not-CP points are
+bisected in lockstep, each point stopping on its own. Each bisection step is
+decided by the closed-form spectrum p*w + (1-p)/4 of (id (x) Map)(W_p);
+eigvalsh decides only the steps within rounding of the boundary, and confirms
+each final bracket at both ends.
 
 A point that is positive but not completely positive certifies entanglement:
 a negative eigenvalue of (id (x) Map)(state) cannot occur on separable input.
@@ -31,7 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyGrid, MapNotPositive, ParameterOutOfRange
+from .errors import (
+    CrossCheckFailed,
+    DimensionMismatch,
+    EmptyGrid,
+    MapNotPositive,
+    ParameterOutOfRange,
+)
 from .kernel import (
     BELL_PSI_MINUS,
     SIGMA_X,
@@ -49,6 +56,13 @@ _IZ = np.kron(np.eye(2), SIGMA_Z)
 _CHOI_INPUT = projector(max_entangled(2))
 _SINGLET = projector(BELL_PSI_MINUS)
 _RESOLUTION = 1e-6
+# Closed-form Werner margins within _BAND of 0 go to eigvalsh; the two differ by
+# at most about 7e-16 on positive points, whose coefficients are all O(1).
+_BAND = 1e-12
+# R[i, j] = Tr[(sigma_j^T (x) sigma_i) J] is the Pauli transfer matrix of the map
+# whose Choi matrix is J.
+_PAULIS = (np.eye(2), SIGMA_X, SIGMA_Y, SIGMA_Z)
+_PROBES = np.array([[np.kron(sj.T, si) for sj in _PAULIS] for si in _PAULIS])
 
 
 @dataclass(frozen=True)
@@ -119,106 +133,77 @@ def extend_family_map(pt: MapFamilyPoint, X: np.ndarray) -> np.ndarray:
     return _extend(pt.gamma1, pt.gamma2, X)
 
 
+def _factors(g1, g2):
+    """Closed-form Bloch factors (s, u) of scalar or array coefficients."""
+    return 1.0 - 2.0 * g1 - 2.0 * g2, 1.0 - 4.0 * g1
+
+
 def bloch_factors(pt: MapFamilyPoint) -> tuple[float, float]:
     """Transverse and longitudinal Bloch scaling factors (s, u)."""
-    return 1.0 - 2.0 * pt.gamma1 - 2.0 * pt.gamma2, 1.0 - 4.0 * pt.gamma1
+    return _factors(pt.gamma1, pt.gamma2)
 
 
-def _bloch_positive(pt: MapFamilyPoint, tolerance: float) -> bool:
+def _positive(s, u, tolerance: float):
     # Worst output eigenvalue over pure inputs is (1 - max|factor|)/2, so the
     # eigenvalue criterion lambda_min >= -tol is exactly max|factor| <= 1+2*tol.
-    s, u = bloch_factors(pt)
-    return max(abs(s), abs(u)) <= 1.0 + 2.0 * tolerance
+    return np.maximum(np.abs(s), np.abs(u)) <= 1.0 + 2.0 * tolerance
 
 
 def _require_positive(pt: MapFamilyPoint, tolerance: float) -> None:
-    if not _bloch_positive(pt, tolerance):
+    if not _positive(*bloch_factors(pt), tolerance):
         raise MapNotPositive(
             f"map at gamma1={pt.gamma1:g}, gamma2={pt.gamma2:g} is not positive"
         )
 
 
-def _point_seed(base_seed: int, pt: MapFamilyPoint) -> np.random.SeedSequence:
-    # Stable per-point stream: fold the exact IEEE bit patterns of the
-    # coordinates into the seed material.
-    b1 = int(np.float64(pt.gamma1).view(np.uint64))
-    b2 = int(np.float64(pt.gamma2).view(np.uint64))
-    return np.random.SeedSequence([int(base_seed), b1, b2])
+def is_positive(pt: MapFamilyPoint, *, tolerance: float = TOL_PSD) -> bool:
+    """Positivity of the family map, from the closed-form Bloch criterion.
 
-
-def _output_min_eig(pt: MapFamilyPoint, z: np.ndarray) -> np.ndarray:
-    """Minimum eigenvalue of the map output on pure inputs with Bloch z-component z.
-
-    The map sends the Bloch vector (nx, ny, z) to (s nx, s ny, u z), and
-    nx^2 + ny^2 = 1 - z^2 on pure states, so the output eigenvalues are
-    (1 +- sqrt(s^2 (1 - z^2) + u^2 z^2)) / 2. At z = +-1 and z = 0 the radicand
-    is exactly u^2 and s^2. Equality with family_map_apply + eigvalsh is
-    pinned by tests.
+    A unital qubit map is positive exactly when max(|s|, |u|) <= 1 (King &
+    Ruskai, IEEE TIT 47, 192, 2001). The criterion is used only once the map's
+    own Pauli transfer matrix, read off its Choi matrix, equals
+    diag(1, s, s, u); otherwise CrossCheckFailed is raised.
     """
-    s, u = bloch_factors(pt)
-    z2 = np.square(z)
-    q = 1.0 - z2
-    q *= s * s
-    z2 *= u * u
-    q += z2
-    np.sqrt(q, out=q)
-    np.subtract(1.0, q, out=q)
-    q *= 0.5
-    return q
+    return bool(_check_points(np.array([pt.gamma1]), np.array([pt.gamma2]), tolerance)[0][0])
 
 
-# The output eigenvalue depends on z^2 linearly under the square root, so its
-# minimum over the sphere sits at z = +-1 or z = 0; uniform samples never
-# reach those exactly.
-_EXTREMAL_Z = np.array([1.0, -1.0, 0.0])
+def _choi_weights(g1, g2) -> np.ndarray:
+    """Closed-form Choi eigenvalues {1-2*g1-g2, g1, g1, g2} of each point, ascending."""
+    return np.sort(np.stack([1.0 - 2.0 * g1 - g2, g1, g1, g2], axis=-1), axis=-1)
 
 
-def is_positive(
-    pt: MapFamilyPoint,
-    n_samples: int = 10_000,
-    *,
-    tolerance: float = TOL_PSD,
-    seed: int = 0,
-) -> bool:
-    """Positivity of the family map, established two independent ways.
+def _require_agreement(what: str, closed, numeric, g1: np.ndarray, g2: np.ndarray) -> None:
+    """Raise CrossCheckFailed at the first point where closed and numeric differ beyond rounding.
 
-    Draws the z-components of n_samples Bloch-uniform pure states
-    (deterministic stream derived from seed and the point coordinates; the
-    azimuth does not affect the output spectrum and is not drawn), adds the
-    extremal directions z = +-1 and z = 0, and checks the minimum output
-    eigenvalue; the closed-form Bloch criterion is evaluated alongside and
-    the two must agree, otherwise a RuntimeError is raised.
+    Rounding may reach 1e-12 per unit of coefficient magnitude; NaN always differs.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    closed = _bloch_positive(pt, tolerance)
-    rng = np.random.default_rng(_point_seed(seed, pt))
-    z = np.concatenate((rng.uniform(-1.0, 1.0, size=n_samples), _EXTREMAL_Z))
-    lam = _output_min_eig(pt, z).min()
-    sampled = bool(lam >= -tolerance)
-    if sampled != closed:
-        raise RuntimeError(
-            f"positivity checks disagree at gamma1={pt.gamma1:g}, gamma2={pt.gamma2:g}: "
-            f"sampled={sampled}, closed-form={closed}"
-        )
-    return closed
+    gap = np.abs(closed - numeric).reshape(len(g1), -1).max(axis=-1)
+    bad = ~(gap <= 1e-12 * (1.0 + np.abs(g1) + np.abs(g2)))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise CrossCheckFailed(f"{what} mismatch at gamma1={g1[k]:g}, gamma2={g2[k]:g}")
 
 
-def _cp_batch(g1: np.ndarray, g2: np.ndarray, tolerance: float) -> np.ndarray:
-    """Complete positivity of each point (g1[k], g2[k]), closed form vs one stacked eigvalsh."""
-    # Closed-form Choi eigenvalues {1-2*g1-g2, g1, g1, g2}, ascending.
-    closed = np.sort(np.stack([1.0 - 2.0 * g1 - g2, g1, g1, g2], axis=-1), axis=-1)
-    numeric = np.linalg.eigvalsh(_extend(g1, g2, _CHOI_INPUT))
-    mismatch = np.abs(closed - numeric).max(axis=-1) > 1e-12
-    if mismatch.any():
-        k = int(np.argmax(mismatch))
-        raise RuntimeError(f"Choi spectrum mismatch at gamma1={g1[k]:g}, gamma2={g2[k]:g}")
-    return closed[:, 0] >= -tolerance
+def _check_points(g1: np.ndarray, g2: np.ndarray, tolerance: float):
+    """(positive, cp) of each point (g1[k], g2[k]), from one stacked Choi matrix J.
+
+    The Pauli transfer matrix R[i, j] = Tr[(sigma_j^T (x) sigma_i) J] must equal
+    diag(1, s, s, u), and the spectrum of J the closed-form Choi weights;
+    a mismatch raises CrossCheckFailed.
+    """
+    J = _extend(g1, g2, _CHOI_INPUT)
+    s, u = _factors(g1, g2)
+    transfer = np.stack([np.ones_like(s), s, s, u], axis=-1)[:, :, None] * np.eye(4)
+    R = np.einsum("ijab,nba->nij", _PROBES, J)
+    _require_agreement("transfer matrix", transfer, R, g1, g2)
+    weights = _choi_weights(g1, g2)
+    _require_agreement("Choi spectrum", weights, np.linalg.eigvalsh(J), g1, g2)
+    return _positive(s, u, tolerance), weights[:, 0] >= -tolerance
 
 
 def is_cp(pt: MapFamilyPoint, *, tolerance: float = TOL_PSD) -> bool:
     """Complete positivity via the Choi spectrum, closed form vs diagonalization."""
-    return bool(_cp_batch(np.array([pt.gamma1]), np.array([pt.gamma2]), tolerance)[0])
+    return bool(_check_points(np.array([pt.gamma1]), np.array([pt.gamma2]), tolerance)[1][0])
 
 
 def detect_entanglement(
@@ -246,17 +231,31 @@ def _werner_thresholds(
 ) -> list[float | None]:
     """Bisected Werner thresholds of positive points (g1[k], g2[k]), in lockstep.
 
-    Each step diagonalizes the extended Werner matrices of all points still
-    bisecting in one stacked eigvalsh; a point stops once its bracket is at
-    most resolution wide or its midpoint equals an end (float spacing).
+    (id (x) Map)(W_p) has the spectrum p*w + (1-p)/4 over the Choi weights w,
+    so each step decides detection from the closed margin
+    p*w_min + (1-p)/4 + tolerance. Only points whose margin lies within
+    _BAND of 0, where rounding could decide, are diagonalized, in one stacked
+    eigvalsh. A point stops once its bracket is at most resolution wide or its
+    midpoint equals an end (float spacing). The final brackets are confirmed
+    by one stacked eigvalsh per end: detected at hi, not detected at lo.
     """
+    w_min = _choi_weights(g1, g2)[:, 0]
 
-    def detected(idx: np.ndarray, p: np.ndarray) -> np.ndarray:
+    def eig_detected(idx: np.ndarray, p: np.ndarray) -> np.ndarray:
         lam = np.linalg.eigvalsh(_extend(g1[idx], g2[idx], _werner_matrices(p)))[:, 0]
         return lam < -tolerance
 
+    def detected(idx: np.ndarray, p: np.ndarray) -> np.ndarray:
+        margin = p * w_min[idx] + (1.0 - p) / 4 + tolerance
+        out = margin < 0
+        near = np.flatnonzero(np.abs(margin) <= _BAND)
+        if near.size:
+            out[near] = eig_detected(idx[near], p[near])
+        return out
+
+    every = np.arange(len(g1))
     lo, hi = np.zeros(len(g1)), np.ones(len(g1))
-    found = detected(np.arange(len(g1)), hi)
+    found = detected(every, hi)
     active = found.copy()
     while True:
         mid = 0.5 * (lo + hi)
@@ -267,6 +266,11 @@ def _werner_thresholds(
         d = detected(idx, mid[idx])
         hi[idx[d]] = mid[idx[d]]
         lo[idx[~d]] = mid[idx[~d]]
+    bad = (eig_detected(every, hi) != found) | eig_detected(every, lo)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise CrossCheckFailed(f"Werner bracket [{lo[k]:g}, {hi[k]:g}] not confirmed "
+                               f"at gamma1={g1[k]:g}, gamma2={g2[k]:g}")
     return [float(h) if f else None for h, f in zip(hi, found)]
 
 
@@ -305,31 +309,30 @@ def phase_scan(
     gamma2_range: tuple[float, float],
     steps: tuple[int, int],
     *,
-    n_samples: int = 10_000,
     tolerance: float = 1e-9,
-    seed: int = 0,
 ) -> list[PhaseScanRow]:
     """Classify the (gamma1, gamma2) grid and locate Werner thresholds.
 
-    Each grid point records positivity (double-checked, see is_positive),
-    complete positivity, and - only where the map is positive but not
-    completely positive - the bisected Werner detection threshold at the
-    default resolution of werner_threshold. Complete positivity and the
-    thresholds are computed for a whole gamma1 row at a time.
+    Each gamma1 row is decided at once: positivity from the closed-form Bloch
+    criterion and complete positivity from the closed-form Choi weights, both
+    cross-checked against the row's stacked Choi matrices (see is_positive and
+    is_cp), and - only where the map is positive but not completely positive -
+    the Werner detection threshold, bisected in lockstep at the default
+    resolution of werner_threshold.
     """
     n1, n2 = steps
     if n1 < 1 or n2 < 1:
         raise EmptyGrid(f"grid steps must be >= 1, got {steps}")
     g1s = np.linspace(gamma1_range[0], gamma1_range[1], n1)
     g2s = np.linspace(gamma2_range[0], gamma2_range[1], n2)
-    rows = []
-    for g1 in g1s:
-        g1_row = np.full(n2, g1)
-        points = [MapFamilyPoint(float(g1), float(g2)) for g2 in g2s]
-        positive = np.array(
-            [is_positive(pt, n_samples, tolerance=tolerance, seed=seed) for pt in points]
+    if not (np.isfinite(g1s).all() and np.isfinite(g2s).all()):
+        raise ParameterOutOfRange(
+            f"scan ranges must give finite coefficients, got {gamma1_range}, {gamma2_range}"
         )
-        cp = _cp_batch(g1_row, g2s, tolerance)
+    rows = []
+    for g1 in g1s.tolist():
+        g1_row = np.full(n2, g1)
+        positive, cp = _check_points(g1_row, g2s, tolerance)
         thresholds: list[float | None] = [None] * n2
         todo = np.flatnonzero(positive & ~cp)
         if todo.size:
@@ -337,13 +340,7 @@ def phase_scan(
             for k, threshold in zip(todo, found):
                 thresholds[k] = threshold
         rows.extend(
-            PhaseScanRow(
-                gamma1=pt.gamma1,
-                gamma2=pt.gamma2,
-                positive=bool(p),
-                cp=bool(c),
-                werner_threshold=t,
-            )
-            for pt, p, c, t in zip(points, positive, cp, thresholds)
+            PhaseScanRow(gamma1=g1, gamma2=g2, positive=p, cp=c, werner_threshold=t)
+            for g2, p, c, t in zip(g2s.tolist(), positive.tolist(), cp.tolist(), thresholds)
         )
     return rows

@@ -39,3 +39,11 @@ class NonHermitianJump(NmwitError):
 
 class MapNotPositive(NmwitError):
     """A non-positive map certifies nothing about entanglement."""
+
+
+class CrossCheckFailed(NmwitError, RuntimeError):
+    """Two independent evaluations of the same quantity disagree: a defect, not bad input."""
+
+
+class MalformedDescription(NmwitError, ValueError):
+    """A generator description does not follow the JSON format."""

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveEpsilon, ParameterOutOfRange
+from .errors import DimensionMismatch, MalformedDescription, NonPositiveEpsilon, ParameterOutOfRange
 from .kernel import PAULI_BY_NAME, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, frozen, max_entangled, projector
 
 _KINDS = ("constant", "eternal_tanh", "tabulated", "callable")
@@ -269,7 +269,8 @@ def _jump_from_desc(desc) -> np.ndarray:
         try:
             return PAULI_BY_NAME[desc.lower()]
         except KeyError:
-            raise ValueError(f"unknown jump name {desc!r}; expected sigma_x/sigma_y/sigma_z") from None
+            raise MalformedDescription(
+                f"unknown jump name {desc!r}; expected sigma_x/sigma_y/sigma_z") from None
     if isinstance(desc, dict) and "matrix" in desc:
         rows = []
         for row in desc["matrix"]:
@@ -282,7 +283,7 @@ def _jump_from_desc(desc) -> np.ndarray:
                     entries.append(complex(entry))
             rows.append(entries)
         return np.array(rows, dtype=complex)
-    raise ValueError(f"jump must be a Pauli name or {{'matrix': ...}}, got {desc!r}")
+    raise MalformedDescription(f"jump must be a Pauli name or {{'matrix': ...}}, got {desc!r}")
 
 
 def _coefficient_from_desc(desc: dict) -> CoefficientModel:
@@ -293,7 +294,7 @@ def _coefficient_from_desc(desc: dict) -> CoefficientModel:
         return eternal_tanh(desc.get("scale", -1.0))
     if kind == "tabulated":
         return tabulated(desc["times"], desc["values"])
-    raise ValueError(f"unknown coefficient kind {kind!r} in generator description")
+    raise MalformedDescription(f"unknown coefficient kind {kind!r} in generator description")
 
 
 def generator_from_dict(desc: dict, label: str = "custom") -> LindbladGenerator:
@@ -301,14 +302,27 @@ def generator_from_dict(desc: dict, label: str = "custom") -> LindbladGenerator:
 
     Format: {"dim": d, "terms": [{"coefficient": {...}, "jump": ...}, ...]}
     with jump a case-insensitive Pauli name or {"matrix": [[entry, ...], ...]}
-    where each entry is a real number or an [re, im] pair.
+    where each entry is a real number or an [re, im] pair. A description that
+    does not follow the format raises MalformedDescription.
     """
-    dim = int(desc["dim"])
-    terms = tuple(
-        (_coefficient_from_desc(term["coefficient"]), _jump_from_desc(term["jump"]))
-        for term in desc["terms"]
-    )
-    return LindbladGenerator(dim=dim, terms=terms, label=label)
+    if not isinstance(desc, dict):
+        raise MalformedDescription("generator description must be a JSON object")
+    dim, terms = desc.get("dim"), desc.get("terms")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise MalformedDescription(f"generator dim must be an integer >= 1, got {dim!r}")
+    if not isinstance(terms, list):
+        raise MalformedDescription(f"generator terms must be a list, got {terms!r}")
+    parsed = []
+    for k, term in enumerate(terms):
+        if not (isinstance(term, dict) and isinstance(term.get("coefficient"), dict)):
+            raise MalformedDescription(f"term {k} must be an object with a coefficient object")
+        try:
+            parsed.append((_coefficient_from_desc(term["coefficient"]), _jump_from_desc(term["jump"])))
+        except KeyError as e:
+            raise MalformedDescription(f"term {k} lacks the key {e}") from None
+        except TypeError as e:  # a value of the wrong JSON type
+            raise MalformedDescription(f"term {k}: {e}") from None
+    return LindbladGenerator(dim=dim, terms=tuple(parsed), label=label)
 
 
 def load_generator(path) -> LindbladGenerator:

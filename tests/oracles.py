@@ -171,14 +171,11 @@ def werner_threshold_closed(g1, g2):
 
 
 # ---------------------------------------------------------------------------
-# Bloch-uniform pure states, with the azimuth the package does not draw
+# Bloch-uniform pure states: the package samples none; is_positive is checked
+# against the map's outputs on them
 
 def sample_bloch(n, rng):
-    """(nx, ny, z) components of n Bloch-sphere-uniform unit vectors.
-
-    z is drawn first, so it is the z-stream that is_positive draws from an
-    identically seeded generator.
-    """
+    """(nx, ny, z) components of n Bloch-sphere-uniform unit vectors: z, then the azimuth."""
     z = rng.uniform(-1.0, 1.0, size=n)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
     r = np.sqrt(1.0 - z * z)

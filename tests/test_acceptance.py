@@ -120,9 +120,10 @@ def test_criterion_6_werner_detection():
 
 
 def test_criterion_7_phase_diagram_truth_finding():
-    # is_positive raises on any sampled/closed-form disagreement, so a
-    # completed scan certifies zero disagreements across the grid.
-    rows = nmwit.phase_scan((0.0, 0.6), (0.0, 1.0), (61, 101), n_samples=10_000, seed=0)
+    # Each row's transfer matrices and Choi spectra are checked against the
+    # closed forms, and each Werner bracket against eigvalsh; any disagreement
+    # raises, so a completed scan certifies zero disagreements across the grid.
+    rows = nmwit.phase_scan((0.0, 0.6), (0.0, 1.0), (61, 101))
     assert len(rows) == 61 * 101
 
     margin = 1e-9

@@ -149,3 +149,9 @@ def test_scan_fails_with_the_first_failing_instant_in_grid_order():
         nmwit.scan(gen, [1.0, 2.0, 3.5], EPS)
     with pytest.raises(nmwit.ParameterOutOfRange, match="t=inf"):
         nmwit.scan(gen, [0.5, float("inf")], EPS)
+
+
+@pytest.mark.parametrize("matrix, trace", [(np.zeros((4, 4)), "0"), (np.eye(4) / 3, "1.33333")])
+def test_trace_error_prints_the_trace_as_a_plain_number(matrix, trace):
+    with pytest.raises(ValueError, match=rf"^Choi matrix trace {trace} is not 1$"):
+        nmwit.choi_state(matrix, 0.0, EPS)

@@ -289,7 +289,7 @@ GRID_ORDER_CASES = {
     # Trace check fails at t=0.5 (the terms cancel to a trace of 0).
     "trace_then_past_domain": (
         ([0, 1], [1e300, 1e300], "sigma_x"), _GRID,
-        {cmd: (3, "numerical failure: Choi matrix trace np.float64(0.0) is not 1")
+        {cmd: (3, "numerical failure: Choi matrix trace 0 is not 1")
          for cmd in ("divisibility", "witness", "spa")}),
     # epsilon * c overflows, so the Hermiticity check fails at t=0.5.
     "overflow_then_past_domain": (
@@ -377,3 +377,42 @@ def test_numpy_warnings_stay_off_stderr(tmp_path):
     assert r.returncode == 3
     assert r.stderr == ("numerical failure: matrix is not Hermitian within 1e-09 "
                         "(max deviation nan)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["divisibility", "--t-steps", "3", "--t-stop", "2", "--output", "{missing}/x.csv"],
+    ["witness", "--t-steps", "3", "--t-stop", "2", "--export-witness", "{missing}/w.json"],
+])
+def test_unwritable_output_path_exits_2_before_any_output(argv, tmp_path, capsys):
+    missing = tmp_path / "no_such_dir"
+    assert cli.main([a.format(missing=missing) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: cannot write ") and str(missing) in err
+
+
+@pytest.mark.parametrize("description, message", [
+    ({"dim": 2, "terms": 5}, "generator terms must be a list, got 5"),
+    ([{"dim": 2, "terms": []}], "generator description must be a JSON object"),
+    ({"dim": 2, "terms": [{"coefficient": 1.0, "jump": "sigma_z"}]},
+     "term 0 must be an object with a coefficient object"),
+    ({"dim": 0, "terms": []}, "generator dim must be an integer >= 1, got 0"),
+    ({"dim": 2, "terms": [{"coefficient": {"kind": "constant", "value": 1.0},
+                           "jump": {"matrix": 5}}]}, "term 0: 'int' object is not iterable"),
+])
+def test_malformed_generator_file_exits_2(description, message, tmp_path, capsys):
+    path = tmp_path / "generator.json"
+    path.write_text(json.dumps(description))
+    assert cli.main(["divisibility", "--scenario", "custom", "--generator", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: cannot load generator {path}: {message}\n"
+
+
+def test_samples_and_seed_are_echoed_but_do_not_change_the_scan(capsys):
+    scan = ["entangle", "--scan", "--gamma1-range", "0:0.6:7", "--gamma2-range", "0:1:11"]
+    outputs = []
+    for extra in ([], ["--samples", "3", "--seed", "99"]):
+        assert cli.main(scan + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "# samples = 3\n" in outputs[1] and "# seed = 99\n" in outputs[1]
+    strip = lambda text: [ln for ln in text.splitlines() if not ln.startswith("#")]
+    assert strip(outputs[0]) == strip(outputs[1])

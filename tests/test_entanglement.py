@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nmwit
-from nmwit.errors import DimensionMismatch, EmptyGrid, MapNotPositive, ParameterOutOfRange
+from nmwit import entanglement
+from nmwit.errors import (
+    CrossCheckFailed,
+    DimensionMismatch,
+    EmptyGrid,
+    MapNotPositive,
+    ParameterOutOfRange,
+)
 from nmwit.entanglement import _extend, _werner_thresholds, bloch_factors, extend_family_map
 
 from oracles import (
     rand_density,
     rand_hermitian,
     rand_separable,
-    sample_bloch,
     sample_pure_states,
     werner_extended_min_eig,
     werner_threshold_closed,
@@ -58,16 +64,16 @@ def test_family_map_dimension_mismatch():
 # --- positivity --------------------------------------------------------------
 
 def test_positivity_known_points():
-    assert nmwit.is_positive(pt(0.5, 0.5), 2000)
-    assert nmwit.is_positive(pt(0.0, 0.0), 2000)
-    assert not nmwit.is_positive(pt(0.5, 0.9), 2000)
+    assert nmwit.is_positive(pt(0.5, 0.5))
+    assert nmwit.is_positive(pt(0.0, 0.0))
+    assert not nmwit.is_positive(pt(0.5, 0.9))
 
 
 def test_positivity_sampling_agrees_with_closed_form():
     rng = np.random.default_rng(63)
     for _ in range(40):
         point = pt(rng.uniform(0, 0.7), rng.uniform(0, 1.1))
-        got = nmwit.is_positive(point, 3000, seed=5)  # raises on disagreement
+        got = nmwit.is_positive(point)  # raises if the transfer matrix disagrees
         s, u = bloch_factors(point)
         assert got == (max(abs(s), abs(u)) <= 1 + 2e-9)
 
@@ -76,34 +82,58 @@ def test_positivity_sampling_agrees_with_closed_form():
 @pytest.mark.parametrize("point", [(0.5, 0.2), (0.3, 0.7)])
 def test_positivity_cross_check_just_outside_the_boundary(point, delta):
     # Past gamma1 = 1/2 the worst input is a pole, past gamma1 + gamma2 = 1 it
-    # is on the equator; uniform samples reach neither. Both offsets put the
-    # worst output eigenvalue at -2*delta, so both checks must agree (no
-    # RuntimeError) that the map is not positive.
+    # is on the equator. Both offsets put the worst output eigenvalue at
+    # -2*delta: the map is not positive, and the transfer-matrix check must
+    # not fire (no CrossCheckFailed) this close to the boundary.
     g1, g2 = point
     outside = pt(g1 + delta, g2) if g1 == 0.5 else pt(g1, g2 + 2 * delta)
     assert not nmwit.is_positive(outside)
     assert nmwit.is_positive(pt(g1, g2))
 
 
-def test_positivity_is_deterministic_per_seed():
-    a = nmwit.is_positive(pt(0.31, 0.42), 500, seed=9)
-    b = nmwit.is_positive(pt(0.31, 0.42), 500, seed=9)
-    assert a == b
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(g1=st.floats(-0.3, 0.8), g2=st.floats(-0.3, 1.3), seed=st.integers(0, 2**32 - 1))
+def test_is_positive_agrees_with_map_outputs_on_pure_states(g1, g2, seed):
+    # Sampled pure states plus the poles and an equator state, where the least
+    # output eigenvalue of this family sits; a point within rounding of the
+    # boundary could go either way, so it is skipped.
+    s, u = bloch_factors(pt(g1, g2))
+    assume(abs(max(abs(s), abs(u)) - (1 + 2e-9)) > 1e-12)
+    extremal = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0.5, 0.5], [0.5, 0.5]]])
+    rhos = np.concatenate((sample_pure_states(200, np.random.default_rng(seed)), extremal))
+    lam = min(np.linalg.eigvalsh(nmwit.family_map_apply(pt(g1, g2), rho))[0] for rho in rhos)
+    assert nmwit.is_positive(pt(g1, g2)) == (lam >= -1e-9)
 
 
-def test_batch_positivity_path_matches_map_application():
-    # the z-only sampling path must agree with family_map_apply + eigvalsh on
-    # the full pure states those z-components belong to
-    from nmwit.entanglement import _output_min_eig
+def test_transfer_matrix_check_fires_on_wrong_bloch_factors(monkeypatch):
+    factors = entanglement._factors
+    monkeypatch.setattr(entanglement, "_factors", lambda g1, g2: (factors(g1, g2)[0] + 1e-9,
+                                                                 factors(g1, g2)[1]))
+    with pytest.raises(CrossCheckFailed, match="^transfer matrix mismatch at gamma1=0.3, gamma2=0.4$"):
+        nmwit.is_positive(pt(0.3, 0.4))
+    with pytest.raises(CrossCheckFailed, match="^transfer matrix mismatch"):
+        nmwit.phase_scan((0.0, 0.5), (0.0, 1.0), (2, 3))
 
-    for point in (pt(0.5, 0.5), pt(0.3, 0.8), pt(0.55, 0.2)):
-        _, _, z = sample_bloch(50, np.random.default_rng(4))
-        fast = _output_min_eig(point, z)
-        rhos = sample_pure_states(50, np.random.default_rng(4))
-        slow = [
-            np.linalg.eigvalsh(nmwit.family_map_apply(point, rho))[0] for rho in rhos
-        ]
-        assert np.abs(fast - slow).max() < 1e-12
+
+def test_choi_spectrum_check_fires_on_wrong_weights(monkeypatch):
+    weights = entanglement._choi_weights
+    monkeypatch.setattr(entanglement, "_choi_weights", lambda g1, g2: weights(g1, g2) + 1e-9)
+    with pytest.raises(CrossCheckFailed, match="^Choi spectrum mismatch at gamma1=0.3, gamma2=0.4$"):
+        nmwit.is_cp(pt(0.3, 0.4))
+
+
+def test_werner_bracket_check_fires_on_wrong_weights(monkeypatch):
+    # A least Choi weight off by 0.01 moves the closed-form threshold 1/3 by
+    # about 0.01, far outside the 1e-6 bracket that eigvalsh confirms.
+    weights = entanglement._choi_weights
+    monkeypatch.setattr(entanglement, "_choi_weights", lambda g1, g2: weights(g1, g2) + 0.01)
+    with pytest.raises(CrossCheckFailed, match="^Werner bracket .* not confirmed at gamma1=0.5"):
+        nmwit.werner_threshold(pt(0.5, 0.5))
+
+
+def test_cross_check_failure_is_a_runtime_error():
+    assert issubclass(CrossCheckFailed, nmwit.NmwitError)
+    assert issubclass(CrossCheckFailed, RuntimeError)
 
 
 # --- complete positivity -------------------------------------------------------
@@ -242,6 +272,20 @@ def test_batched_werner_thresholds_match_per_point_bisection(g1, fractions):
         assert abs(thr - 1.0 / (8.0 * g1 + 4.0 * b - 3.0)) < 2e-6
 
 
+def test_werner_bisection_diagonalizes_only_at_the_boundary(monkeypatch):
+    # At (0.5, 0.25 + 2e-9) the closed margin at p = 1/2 is about 5e-19, so
+    # that step must be decided by eigvalsh, as every step was before; away
+    # from the boundary only the two ends of the final bracket are confirmed.
+    near, far = pt(0.5, 0.25 + 2e-9), pt(0.5, 0.3)
+    expected = _loop_threshold(near), _loop_threshold(far)
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
+    assert nmwit.werner_threshold(far) == expected[1]
+    assert calls == [1, 1]
+    assert nmwit.werner_threshold(near) == expected[0]
+    assert len(calls) > 4
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     coeffs=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=6),
@@ -259,7 +303,7 @@ def test_stacked_extension_matches_per_point(coeffs, seed):
 
 
 def test_phase_scan_small_grid():
-    rows = nmwit.phase_scan((0.0, 0.5), (0.0, 1.0), (3, 5), n_samples=2000, seed=3)
+    rows = nmwit.phase_scan((0.0, 0.5), (0.0, 1.0), (3, 5))
     assert len(rows) == 15
     by_point = {(round(r.gamma1, 6), round(r.gamma2, 6)): r for r in rows}
     r = by_point[(0.5, 0.5)]
