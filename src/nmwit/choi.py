@@ -9,7 +9,7 @@ trace-norm excess ||C||_1 - 1 is the equivalent scalar indicator.
 A grid of instants is one stacked pass: choi_grid builds every Choi state
 from the generator's compiled Choi images, checks each and diagonalizes them
 in one call, and verdicts classifies the stack. choi_state, choi_of and
-classify are the one-instant case.
+classify are the one-instant case; a map keeps the state choi_of builds.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGrid
+from .errors import EmptyGrid, NotUnitTrace, UnorderedGrid
 from .kernel import Spectrum, eigh_checked, frozen, in_grid_order
 from .lindblad import LindbladGenerator, SmallTimeMap, choi_matrices, coefficients, small_time_map
 
@@ -38,12 +38,12 @@ class ChoiState:
 
 def checked_spectrum(matrices: np.ndarray) -> Spectrum:
     """Spectra of a stack of Choi matrices; raises for the first that is not
-    Hermitian (NonHermitianInput) or, failing that, not of unit trace (ValueError)."""
+    Hermitian (NonHermitianInput) or, failing that, not of unit trace (NotUnitTrace)."""
     spectrum = eigh_checked(matrices)
     tr = np.trace(matrices, axis1=1, axis2=2).real
     off = abs(tr - 1.0) > 1e-9
     if off.any():
-        raise ValueError(f"Choi matrix trace {tr[off.argmax()]:.6g} is not 1")
+        raise NotUnitTrace(f"Choi matrix trace {tr[off.argmax()]:.6g} is not 1")
     return spectrum
 
 
@@ -59,14 +59,16 @@ def choi_grid(gen: LindbladGenerator, times, epsilon: float):
     small_time_map(gen, times[int(np.argmin(np.isfinite(times)))], epsilon)
     c = coefficients(gen, times)
     matrices = choi_matrices(gen, c, epsilon)
-    matrices.setflags(write=False)
     return c, matrices, checked_spectrum(matrices)
 
 
 def choi_of(m: SmallTimeMap) -> ChoiState:
-    """Choi state (id (x) N)(|phi+><phi+|) of a snapshot map."""
-    _, matrices, spectrum = choi_grid(m.generator, [m.t], m.epsilon)
-    return ChoiState(matrices[0], m.t, m.epsilon, spectrum[0])
+    """Choi state (id (x) N)(|phi+><phi+|) of a snapshot map, built once and kept by m."""
+    if m._choi is None:
+        matrices = choi_matrices(m.generator, coefficients(m.generator, [m.t]), m.epsilon)
+        state = ChoiState(matrices[0], m.t, m.epsilon, checked_spectrum(matrices)[0])
+        object.__setattr__(m, "_choi", state)
+    return m._choi
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,7 @@ def scan(
     if not grid:
         raise EmptyGrid("t_grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("t_grid must be strictly ascending")
+        raise UnorderedGrid("t_grid must be strictly ascending")
     _, matrices, spectrum = in_grid_order(lambda ts: choi_grid(gen, ts, epsilon),
                                           lambda t: choi_of(small_time_map(gen, t, epsilon)), grid)
     return list(zip(grid, verdicts(matrices, spectrum.eigenvalues, tolerance)))

@@ -22,6 +22,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -257,6 +258,9 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
                     raise ConfigError("scan mode requires --gamma1-range and --gamma2-range")
                 cfg[key] = _parse_range(cfg[key], "--" + key.replace("_", "-"))
                 echo.append((key, ":".join(_fmt(x) for x in cfg[key])))
+            # Closed forms are monotone in each coefficient: they overflow at a corner or nowhere.
+            for g1, g2 in itertools.product(cfg["gamma1_range"][:2], cfg["gamma2_range"][:2]):
+                entanglement.MapFamilyPoint(g1, g2)
             echo.append(("samples", cfg["samples"]))
         else:
             keys = ("gamma1", "gamma2", "p")

@@ -27,7 +27,6 @@ a negative eigenvalue of (id (x) Map)(state) cannot occur on separable input.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,15 +66,16 @@ _PROBES = np.array([[np.kron(sj.T, si) for sj in _PAULIS] for si in _PAULIS])
 
 @dataclass(frozen=True)
 class MapFamilyPoint:
-    """Coefficients (gamma1, gamma2); range classification is an output, not a constraint."""
+    """Coefficients (gamma1, gamma2) with finite closed forms; range classification is an output."""
 
     gamma1: float
     gamma2: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.gamma1) and math.isfinite(self.gamma2)):
+        if not _finite(self.gamma1, self.gamma2):
             raise ParameterOutOfRange(
-                f"map coefficients must be finite, got gamma1={self.gamma1!r}, gamma2={self.gamma2!r}"
+                f"map coefficients and their closed forms must be finite, "
+                f"got gamma1={self.gamma1!r}, gamma2={self.gamma2!r}"
             )
 
 
@@ -99,20 +99,6 @@ def werner(p: float) -> WernerState:
     return WernerState(p=float(p), matrix=frozen(_werner_matrices(p)))
 
 
-def family_map_apply(pt: MapFamilyPoint, rho: np.ndarray) -> np.ndarray:
-    """Apply the family map at pt to a single-qubit operator."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise DimensionMismatch(f"expected a 2x2 operator, got shape {rho.shape}")
-    g1, g2 = pt.gamma1, pt.gamma2
-    return (
-        (1.0 - 2.0 * g1 - g2) * rho
-        + g1 * (SIGMA_X @ rho @ SIGMA_X)
-        + g1 * (SIGMA_Y @ rho @ SIGMA_Y)
-        + g2 * (SIGMA_Z @ rho @ SIGMA_Z)
-    )
-
-
 def _extend(g1, g2, X):
     """(id (x) Map)(X) with broadcasting: coefficients of shape S, X of shape S + (4, 4) or (4, 4)."""
     g1 = np.asarray(g1, dtype=float)[..., None, None]
@@ -134,13 +120,14 @@ def extend_family_map(pt: MapFamilyPoint, X: np.ndarray) -> np.ndarray:
 
 
 def _factors(g1, g2):
-    """Closed-form Bloch factors (s, u) of scalar or array coefficients."""
+    """Transverse and longitudinal Bloch factors (s, u) of scalar or array coefficients."""
     return 1.0 - 2.0 * g1 - 2.0 * g2, 1.0 - 4.0 * g1
 
 
-def bloch_factors(pt: MapFamilyPoint) -> tuple[float, float]:
-    """Transverse and longitudinal Bloch scaling factors (s, u)."""
-    return _factors(pt.gamma1, pt.gamma2)
+def _finite(g1, g2) -> bool:
+    """Whether the coefficients, Bloch factors and Choi weights of every point are finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return all(np.isfinite(x).all() for x in (g1, g2, *_factors(g1, g2), 1.0 - 2.0 * g1 - g2))
 
 
 def _positive(s, u, tolerance: float):
@@ -150,7 +137,7 @@ def _positive(s, u, tolerance: float):
 
 
 def _require_positive(pt: MapFamilyPoint, tolerance: float) -> None:
-    if not _positive(*bloch_factors(pt), tolerance):
+    if not _positive(*_factors(pt.gamma1, pt.gamma2), tolerance):
         raise MapNotPositive(
             f"map at gamma1={pt.gamma1:g}, gamma2={pt.gamma2:g} is not positive"
         )
@@ -325,10 +312,9 @@ def phase_scan(
         raise EmptyGrid(f"grid steps must be >= 1, got {steps}")
     g1s = np.linspace(gamma1_range[0], gamma1_range[1], n1)
     g2s = np.linspace(gamma2_range[0], gamma2_range[1], n2)
-    if not (np.isfinite(g1s).all() and np.isfinite(g2s).all()):
-        raise ParameterOutOfRange(
-            f"scan ranges must give finite coefficients, got {gamma1_range}, {gamma2_range}"
-        )
+    if not _finite(*np.meshgrid(g1s, g2s, indexing="ij")):
+        raise ParameterOutOfRange(f"scan ranges must give finite coefficients and closed forms, "
+                                  f"got {gamma1_range}, {gamma2_range}")
     rows = []
     for g1 in g1s.tolist():
         g1_row = np.full(n2, g1)

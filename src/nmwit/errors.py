@@ -46,4 +46,12 @@ class CrossCheckFailed(NmwitError, RuntimeError):
 
 
 class MalformedDescription(NmwitError, ValueError):
-    """A generator description does not follow the JSON format."""
+    """A generator or coefficient model is malformed, a callable coefficient's value included."""
+
+
+class NotUnitTrace(NmwitError, ValueError):
+    """A Choi matrix does not have the unit trace of a trace-preserving map."""
+
+
+class UnorderedGrid(NmwitError, ValueError):
+    """A time grid is not strictly ascending."""

@@ -8,19 +8,21 @@ and the snapshot map over a short step is kept in first-order form
 N = id + epsilon * L_t, never exponentiated: the threshold formulas downstream
 are exact for the first-order map and only approximate for exp(epsilon L).
 
-A generator is compiled once, at construction: per term, the pair
-E = I_d (x) L, K = I_d (x) L^dag L acting on d^2 x d^2 operators, and the
-Choi image B_a = E P E^dag - (K P + P K)/2 with P = |phi+><phi+|. A grid of
-instants is then one stack: coefficients() gives the rows c_a(t), the Choi
-states are P + epsilon * sum_a c_a(t) B_a, and extend() applies id (x) N to
-a stack. The single-instant functions are the one-instant case.
+A generator is compiled once, at construction: per term, E = I_d (x) L, E^dag
+and K = I_d (x) L^dag L (formed as np.kron forms them, without the call), and
+the Choi image B_a = E P E^dag - (K P + P K)/2 with P = |phi+><phi+|, one
+read-only array per d. A grid of instants is then one stack: coefficients()
+gives the rows c_a(t), the Choi states are P + epsilon * sum_a c_a(t) B_a, and
+extend() applies id (x) N to a stack; single instants are the one-row case.
 
-Generators and maps are immutable; evaluation is pure, so grids of instants
-can be processed concurrently without shared state.
+Generators and maps are immutable in value; a map only keeps the Choi state
+choi.choi_of builds for it (threads racing on a fresh map build the same
+read-only state twice). Grids of instants can be processed concurrently.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -56,18 +58,18 @@ class CoefficientModel:
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown coefficient kind {self.kind!r}")
+            raise MalformedDescription(f"unknown coefficient kind {self.kind!r}")
         if not all(math.isfinite(v) for v in (self.value, self.scale, *self.times)):
             raise ParameterOutOfRange("coefficient value, scale and times must be finite")
         if self.kind == "tabulated":
             if len(self.times) != len(self.values) or len(self.times) < 2:
-                raise ValueError("tabulated coefficient needs >= 2 aligned (time, value) pairs")
+                raise MalformedDescription("tabulated coefficient needs >= 2 aligned (time, value) pairs")
             if any(b <= a for a, b in zip(self.times, self.times[1:])):
-                raise ValueError("tabulated times must be strictly increasing")
+                raise MalformedDescription("tabulated times must be strictly increasing")
             if not all(math.isfinite(v) for v in self.values):
-                raise ValueError("tabulated values must be finite")
+                raise MalformedDescription("tabulated values must be finite")
         if self.kind == "callable" and self.func is None:
-            raise ValueError("callable coefficient needs func")
+            raise MalformedDescription("callable coefficient needs func")
 
     def __call__(self, t: float) -> float:
         if self.kind == "constant":
@@ -82,7 +84,7 @@ class CoefficientModel:
             return float(np.interp(t, self.times, self.values))
         out = float(self.func(t))
         if not math.isfinite(out):
-            raise ValueError(f"coefficient evaluated to non-finite value at t={t:g}")
+            raise MalformedDescription(f"coefficient evaluated to non-finite value at t={t:g}")
         return out
 
 
@@ -114,7 +116,8 @@ def _as_coefficient(c) -> CoefficientModel:
 class LindbladGenerator:
     """Diagonal-form generator: at most dim^2 (coefficient, jump) terms.
 
-    extended and choi_images are compiled from the terms (module docstring).
+    extended (E, E^dag, K per term) and choi_images are compiled from the
+    terms (module docstring).
     """
 
     dim: int
@@ -125,7 +128,7 @@ class LindbladGenerator:
 
     def __post_init__(self) -> None:
         if len(self.terms) > self.dim**2:
-            raise ValueError(f"{len(self.terms)} terms exceed dim^2 = {self.dim ** 2}")
+            raise MalformedDescription(f"{len(self.terms)} terms exceed dim^2 = {self.dim ** 2}")
         checked = []
         for coef, jump in self.terms:
             jump = frozen(jump)
@@ -135,10 +138,12 @@ class LindbladGenerator:
                 )
             checked.append((_as_coefficient(coef), jump))
         object.__setattr__(self, "terms", tuple(checked))
-        eye = np.eye(self.dim)
-        extended = tuple((np.kron(eye, L), np.kron(eye, dag(L) @ L)) for _, L in checked)
-        object.__setattr__(self, "extended", extended)
-        object.__setattr__(self, "choi_images", tuple(_images(extended, _choi_input(self.dim))))
+        extended = []
+        for _, L in checked:
+            E = _identity_kron(self.dim, L)
+            extended.append((E, dag(E), _identity_kron(self.dim, dag(L) @ L)))
+        object.__setattr__(self, "extended", tuple(extended))
+        object.__setattr__(self, "choi_images", tuple(_images(self.extended, _choi_input(self.dim))))
 
 
 def dephasing(coefficient=-1.0) -> LindbladGenerator:
@@ -168,15 +173,23 @@ def eternal_depolarizer() -> LindbladGenerator:
     return gen
 
 
+def _identity_kron(d: int, M: np.ndarray) -> np.ndarray:
+    """I_d (x) M, bit for bit the product np.kron(np.eye(d), M) forms."""
+    return (np.eye(d)[:, None, :, None] * M[None, :, None, :]).reshape(d * d, d * d)
+
+
+@functools.cache
 def _choi_input(d: int) -> np.ndarray:
-    """P = |phi+><phi+| on the d^2-dimensional space."""
-    return projector(max_entangled(d))
+    """P = |phi+><phi+| on the d^2-dimensional space, one read-only array per d."""
+    P = projector(max_entangled(d))
+    P.setflags(write=False)
+    return P
 
 
-def _images(pairs, X: np.ndarray, c: np.ndarray | None = None):
+def _images(triples, X: np.ndarray, c: np.ndarray | None = None):
     """Each term's E X E^dag - (K X + X K)/2 for a matrix or stack X, times c[..., a] if given."""
-    for a, (E, K) in enumerate(pairs):
-        image, sym = E @ X @ dag(E), K @ X
+    for a, (E, E_dag, K) in enumerate(triples):
+        image, sym = E @ X @ E_dag, K @ X
         sym += X @ K
         sym *= 0.5
         image -= sym
@@ -185,14 +198,13 @@ def _images(pairs, X: np.ndarray, c: np.ndarray | None = None):
         yield image
 
 
-def _sum(terms, X: np.ndarray, epsilon: float | None = None) -> np.ndarray:
-    """The terms added to zero in term order, then X + epsilon * sum if epsilon is given."""
+def _sum(terms, X: np.ndarray, epsilon: float) -> np.ndarray:
+    """X + epsilon * sum, with the terms added to zero in term order."""
     out = np.zeros(X.shape, dtype=complex)
     for term in terms:
         out += term
-    if epsilon is not None:
-        out *= epsilon
-        out += X
+    out *= epsilon
+    out += X
     return out
 
 
@@ -202,23 +214,16 @@ def coefficients(gen: LindbladGenerator, times) -> np.ndarray:
 
 
 def choi_matrices(gen: LindbladGenerator, c: np.ndarray, epsilon: float) -> np.ndarray:
-    """Snapshot Choi matrices P + epsilon * sum_a c[:, a] B_a for coefficient rows c."""
+    """Snapshot Choi matrices P + epsilon * sum_a c[:, a] B_a for coefficient rows c, read-only."""
     P = np.broadcast_to(_choi_input(gen.dim), (len(c),) + (gen.dim**2,) * 2)
-    return _sum((c[:, a, None, None] * B for a, B in enumerate(gen.choi_images)), P, epsilon)
+    matrices = _sum((c[:, a, None, None] * B for a, B in enumerate(gen.choi_images)), P, epsilon)
+    matrices.setflags(write=False)
+    return matrices
 
 
 def extend(gen: LindbladGenerator, c: np.ndarray, epsilon: float, X: np.ndarray) -> np.ndarray:
     """X + epsilon * (id (x) L)(X) for coefficient rows c and one matrix or a stack X."""
     return _sum(_images(gen.extended, X, c), X, epsilon)
-
-
-def apply_generator(gen: LindbladGenerator, rho: np.ndarray, t: float) -> np.ndarray:
-    """L_t(rho): traceless, and Hermitian whenever rho is Hermitian."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (gen.dim, gen.dim):
-        raise DimensionMismatch(f"rho shape {rho.shape} does not match generator dim {gen.dim}")
-    pairs = [(L, dag(L) @ L) for _, L in gen.terms]
-    return _sum(_images(pairs, rho, coefficients(gen, [t])[0]), rho)
 
 
 @dataclass(frozen=True)
@@ -228,6 +233,8 @@ class SmallTimeMap:
     generator: LindbladGenerator
     t: float
     epsilon: float
+    # The map's ChoiState, set by the first choi.choi_of(map).
+    _choi: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
@@ -240,11 +247,6 @@ class SmallTimeMap:
     @property
     def dim(self) -> int:
         return self.generator.dim
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return np.asarray(rho, dtype=complex) + self.epsilon * apply_generator(
-            self.generator, rho, self.t
-        )
 
 
 def small_time_map(gen: LindbladGenerator, t: float, epsilon: float) -> SmallTimeMap:

@@ -17,7 +17,8 @@ the witness was built from whenever that state has a negative eigenvalue.
 A grid of instants is one stacked pass: witness_grid mixes every Choi state
 with the depolarizer, diagonalizes the mixtures in one call and forms every
 witness matrix with one stacked extension; build_witness is its one-instant
-case. Values are taken per instant, as evaluate takes one.
+case and reads the Choi state the snapshot map keeps (choi.choi_of). Values
+are taken per instant, as evaluate takes one.
 """
 
 from __future__ import annotations
@@ -130,17 +131,13 @@ def witness_grid(gen: LindbladGenerator, times, epsilon: float, c: np.ndarray, m
     return omega, nu, tau, witnesses
 
 
-def build_witness(
-    m: SmallTimeMap,
-    choi: ChoiState | None = None,
-    degeneracy_tol: float = 1e-12,
-) -> WitnessOperator:
+def build_witness(m: SmallTimeMap, degeneracy_tol: float = 1e-12) -> WitnessOperator:
     """Witness operator for the snapshot map m (witness_grid at one instant).
 
-    choi is m's Choi state, choi_of(m); pass it when the caller already has
-    it, otherwise it is built here. Raises DegenerateMinimum as witness_grid.
+    It reads m's Choi state through choi_of(m), which builds it only if no
+    earlier call on m has. Raises DegenerateMinimum as witness_grid.
     """
-    choi = choi_of(m) if choi is None else choi
+    choi = choi_of(m)
     omega, nu, tau, matrices = witness_grid(
         m.generator, [m.t], m.epsilon, coefficients(m.generator, [m.t]), choi.matrix[None],
         choi.spectrum.eigenvalues[None], degeneracy_tol)

@@ -6,7 +6,8 @@ coefficient algebra, Choi matrices from explicit Bell-projector sums, and SPA
 thresholds from bisection on the positivity indicator.
 
 The linear-algebra helpers that only tests use (tensor, partial_trace,
-is_density, reconstruct) live here too, as does the per-instant reference
+is_density, reconstruct) live here too, as do the single-system map actions
+(apply_generator, map_apply, family_map_apply) and the per-instant reference
 pipeline that the package's stacked pass must reproduce bit for bit: the
 Lindblad term loop with a Kronecker product per term and call, and one
 eigensolve per matrix.
@@ -170,6 +171,20 @@ def werner_threshold_closed(g1, g2):
     return 1.0 / M if M > 1.0 else None
 
 
+def family_map_apply(pt, rho):
+    """The family map at pt on a single-qubit operator, as a sum of Pauli conjugations."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (2, 2):
+        raise DimensionMismatch(f"expected a 2x2 operator, got shape {rho.shape}")
+    g1, g2 = pt.gamma1, pt.gamma2
+    return (
+        (1.0 - 2.0 * g1 - g2) * rho
+        + g1 * (SX @ rho @ SX)
+        + g1 * (SY @ rho @ SY)
+        + g2 * (SZ @ rho @ SZ)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Bloch-uniform pure states: the package samples none; is_positive is checked
 # against the map's outputs on them
@@ -278,6 +293,19 @@ def dissipator(gen, X, t, ancilla):
         K = np.kron(eye, L.conj().T @ L)
         out += g * (E @ X @ E.conj().T - 0.5 * (K @ X + X @ K))
     return out
+
+
+def apply_generator(gen, rho, t):
+    """L_t(rho) for a single-system operator rho: the dissipator with no ancilla."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (gen.dim, gen.dim):
+        raise DimensionMismatch(f"rho shape {rho.shape} does not match generator dim {gen.dim}")
+    return dissipator(gen, rho, t, 1)
+
+
+def map_apply(m, rho):
+    """N(rho) = rho + epsilon * L_t(rho) for a snapshot map m."""
+    return np.asarray(rho, dtype=complex) + m.epsilon * apply_generator(m.generator, rho, m.t)
 
 
 def reference_snapshot(gen, t, eps):

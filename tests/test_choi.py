@@ -20,6 +20,19 @@ def test_identity_channel_choi():
     assert np.allclose(c.spectrum.eigenvalues, [0, 0, 0, 1], atol=1e-12)
 
 
+def test_choi_state_is_built_once_per_map():
+    gen = nmwit.eternal_depolarizer()
+    m = _map(gen, t=1.0)
+    c = nmwit.choi_of(m)
+    assert nmwit.choi_of(m) is c
+    assert not c.matrix.flags.writeable
+    # The kept state is no part of the map's value.
+    fresh = _map(gen, t=1.0)
+    assert fresh == m and repr(fresh) == repr(m)
+    assert nmwit.choi_of(fresh) is not c
+    assert nmwit.choi_of(fresh).matrix.tobytes() == c.matrix.tobytes()
+
+
 def test_negative_dephasing_choi_spectrum_and_eigenvector():
     c = nmwit.choi_of(_map(nmwit.dephasing(-1.0)))
     assert np.abs(c.spectrum.eigenvalues - [-0.01, 0.0, 0.0, 1.01]).max() < 1e-12

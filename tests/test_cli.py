@@ -245,6 +245,11 @@ def test_non_finite_or_malformed_generator_input_exits_2(tmp_path, capsys):
         ["entangle", "--gamma1", "nan", "--gamma2", "0.5", "--p", "0.5"],
         *(["entangle", "--scan", f"--gamma1-range={r}", "--gamma2-range", "0:1:3"]
           for r in ("nan:0.6:3", "0:inf:3", "-1e308:1e308:3")),
+        # Finite coefficients whose closed forms overflow used to exit 3 (the
+        # scan, as a failed cross-check) or 5 (the single point, as not positive).
+        ["entangle", "--scan", "--gamma1-range", "8e307:8.9e307:2", "--gamma2-range", "0:1:2"],
+        ["entangle", "--scan", "--gamma1-range", "0:0.5:2", "--gamma2-range", "0:9e307:2"],
+        ["entangle", "--gamma1", "8e307", "--gamma2", "0", "--p", "0.5"],
     ):
         assert cli.main(argv) == 2, argv
         assert "config error" in capsys.readouterr().err, argv

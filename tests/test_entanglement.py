@@ -12,9 +12,10 @@ from nmwit.errors import (
     MapNotPositive,
     ParameterOutOfRange,
 )
-from nmwit.entanglement import _extend, _werner_thresholds, bloch_factors, extend_family_map
+from nmwit.entanglement import _extend, _factors, _werner_thresholds, extend_family_map
 
 from oracles import (
+    family_map_apply,
     rand_density,
     rand_hermitian,
     rand_separable,
@@ -32,14 +33,14 @@ def pt(g1, g2):
 
 def test_family_map_identity_point():
     rho = rand_density(np.random.default_rng(61), 2)
-    assert np.abs(nmwit.family_map_apply(pt(0.0, 0.0), rho) - rho).max() < 1e-15
+    assert np.abs(family_map_apply(pt(0.0, 0.0), rho) - rho).max() < 1e-15
 
 
 def test_family_map_half_half_negates_bloch_vector():
     rng = np.random.default_rng(62)
     for _ in range(10):
         rho = rand_density(rng, 2)
-        out = nmwit.family_map_apply(pt(0.5, 0.5), rho)
+        out = family_map_apply(pt(0.5, 0.5), rho)
         assert np.abs(out - (np.trace(rho) * np.eye(2) - rho)).max() < 1e-12
 
 
@@ -50,7 +51,7 @@ def test_family_map_bloch_action_on_axis_states():
     for axis, factor in zip(paulis, (s, s, u)):
         for sign in (1.0, -1.0):
             rho = (np.eye(2) + sign * axis) / 2
-            out = nmwit.family_map_apply(pt(g1, g2), rho)
+            out = family_map_apply(pt(g1, g2), rho)
             bloch_out = [np.trace(p @ out).real for p in paulis]
             bloch_in = [np.trace(p @ rho).real * factor for p in paulis]
             assert np.abs(np.array(bloch_out) - bloch_in).max() < 1e-12
@@ -58,7 +59,7 @@ def test_family_map_bloch_action_on_axis_states():
 
 def test_family_map_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        nmwit.family_map_apply(pt(0.1, 0.1), np.eye(4))
+        family_map_apply(pt(0.1, 0.1), np.eye(4))
 
 
 # --- positivity --------------------------------------------------------------
@@ -74,7 +75,7 @@ def test_positivity_sampling_agrees_with_closed_form():
     for _ in range(40):
         point = pt(rng.uniform(0, 0.7), rng.uniform(0, 1.1))
         got = nmwit.is_positive(point)  # raises if the transfer matrix disagrees
-        s, u = bloch_factors(point)
+        s, u = _factors(point.gamma1, point.gamma2)
         assert got == (max(abs(s), abs(u)) <= 1 + 2e-9)
 
 
@@ -97,11 +98,11 @@ def test_is_positive_agrees_with_map_outputs_on_pure_states(g1, g2, seed):
     # Sampled pure states plus the poles and an equator state, where the least
     # output eigenvalue of this family sits; a point within rounding of the
     # boundary could go either way, so it is skipped.
-    s, u = bloch_factors(pt(g1, g2))
+    s, u = _factors(g1, g2)
     assume(abs(max(abs(s), abs(u)) - (1 + 2e-9)) > 1e-12)
     extremal = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0.5, 0.5], [0.5, 0.5]]])
     rhos = np.concatenate((sample_pure_states(200, np.random.default_rng(seed)), extremal))
-    lam = min(np.linalg.eigvalsh(nmwit.family_map_apply(pt(g1, g2), rho))[0] for rho in rhos)
+    lam = min(np.linalg.eigvalsh(family_map_apply(pt(g1, g2), rho))[0] for rho in rhos)
     assert nmwit.is_positive(pt(g1, g2)) == (lam >= -1e-9)
 
 

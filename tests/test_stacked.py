@@ -80,7 +80,7 @@ def test_stacked_pass_matches_per_instant_reference(gen, grid, eps):
         # The public one-instant functions are the same pass on a one-instant stack.
         m = nmwit.small_time_map(gen, grid[k], eps)
         choi = nmwit.choi_of(m)
-        W = nmwit.build_witness(m, choi)
+        W = nmwit.build_witness(m)
         assert _same_bits(choi.matrix, matrices[k])
         assert _same_bits(W.matrix, witnesses[k])
         assert nmwit.evaluate(W, choi) == values[k]
@@ -103,7 +103,7 @@ def test_witness_sign_on_indivisible_and_cp_snapshots(gen, t, eps, cp_rates, cp_
     lam_min = choi.spectrum.eigenvalues[0]
     if lam_min >= -1e-9:
         return
-    W = nmwit.build_witness(m, choi)
+    W = nmwit.build_witness(m)
     value = nmwit.evaluate(W, choi)
     assert value < 0
     assert abs(value - W.nu * lam_min) <= 1e-12

@@ -7,7 +7,13 @@ import pytest
 
 import nmwit
 from nmwit.entanglement import _werner_thresholds
-from nmwit.errors import ParameterOutOfRange
+from nmwit.errors import (
+    MalformedDescription,
+    NmwitError,
+    NotUnitTrace,
+    ParameterOutOfRange,
+    UnorderedGrid,
+)
 
 from oracles import werner_threshold_closed
 
@@ -32,17 +38,54 @@ HALF = nmwit.MapFamilyPoint(0.5, 0.5)
         lambda: nmwit.small_time_map(nmwit.dephasing(-1.0), 1.0, INF),
         lambda: nmwit.MapFamilyPoint(NAN, 0.2),
         lambda: nmwit.MapFamilyPoint(0.2, -INF),
+        # Finite coefficients whose Bloch factors or Choi weights overflow.
+        lambda: nmwit.MapFamilyPoint(8e307, 0.0),
+        lambda: nmwit.MapFamilyPoint(0.0, 9e307),
+        lambda: nmwit.MapFamilyPoint(-5e307, -5e307),
+        lambda: nmwit.phase_scan((8e307, 8.9e307), (0.0, 1.0), (2, 2)),
     ],
     ids=[
         "resolution=0", "resolution=-1", "resolution=nan", "resolution=inf",
         "constant-nan", "constant-inf", "tanh-scale-nan", "tabulated-time-nan",
         "dephasing-nan", "t=nan", "t=inf", "epsilon=inf",
         "gamma1=nan", "gamma2=-inf",
+        "gamma1=8e307", "gamma2=9e307", "gamma1=gamma2=-5e307", "scan-overflow",
     ],
 )
 def test_bad_numeric_input_raises_parameter_out_of_range(build):
     with pytest.raises(ParameterOutOfRange):
         build()
+
+
+def _too_many_terms():
+    return nmwit.LindbladGenerator(
+        dim=2, terms=tuple((nmwit.constant(1.0), nmwit.SIGMA_Z) for _ in range(5)))
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: nmwit.CoefficientModel(kind="mystery"), MalformedDescription),
+        (lambda: nmwit.tabulated([0.0, 1.0], [1.0]), MalformedDescription),
+        (lambda: nmwit.tabulated([0.0, 0.0], [1.0, 2.0]), MalformedDescription),
+        (lambda: nmwit.tabulated([0.0, 1.0], [1.0, NAN]), MalformedDescription),
+        (lambda: nmwit.CoefficientModel(kind="callable"), MalformedDescription),
+        (lambda: nmwit.from_callable(lambda t: NAN)(1.0), MalformedDescription),
+        (_too_many_terms, MalformedDescription),
+        (lambda: nmwit.choi_state(np.eye(4), 0.0, 0.01), NotUnitTrace),
+        (lambda: nmwit.scan(nmwit.dephasing(1.0), [1.0, 0.5], 0.01), UnorderedGrid),
+    ],
+    ids=[
+        "unknown-kind", "tabulated-unaligned", "tabulated-times-not-increasing",
+        "tabulated-value-nan", "callable-without-func", "callable-gives-nan",
+        "terms-exceed-dim-squared", "choi-trace", "grid-order",
+    ],
+)
+def test_library_errors_are_typed_value_errors(build, error):
+    with pytest.raises(error) as raised:
+        build()
+    assert type(raised.value) is error
+    assert isinstance(raised.value, NmwitError) and isinstance(raised.value, ValueError)
 
 
 def test_werner_threshold_ends_at_float_spacing():

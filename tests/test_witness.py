@@ -19,6 +19,24 @@ def _eternal_map(t):
     return nmwit.small_time_map(nmwit.eternal_depolarizer(), t, EPS)
 
 
+def test_witness_reuses_the_maps_choi_state(monkeypatch):
+    # One eigh for the Choi state, one for the SPA mixture; the Choi state is
+    # not diagonalized a second time by build_witness.
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(M):
+        calls.append(M.shape)
+        return eigh(M)
+
+    m = _eternal_map(1.0)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    choi = nmwit.choi_of(m)
+    W = nmwit.build_witness(m)
+    assert len(calls) == 2
+    assert nmwit.evaluate(W, choi) < 0
+
+
 # --- adjoint identity --------------------------------------------------------
 
 def test_adjoint_identity_dephasing_instance():
