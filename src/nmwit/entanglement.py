@@ -125,9 +125,9 @@ def _factors(g1, g2):
 
 
 def _finite(g1, g2) -> bool:
-    """Whether the coefficients, Bloch factors and Choi weights of every point are finite."""
+    """Whether the Bloch factors and Choi weights (g1, g2 among them) of every point are finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return all(np.isfinite(x).all() for x in (g1, g2, *_factors(g1, g2), 1.0 - 2.0 * g1 - g2))
+        return all(np.isfinite(x).all() for x in (*_factors(g1, g2), _choi_weights(g1, g2)))
 
 
 def _positive(s, u, tolerance: float):
