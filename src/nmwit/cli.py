@@ -240,7 +240,7 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
                 raise ConfigError("scenario=custom requires --generator")
             try:
                 cfg["generator"] = lindblad.load_generator(path)
-            except (OSError, ValueError) as e:  # bad JSON and MalformedDescription included
+            except (OSError, ValueError, NmwitError) as e:  # bad JSON and bad coefficients included
                 raise ConfigError(f"cannot load generator {path}: {e}") from None
             echo.append(("generator", path))
         elif cfg["scenario"] == "dephasing":

@@ -1,7 +1,7 @@
 """Two-parameter positive-map family and Werner-state entanglement detection.
 
-The family is the unit-step map of a Pauli generator with coefficients
-(g1, g1, g2):
+The family is the epsilon = 1 snapshot of the Pauli generator
+depolarizer(g1, g1, g2): one compiled _FAMILY, given coefficient rows (g1, g1, g2):
 
     Map(rho) = (1 - 2*g1 - g2) rho + g1 X rho X + g1 Y rho Y + g2 Z rho Z,
 
@@ -10,9 +10,9 @@ unital and trace preserving, acting on Bloch vectors as
 Positivity of the map is therefore equivalent to max(|s|, |u|) <= 1, and
 complete positivity to nonnegativity of the Choi weights
 {1 - 2*g1 - g2, g1, g1, g2}. Both closed forms are checked against the map
-itself at every use, from its stacked Choi matrices J: the Pauli transfer
-matrix read off J must be diag(1, s, s, u), and the spectrum of J must be the
-Choi weights. A disagreement raises CrossCheckFailed.
+itself at every use, from its stacked Choi matrices J (lindblad.choi_matrices):
+the Pauli transfer matrix read off J must be diag(1, s, s, u), and the
+spectrum of J must be the Choi weights. A disagreement raises CrossCheckFailed.
 
 The phase scan works one gamma1 row at a time: one Choi stack checks the whole
 row, and the Werner thresholds of the row's positive-but-not-CP points are
@@ -45,14 +45,11 @@ from .kernel import (
     SIGMA_Z,
     TOL_PSD,
     frozen,
-    max_entangled,
     projector,
 )
+from .lindblad import choi_matrices, depolarizer, extend
 
-_IX = np.kron(np.eye(2), SIGMA_X)
-_IY = np.kron(np.eye(2), SIGMA_Y)
-_IZ = np.kron(np.eye(2), SIGMA_Z)
-_CHOI_INPUT = projector(max_entangled(2))
+_FAMILY = depolarizer(0.0, 0.0, 0.0)
 _SINGLET = projector(BELL_PSI_MINUS)
 _RESOLUTION = 1e-6
 # Closed-form Werner margins within _BAND of 0 go to eigvalsh; the two differ by
@@ -75,7 +72,7 @@ class MapFamilyPoint:
         if not _finite(self.gamma1, self.gamma2):
             raise ParameterOutOfRange(
                 f"map coefficients and their closed forms must be finite, "
-                f"got gamma1={self.gamma1!r}, gamma2={self.gamma2!r}"
+                f"got gamma1={float(self.gamma1)!r}, gamma2={float(self.gamma2)!r}"
             )
 
 
@@ -95,28 +92,8 @@ def _werner_matrices(p):
 
 def werner(p: float) -> WernerState:
     if not 0.0 <= p <= 1.0:
-        raise ParameterOutOfRange(f"Werner parameter must lie in [0, 1], got {p!r}")
+        raise ParameterOutOfRange(f"Werner parameter must lie in [0, 1], got {float(p)!r}")
     return WernerState(p=float(p), matrix=frozen(_werner_matrices(p)))
-
-
-def _extend(g1, g2, X):
-    """(id (x) Map)(X) with broadcasting: coefficients of shape S, X of shape S + (4, 4) or (4, 4)."""
-    g1 = np.asarray(g1, dtype=float)[..., None, None]
-    g2 = np.asarray(g2, dtype=float)[..., None, None]
-    return (
-        (1.0 - 2.0 * g1 - g2) * X
-        + g1 * (_IX @ X @ _IX)
-        + g1 * (_IY @ X @ _IY)
-        + g2 * (_IZ @ X @ _IZ)
-    )
-
-
-def extend_family_map(pt: MapFamilyPoint, X: np.ndarray) -> np.ndarray:
-    """(id (x) Map)(X): identity on the first qubit, family map on the second."""
-    X = np.asarray(X, dtype=complex)
-    if X.shape != (4, 4):
-        raise DimensionMismatch(f"expected a 4x4 operator, got shape {X.shape}")
-    return _extend(pt.gamma1, pt.gamma2, X)
 
 
 def _factors(g1, g2):
@@ -178,7 +155,7 @@ def _check_points(g1: np.ndarray, g2: np.ndarray, tolerance: float):
     diag(1, s, s, u), and the spectrum of J the closed-form Choi weights;
     a mismatch raises CrossCheckFailed.
     """
-    J = _extend(g1, g2, _CHOI_INPUT)
+    J = choi_matrices(_FAMILY, np.stack([g1, g1, g2], axis=-1), 1.0)
     s, u = _factors(g1, g2)
     transfer = np.stack([np.ones_like(s), s, s, u], axis=-1)[:, :, None] * np.eye(4)
     R = np.einsum("ijab,nba->nij", _PROBES, J)
@@ -209,7 +186,8 @@ def detect_entanglement(
     if state.shape != (4, 4):
         raise DimensionMismatch(f"expected a 4x4 state, got shape {state.shape}")
     _require_positive(pt, tolerance)
-    lam = float(np.linalg.eigvalsh(extend_family_map(pt, state))[0])
+    row = np.array([pt.gamma1, pt.gamma1, pt.gamma2])
+    lam = float(np.linalg.eigvalsh(extend(_FAMILY, row, 1.0, state))[0])
     return lam < -tolerance, lam
 
 
@@ -227,9 +205,10 @@ def _werner_thresholds(
     by one stacked eigvalsh per end: detected at hi, not detected at lo.
     """
     w_min = _choi_weights(g1, g2)[:, 0]
+    rows = np.stack([g1, g1, g2], axis=-1)
 
     def eig_detected(idx: np.ndarray, p: np.ndarray) -> np.ndarray:
-        lam = np.linalg.eigvalsh(_extend(g1[idx], g2[idx], _werner_matrices(p)))[:, 0]
+        lam = np.linalg.eigvalsh(extend(_FAMILY, rows[idx], 1.0, _werner_matrices(p)))[:, 0]
         return lam < -tolerance
 
     def detected(idx: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -275,7 +254,7 @@ def werner_threshold(
     Raises MapNotPositive when pt fails the positivity criterion.
     """
     if not 0.0 < resolution < np.inf:
-        raise ParameterOutOfRange(f"resolution must be finite and > 0, got {resolution!r}")
+        raise ParameterOutOfRange(f"resolution must be finite and > 0, got {float(resolution)!r}")
     _require_positive(pt, tolerance)
     return _werner_thresholds(
         np.array([pt.gamma1]), np.array([pt.gamma2]), resolution, tolerance

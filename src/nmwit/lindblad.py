@@ -112,9 +112,9 @@ def _as_coefficient(c) -> CoefficientModel:
     return c if isinstance(c, CoefficientModel) else constant(c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LindbladGenerator:
-    """Diagonal-form generator: at most dim^2 (coefficient, jump) terms.
+    """Diagonal-form generator: at most dim^2 (coefficient, jump) terms; equal only to itself.
 
     extended (E, E^dag, K per term) and choi_images are compiled from the
     terms (module docstring).
@@ -238,10 +238,10 @@ class SmallTimeMap:
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
-            raise NonPositiveEpsilon(f"epsilon must be > 0, got {self.epsilon!r}")
+            raise NonPositiveEpsilon(f"epsilon must be > 0, got {float(self.epsilon)!r}")
         if not (math.isfinite(self.epsilon) and math.isfinite(self.t)):
             raise ParameterOutOfRange(
-                f"t and epsilon must be finite, got t={self.t!r}, epsilon={self.epsilon!r}"
+                f"t and epsilon must be finite, got t={float(self.t)!r}, epsilon={float(self.epsilon)!r}"
             )
 
     @property

@@ -7,7 +7,8 @@ thresholds from bisection on the positivity indicator.
 
 The linear-algebra helpers that only tests use (tensor, partial_trace,
 is_density, reconstruct) live here too, as do the single-system map actions
-(apply_generator, map_apply, family_map_apply) and the per-instant reference
+(apply_generator, map_apply, family_map_apply, with family_extend applying
+the last blockwise to a two-qubit operator) and the per-instant reference
 pipeline that the package's stacked pass must reproduce bit for bit: the
 Lindblad term loop with a Kronecker product per term and call, and one
 eigensolve per matrix.
@@ -183,6 +184,13 @@ def family_map_apply(pt, rho):
         + g1 * (SY @ rho @ SY)
         + g2 * (SZ @ rho @ SZ)
     )
+
+
+def family_extend(pt, X):
+    """(id (x) Map)(X) = sum_ij |i><j| (x) Map(X_ij) over the 2x2 blocks X_ij of a 4x4 X."""
+    X = np.asarray(X, dtype=complex)
+    return np.block([[family_map_apply(pt, X[2 * i:2 * i + 2, 2 * j:2 * j + 2]) for j in range(2)]
+                     for i in range(2)])
 
 
 # ---------------------------------------------------------------------------

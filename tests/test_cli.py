@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -404,6 +405,8 @@ def test_unwritable_output_path_exits_2_before_any_output(argv, tmp_path, capsys
     ({"dim": 0, "terms": []}, "generator dim must be an integer >= 1, got 0"),
     ({"dim": 2, "terms": [{"coefficient": {"kind": "constant", "value": 1.0},
                            "jump": {"matrix": 5}}]}, "term 0: 'int' object is not iterable"),
+    ({"dim": 2, "terms": [{"coefficient": {"kind": "constant", "value": math.nan},
+                           "jump": "sigma_z"}]}, "coefficient value, scale and times must be finite"),
 ])
 def test_malformed_generator_file_exits_2(description, message, tmp_path, capsys):
     path = tmp_path / "generator.json"

@@ -12,9 +12,11 @@ from nmwit.errors import (
     MapNotPositive,
     ParameterOutOfRange,
 )
-from nmwit.entanglement import _extend, _factors, _werner_thresholds, extend_family_map
+from nmwit.entanglement import _FAMILY, _factors, _werner_thresholds
+from nmwit.lindblad import depolarizer, extend, extend_and_apply, small_time_map
 
 from oracles import (
+    family_extend,
     family_map_apply,
     rand_density,
     rand_hermitian,
@@ -292,15 +294,22 @@ def test_werner_bisection_diagonalizes_only_at_the_boundary(monkeypatch):
     coeffs=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=6),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_stacked_extension_matches_per_point(coeffs, seed):
+def test_family_rows_extend_like_per_point_maps(coeffs, seed):
+    # The family's stacked rows (g1, g1, g2) through lindblad.extend equal, bit for
+    # bit, the unit-step snapshot of depolarizer(g1, g1, g2) applied point by
+    # point, for a stacked X and for one X shared by every row (broadcast, as
+    # choi_matrices shares P), and match the blockwise oracle.
     rng = np.random.default_rng(seed)
     X = np.stack([rand_hermitian(rng, 4) for _ in coeffs])
-    g1, g2 = np.array(coeffs).T
-    stacked = _extend(g1, g2, X)
-    shared = _extend(g1, g2, X[0])
+    rows = np.array([(a, a, b) for a, b in coeffs])
+    stacked = extend(_FAMILY, rows, 1.0, X)
+    shared = extend(_FAMILY, rows, 1.0, np.broadcast_to(X[0], X.shape))
     for k, (a, b) in enumerate(coeffs):
-        assert np.array_equal(stacked[k], extend_family_map(pt(a, b), X[k]))
-        assert np.array_equal(shared[k], extend_family_map(pt(a, b), X[0]))
+        m = small_time_map(depolarizer(a, a, b), 0.0, 1.0)
+        assert np.array_equal(stacked[k], extend_and_apply(m, X[k]))
+        assert np.array_equal(shared[k], extend_and_apply(m, X[0]))
+        assert np.abs(stacked[k] - family_extend(pt(a, b), X[k])).max() < 1e-14
+        assert np.abs(shared[k] - family_extend(pt(a, b), X[0])).max() < 1e-14
 
 
 def test_phase_scan_small_grid():

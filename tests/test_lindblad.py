@@ -101,6 +101,16 @@ def test_choi_input_is_one_read_only_array_per_dimension():
             P[0, 0] = 0.0
 
 
+def test_generators_compare_and_hash_by_identity():
+    a, b = nmwit.eternal_depolarizer(), nmwit.eternal_depolarizer()
+    assert a == a and a != b and hash(a) == hash(a)
+    m = nmwit.small_time_map(a, 1.0, 0.01)
+    assert m != nmwit.small_time_map(b, 1.0, 0.01)
+    fresh = nmwit.small_time_map(a, 1.0, 0.01)
+    assert m == fresh and hash(m) == hash(fresh) and len({m, fresh}) == 1
+    assert m != nmwit.small_time_map(a, 1.0, 0.02) and m != nmwit.small_time_map(a, 2.0, 0.01)
+
+
 # --- apply_generator ---------------------------------------------------------
 
 def test_unital_fixed_point():

@@ -57,6 +57,27 @@ def test_bad_numeric_input_raises_parameter_out_of_range(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, shown",
+    [
+        (lambda: nmwit.werner(np.float64(2.0)), "got 2.0"),
+        (lambda: nmwit.MapFamilyPoint(np.float64(INF), 0), "gamma1=inf, gamma2=0.0"),
+        (lambda: nmwit.werner_threshold(HALF, resolution=np.float64(-1)), "got -1.0"),
+        (lambda: nmwit.SmallTimeMap(nmwit.dephasing(-1.0), np.float64(NAN), 0.01),
+         "got t=nan, epsilon=0.01"),
+        (lambda: nmwit.SmallTimeMap(nmwit.dephasing(-1.0), 1.0, np.float64(INF)),
+         "got t=1.0, epsilon=inf"),
+        (lambda: nmwit.SmallTimeMap(nmwit.dephasing(-1.0), 1.0, np.float64(NAN)), "got nan"),
+    ],
+    ids=["werner", "map-point", "resolution", "t=nan", "epsilon=inf", "epsilon=nan"],
+)
+def test_numpy_scalars_are_shown_as_python_floats(build, shown):
+    with pytest.raises(NmwitError) as raised:
+        build()
+    assert "np.float64" not in str(raised.value)
+    assert str(raised.value).endswith(shown)
+
+
 def _too_many_terms():
     return nmwit.LindbladGenerator(
         dim=2, terms=tuple((nmwit.constant(1.0), nmwit.SIGMA_Z) for _ in range(5)))
