@@ -7,9 +7,9 @@ eigenvalue classifies the instant as divisible (memoryless) or not; the
 trace-norm excess ||C||_1 - 1 is the equivalent scalar indicator.
 
 A grid of instants is one stacked pass: choi_grid builds every Choi state
-from the generator's compiled Choi images, checks each and diagonalizes them
-in one call, and verdicts classifies the stack. choi_state, choi_of and
-classify are the one-instant case; a map keeps the state choi_of builds.
+from the generator's compiled Choi images, checks and diagonalizes them in
+one call, and verdicts classifies the stack from those eigenvalues alone.
+choi_of and classify are its one-instant case; a map keeps its choi_of state.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def choi_state(matrix: np.ndarray, t: float, epsilon: float) -> ChoiState:
 def choi_grid(gen: LindbladGenerator, times, epsilon: float):
     """(coefficient rows, Choi matrices, their spectra) for the snapshots at times."""
     # Checks the snapshots as small_time_map does: the first non-finite t, else the first t.
-    small_time_map(gen, times[int(np.argmin(np.isfinite(times)))], epsilon)
+    small_time_map(gen, times[int(np.isfinite(times).argmin())], epsilon)
     c = coefficients(gen, times)
     matrices = choi_matrices(gen, c, epsilon)
     return c, matrices, checked_spectrum(matrices)
@@ -65,9 +65,8 @@ def choi_grid(gen: LindbladGenerator, times, epsilon: float):
 def choi_of(m: SmallTimeMap) -> ChoiState:
     """Choi state (id (x) N)(|phi+><phi+|) of a snapshot map, built once and kept by m."""
     if m._choi is None:
-        matrices = choi_matrices(m.generator, coefficients(m.generator, [m.t]), m.epsilon)
-        state = ChoiState(matrices[0], m.t, m.epsilon, checked_spectrum(matrices)[0])
-        object.__setattr__(m, "_choi", state)
+        _, matrices, spectrum = choi_grid(m.generator, [m.t], m.epsilon)
+        object.__setattr__(m, "_choi", ChoiState(matrices[0], m.t, m.epsilon, spectrum[0]))
     return m._choi
 
 
@@ -85,19 +84,15 @@ class DivisibilityVerdict:
     tolerance: float
 
 
-def verdicts(matrices: np.ndarray, eigenvalues: np.ndarray, tolerance: float) -> list:
-    """DivisibilityVerdict of each of a stack of checked Choi matrices with ascending eigenvalues.
-
-    The trace norm takes its own eigvalsh: summing the cached eigenvalues
-    changes the last digit of trace_norm_excess.
-    """
-    excess = np.abs(np.linalg.eigvalsh(matrices)).sum(axis=1) - 1.0
+def verdicts(eigenvalues: np.ndarray, tolerance: float) -> list:
+    """DivisibilityVerdict of each of a stack of checked Choi states, from their ascending eigenvalues."""
+    excess = np.abs(eigenvalues).sum(axis=1) - 1.0
     return [DivisibilityVerdict(lam, ex, lam >= -tolerance, tolerance)
             for lam, ex in zip(eigenvalues[:, 0].tolist(), excess.tolist())]
 
 
 def classify(choi: ChoiState, tolerance: float = 1e-9) -> DivisibilityVerdict:
-    return verdicts(choi.matrix[None], choi.spectrum.eigenvalues[None], tolerance)[0]
+    return verdicts(choi.spectrum.eigenvalues[None], tolerance)[0]
 
 
 def scan(
@@ -112,6 +107,5 @@ def scan(
         raise EmptyGrid("t_grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise UnorderedGrid("t_grid must be strictly ascending")
-    _, matrices, spectrum = in_grid_order(lambda ts: choi_grid(gen, ts, epsilon),
-                                          lambda t: choi_of(small_time_map(gen, t, epsilon)), grid)
-    return list(zip(grid, verdicts(matrices, spectrum.eigenvalues, tolerance)))
+    spectrum = in_grid_order(lambda ts: choi_grid(gen, ts, epsilon)[2], grid)
+    return list(zip(grid, verdicts(spectrum.eigenvalues, tolerance)))

@@ -212,9 +212,10 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     # Unwritable output paths fail here, before any computation or output.
     for key in ("output", "export_witness") if args.command == "witness" else ("output",):
         parent = os.path.dirname(os.path.abspath(cfg[key])) if cfg[key] else None
+        if parent and os.path.isdir(cfg[key]):
+            raise ConfigError(f"cannot write {key} {cfg[key]}: it is a directory")
         if parent and not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
-            raise ConfigError(
-                f"cannot write {key} {cfg[key]}: {parent} is not a writable directory")
+            raise ConfigError(f"cannot write {key} {cfg[key]}: {parent} is not a writable directory")
 
     if "t_grid" in cfg and not {"t_start", "t_stop", "t_steps"} & flags.keys():
         grid = cfg["t_grid"]
@@ -226,9 +227,10 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
         stop = cfg.get("t_stop", start)
         if steps < 1:
             raise ConfigError(f"t_steps must be >= 1, got {steps}")
-        if steps > 1 and not stop > start:
-            raise ConfigError("t_stop must exceed t_start when t_steps > 1")
-        cfg["t_grid"] = [float(t) for t in np.linspace(start, stop, steps)]
+        if steps > 1 and not 0 < stop - start < np.inf:  # also catches an overflowing span
+            raise ConfigError("t_stop must exceed t_start, with finite bounds and span, when "
+                              f"t_steps > 1, got {start!r}:{stop!r}")
+        cfg["t_grid"] = [float(t) for t in np.linspace(start, stop, steps)] if steps > 1 else [start]
         grid_echo = [("t_start", start), ("t_stop", stop), ("t_steps", steps)]
 
     echo = [("command", args.command)]
@@ -334,10 +336,7 @@ def cmd_spa(cfg: argparse.Namespace) -> int:
         _, matrices, spectrum = choi.choi_grid(gen, times, eps)
         return spa.spa_grid(matrices, spectrum.eigenvalues)[:3]
 
-    def single(t):
-        spa.optimal_decomposition(choi.choi_of(lindblad.small_time_map(gen, t, eps)))
-
-    lam, omega, nu = (x.tolist() for x in in_grid_order(stacked, single, cfg.t_grid))
+    lam, omega, nu = (x.tolist() for x in in_grid_order(stacked, cfg.t_grid))
     rows = [[t, lm, o, o, n] for t, lm, o, n in zip(cfg.t_grid, lam, omega, nu)]
     _emit(cfg, ["t", "lambda_minus", "p_star", "omega", "nu"], rows)
     return EXIT_OK

@@ -87,10 +87,10 @@ class Spectrum:
         return Spectrum(self.eigenvalues[index], self.eigenvectors[index])
 
 
-def in_grid_order(stacked, single, times):
+def in_grid_order(stacked, times):
     """stacked(times): one pass over a whole grid, which raises if any instant fails.
 
-    When it raises, single(t) replays the instants one by one, so that the
+    When it raises, stacked([t]) replays the instants one by one, so that the
     error raised is the one a loop over the grid raises: that of the first
     failing instant in grid order, at its first failing check.
     """
@@ -98,7 +98,7 @@ def in_grid_order(stacked, single, times):
         return stacked(times)
     except Exception:
         for t in times:
-            single(t)
+            stacked([t])
         raise
 
 

@@ -117,7 +117,7 @@ class LindbladGenerator:
     """Diagonal-form generator: at most dim^2 (coefficient, jump) terms; equal only to itself.
 
     extended (E, E^dag, K per term) and choi_images are compiled from the
-    terms (module docstring).
+    terms (module docstring); ParameterOutOfRange if any is not finite.
     """
 
     dim: int
@@ -139,11 +139,15 @@ class LindbladGenerator:
             checked.append((_as_coefficient(coef), jump))
         object.__setattr__(self, "terms", tuple(checked))
         extended = []
-        for _, L in checked:
-            E = _identity_kron(self.dim, L)
-            extended.append((E, dag(E), _identity_kron(self.dim, dag(L) @ L)))
+        with np.errstate(all="ignore"):  # overflow is reported below, as ParameterOutOfRange
+            for _, L in checked:
+                E = _identity_kron(self.dim, L)
+                extended.append((E, dag(E), _identity_kron(self.dim, dag(L) @ L)))
+            images = tuple(_images(extended, _choi_input(self.dim)))
+        if not np.isfinite([*(K for *_, K in extended), *images]).all():  # K is finite only if L is
+            raise ParameterOutOfRange("jump operators and their compiled images must be finite")
         object.__setattr__(self, "extended", tuple(extended))
-        object.__setattr__(self, "choi_images", tuple(_images(self.extended, _choi_input(self.dim))))
+        object.__setattr__(self, "choi_images", images)
 
 
 def dephasing(coefficient=-1.0) -> LindbladGenerator:
@@ -223,6 +227,8 @@ def choi_matrices(gen: LindbladGenerator, c: np.ndarray, epsilon: float) -> np.n
 
 def extend(gen: LindbladGenerator, c: np.ndarray, epsilon: float, X: np.ndarray) -> np.ndarray:
     """X + epsilon * (id (x) L)(X) for coefficient rows c and one matrix or a stack X."""
+    if X.shape[:-2] != np.shape(c)[:-1]:  # one X for several rows: broadcast, as _sum writes X.shape
+        X = np.broadcast_to(X, np.broadcast_shapes(X.shape, np.shape(c)[:-1] + (1, 1)))
     return _sum(_images(gen.extended, X, c), X, epsilon)
 
 

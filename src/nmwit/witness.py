@@ -17,8 +17,9 @@ the witness was built from whenever that state has a negative eigenvalue.
 A grid of instants is one stacked pass: witness_grid mixes every Choi state
 with the depolarizer, diagonalizes the mixtures in one call and forms every
 witness matrix with one stacked extension; build_witness is its one-instant
-case and reads the Choi state the snapshot map keeps (choi.choi_of). Values
-are taken per instant, as evaluate takes one.
+case, as is the replay of a grid that fails (kernel.in_grid_order), and reads
+the Choi state the snapshot map keeps (choi.choi_of). evaluate is the
+one-instant case of witness_values.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ def witness_grid(gen: LindbladGenerator, times, epsilon: float, c: np.ndarray, m
     not well defined.
     """
     _, omega, nu, mixed = spa_grid(matrices, eigenvalues)[:4]
-    gap = mixed.eigenvalues[:, 1] - mixed.eigenvalues[:, 0]
+    lam = mixed.eigenvalues  # a 1x1 state has one eigenvalue, so no degenerate minimum
+    gap = lam[:, 1] - lam[:, 0] if lam.shape[1] > 1 else np.full(len(lam), np.inf)
     if (gap < degeneracy_tol).any():
         k = int(np.argmax(gap < degeneracy_tol))
         raise DegenerateMinimum(f"minimum eigenvalue of the SPA state is degenerate "
@@ -156,16 +158,12 @@ def witness_scan(gen: LindbladGenerator, times, epsilon: float):
         del spectrum  # the pass needs no Choi eigenvectors; free them before it peaks
         return (matrices, *witness_grid(gen, ts, epsilon, c, matrices, eigenvalues))
 
-    return in_grid_order(stacked, lambda t: build_witness(small_time_map(gen, t, epsilon)), times)
-
-
-def _value(nu: float, tau: np.ndarray, matrix: np.ndarray) -> float:
-    return float(np.real(nu * np.vdot(tau, matrix @ tau)))
+    return in_grid_order(stacked, times)
 
 
 def witness_values(nu: np.ndarray, tau: np.ndarray, matrices: np.ndarray) -> list[float]:
-    """nu * <tau| C |tau> of each instant of a stack, as evaluate computes it."""
-    return [_value(n, v, C) for n, v, C in zip(nu.tolist(), tau, matrices)]
+    """nu * <tau| C |tau> of each instant of a stack."""
+    return [float(np.real(n * np.vdot(v, C @ v))) for n, v, C in zip(nu.tolist(), tau, matrices)]
 
 
 def evaluate(W: WitnessOperator, choi: ChoiState) -> float:
@@ -181,7 +179,7 @@ def evaluate(W: WitnessOperator, choi: ChoiState) -> float:
         raise DimensionMismatch(
             f"witness dimension {W.tau.shape[0]} vs Choi dimension {choi.matrix.shape[0]}"
         )
-    return _value(W.nu, W.tau, choi.matrix)
+    return witness_values(np.array([W.nu]), W.tau[None], choi.matrix[None])[0]
 
 
 def classify_by_witness(W: WitnessOperator, choi: ChoiState, tolerance: float = 1e-9) -> str:

@@ -33,6 +33,21 @@ def test_choi_state_is_built_once_per_map():
     assert nmwit.choi_of(fresh).matrix.tobytes() == c.matrix.tobytes()
 
 
+def test_each_choi_state_is_diagonalized_once(monkeypatch):
+    # The verdict, trace-norm excess included, is read from the spectrum that
+    # checked_spectrum keeps: one stacked eigh per grid, one per snapshot.
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda M, _n=name, _s=solve: calls.append(_n) or _s(M))
+    gen = nmwit.eternal_depolarizer()
+    assert len(nmwit.scan(gen, np.linspace(0.1, 2.0, 40), EPS)) == 40
+    assert calls == ["eigh"]
+    calls.clear()
+    nmwit.classify(nmwit.choi_of(_map(gen, t=1.0)))
+    assert calls == ["eigh"]
+
+
 def test_negative_dephasing_choi_spectrum_and_eigenvector():
     c = nmwit.choi_of(_map(nmwit.dephasing(-1.0)))
     assert np.abs(c.spectrum.eigenvalues - [-0.01, 0.0, 0.0, 1.01]).max() < 1e-12

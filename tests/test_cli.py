@@ -388,13 +388,33 @@ def test_numpy_warnings_stay_off_stderr(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["divisibility", "--t-steps", "3", "--t-stop", "2", "--output", "{missing}/x.csv"],
     ["witness", "--t-steps", "3", "--t-stop", "2", "--export-witness", "{missing}/w.json"],
+    # An existing directory, whose parent is writable.
+    ["divisibility", "--t-steps", "3", "--t-stop", "2", "--output", "{directory}"],
+    ["witness", "--t-steps", "3", "--t-stop", "2", "--export-witness", "{directory}"],
 ])
 def test_unwritable_output_path_exits_2_before_any_output(argv, tmp_path, capsys):
-    missing = tmp_path / "no_such_dir"
-    assert cli.main([a.format(missing=missing) for a in argv]) == 2
+    argv = [a.format(missing=tmp_path / "no_such_dir", directory=tmp_path) for a in argv]
+    assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("config error: cannot write ") and str(missing) in err
+    assert err.startswith("config error: cannot write ") and argv[-1] in err
+
+
+@pytest.mark.parametrize("command", ["divisibility", "witness", "spa", "prop1"])
+def test_time_bounds_that_are_not_finite(command, capsys):
+    # A one-step grid is its start, whatever t_stop is; a longer grid needs
+    # finite bounds and a finite span (config error). Neither prints a warning.
+    extra = ["--draws", "2"] if command == "prop1" else []
+    assert cli.main([command, "--t-stop=inf", *extra]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if command != "prop1":
+        assert "# t_stop = inf\n" in out and out.splitlines()[-1].startswith("1,")
+    for bounds in (["--t-stop=inf"], ["--t-start=-inf"], ["--t-start=-1e308", "--t-stop=1e308"]):
+        assert cli.main([command, *bounds, "--t-steps=3", *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(
+            "config error: t_stop must exceed t_start, with finite bounds and span, when t_steps > 1")
 
 
 @pytest.mark.parametrize("description, message", [
@@ -407,6 +427,11 @@ def test_unwritable_output_path_exits_2_before_any_output(argv, tmp_path, capsys
                            "jump": {"matrix": 5}}]}, "term 0: 'int' object is not iterable"),
     ({"dim": 2, "terms": [{"coefficient": {"kind": "constant", "value": math.nan},
                            "jump": "sigma_z"}]}, "coefficient value, scale and times must be finite"),
+    # A jump that is not finite, and one whose L^dag L overflows (compiled without warnings).
+    *(({"dim": 2, "terms": [{"coefficient": {"kind": "constant", "value": 1.0},
+                             "jump": {"matrix": matrix}}]},
+       "jump operators and their compiled images must be finite")
+      for matrix in ([[math.nan, 0], [0, 1]], [[1e308, 0], [0, 1e308]])),
 ])
 def test_malformed_generator_file_exits_2(description, message, tmp_path, capsys):
     path = tmp_path / "generator.json"

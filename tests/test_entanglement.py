@@ -297,13 +297,15 @@ def test_werner_bisection_diagonalizes_only_at_the_boundary(monkeypatch):
 def test_family_rows_extend_like_per_point_maps(coeffs, seed):
     # The family's stacked rows (g1, g1, g2) through lindblad.extend equal, bit for
     # bit, the unit-step snapshot of depolarizer(g1, g1, g2) applied point by
-    # point, for a stacked X and for one X shared by every row (broadcast, as
-    # choi_matrices shares P), and match the blockwise oracle.
+    # point, for a stacked X and for one X shared by every row (a broadcast
+    # view, as choi_matrices shares P, or the plain matrix, which extend
+    # broadcasts), and match the blockwise oracle.
     rng = np.random.default_rng(seed)
     X = np.stack([rand_hermitian(rng, 4) for _ in coeffs])
     rows = np.array([(a, a, b) for a, b in coeffs])
     stacked = extend(_FAMILY, rows, 1.0, X)
     shared = extend(_FAMILY, rows, 1.0, np.broadcast_to(X[0], X.shape))
+    assert np.array_equal(extend(_FAMILY, rows, 1.0, X[0]), shared)
     for k, (a, b) in enumerate(coeffs):
         m = small_time_map(depolarizer(a, a, b), 0.0, 1.0)
         assert np.array_equal(stacked[k], extend_and_apply(m, X[k]))

@@ -21,6 +21,10 @@ NAN, INF = math.nan, math.inf
 HALF = nmwit.MapFamilyPoint(0.5, 0.5)
 
 
+def _one_jump(matrix):
+    return nmwit.LindbladGenerator(dim=2, terms=((nmwit.constant(1.0), matrix),))
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -43,6 +47,10 @@ HALF = nmwit.MapFamilyPoint(0.5, 0.5)
         lambda: nmwit.MapFamilyPoint(0.0, 9e307),
         lambda: nmwit.MapFamilyPoint(-5e307, -5e307),
         lambda: nmwit.phase_scan((8e307, 8.9e307), (0.0, 1.0), (2, 2)),
+        # Jump operators that are not finite, or whose L^dag L overflows.
+        lambda: _one_jump([[INF, 0], [0, 1]]),
+        lambda: _one_jump([[NAN, 0], [0, 1]]),
+        lambda: _one_jump([[1e308, 0], [0, 1e308]]),
     ],
     ids=[
         "resolution=0", "resolution=-1", "resolution=nan", "resolution=inf",
@@ -50,6 +58,7 @@ HALF = nmwit.MapFamilyPoint(0.5, 0.5)
         "dephasing-nan", "t=nan", "t=inf", "epsilon=inf",
         "gamma1=nan", "gamma2=-inf",
         "gamma1=8e307", "gamma2=9e307", "gamma1=gamma2=-5e307", "scan-overflow",
+        "jump-inf", "jump-nan", "jump-1e308",
     ],
 )
 def test_bad_numeric_input_raises_parameter_out_of_range(build):

@@ -37,6 +37,16 @@ def test_witness_reuses_the_maps_choi_state(monkeypatch):
     assert nmwit.evaluate(W, choi) < 0
 
 
+def test_one_dimensional_snapshot_has_a_witness():
+    # A 1x1 SPA state has one eigenvalue, so its minimum is never degenerate;
+    # the witness pass used to index a second eigenvalue that does not exist.
+    gen = nmwit.LindbladGenerator(dim=1, terms=((nmwit.constant(1.0), [[2.0]]),))
+    m = nmwit.small_time_map(gen, 1.0, EPS)
+    W = nmwit.build_witness(m)
+    assert (W.nu, W.omega, W.matrix.tolist()) == (1.0, 0.0, [[1.0]])
+    assert nmwit.evaluate(W, nmwit.choi_of(m)) == 1.0
+
+
 # --- adjoint identity --------------------------------------------------------
 
 def test_adjoint_identity_dephasing_instance():
