@@ -6,10 +6,11 @@ exactly when this state is positive semidefinite, so the sign of its minimum
 eigenvalue classifies the instant as divisible (memoryless) or not; the
 trace-norm excess ||C||_1 - 1 is the equivalent scalar indicator.
 
-A grid of instants is one stacked pass: choi_grid builds every Choi state
-from the generator's compiled Choi images, checks and diagonalizes them in
-one call, and verdicts classifies the stack from those eigenvalues alone.
-choi_of and classify are its one-instant case; a map keeps its choi_of state.
+A grid of instants, which checked_grid accepts or rejects, is one stacked
+pass (grid_pass): choi_grid builds every Choi state from the generator's
+compiled Choi images and checks and diagonalizes them in one call, and a stage
+such as verdicts reads the stack. choi_of and classify are its one-instant
+case; a map keeps its choi_of state.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGrid, NotUnitTrace, UnorderedGrid
-from .kernel import Spectrum, eigh_checked, frozen, in_grid_order
+from .kernel import Spectrum, eigh_checked, frozen
 from .lindblad import LindbladGenerator, SmallTimeMap, choi_matrices, coefficients, small_time_map
 
 
@@ -50,16 +51,48 @@ def checked_spectrum(matrices: np.ndarray) -> Spectrum:
 def choi_state(matrix: np.ndarray, t: float, epsilon: float) -> ChoiState:
     """Wrap a matrix as a ChoiState, enforcing Hermiticity and unit trace."""
     matrix = frozen(matrix)
-    return ChoiState(matrix, t, epsilon, checked_spectrum(matrix[None])[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the Hermiticity check
+        return ChoiState(matrix, t, epsilon, checked_spectrum(matrix[None])[0])
 
 
 def choi_grid(gen: LindbladGenerator, times, epsilon: float):
     """(coefficient rows, Choi matrices, their spectra) for the snapshots at times."""
     # Checks the snapshots as small_time_map does: the first non-finite t, else the first t.
     small_time_map(gen, times[int(np.isfinite(times).argmin())], epsilon)
-    c = coefficients(gen, times)
-    matrices = choi_matrices(gen, c, epsilon)
-    return c, matrices, checked_spectrum(matrices)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails checked_spectrum's checks
+        c = coefficients(gen, times)
+        matrices = choi_matrices(gen, c, epsilon)
+        return c, matrices, checked_spectrum(matrices)
+
+
+def checked_grid(t_grid) -> list[float]:
+    """The instants of t_grid as floats; EmptyGrid if there are none, UnorderedGrid unless ascending."""
+    grid = [float(t) for t in t_grid]
+    if not grid:
+        raise EmptyGrid("t_grid is empty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise UnorderedGrid("t_grid must be strictly ascending")
+    return grid
+
+
+def grid_pass(gen: LindbladGenerator, t_grid, epsilon: float, stage):
+    """stage(times, c, matrices, eigenvalues) after choi_grid over the checked t_grid, in one pass.
+
+    A failing pass is replayed one instant at a time, so that the error is that
+    of a loop over the grid: the first failing instant's, at its first failing check.
+    """
+    def run(times):
+        c, matrices, spectrum = choi_grid(gen, times, epsilon)
+        lam, spectrum = spectrum.eigenvalues, None  # frees the Choi eigenvectors before the stage
+        return stage(times, c, matrices, lam)
+
+    grid = checked_grid(t_grid)
+    try:
+        return run(grid)
+    except Exception:
+        for t in grid:
+            run([t])
+        raise
 
 
 def choi_of(m: SmallTimeMap) -> ChoiState:
@@ -101,11 +134,6 @@ def scan(
     epsilon: float,
     tolerance: float = 1e-9,
 ) -> list[tuple[float, DivisibilityVerdict]]:
-    """Classify instantaneous divisibility at each instant of an ascending grid."""
-    grid = [float(t) for t in t_grid]
-    if not grid:
-        raise EmptyGrid("t_grid is empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise UnorderedGrid("t_grid must be strictly ascending")
-    spectrum = in_grid_order(lambda ts: choi_grid(gen, ts, epsilon)[2], grid)
-    return list(zip(grid, verdicts(spectrum.eigenvalues, tolerance)))
+    """Classify instantaneous divisibility at each instant of an ascending grid (see grid_pass)."""
+    return grid_pass(gen, t_grid, epsilon,
+                     lambda times, c, matrices, lam: list(zip(times, verdicts(lam, tolerance))))

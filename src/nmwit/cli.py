@@ -22,7 +22,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -31,7 +30,6 @@ import numpy as np
 
 from . import choi, entanglement, lindblad, spa, witness
 from .errors import DegenerateMinimum, MapNotPositive, NmwitError
-from .kernel import in_grid_order
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -174,14 +172,9 @@ def _parse_keys(data: dict, source: str) -> dict:
 def _parse_range(text: str, name: str) -> tuple[float, float, int]:
     try:
         lo, hi, steps = text.split(":")
-        lo, hi, steps = float(lo), float(hi), int(steps)
+        return float(lo), float(hi), int(steps)
     except ValueError:
         raise ConfigError(f"{name} must look like lo:hi:steps, got {text!r}") from None
-    if not np.isfinite(hi - lo):  # also catches an overflowing span
-        raise ConfigError(f"{name} needs finite bounds and span, got {lo!r}:{hi!r}")
-    if steps < 1:
-        raise ConfigError("range steps must be >= 1")
-    return lo, hi, steps
 
 
 def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
@@ -218,10 +211,7 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
             raise ConfigError(f"cannot write {key} {cfg[key]}: {parent} is not a writable directory")
 
     if "t_grid" in cfg and not {"t_start", "t_stop", "t_steps"} & flags.keys():
-        grid = cfg["t_grid"]
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError("t_grid in config file must be strictly ascending")
-        grid_echo = [("t_grid", "[" + " ".join(_fmt(t) for t in grid) + "]")]
+        grid_echo = [("t_grid", "[" + " ".join(_fmt(t) for t in cfg["t_grid"]) + "]")]
     else:
         start, steps = cfg["t_start"], cfg["t_steps"]
         stop = cfg.get("t_stop", start)
@@ -230,8 +220,9 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
         if steps > 1 and not 0 < stop - start < np.inf:  # also catches an overflowing span
             raise ConfigError("t_stop must exceed t_start, with finite bounds and span, when "
                               f"t_steps > 1, got {start!r}:{stop!r}")
-        cfg["t_grid"] = [float(t) for t in np.linspace(start, stop, steps)] if steps > 1 else [start]
+        cfg["t_grid"] = np.linspace(start, stop, steps) if steps > 1 else [start]
         grid_echo = [("t_start", start), ("t_stop", stop), ("t_steps", steps)]
+    cfg["t_grid"] = choi.checked_grid(cfg["t_grid"])
 
     echo = [("command", args.command)]
     if args.command in ("divisibility", "witness", "spa"):
@@ -260,9 +251,9 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
                     raise ConfigError("scan mode requires --gamma1-range and --gamma2-range")
                 cfg[key] = _parse_range(cfg[key], "--" + key.replace("_", "-"))
                 echo.append((key, ":".join(_fmt(x) for x in cfg[key])))
-            # Closed forms are monotone in each coefficient: they overflow at a corner or nowhere.
-            for g1, g2 in itertools.product(cfg["gamma1_range"][:2], cfg["gamma2_range"][:2]):
-                entanglement.MapFamilyPoint(g1, g2)
+            g1, g2 = cfg["gamma1_range"], cfg["gamma2_range"]
+            cfg["scan_grid"] = (g1[:2], g2[:2], (g1[2], g2[2]))  # phase_scan's arguments
+            entanglement.scan_axes(*cfg["scan_grid"])
             echo.append(("samples", cfg["samples"]))
         else:
             keys = ("gamma1", "gamma2", "p")
@@ -330,13 +321,9 @@ def cmd_witness(cfg: argparse.Namespace) -> int:
 
 
 def cmd_spa(cfg: argparse.Namespace) -> int:
-    gen, eps = cfg.generator, cfg.epsilon
-
-    def stacked(times):
-        _, matrices, spectrum = choi.choi_grid(gen, times, eps)
-        return spa.spa_grid(matrices, spectrum.eigenvalues)[:3]
-
-    lam, omega, nu = (x.tolist() for x in in_grid_order(stacked, cfg.t_grid))
+    lam, omega, nu = (x.tolist() for x in choi.grid_pass(
+        cfg.generator, cfg.t_grid, cfg.epsilon,
+        lambda times, c, matrices, eigenvalues: spa.spa_grid(matrices, eigenvalues)[:3]))
     rows = [[t, lm, o, o, n] for t, lm, o, n in zip(cfg.t_grid, lam, omega, nu)]
     _emit(cfg, ["t", "lambda_minus", "p_star", "omega", "nu"], rows)
     return EXIT_OK
@@ -344,9 +331,7 @@ def cmd_spa(cfg: argparse.Namespace) -> int:
 
 def cmd_entangle(cfg: argparse.Namespace) -> int:
     if cfg.scan:
-        (lo1, hi1, n1), (lo2, hi2, n2) = cfg.gamma1_range, cfg.gamma2_range
-        results = entanglement.phase_scan(
-            (lo1, hi1), (lo2, hi2), (n1, n2), tolerance=cfg.tolerance)
+        results = entanglement.phase_scan(*cfg.scan_grid, tolerance=cfg.tolerance)
         rows = [[r.gamma1, r.gamma2, r.positive, r.cp, r.werner_threshold] for r in results]
         _emit(cfg, ["gamma1", "gamma2", "positive", "cp", "werner_threshold"], rows)
         return EXIT_OK

@@ -180,14 +180,19 @@ def detect_entanglement(
     Returns (detected, min_eigenvalue of (id (x) Map)(state)); detected means
     the eigenvalue is below -tolerance, which is impossible for separable
     states under a positive map. Raises MapNotPositive when pt fails the
-    positivity criterion, since a non-positive map certifies nothing.
+    positivity criterion, since a non-positive map certifies nothing, and
+    ParameterOutOfRange when the state or its image is not finite.
     """
     state = np.asarray(state, dtype=complex)
     if state.shape != (4, 4):
         raise DimensionMismatch(f"expected a 4x4 state, got shape {state.shape}")
     _require_positive(pt, tolerance)
     row = np.array([pt.gamma1, pt.gamma1, pt.gamma2])
-    lam = float(np.linalg.eigvalsh(extend(_FAMILY, row, 1.0, state))[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # an image that is not finite is reported below
+        image = extend(_FAMILY, row, 1.0, state)
+    if not np.isfinite(image).all():
+        raise ParameterOutOfRange("the state and its image under id (x) Map must be finite")
+    lam = float(np.linalg.eigvalsh(image)[0])
     return lam < -tolerance, lam
 
 
@@ -270,6 +275,21 @@ class PhaseScanRow:
     werner_threshold: float | None
 
 
+def scan_axes(gamma1_range, gamma2_range, steps):
+    """The gamma1 and gamma2 axes of a phase scan; EmptyGrid unless both steps are >= 1, and
+    ParameterOutOfRange unless every grid point has finite coefficients and closed forms."""
+    n1, n2 = steps
+    if n1 < 1 or n2 < 1:
+        raise EmptyGrid(f"grid steps must be >= 1, got {steps}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a span that overflows is reported below
+        g1s = np.linspace(gamma1_range[0], gamma1_range[1], n1)
+        g2s = np.linspace(gamma2_range[0], gamma2_range[1], n2)
+    if not _finite(*np.meshgrid(g1s, g2s, indexing="ij")):
+        raise ParameterOutOfRange("scan ranges must give finite coefficients and closed forms, got "
+                                  f"{tuple(map(float, gamma1_range))}, {tuple(map(float, gamma2_range))}")
+    return g1s, g2s
+
+
 def phase_scan(
     gamma1_range: tuple[float, float],
     gamma2_range: tuple[float, float],
@@ -286,19 +306,12 @@ def phase_scan(
     the Werner detection threshold, bisected in lockstep at the default
     resolution of werner_threshold.
     """
-    n1, n2 = steps
-    if n1 < 1 or n2 < 1:
-        raise EmptyGrid(f"grid steps must be >= 1, got {steps}")
-    g1s = np.linspace(gamma1_range[0], gamma1_range[1], n1)
-    g2s = np.linspace(gamma2_range[0], gamma2_range[1], n2)
-    if not _finite(*np.meshgrid(g1s, g2s, indexing="ij")):
-        raise ParameterOutOfRange(f"scan ranges must give finite coefficients and closed forms, "
-                                  f"got {gamma1_range}, {gamma2_range}")
+    g1s, g2s = scan_axes(gamma1_range, gamma2_range, steps)
     rows = []
     for g1 in g1s.tolist():
-        g1_row = np.full(n2, g1)
+        g1_row = np.full_like(g2s, g1)
         positive, cp = _check_points(g1_row, g2s, tolerance)
-        thresholds: list[float | None] = [None] * n2
+        thresholds: list[float | None] = [None] * len(g2s)
         todo = np.flatnonzero(positive & ~cp)
         if todo.size:
             found = _werner_thresholds(g1_row[todo], g2s[todo], _RESOLUTION, tolerance)

@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import NonHermitianInput
 
-#: Default tolerances for the Hermiticity / positivity predicates.
-#: Overridable per call.
+#: Tolerances of the Hermiticity / positivity predicates.
 TOL_HERM = 1e-9
 TOL_PSD = 1e-9
 
@@ -46,9 +45,10 @@ def dag(M: np.ndarray) -> np.ndarray:
     return np.asarray(M).conj().T
 
 
-def is_hermitian(M: np.ndarray, tol: float = TOL_HERM) -> bool:
+def is_hermitian(M: np.ndarray) -> bool:
     M = np.asarray(M)
-    return M.ndim == 2 and M.shape[0] == M.shape[1] and np.abs(M - dag(M)).max() < tol
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing difference is not < TOL_HERM
+        return M.ndim == 2 and M.shape[0] == M.shape[1] and np.abs(M - dag(M)).max() < TOL_HERM
 
 
 def max_entangled(d: int) -> np.ndarray:
@@ -87,34 +87,19 @@ class Spectrum:
         return Spectrum(self.eigenvalues[index], self.eigenvectors[index])
 
 
-def in_grid_order(stacked, times):
-    """stacked(times): one pass over a whole grid, which raises if any instant fails.
-
-    When it raises, stacked([t]) replays the instants one by one, so that the
-    error raised is the one a loop over the grid raises: that of the first
-    failing instant in grid order, at its first failing check.
-    """
-    try:
-        return stacked(times)
-    except Exception:
-        for t in times:
-            stacked([t])
-        raise
-
-
-def eigh_checked(M: np.ndarray, tol_herm: float = TOL_HERM) -> Spectrum:
+def eigh_checked(M: np.ndarray) -> Spectrum:
     """Ascending eigendecompositions of a stack (k, n, n) of Hermitian matrices, in one call.
 
     Raises NonHermitianInput for the first matrix that fails the Hermiticity
-    check at tol_herm.
+    check at TOL_HERM.
     """
     if M.ndim != 3 or M.shape[1] != M.shape[2]:
         raise NonHermitianInput(f"expected square matrices, got shape {M.shape[1:]}")
     deviation = np.abs(M - M.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    if not (deviation < tol_herm).all():
-        k = int(np.argmin(deviation < tol_herm))
+    if not (deviation < TOL_HERM).all():
+        k = int(np.argmin(deviation < TOL_HERM))
         raise NonHermitianInput(
-            f"matrix is not Hermitian within {tol_herm:g} (max deviation {deviation[k]:.3g})"
+            f"matrix is not Hermitian within {TOL_HERM:g} (max deviation {deviation[k]:.3g})"
         )
     vals, vecs = np.linalg.eigh(M)
     vals.setflags(write=False)
@@ -122,13 +107,14 @@ def eigh_checked(M: np.ndarray, tol_herm: float = TOL_HERM) -> Spectrum:
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
-def eig_hermitian(M: np.ndarray, tol_herm: float = TOL_HERM) -> Spectrum:
+def eig_hermitian(M: np.ndarray) -> Spectrum:
     """Ascending eigendecomposition of a Hermitian matrix (eigh_checked on one matrix).
 
     Raises NonHermitianInput when the input fails the Hermiticity check at
-    tol_herm.
+    TOL_HERM.
     """
-    return eigh_checked(np.asarray(M, dtype=complex)[None], tol_herm)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing difference is not < TOL_HERM
+        return eigh_checked(np.asarray(M, dtype=complex)[None])[0]
 
 
 def trace_norm(X: np.ndarray) -> float:

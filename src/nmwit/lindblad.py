@@ -30,7 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, MalformedDescription, NonPositiveEpsilon, ParameterOutOfRange
+from .errors import (DimensionMismatch, MalformedDescription, NmwitError, NonPositiveEpsilon,
+                     ParameterOutOfRange)
 from .kernel import PAULI_BY_NAME, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, frozen, max_entangled, projector
 
 _KINDS = ("constant", "eternal_tanh", "tabulated", "callable")
@@ -114,7 +115,7 @@ def _as_coefficient(c) -> CoefficientModel:
 
 @dataclass(frozen=True, eq=False)
 class LindbladGenerator:
-    """Diagonal-form generator: at most dim^2 (coefficient, jump) terms; equal only to itself.
+    """Diagonal-form generator on dim >= 1: at most dim^2 (coefficient, jump) terms; equal only to itself.
 
     extended (E, E^dag, K per term) and choi_images are compiled from the
     terms (module docstring); ParameterOutOfRange if any is not finite.
@@ -127,6 +128,8 @@ class LindbladGenerator:
     choi_images: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+            raise MalformedDescription(f"generator dim must be an integer >= 1, got {self.dim!r}")
         if len(self.terms) > self.dim**2:
             raise MalformedDescription(f"{len(self.terms)} terms exceed dim^2 = {self.dim ** 2}")
         checked = []
@@ -315,9 +318,7 @@ def generator_from_dict(desc: dict, label: str = "custom") -> LindbladGenerator:
     """
     if not isinstance(desc, dict):
         raise MalformedDescription("generator description must be a JSON object")
-    dim, terms = desc.get("dim"), desc.get("terms")
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise MalformedDescription(f"generator dim must be an integer >= 1, got {dim!r}")
+    terms = desc.get("terms")
     if not isinstance(terms, list):
         raise MalformedDescription(f"generator terms must be a list, got {terms!r}")
     parsed = []
@@ -328,9 +329,11 @@ def generator_from_dict(desc: dict, label: str = "custom") -> LindbladGenerator:
             parsed.append((_coefficient_from_desc(term["coefficient"]), _jump_from_desc(term["jump"])))
         except KeyError as e:
             raise MalformedDescription(f"term {k} lacks the key {e}") from None
-        except TypeError as e:  # a value of the wrong JSON type
+        except NmwitError:
+            raise
+        except (TypeError, ValueError) as e:  # a value of the wrong JSON type or shape
             raise MalformedDescription(f"term {k}: {e}") from None
-    return LindbladGenerator(dim=dim, terms=tuple(parsed), label=label)
+    return LindbladGenerator(dim=desc.get("dim"), terms=tuple(parsed), label=label)
 
 
 def load_generator(path) -> LindbladGenerator:

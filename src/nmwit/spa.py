@@ -39,11 +39,11 @@ class SpaDecomposition:
     spa_choi: ChoiState
 
 
-def spa_grid(matrices: np.ndarray, eigenvalues: np.ndarray, tol_psd: float = TOL_PSD):
+def spa_grid(matrices: np.ndarray, eigenvalues: np.ndarray):
     """(lambda_minus, omega, nu, mixed spectra, mixed) for Choi matrices with ascending spectra."""
     lam_min = eigenvalues[:, 0]
-    # Eigenvalues above -tol_psd count as zero: CP maps need no approximation.
-    lam = np.where(lam_min < -tol_psd, -lam_min, 0.0)
+    # Eigenvalues above -TOL_PSD count as zero: CP maps need no approximation.
+    lam = np.where(lam_min < -TOL_PSD, -lam_min, 0.0)
     n = matrices.shape[-1]
     a = lam * n
     p = a / (a + 1.0)
@@ -53,14 +53,13 @@ def spa_grid(matrices: np.ndarray, eigenvalues: np.ndarray, tol_psd: float = TOL
     return lam, p, 1.0 / (a + 1.0), checked_spectrum(mixed), mixed
 
 
-def optimal_decomposition(choi: ChoiState, tol_psd: float = TOL_PSD) -> SpaDecomposition:
+def optimal_decomposition(choi: ChoiState) -> SpaDecomposition:
     """Optimal (omega, nu) split of the structural physical approximation.
 
     choi is the snapshot's Choi state; d^2 is its matrix dimension. The
     returned spa_choi sits exactly on the CP boundary: its minimum
     eigenvalue is zero up to roundoff.
     """
-    lam, p, nu, spectrum, mixed = spa_grid(choi.matrix[None], choi.spectrum.eigenvalues[None],
-                                           tol_psd)
+    lam, p, nu, spectrum, mixed = spa_grid(choi.matrix[None], choi.spectrum.eigenvalues[None])
     return SpaDecomposition(lambda_minus=float(lam[0]), omega=float(p[0]), nu=float(nu[0]),
                             spa_choi=ChoiState(mixed[0], choi.t, choi.epsilon, spectrum[0]))

@@ -17,8 +17,8 @@ the witness was built from whenever that state has a negative eigenvalue.
 A grid of instants is one stacked pass: witness_grid mixes every Choi state
 with the depolarizer, diagonalizes the mixtures in one call and forms every
 witness matrix with one stacked extension; build_witness is its one-instant
-case, as is the replay of a grid that fails (kernel.in_grid_order), and reads
-the Choi state the snapshot map keeps (choi.choi_of). evaluate is the
+case, as is the replay of a grid that fails (choi.grid_pass), and reads the
+Choi state the snapshot map keeps (choi.choi_of). evaluate is the
 one-instant case of witness_values.
 """
 
@@ -28,15 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choi import ChoiState, choi_grid, choi_of
-from .errors import DegenerateMinimum, DimensionMismatch, NonHermitianJump
-from .kernel import TOL_HERM, dag, in_grid_order, is_hermitian, projector
+from .choi import ChoiState, choi_of, grid_pass
+from .errors import DegenerateMinimum, DimensionMismatch, NonHermitianJump, ParameterOutOfRange
+from .kernel import dag, is_hermitian, projector
 from .lindblad import LindbladGenerator, SmallTimeMap, coefficients, constant, extend
 from .lindblad import extend_and_apply, small_time_map
 from .spa import spa_grid
 
 MARKOVIAN_CONSISTENT = "markovian_consistent"
 NON_MARKOVIAN_DETECTED = "non_markovian_detected"
+_DEGENERACY_TOL = 1e-12  # an SPA state whose two lowest eigenvalues are closer has no witness
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,6 @@ def adjoint_identity_residual(
     alpha: np.ndarray,
     rho: np.ndarray,
     gamma: float,
-    tol_herm: float = TOL_HERM,
 ) -> float:
     """Two-sided check of the adjoint identity for a Hermitian jump G.
 
@@ -67,10 +67,11 @@ def adjoint_identity_residual(
     id (x) N, returns |Tr[|a><a| (id(x)N)(rho)] - Tr[(id(x)N)(|a><a|) rho]|.
     Both sides are computed independently; the result should be at roundoff
     level. Raises NonHermitianJump when G fails the Hermiticity check, since
-    the identity is only asserted under that hypothesis.
+    the identity is only asserted under that hypothesis, and
+    ParameterOutOfRange when a side overflows.
     """
     G = np.asarray(G, dtype=complex)
-    if not is_hermitian(G, tol_herm):
+    if not is_hermitian(G):
         raise NonHermitianJump("adjoint identity requires a Hermitian jump operator")
     rho = np.asarray(rho, dtype=complex)
     alpha = np.asarray(alpha, dtype=complex)
@@ -80,10 +81,14 @@ def adjoint_identity_residual(
         raise DimensionMismatch(f"incompatible shapes: G {G.shape}, alpha {alpha.shape}, rho {rho.shape}")
     # N is the epsilon = 1 snapshot of the one-term generator (gamma, G).
     m = small_time_map(LindbladGenerator(dim=k, terms=((constant(gamma), G),)), 0.0, 1.0)
-    P = projector(alpha)
-    lhs = np.trace(P @ extend_and_apply(m, rho))
-    rhs = np.trace(extend_and_apply(m, P) @ rho)
-    return float(abs(lhs - rhs))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        P = projector(alpha)
+        lhs = np.trace(P @ extend_and_apply(m, rho))
+        rhs = np.trace(extend_and_apply(m, P) @ rho)
+        residual = abs(lhs - rhs)
+    if not np.isfinite(residual):
+        raise ParameterOutOfRange("the two sides of the adjoint identity overflow")
+    return float(residual)
 
 
 def adjoint_identity_max_residual(draws: int = 100, seed: int = 0) -> float:
@@ -92,6 +97,8 @@ def adjoint_identity_max_residual(draws: int = 100, seed: int = 0) -> float:
     Each draw uses a random Hermitian 2x2 jump, a random unit 4-vector, a
     random 4x4 density matrix and a coefficient in [-1, 1].
     """
+    if seed < 0:
+        raise ParameterOutOfRange(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(draws):
@@ -108,20 +115,20 @@ def adjoint_identity_max_residual(draws: int = 100, seed: int = 0) -> float:
 
 
 def witness_grid(gen: LindbladGenerator, times, epsilon: float, c: np.ndarray, matrices: np.ndarray,
-                 eigenvalues: np.ndarray, degeneracy_tol: float = 1e-12):
+                 eigenvalues: np.ndarray):
     """(omega, nu, tau, witness matrices) for snapshots of gen at times.
 
     c, matrices and eigenvalues are the snapshots' coefficient rows and Choi
     matrices with their ascending spectra (see choi.choi_grid). Raises
     DegenerateMinimum for the first SPA state whose two lowest eigenvalues
-    are within degeneracy_tol, because its minimizing eigenvector is then
+    are within _DEGENERACY_TOL, because its minimizing eigenvector is then
     not well defined.
     """
     _, omega, nu, mixed = spa_grid(matrices, eigenvalues)[:4]
     lam = mixed.eigenvalues  # a 1x1 state has one eigenvalue, so no degenerate minimum
     gap = lam[:, 1] - lam[:, 0] if lam.shape[1] > 1 else np.full(len(lam), np.inf)
-    if (gap < degeneracy_tol).any():
-        k = int(np.argmax(gap < degeneracy_tol))
+    if (gap < _DEGENERACY_TOL).any():
+        k = int(np.argmax(gap < _DEGENERACY_TOL))
         raise DegenerateMinimum(f"minimum eigenvalue of the SPA state is degenerate "
                                 f"at t={times[k]:g} (gap {gap[k]:.3g})")
     tau = np.ascontiguousarray(mixed.eigenvectors[:, :, 0])
@@ -133,7 +140,7 @@ def witness_grid(gen: LindbladGenerator, times, epsilon: float, c: np.ndarray, m
     return omega, nu, tau, witnesses
 
 
-def build_witness(m: SmallTimeMap, degeneracy_tol: float = 1e-12) -> WitnessOperator:
+def build_witness(m: SmallTimeMap) -> WitnessOperator:
     """Witness operator for the snapshot map m (witness_grid at one instant).
 
     It reads m's Choi state through choi_of(m), which builds it only if no
@@ -142,7 +149,7 @@ def build_witness(m: SmallTimeMap, degeneracy_tol: float = 1e-12) -> WitnessOper
     choi = choi_of(m)
     omega, nu, tau, matrices = witness_grid(
         m.generator, [m.t], m.epsilon, coefficients(m.generator, [m.t]), choi.matrix[None],
-        choi.spectrum.eigenvalues[None], degeneracy_tol)
+        choi.spectrum.eigenvalues[None])
     return WitnessOperator(matrix=matrices[0], nu=float(nu[0]), omega=float(omega[0]), tau=tau[0],
                            source_map=m)
 
@@ -150,15 +157,10 @@ def build_witness(m: SmallTimeMap, degeneracy_tol: float = 1e-12) -> WitnessOper
 def witness_scan(gen: LindbladGenerator, times, epsilon: float):
     """(Choi matrices, omega, nu, tau, witness matrices) over a grid, in one stacked pass.
 
-    Fails as a loop of build_witness over the grid fails (see in_grid_order).
+    Fails as a loop of build_witness over the grid fails (see choi.grid_pass).
     """
-    def stacked(ts):
-        c, matrices, spectrum = choi_grid(gen, ts, epsilon)
-        eigenvalues = spectrum.eigenvalues
-        del spectrum  # the pass needs no Choi eigenvectors; free them before it peaks
-        return (matrices, *witness_grid(gen, ts, epsilon, c, matrices, eigenvalues))
-
-    return in_grid_order(stacked, times)
+    return grid_pass(gen, times, epsilon, lambda ts, c, matrices, lam: (
+        matrices, *witness_grid(gen, ts, epsilon, c, matrices, lam)))
 
 
 def witness_values(nu: np.ndarray, tau: np.ndarray, matrices: np.ndarray) -> list[float]:

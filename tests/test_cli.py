@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import nmwit
 from nmwit import cli
 
 
@@ -415,6 +416,39 @@ def test_time_bounds_that_are_not_finite(command, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(
             "config error: t_stop must exceed t_start, with finite bounds and span, when t_steps > 1")
+
+
+@pytest.mark.parametrize("command", ["divisibility", "witness", "spa"])
+@pytest.mark.parametrize("extra", [
+    # A span too small for the step count repeats instants.
+    ["--t-start=0", "--t-stop=5e-324", "--t-steps=5"],
+    ["--config", "repeated.json"],
+    ["--config", "descending.json"],
+])
+def test_time_grid_that_is_not_strictly_ascending_exits_2(command, extra, tmp_path, monkeypatch,
+                                                          capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "repeated.json").write_text('{"t_grid": [0.5, 1.0, 1.0]}')
+    (tmp_path / "descending.json").write_text('{"t_grid": [1.0, 0.5]}')
+    assert cli.main([command, *extra]) == 2
+    assert capsys.readouterr() == ("", "config error: t_grid must be strictly ascending\n")
+
+
+@pytest.mark.parametrize("gamma1_range, gamma2_range", [
+    ((0.0, 0.5, 0), (0.0, 1.0, 2)),
+    ((0.0, 0.5, 2), (0.0, 1.0, -1)),
+    ((math.nan, 0.6, 3), (0.0, 1.0, 3)),
+    ((-1e308, 1e308, 3), (0.0, 1.0, 3)),
+    ((8e307, 8.9e307, 2), (0.0, 1.0, 2)),
+])
+def test_bad_scan_range_exits_2_with_the_library_message(gamma1_range, gamma2_range, capsys):
+    # The CLI rejects a scan grid by the check phase_scan makes, with its message.
+    (lo1, hi1, n1), (lo2, hi2, n2) = gamma1_range, gamma2_range
+    with pytest.raises(nmwit.NmwitError) as raised:
+        nmwit.phase_scan((lo1, hi1), (lo2, hi2), (n1, n2))
+    argv = ["entangle", "--scan", f"--gamma1-range={lo1}:{hi1}:{n1}", f"--gamma2-range={lo2}:{hi2}:{n2}"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"config error: {raised.value}\n")
 
 
 @pytest.mark.parametrize("description, message", [

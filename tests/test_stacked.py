@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nmwit
-from nmwit.choi import choi_grid
-from nmwit.errors import DegenerateMinimum
+from nmwit.choi import choi_grid, grid_pass
+from nmwit.errors import DegenerateMinimum, EmptyGrid, UnorderedGrid
+from nmwit.spa import spa_grid
 from nmwit.witness import witness_grid, witness_scan, witness_values
 
 from oracles import reference_snapshot
@@ -109,3 +110,15 @@ def test_witness_sign_on_indivisible_and_cp_snapshots(gen, t, eps, cp_rates, cp_
     assert abs(value - W.nu * lam_min) <= 1e-12
     cp = nmwit.choi_of(nmwit.small_time_map(nmwit.depolarizer(*cp_rates), cp_t, cp_eps))
     assert nmwit.evaluate(W, cp) >= -1e-12
+
+
+@pytest.mark.parametrize("grid, error", [
+    ([], EmptyGrid), ([1.0, 0.5], UnorderedGrid), ([1.0, 1.0], UnorderedGrid)])
+def test_every_grid_pass_rejects_an_empty_or_unordered_grid(grid, error):
+    # The time-grid rule is checked_grid's, whichever stage runs over the grid.
+    gen, eps = nmwit.eternal_depolarizer(), 0.01
+    spa_stage = lambda times, c, matrices, eigenvalues: spa_grid(matrices, eigenvalues)[:3]
+    for run in (lambda: witness_scan(gen, grid, eps), lambda: grid_pass(gen, grid, eps, spa_stage),
+                lambda: nmwit.scan(gen, grid, eps)):
+        with pytest.raises(error, match=r"^t_grid (is empty|must be strictly ascending)$"):
+            run()

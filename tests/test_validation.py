@@ -51,6 +51,10 @@ def _one_jump(matrix):
         lambda: _one_jump([[INF, 0], [0, 1]]),
         lambda: _one_jump([[NAN, 0], [0, 1]]),
         lambda: _one_jump([[1e308, 0], [0, 1e308]]),
+        # States that are not finite (no numpy warning on the way), and a negative seed.
+        lambda: nmwit.detect_entanglement(np.full((4, 4), NAN), HALF),
+        lambda: nmwit.detect_entanglement(np.diag([INF, 0, 0, 0]), HALF),
+        lambda: nmwit.adjoint_identity_max_residual(2, -1),
     ],
     ids=[
         "resolution=0", "resolution=-1", "resolution=nan", "resolution=inf",
@@ -59,6 +63,7 @@ def _one_jump(matrix):
         "gamma1=nan", "gamma2=-inf",
         "gamma1=8e307", "gamma2=9e307", "gamma1=gamma2=-5e307", "scan-overflow",
         "jump-inf", "jump-nan", "jump-1e308",
+        "state-nan", "state-inf", "seed=-1",
     ],
 )
 def test_bad_numeric_input_raises_parameter_out_of_range(build):
@@ -77,8 +82,10 @@ def test_bad_numeric_input_raises_parameter_out_of_range(build):
         (lambda: nmwit.SmallTimeMap(nmwit.dephasing(-1.0), 1.0, np.float64(INF)),
          "got t=1.0, epsilon=inf"),
         (lambda: nmwit.SmallTimeMap(nmwit.dephasing(-1.0), 1.0, np.float64(NAN)), "got nan"),
+        (lambda: nmwit.phase_scan((np.float64(0), np.float64(INF)), (0, 1), (2, 2)),
+         "got (0.0, inf), (0.0, 1.0)"),
     ],
-    ids=["werner", "map-point", "resolution", "t=nan", "epsilon=inf", "epsilon=nan"],
+    ids=["werner", "map-point", "resolution", "t=nan", "epsilon=inf", "epsilon=nan", "scan-range"],
 )
 def test_numpy_scalars_are_shown_as_python_floats(build, shown):
     with pytest.raises(NmwitError) as raised:
@@ -104,11 +111,18 @@ def _too_many_terms():
         (_too_many_terms, MalformedDescription),
         (lambda: nmwit.choi_state(np.eye(4), 0.0, 0.01), NotUnitTrace),
         (lambda: nmwit.scan(nmwit.dephasing(1.0), [1.0, 0.5], 0.01), UnorderedGrid),
+        (lambda: nmwit.LindbladGenerator(dim=0, terms=()), MalformedDescription),
+        # Matrix jumps that are ragged, hold a string, or an [re, im] entry of three numbers.
+        *((lambda matrix=matrix: nmwit.generator_from_dict({"dim": 2, "terms": [
+            {"coefficient": {"kind": "constant", "value": 1.0}, "jump": {"matrix": matrix}}]}),
+           MalformedDescription)
+          for matrix in ([[1, 0], [0]], [[1, "x"], [0, 1]], [[[1, 0, 0], 0], [0, 1]])),
     ],
     ids=[
         "unknown-kind", "tabulated-unaligned", "tabulated-times-not-increasing",
         "tabulated-value-nan", "callable-without-func", "callable-gives-nan",
         "terms-exceed-dim-squared", "choi-trace", "grid-order",
+        "generator-dim-0", "ragged-matrix", "string-entry", "three-part-entry",
     ],
 )
 def test_library_errors_are_typed_value_errors(build, error):
@@ -116,6 +130,18 @@ def test_library_errors_are_typed_value_errors(build, error):
         build()
     assert type(raised.value) is error
     assert isinstance(raised.value, NmwitError) and isinstance(raised.value, ValueError)
+
+
+def test_malformed_terms_are_named_and_typed_errors_inside_pass_through():
+    def term(coefficient, jump="sigma_z"):
+        return {"dim": 2, "terms": [{"coefficient": coefficient, "jump": jump}]}
+
+    with pytest.raises(MalformedDescription, match=r"^term 0: "):
+        nmwit.generator_from_dict(term({"kind": "constant", "value": 1.0}, {"matrix": [[1, 0], [0]]}))
+    with pytest.raises(MalformedDescription, match=r"^tabulated values must be finite$"):
+        nmwit.generator_from_dict(term({"kind": "tabulated", "times": [0, 1], "values": [0, NAN]}))
+    with pytest.raises(MalformedDescription, match=r"^generator dim must be an integer >= 1, got 0$"):
+        nmwit.LindbladGenerator(dim=0, terms=())
 
 
 def test_werner_threshold_ends_at_float_spacing():
