@@ -376,7 +376,7 @@ def main(argv=None) -> int:
     except MapNotPositive as e:
         print(f"map not positive: {e}", file=sys.stderr)
         return EXIT_NOT_POSITIVE
-    except (NmwitError, ValueError, RuntimeError, OSError) as e:
+    except (NmwitError, np.linalg.LinAlgError, OSError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -16,10 +16,10 @@ spectrum of J must be the Choi weights. A disagreement raises CrossCheckFailed.
 
 The phase scan works one gamma1 row at a time: one Choi stack checks the whole
 row, and the Werner thresholds of the row's positive-but-not-CP points are
-bisected in lockstep, each point stopping on its own. Each bisection step is
-decided by the closed-form spectrum p*w + (1-p)/4 of (id (x) Map)(W_p);
-eigvalsh decides only the steps within rounding of the boundary, and confirms
-each final bracket at both ends.
+found together. A threshold is the point where bisection of the detected
+interval would end; it is decided by eigvalsh of (id (x) Map)(W_p) alone, at
+the threshold and one step below, starting from the closed-form onset of
+the spectrum p*w + (1-p)/4 over the Choi weights w.
 
 A point that is positive but not completely positive certifies entanglement:
 a negative eigenvalue of (id (x) Map)(state) cannot occur on separable input.
@@ -27,13 +27,13 @@ a negative eigenvalue of (id (x) Map)(state) cannot occur on separable input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     CrossCheckFailed,
-    DimensionMismatch,
     EmptyGrid,
     MapNotPositive,
     ParameterOutOfRange,
@@ -44,17 +44,16 @@ from .kernel import (
     SIGMA_Y,
     SIGMA_Z,
     TOL_PSD,
+    as_matrix,
     frozen,
     projector,
 )
-from .lindblad import choi_matrices, depolarizer, extend
+from .lindblad import choi_matrices, depolarizer, extend, finite_image
 
 _FAMILY = depolarizer(0.0, 0.0, 0.0)
 _SINGLET = projector(BELL_PSI_MINUS)
 _RESOLUTION = 1e-6
-# Closed-form Werner margins within _BAND of 0 go to eigvalsh; the two differ by
-# at most about 7e-16 on positive points, whose coefficients are all O(1).
-_BAND = 1e-12
+_STEPS = 64  # lattice steps a Werner threshold may walk from its closed-form onset
 # R[i, j] = Tr[(sigma_j^T (x) sigma_i) J] is the Pauli transfer matrix of the map
 # whose Choi matrix is J.
 _PAULIS = (np.eye(2), SIGMA_X, SIGMA_Y, SIGMA_Z)
@@ -183,15 +182,9 @@ def detect_entanglement(
     positivity criterion, since a non-positive map certifies nothing, and
     ParameterOutOfRange when the state or its image is not finite.
     """
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (4, 4):
-        raise DimensionMismatch(f"expected a 4x4 state, got shape {state.shape}")
+    state = as_matrix(state, (4, 4))
     _require_positive(pt, tolerance)
-    row = np.array([pt.gamma1, pt.gamma1, pt.gamma2])
-    with np.errstate(over="ignore", invalid="ignore"):  # an image that is not finite is reported below
-        image = extend(_FAMILY, row, 1.0, state)
-    if not np.isfinite(image).all():
-        raise ParameterOutOfRange("the state and its image under id (x) Map must be finite")
+    image = finite_image(_FAMILY, np.array([pt.gamma1, pt.gamma1, pt.gamma2]), 1.0, state)
     lam = float(np.linalg.eigvalsh(image)[0])
     return lam < -tolerance, lam
 
@@ -199,50 +192,39 @@ def detect_entanglement(
 def _werner_thresholds(
     g1: np.ndarray, g2: np.ndarray, resolution: float, tolerance: float
 ) -> list[float | None]:
-    """Bisected Werner thresholds of positive points (g1[k], g2[k]), in lockstep.
+    """Werner thresholds of positive points (g1[k], g2[k]), where bisection from [0, 1] ends.
 
-    (id (x) Map)(W_p) has the spectrum p*w + (1-p)/4 over the Choi weights w,
-    so each step decides detection from the closed margin
-    p*w_min + (1-p)/4 + tolerance. Only points whose margin lies within
-    _BAND of 0, where rounding could decide, are diagonalized, in one stacked
-    eigvalsh. A point stops once its bracket is at most resolution wide or its
-    midpoint equals an end (float spacing). The final brackets are confirmed
-    by one stacked eigvalsh per end: detected at hi, not detected at lo.
+    Bisection ends at [lo, hi], detected at hi and not at lo, of width h (the
+    largest power of two <= resolution, at most 1) or at float spacing: hi is
+    the first lattice point that is detected. Each point starts at the
+    closed-form onset p* = (1/4 + tolerance) / (1/4 - w_min) of the spectrum
+    p*w + (1-p)/4 of (id (x) Map)(W_p), rounded up to the lattice. Each step
+    diagonalizes every point at hi and at lo, one stacked eigvalsh each, and
+    moves hi up where it is not detected (below 1) and down where lo is
+    detected too. A point not settled after _STEPS steps raises CrossCheckFailed.
     """
-    w_min = _choi_weights(g1, g2)[:, 0]
+    h = min(1.0, math.ldexp(0.5, math.frexp(resolution)[1]))
     rows = np.stack([g1, g1, g2], axis=-1)
 
-    def eig_detected(idx: np.ndarray, p: np.ndarray) -> np.ndarray:
-        lam = np.linalg.eigvalsh(extend(_FAMILY, rows[idx], 1.0, _werner_matrices(p)))[:, 0]
+    def detected(p: np.ndarray) -> np.ndarray:
+        lam = np.linalg.eigvalsh(extend(_FAMILY, rows, 1.0, _werner_matrices(p)))[:, 0]
         return lam < -tolerance
 
-    def detected(idx: np.ndarray, p: np.ndarray) -> np.ndarray:
-        margin = p * w_min[idx] + (1.0 - p) / 4 + tolerance
-        out = margin < 0
-        near = np.flatnonzero(np.abs(margin) <= _BAND)
-        if near.size:
-            out[near] = eig_detected(idx[near], p[near])
-        return out
-
-    every = np.arange(len(g1))
-    lo, hi = np.zeros(len(g1)), np.ones(len(g1))
-    found = detected(every, hi)
-    active = found.copy()
-    while True:
-        mid = 0.5 * (lo + hi)
-        active &= (hi - lo > resolution) & (mid != lo) & (mid != hi)
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        d = detected(idx, mid[idx])
-        hi[idx[d]] = mid[idx[d]]
-        lo[idx[~d]] = mid[idx[~d]]
-    bad = (eig_detected(every, hi) != found) | eig_detected(every, lo)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise CrossCheckFailed(f"Werner bracket [{lo[k]:g}, {hi[k]:g}] not confirmed "
-                               f"at gamma1={g1[k]:g}, gamma2={g2[k]:g}")
-    return [float(h) if f else None for h, f in zip(hi, found)]
+    with np.errstate(all="ignore"):  # p* is not finite where no Werner state can be detected
+        onset = (0.25 + tolerance) / (0.25 - _choi_weights(g1, g2)[:, 0])
+    unit = max(h, 2.0**-60)  # multiples of 2**-60 lie on every finer lattice; onset/unit is finite
+    hi = np.fmin(np.fmax(np.ceil(np.fmin(onset, 1.0) / unit) * unit, h), 1.0)
+    for _ in range(_STEPS):
+        lo = np.maximum(np.minimum(hi - h, np.nextafter(hi, 0.0)), 0.0)
+        found = detected(hi)
+        up, down = ~found & (hi < 1.0), found & detected(lo)
+        if not (up | down).any():
+            return [float(p) if f else None for p, f in zip(hi, found)]
+        hi, last = np.where(up, np.minimum(np.maximum(hi + h, np.nextafter(hi, 2.0)), 1.0),
+                            np.where(down, lo, hi)), hi
+    k = int(np.argmax(up | down))
+    raise CrossCheckFailed(f"Werner bracket [{lo[k]:g}, {last[k]:g}] not confirmed "
+                           f"at gamma1={g1[k]:g}, gamma2={g2[k]:g}")
 
 
 def werner_threshold(
@@ -251,11 +233,11 @@ def werner_threshold(
     resolution: float = _RESOLUTION,
     tolerance: float = 1e-9,
 ) -> float | None:
-    """Smallest Werner parameter detected at pt, by bisection.
+    """Smallest Werner parameter detected at pt, where bisection from [0, 1] ends.
 
     Returns None when not even p = 1 is detected. The detection region in p
-    is an interval ending at 1, so bisection on the indicator is exact up to
-    the requested resolution, or up to float spacing when that is coarser.
+    is an interval ending at 1, so its end is exact up to the requested
+    resolution, or up to float spacing when that is coarser.
     Raises MapNotPositive when pt fails the positivity criterion.
     """
     if not 0.0 < resolution < np.inf:
@@ -303,8 +285,8 @@ def phase_scan(
     criterion and complete positivity from the closed-form Choi weights, both
     cross-checked against the row's stacked Choi matrices (see is_positive and
     is_cp), and - only where the map is positive but not completely positive -
-    the Werner detection threshold, bisected in lockstep at the default
-    resolution of werner_threshold.
+    the Werner detection threshold at the default resolution of
+    werner_threshold, found for the whole row at once.
     """
     g1s, g2s = scan_axes(gamma1_range, gamma2_range, steps)
     rows = []

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonHermitianInput
+from .errors import DimensionMismatch, NonHermitianInput, ParameterOutOfRange
 
 #: Tolerances of the Hermiticity / positivity predicates.
 TOL_HERM = 1e-9
@@ -38,6 +38,17 @@ SIGMA_Z = frozen([[1, 0], [0, -1]])
 
 #: Lookup used by the JSON generator format; keys are lower-case.
 PAULI_BY_NAME = {"sigma_x": SIGMA_X, "sigma_y": SIGMA_Y, "sigma_z": SIGMA_Z}
+
+
+def as_matrix(X, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """X as a complex matrix; DimensionMismatch unless it is a numeric matrix (of shape, if given)."""
+    try:
+        X = np.asarray(X, dtype=complex)
+    except (TypeError, ValueError):  # strings, ragged nesting, other objects
+        raise DimensionMismatch(f"expected a numeric matrix, got {type(X).__name__}") from None
+    if X.ndim != 2 or X.shape != (shape or X.shape):
+        raise DimensionMismatch(f"expected shape {shape or '(n, m)'}, got {X.shape}")
+    return X
 
 
 def dag(M: np.ndarray) -> np.ndarray:
@@ -118,8 +129,17 @@ def eig_hermitian(M: np.ndarray) -> Spectrum:
 
 
 def trace_norm(X: np.ndarray) -> float:
-    """Sum of absolute eigenvalues for Hermitian X (singular values otherwise)."""
-    X = np.asarray(X, dtype=complex)
-    if is_hermitian(X):
-        return float(np.abs(np.linalg.eigvalsh(X)).sum())
-    return float(np.linalg.svd(X, compute_uv=False).sum())
+    """Sum of absolute eigenvalues for Hermitian X (singular values otherwise).
+
+    Raises DimensionMismatch unless X is a numeric matrix, and
+    ParameterOutOfRange unless X and its trace norm are finite.
+    """
+    X = as_matrix(X)
+    if not np.isfinite(X).all():
+        raise ParameterOutOfRange("matrix entries must be finite")
+    with np.errstate(over="ignore"):  # an overflowing sum is reported below
+        norm = float(np.abs(np.linalg.eigvalsh(X)).sum() if is_hermitian(X)
+                     else np.linalg.svd(X, compute_uv=False).sum())
+    if not np.isfinite(norm):
+        raise ParameterOutOfRange(f"trace norm overflows, got {norm}")
+    return norm

@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, MalformedDescription, NmwitError, NonPositiveEpsilon,
                      ParameterOutOfRange)
-from .kernel import PAULI_BY_NAME, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, frozen, max_entangled, projector
+from .kernel import (PAULI_BY_NAME, SIGMA_X, SIGMA_Y, SIGMA_Z, as_matrix, dag, frozen, max_entangled,
+                     projector)
 
 _KINDS = ("constant", "eternal_tanh", "tabulated", "callable")
 
@@ -235,6 +236,15 @@ def extend(gen: LindbladGenerator, c: np.ndarray, epsilon: float, X: np.ndarray)
     return _sum(_images(gen.extended, X, c), X, epsilon)
 
 
+def finite_image(gen: LindbladGenerator, c: np.ndarray, epsilon: float, X: np.ndarray) -> np.ndarray:
+    """extend for one coefficient row c and one matrix X; ParameterOutOfRange unless the image is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an image that is not finite is reported below
+        image = extend(gen, c, epsilon, X)
+    if not np.isfinite(image).all():
+        raise ParameterOutOfRange("the operator and its image under id (x) N must be finite")
+    return image
+
+
 @dataclass(frozen=True)
 class SmallTimeMap:
     """First-order snapshot map rho -> rho + epsilon * L_t(rho) at instant t."""
@@ -267,12 +277,11 @@ def extend_and_apply(m: SmallTimeMap, X: np.ndarray) -> np.ndarray:
 
     Identity acts on the first factor, the snapshot map on the second.
     Linear in X and Hermiticity-preserving. The one-instant case of extend.
+    Raises DimensionMismatch unless X is a numeric d^2 x d^2 matrix, and
+    ParameterOutOfRange unless X and its image are finite.
     """
-    X = np.asarray(X, dtype=complex)
-    d = m.dim
-    if X.shape != (d * d, d * d):
-        raise DimensionMismatch(f"expected shape {(d * d, d * d)}, got {X.shape}")
-    return extend(m.generator, coefficients(m.generator, [m.t])[0], m.epsilon, X)
+    X = as_matrix(X, (m.dim**2, m.dim**2))
+    return finite_image(m.generator, coefficients(m.generator, [m.t])[0], m.epsilon, X)
 
 
 def _jump_from_desc(desc) -> np.ndarray:

@@ -3,7 +3,9 @@
 Nothing here shares a code path with the package: eigenvalues come from a
 hand-rolled Jacobi rotation solver, generator actions from Pauli-basis
 coefficient algebra, Choi matrices from explicit Bell-projector sums, and SPA
-thresholds from bisection on the positivity indicator.
+thresholds from bisection on the positivity indicator. The one exception is
+loop_threshold, the per-point Werner bisection on the package's own
+detect_entanglement: it pins where the package's threshold search must end.
 
 The linear-algebra helpers that only tests use (tensor, partial_trace,
 is_density, reconstruct) live here too, as do the single-system map actions
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+import nmwit
 from nmwit.errors import DimensionMismatch
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -170,6 +173,22 @@ def werner_threshold_closed(g1, g2):
     """Detection onset in p: 1 / max(1-4g1, 1-4g2, 8g1+4g2-3), None if > 1."""
     M = max(1.0 - 4.0 * g1, 1.0 - 4.0 * g2, 8.0 * g1 + 4.0 * g2 - 3.0)
     return 1.0 / M if M > 1.0 else None
+
+
+def loop_threshold(point, resolution=1e-6, tolerance=1e-9):
+    """Scalar bisection, one detect_entanglement per step: the batched reference."""
+    if not nmwit.detect_entanglement(nmwit.werner(1.0).matrix, point, tolerance)[0]:
+        return None
+    lo, hi = 0.0, 1.0
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if nmwit.detect_entanglement(nmwit.werner(mid).matrix, point, tolerance)[0]:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def family_map_apply(pt, rho):

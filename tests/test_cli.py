@@ -386,6 +386,17 @@ def test_numpy_warnings_stay_off_stderr(tmp_path):
                         "(max deviation nan)\n")
 
 
+def test_linear_algebra_failure_exits_3(monkeypatch, capsys):
+    # An eigensolver that does not converge raises numpy's LinAlgError, a
+    # ValueError that no library check types.
+    def fail(cfg):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setitem(cli._HANDLERS, "spa", fail)
+    assert cli.main(["spa"]) == 3
+    assert capsys.readouterr() == ("", "numerical failure: Eigenvalues did not converge\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["divisibility", "--t-steps", "3", "--t-stop", "2", "--output", "{missing}/x.csv"],
     ["witness", "--t-steps", "3", "--t-stop", "2", "--export-witness", "{missing}/w.json"],

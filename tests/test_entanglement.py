@@ -18,6 +18,7 @@ from nmwit.lindblad import depolarizer, extend, extend_and_apply, small_time_map
 from oracles import (
     family_extend,
     family_map_apply,
+    loop_threshold,
     rand_density,
     rand_hermitian,
     rand_separable,
@@ -243,22 +244,6 @@ def test_werner_threshold_none_for_cp_points():
     assert nmwit.werner_threshold(pt(0.2, 0.2)) is None
 
 
-def _loop_threshold(point, resolution=1e-6, tolerance=1e-9):
-    """Scalar bisection, one detect_entanglement per step: the batched reference."""
-    if not nmwit.detect_entanglement(nmwit.werner(1.0).matrix, point, tolerance)[0]:
-        return None
-    lo, hi = 0.0, 1.0
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if nmwit.detect_entanglement(nmwit.werner(mid).matrix, point, tolerance)[0]:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     g1=st.floats(0.05, 0.5),
@@ -271,22 +256,59 @@ def test_batched_werner_thresholds_match_per_point_bisection(g1, fractions):
     batch = _werner_thresholds(np.full(len(g2), g1), g2, 1e-6, 1e-9)
     for thr, b in zip(batch, g2):
         point = pt(g1, float(b))
-        assert thr == nmwit.werner_threshold(point) == _loop_threshold(point)
+        assert thr == nmwit.werner_threshold(point) == loop_threshold(point)
         assert abs(thr - 1.0 / (8.0 * g1 + 4.0 * b - 3.0)) < 2e-6
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    g1=st.floats(0.0, 0.5),
+    f=st.floats(0.0, 1.0),
+    resolution=st.one_of(st.integers(1, 30).map(lambda u: 2.0**-u), st.floats(2.0**-30, 0.5),
+                         st.sampled_from((0.5, 0.75, 1.0, 3.0, 1e300))),
+    tolerance=st.floats(1e-15, 1e-3),
+)
+def test_werner_threshold_matches_per_point_bisection_at_any_resolution(g1, f, resolution,
+                                                                        tolerance):
+    # Positive points, 0 <= g1 <= 1/2 and -g1 <= g2 <= 1 - g1; CP ones
+    # (g1 <= f <= 1 - g1) return None from both.
+    point = pt(g1, f - g1)
+    assert (nmwit.werner_threshold(point, resolution=resolution, tolerance=tolerance)
+            == loop_threshold(point, resolution, tolerance))
+
+
 def test_werner_bisection_diagonalizes_only_at_the_boundary(monkeypatch):
-    # At (0.5, 0.25 + 2e-9) the closed margin at p = 1/2 is about 5e-19, so
-    # that step must be decided by eigvalsh, as every step was before; away
-    # from the boundary only the two ends of the final bracket are confirmed.
+    # Every decision is an eigvalsh of a stacked (hi, one step below) pair,
+    # one step being 2**-20 (the lattice of resolution 1e-6). At (0.5, 0.3)
+    # the closed-form onset lands on the crossing, so one pair settles it; at
+    # (0.5, 0.25 + 2e-9) the crossing is within rounding of p = 1/2, where
+    # the closed form cannot decide and eigvalsh does.
     near, far = pt(0.5, 0.25 + 2e-9), pt(0.5, 0.3)
-    expected = _loop_threshold(near), _loop_threshold(far)
-    calls, eigvalsh = [], np.linalg.eigvalsh
+    expected = loop_threshold(near), loop_threshold(far)
+    calls, eigvalsh, werner_matrices = [], np.linalg.eigvalsh, entanglement._werner_matrices
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
     assert nmwit.werner_threshold(far) == expected[1]
     assert calls == [1, 1]
+    calls.clear()
+    monkeypatch.setattr(entanglement, "_werner_matrices",
+                        lambda p: calls.append(float(p[0])) or werner_matrices(p))
     assert nmwit.werner_threshold(near) == expected[0]
-    assert len(calls) > 4
+    # Each pair is (p at hi, eigvalsh, p one step below, eigvalsh), ending at the threshold.
+    assert len(calls) % 4 == 0 and calls[1::2] == [1] * (len(calls) // 2)
+    pairs = [(calls[k], calls[k + 2]) for k in range(0, len(calls), 4)]
+    assert all(lo == hi - 2.0**-20 for hi, lo in pairs)
+    assert pairs[-1][0] == expected[0]
+
+
+@pytest.mark.parametrize("offset", [-1e-5, 1e-5])
+def test_werner_walk_corrects_an_onset_some_steps_off(offset, monkeypatch):
+    # A least Choi weight off by 1e-5 moves the closed-form onset at (0.5, 0.5)
+    # by about 4.4e-6, four or five lattice steps up or down; the walk still
+    # ends where bisection does.
+    expected = loop_threshold(pt(0.5, 0.5))
+    weights = entanglement._choi_weights
+    monkeypatch.setattr(entanglement, "_choi_weights", lambda g1, g2: weights(g1, g2) + offset)
+    assert nmwit.werner_threshold(pt(0.5, 0.5)) == expected
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -119,6 +119,23 @@ CALLS = {
         lambda r1, r2, steps, tol: nmwit.phase_scan(r1, r2, steps, tolerance=tol),
         st.tuples(st.tuples(number, number), st.tuples(number, number),
                   st.tuples(st.integers(-1, 3), st.integers(-1, 3)), positive)),
+    "build_witness": (lambda g, t, eps: nmwit.build_witness(nmwit.small_time_map(generator(*g), t, eps)),
+                      st.tuples(generators(), number, number)),
+    "evaluate": (
+        lambda g, t, eps, choi: nmwit.evaluate(
+            nmwit.build_witness(nmwit.small_time_map(generator(*g), t, eps)), nmwit.choi_state(*choi)),
+        st.tuples(generators(), number, number,
+                  st.tuples(st.one_of(states(4), states(1), states(9)), number, number))),
+    "optimal_decomposition": (
+        lambda matrix, t, eps: nmwit.optimal_decomposition(nmwit.choi_state(matrix, t, eps)),
+        st.tuples(st.one_of(states(4), matrices(4), states(9)), number, number)),
+    "extend_and_apply": (
+        lambda g, t, eps, X: nmwit.extend_and_apply(nmwit.small_time_map(generator(*g), t, eps), X),
+        st.tuples(generators(), number, number,
+                  st.one_of(states(4), matrices(4), matrices(2), st.sampled_from(("x", None))))),
+    "trace_norm": (nmwit.trace_norm, st.tuples(st.one_of(
+        hermitian(4), matrices(2), arrays(2, 3), arrays(3), arrays(2, 2, 2),
+        st.sampled_from(("x", None, [[1, 2], [3]], np.full((2, 2), math.nan)))))),
     "adjoint_identity_residual": (nmwit.adjoint_identity_residual, st.tuples(
         st.one_of(hermitian(2), matrices(2), matrices(3)), arrays(4), states(4), number)),
     "adjoint_identity_max_residual": (nmwit.adjoint_identity_max_residual, st.tuples(
@@ -126,7 +143,7 @@ CALLS = {
 }
 
 
-@settings(max_examples=300, deadline=timedelta(seconds=3), derandomize=True,
+@settings(max_examples=420, deadline=timedelta(seconds=3), derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_public_functions_return_or_raise_an_nmwit_error_without_warnings(data):

@@ -8,6 +8,7 @@ import pytest
 import nmwit
 from nmwit.entanglement import _werner_thresholds
 from nmwit.errors import (
+    DimensionMismatch,
     MalformedDescription,
     NmwitError,
     NotUnitTrace,
@@ -19,6 +20,7 @@ from oracles import werner_threshold_closed
 
 NAN, INF = math.nan, math.inf
 HALF = nmwit.MapFamilyPoint(0.5, 0.5)
+_SNAPSHOT = nmwit.small_time_map(nmwit.dephasing(-1.0), 1.0, 0.01)
 
 
 def _one_jump(matrix):
@@ -55,6 +57,10 @@ def _one_jump(matrix):
         lambda: nmwit.detect_entanglement(np.full((4, 4), NAN), HALF),
         lambda: nmwit.detect_entanglement(np.diag([INF, 0, 0, 0]), HALF),
         lambda: nmwit.adjoint_identity_max_residual(2, -1),
+        # Matrices that are not finite or whose image or trace norm overflows.
+        lambda: nmwit.trace_norm(np.full((2, 2), NAN)),
+        lambda: nmwit.trace_norm(np.full((2, 2), 1e308)),
+        lambda: nmwit.extend_and_apply(_SNAPSHOT, np.full((4, 4), 1e308)),
     ],
     ids=[
         "resolution=0", "resolution=-1", "resolution=nan", "resolution=inf",
@@ -64,6 +70,7 @@ def _one_jump(matrix):
         "gamma1=8e307", "gamma2=9e307", "gamma1=gamma2=-5e307", "scan-overflow",
         "jump-inf", "jump-nan", "jump-1e308",
         "state-nan", "state-inf", "seed=-1",
+        "trace-norm-nan", "trace-norm-overflow", "extend-overflow",
     ],
 )
 def test_bad_numeric_input_raises_parameter_out_of_range(build):
@@ -92,6 +99,26 @@ def test_numpy_scalars_are_shown_as_python_floats(build, shown):
         build()
     assert "np.float64" not in str(raised.value)
     assert str(raised.value).endswith(shown)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: nmwit.trace_norm(np.zeros(3)),
+        lambda: nmwit.trace_norm(np.zeros((2, 2, 2))),
+        lambda: nmwit.trace_norm("x"),
+        lambda: nmwit.extend_and_apply(_SNAPSHOT, "x"),
+        lambda: nmwit.extend_and_apply(_SNAPSHOT, [[1, 2], [3]]),
+        lambda: nmwit.detect_entanglement("x", HALF),
+    ],
+    ids=["trace-norm-vector", "trace-norm-stack", "trace-norm-string", "extend-string",
+         "extend-ragged", "detect-string"],
+)
+def test_input_that_is_not_a_numeric_matrix_raises_dimension_mismatch(build):
+    # Each escaped as a LinAlgError or ValueError, or (a stack given to
+    # trace_norm) returned a number.
+    with pytest.raises(DimensionMismatch):
+        build()
 
 
 def _too_many_terms():
