@@ -9,8 +9,8 @@ trace-norm excess ||C||_1 - 1 is the equivalent scalar indicator.
 A grid of instants, which checked_grid accepts or rejects, is one stacked
 pass (grid_pass): choi_grid builds every Choi state from the generator's
 compiled Choi images and checks and diagonalizes them in one call, and a stage
-such as verdicts reads the stack. choi_of and classify are its one-instant
-case; a map keeps its choi_of state.
+(the verdicts, the SPA, the witness) reads the stack and its eigendecomposition.
+choi_of and classify are its one-instant case; a map keeps its choi_of state.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGrid, NotUnitTrace, UnorderedGrid
-from .kernel import Spectrum, eigh_checked, frozen
+from .kernel import Spectrum, as_matrix, eigh_checked, frozen
 from .lindblad import LindbladGenerator, SmallTimeMap, choi_matrices, coefficients, small_time_map
 
 
@@ -49,8 +49,8 @@ def checked_spectrum(matrices: np.ndarray) -> Spectrum:
 
 
 def choi_state(matrix: np.ndarray, t: float, epsilon: float) -> ChoiState:
-    """Wrap a matrix as a ChoiState, enforcing Hermiticity and unit trace."""
-    matrix = frozen(matrix)
+    """Wrap a matrix as a ChoiState, enforcing a numeric matrix, Hermiticity and unit trace."""
+    matrix = frozen(as_matrix(matrix))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the Hermiticity check
         return ChoiState(matrix, t, epsilon, checked_spectrum(matrix[None])[0])
 
@@ -76,15 +76,17 @@ def checked_grid(t_grid) -> list[float]:
 
 
 def grid_pass(gen: LindbladGenerator, t_grid, epsilon: float, stage):
-    """stage(times, c, matrices, eigenvalues) after choi_grid over the checked t_grid, in one pass.
+    """stage(times, c, matrices, eigenvalues, tau) after choi_grid over the checked t_grid, in one pass.
 
-    A failing pass is replayed one instant at a time, so that the error is that
+    tau[k] is the eigenvector of the least eigenvalue eigenvalues[k, 0]. A
+    failing pass is replayed one instant at a time, so that the error is that
     of a loop over the grid: the first failing instant's, at its first failing check.
     """
     def run(times):
         c, matrices, spectrum = choi_grid(gen, times, epsilon)
-        lam, spectrum = spectrum.eigenvalues, None  # frees the Choi eigenvectors before the stage
-        return stage(times, c, matrices, lam)
+        # The stage gets the eigenvectors of the least eigenvalues; the others are freed.
+        lam, tau, spectrum = spectrum.eigenvalues, spectrum.eigenvectors[:, :, 0].copy(), None
+        return stage(times, c, matrices, lam, tau)
 
     grid = checked_grid(t_grid)
     try:
@@ -136,4 +138,4 @@ def scan(
 ) -> list[tuple[float, DivisibilityVerdict]]:
     """Classify instantaneous divisibility at each instant of an ascending grid (see grid_pass)."""
     return grid_pass(gen, t_grid, epsilon,
-                     lambda times, c, matrices, lam: list(zip(times, verdicts(lam, tolerance))))
+                     lambda times, c, matrices, lam, tau: list(zip(times, verdicts(lam, tolerance))))

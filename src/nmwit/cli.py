@@ -322,8 +322,7 @@ def cmd_witness(cfg: argparse.Namespace) -> int:
 
 def cmd_spa(cfg: argparse.Namespace) -> int:
     lam, omega, nu = (x.tolist() for x in choi.grid_pass(
-        cfg.generator, cfg.t_grid, cfg.epsilon,
-        lambda times, c, matrices, eigenvalues: spa.spa_grid(matrices, eigenvalues)[:3]))
+        cfg.generator, cfg.t_grid, cfg.epsilon, lambda times, c, matrices, lam, tau: spa.spa_grid(lam)))
     rows = [[t, lm, o, o, n] for t, lm, o, n in zip(cfg.t_grid, lam, omega, nu)]
     _emit(cfg, ["t", "lambda_minus", "p_star", "omega", "nu"], rows)
     return EXIT_OK

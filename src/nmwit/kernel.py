@@ -40,14 +40,19 @@ SIGMA_Z = frozen([[1, 0], [0, -1]])
 PAULI_BY_NAME = {"sigma_x": SIGMA_X, "sigma_y": SIGMA_Y, "sigma_z": SIGMA_Z}
 
 
-def as_matrix(X, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """X as a complex matrix; DimensionMismatch unless it is a numeric matrix (of shape, if given)."""
+def as_complex(X) -> np.ndarray:
+    """X as a complex array; DimensionMismatch unless it is numeric."""
     try:
-        X = np.asarray(X, dtype=complex)
+        return np.asarray(X, dtype=complex)
     except (TypeError, ValueError):  # strings, ragged nesting, other objects
-        raise DimensionMismatch(f"expected a numeric matrix, got {type(X).__name__}") from None
-    if X.ndim != 2 or X.shape != (shape or X.shape):
-        raise DimensionMismatch(f"expected shape {shape or '(n, m)'}, got {X.shape}")
+        raise DimensionMismatch(f"expected a numeric array, got {type(X).__name__}") from None
+
+
+def as_matrix(X, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """X as a complex matrix; DimensionMismatch unless a nonempty numeric matrix (of shape, if given)."""
+    X = as_complex(X)
+    if X.ndim != 2 or not X.size or X.shape != (shape or X.shape):
+        raise DimensionMismatch(f"expected shape {shape or '(n, m) with n, m >= 1'}, got {X.shape}")
     return X
 
 
@@ -71,9 +76,14 @@ def max_entangled(d: int) -> np.ndarray:
 
 
 def projector(v: np.ndarray) -> np.ndarray:
-    """Rank-one projector |v><v| (no normalization applied)."""
-    v = np.asarray(v, dtype=complex)
-    return np.outer(v, v.conj())
+    """Rank-one projector |v><v| (no normalization applied); DimensionMismatch unless v is
+    numeric, ParameterOutOfRange unless |v><v| is finite."""
+    v = as_complex(v)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        P = np.outer(v, v.conj())
+    if not np.isfinite(P).all():
+        raise ParameterOutOfRange("the projector's entries must be finite")
+    return P
 
 
 # Two-qubit Bell kets in the computational basis.
@@ -121,11 +131,11 @@ def eigh_checked(M: np.ndarray) -> Spectrum:
 def eig_hermitian(M: np.ndarray) -> Spectrum:
     """Ascending eigendecomposition of a Hermitian matrix (eigh_checked on one matrix).
 
-    Raises NonHermitianInput when the input fails the Hermiticity check at
-    TOL_HERM.
+    Raises DimensionMismatch unless M is a nonempty numeric matrix, and
+    NonHermitianInput when it fails the Hermiticity check at TOL_HERM.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing difference is not < TOL_HERM
-        return eigh_checked(np.asarray(M, dtype=complex)[None])[0]
+        return eigh_checked(as_matrix(M)[None])[0]
 
 
 def trace_norm(X: np.ndarray) -> float:

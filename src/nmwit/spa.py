@@ -1,8 +1,8 @@
 """Structural physical approximation of a snapshot map.
 
 Mixing a (possibly non-CP) map M with the depolarizing map Theta(rho) = I_d/d
-as p*Theta + (1-p)*M shifts every Choi eigenvalue to p/d^2 + (1-p)*lambda, so
-the smallest p that lands the mixture on the completely-positive boundary is
+as p*Theta + (1-p)*M keeps every Choi eigenvector and maps its eigenvalue to
+p/d^2 + (1-p)*lambda, so the smallest p that makes the mixture CP is
 
     p* = |lambda_-| d^2 / (|lambda_-| d^2 + 1),
 
@@ -15,8 +15,8 @@ with C the snapshot's Choi state, is what the witness construction
 consumes. The identity term is normalized to the maximally mixed state so
 sigma_tilde keeps unit trace alongside omega + nu = 1.
 
-spa_grid computes the decomposition for a stack of Choi states, and
-optimal_decomposition is its one-instant case.
+spa_grid reads (lambda_-, omega, nu) off a stack of Choi spectra, and
+optimal_decomposition is its one-instant case; neither diagonalizes the mixture.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choi import ChoiState, checked_spectrum
-from .kernel import TOL_PSD
+from .choi import ChoiState
+from .kernel import TOL_PSD, Spectrum, frozen
 
 
 @dataclass(frozen=True)
@@ -39,18 +39,13 @@ class SpaDecomposition:
     spa_choi: ChoiState
 
 
-def spa_grid(matrices: np.ndarray, eigenvalues: np.ndarray):
-    """(lambda_minus, omega, nu, mixed spectra, mixed) for Choi matrices with ascending spectra."""
+def spa_grid(eigenvalues: np.ndarray):
+    """(lambda_minus, omega, nu) of a stack of Choi states from their ascending spectra."""
     lam_min = eigenvalues[:, 0]
     # Eigenvalues above -TOL_PSD count as zero: CP maps need no approximation.
     lam = np.where(lam_min < -TOL_PSD, -lam_min, 0.0)
-    n = matrices.shape[-1]
-    a = lam * n
-    p = a / (a + 1.0)
-    mixed = (1.0 - p)[:, None, None] * matrices
-    mixed += p[:, None, None] * np.eye(n) / n
-    mixed.setflags(write=False)
-    return lam, p, 1.0 / (a + 1.0), checked_spectrum(mixed), mixed
+    a = lam * eigenvalues.shape[1]
+    return lam, a / (a + 1.0), 1.0 / (a + 1.0)
 
 
 def optimal_decomposition(choi: ChoiState) -> SpaDecomposition:
@@ -60,6 +55,10 @@ def optimal_decomposition(choi: ChoiState) -> SpaDecomposition:
     returned spa_choi sits exactly on the CP boundary: its minimum
     eigenvalue is zero up to roundoff.
     """
-    lam, p, nu, spectrum, mixed = spa_grid(choi.matrix[None], choi.spectrum.eigenvalues[None])
-    return SpaDecomposition(lambda_minus=float(lam[0]), omega=float(p[0]), nu=float(nu[0]),
-                            spa_choi=ChoiState(mixed[0], choi.t, choi.epsilon, spectrum[0]))
+    lam, p, nu = (float(x[0]) for x in spa_grid(choi.spectrum.eigenvalues[None]))
+    n = len(choi.matrix)
+    shifted = nu * choi.spectrum.eigenvalues + p / n  # the mixture keeps C's eigenvectors
+    shifted.setflags(write=False)
+    spa_choi = ChoiState(frozen(nu * choi.matrix + p * np.eye(n) / n), choi.t, choi.epsilon,
+                         Spectrum(shifted, choi.spectrum.eigenvectors))
+    return SpaDecomposition(lambda_minus=lam, omega=p, nu=nu, spa_choi=spa_choi)

@@ -14,12 +14,13 @@ the projector form, which is manifestly nonnegative on every positive
 semidefinite (divisible-snapshot) Choi state and negative on the Choi state
 the witness was built from whenever that state has a negative eigenvalue.
 
-A grid of instants is one stacked pass: witness_grid mixes every Choi state
-with the depolarizer, diagonalizes the mixtures in one call and forms every
-witness matrix with one stacked extension; build_witness is its one-instant
-case, as is the replay of a grid that fails (choi.grid_pass), and reads the
-Choi state the snapshot map keeps (choi.choi_of). evaluate is the
-one-instant case of witness_values.
+The SPA state nu*C + omega*I/d^2 has the eigenvectors of C, so tau is the
+eigenvector of C's least eigenvalue and nothing is diagonalized but C. A grid
+of instants is one stacked pass: witness_grid reads (omega, nu) and tau off
+the Choi spectra of choi.grid_pass and forms every witness matrix with one
+stacked extension; build_witness is its one-instant case, as is the replay of
+a grid that fails, and reads the Choi state the snapshot map keeps
+(choi.choi_of). evaluate is the one-instant case of witness_values.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .choi import ChoiState, choi_of, grid_pass
 from .errors import DegenerateMinimum, DimensionMismatch, NonHermitianJump, ParameterOutOfRange
-from .kernel import dag, is_hermitian, projector
+from .kernel import as_complex, as_matrix, dag, is_hermitian, projector
 from .lindblad import LindbladGenerator, SmallTimeMap, coefficients, constant, extend
 from .lindblad import extend_and_apply, small_time_map
 from .spa import spa_grid
@@ -70,17 +71,14 @@ def adjoint_identity_residual(
     the identity is only asserted under that hypothesis, and
     ParameterOutOfRange when a side overflows.
     """
-    G = np.asarray(G, dtype=complex)
+    G, alpha, rho = as_matrix(G), as_complex(alpha), as_matrix(rho)
     if not is_hermitian(G):
         raise NonHermitianJump("adjoint identity requires a Hermitian jump operator")
-    rho = np.asarray(rho, dtype=complex)
-    alpha = np.asarray(alpha, dtype=complex)
-    n = rho.shape[0]
-    k = G.shape[0]
-    if n != k * k or alpha.shape != (n,):
+    n = G.shape[0] ** 2
+    if rho.shape != (n, n) or alpha.shape != (n,):
         raise DimensionMismatch(f"incompatible shapes: G {G.shape}, alpha {alpha.shape}, rho {rho.shape}")
     # N is the epsilon = 1 snapshot of the one-term generator (gamma, G).
-    m = small_time_map(LindbladGenerator(dim=k, terms=((constant(gamma), G),)), 0.0, 1.0)
+    m = small_time_map(LindbladGenerator(dim=G.shape[0], terms=((constant(gamma), G),)), 0.0, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         P = projector(alpha)
         lhs = np.trace(P @ extend_and_apply(m, rho))
@@ -114,25 +112,23 @@ def adjoint_identity_max_residual(draws: int = 100, seed: int = 0) -> float:
     return worst
 
 
-def witness_grid(gen: LindbladGenerator, times, epsilon: float, c: np.ndarray, matrices: np.ndarray,
-                 eigenvalues: np.ndarray):
+def witness_grid(gen: LindbladGenerator, times, epsilon: float, c: np.ndarray, eigenvalues: np.ndarray,
+                 tau: np.ndarray):
     """(omega, nu, tau, witness matrices) for snapshots of gen at times.
 
-    c, matrices and eigenvalues are the snapshots' coefficient rows and Choi
-    matrices with their ascending spectra (see choi.choi_grid). Raises
-    DegenerateMinimum for the first SPA state whose two lowest eigenvalues
-    are within _DEGENERACY_TOL, because its minimizing eigenvector is then
-    not well defined.
+    c, eigenvalues and tau are the snapshots' coefficient rows, ascending
+    Choi spectra and eigenvectors of the least Choi eigenvalues (see
+    choi.grid_pass). Raises DegenerateMinimum for the first SPA state whose
+    two lowest eigenvalues, nu * (lambda_1 - lambda_0), are within
+    _DEGENERACY_TOL, because its minimizing eigenvector is then not well defined.
     """
-    _, omega, nu, mixed = spa_grid(matrices, eigenvalues)[:4]
-    lam = mixed.eigenvalues  # a 1x1 state has one eigenvalue, so no degenerate minimum
-    gap = lam[:, 1] - lam[:, 0] if lam.shape[1] > 1 else np.full(len(lam), np.inf)
+    _, omega, nu = spa_grid(eigenvalues)
+    lam = eigenvalues  # a 1x1 state has one eigenvalue, so no degenerate minimum
+    gap = nu * (lam[:, 1] - lam[:, 0]) if lam.shape[1] > 1 else np.full(len(lam), np.inf)
     if (gap < _DEGENERACY_TOL).any():
         k = int(np.argmax(gap < _DEGENERACY_TOL))
         raise DegenerateMinimum(f"minimum eigenvalue of the SPA state is degenerate "
                                 f"at t={times[k]:g} (gap {gap[k]:.3g})")
-    tau = np.ascontiguousarray(mixed.eigenvectors[:, :, 0])
-    del mixed  # frees the eigenvectors before the stacked extension
     witnesses = extend(gen, c, epsilon, tau[:, :, None] * tau.conj()[:, None, :])
     witnesses *= nu[:, None, None]
     tau.setflags(write=False)
@@ -146,10 +142,10 @@ def build_witness(m: SmallTimeMap) -> WitnessOperator:
     It reads m's Choi state through choi_of(m), which builds it only if no
     earlier call on m has. Raises DegenerateMinimum as witness_grid.
     """
-    choi = choi_of(m)
+    spectrum = choi_of(m).spectrum[None]
     omega, nu, tau, matrices = witness_grid(
-        m.generator, [m.t], m.epsilon, coefficients(m.generator, [m.t]), choi.matrix[None],
-        choi.spectrum.eigenvalues[None])
+        m.generator, [m.t], m.epsilon, coefficients(m.generator, [m.t]), spectrum.eigenvalues,
+        spectrum.eigenvectors[:, :, 0].copy())
     return WitnessOperator(matrix=matrices[0], nu=float(nu[0]), omega=float(omega[0]), tau=tau[0],
                            source_map=m)
 
@@ -159,8 +155,8 @@ def witness_scan(gen: LindbladGenerator, times, epsilon: float):
 
     Fails as a loop of build_witness over the grid fails (see choi.grid_pass).
     """
-    return grid_pass(gen, times, epsilon, lambda ts, c, matrices, lam: (
-        matrices, *witness_grid(gen, ts, epsilon, c, matrices, lam)))
+    return grid_pass(gen, times, epsilon, lambda ts, c, matrices, lam, tau: (
+        matrices, *witness_grid(gen, ts, epsilon, c, lam, tau)))
 
 
 def witness_values(nu: np.ndarray, tau: np.ndarray, matrices: np.ndarray) -> list[float]:
@@ -189,19 +185,13 @@ def classify_by_witness(W: WitnessOperator, choi: ChoiState, tolerance: float = 
     return NON_MARKOVIAN_DETECTED if evaluate(W, choi) < -tolerance else MARKOVIAN_CONSISTENT
 
 
-def _complex_pairs(arr: np.ndarray):
-    if arr.ndim == 1:
-        return [[z.real, z.imag] for z in arr]
-    return [[[z.real, z.imag] for z in row] for row in arr]
-
-
 def witness_to_dict(W: WitnessOperator) -> dict:
     """JSON-exportable form: matrix and tau as [re, im] pairs plus provenance."""
     return {
-        "matrix": _complex_pairs(W.matrix),
+        "matrix": np.stack((W.matrix.real, W.matrix.imag), axis=-1).tolist(),
         "nu": W.nu,
         "omega": W.omega,
-        "tau": _complex_pairs(W.tau),
+        "tau": np.stack((W.tau.real, W.tau.imag), axis=-1).tolist(),
         "source_map": {
             "t": W.source_map.t,
             "epsilon": W.source_map.epsilon,

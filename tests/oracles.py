@@ -13,7 +13,9 @@ is_density, reconstruct) live here too, as do the single-system map actions
 the last blockwise to a two-qubit operator) and the per-instant reference
 pipeline that the package's stacked pass must reproduce bit for bit: the
 Lindblad term loop with a Kronecker product per term and call, and one
-eigensolve per matrix.
+eigensolve per matrix. spa_mixture builds and diagonalizes the SPA mixture
+explicitly, the second eigensolve that the package reads off the Choi
+eigendecomposition instead.
 """
 
 from __future__ import annotations
@@ -335,26 +337,44 @@ def map_apply(m, rho):
     return np.asarray(rho, dtype=complex) + m.epsilon * apply_generator(m.generator, rho, m.t)
 
 
+def spa_weights(vals):
+    """(omega, nu) of the SPA of a Choi state with ascending eigenvalues vals."""
+    lam = -float(vals[0]) if vals[0] < -1e-9 else 0.0
+    a = lam * len(vals)
+    return a / (a + 1.0), 1.0 / (a + 1.0)
+
+
+def spa_mixture(C):
+    """(omega, nu, the mixture (1 - omega) C + omega I/n, its eigenvalues, its eigenvectors).
+
+    The mixture is built and diagonalized explicitly, independently of C's eigenvectors.
+    """
+    C = np.asarray(C, dtype=complex)
+    n = C.shape[0]
+    omega, nu = spa_weights(np.linalg.eigh(C)[0])
+    mixed = omega * np.eye(n) / n + (1.0 - omega) * C
+    mvals, mvecs = np.linalg.eigh(mixed)
+    return omega, nu, mixed, mvals, mvecs
+
+
 def reference_snapshot(gen, t, eps):
     """(Choi matrix, eigenvalues, omega, nu, tau, witness, value) of one instant.
 
-    omega, nu, tau, witness and value are None when the SPA minimum is degenerate.
+    tau is the eigenvector of C's least eigenvalue, which is the SPA state's
+    least eigenvector, and the SPA state's two lowest eigenvalues are
+    nu * (vals[1] - vals[0]) apart. omega, nu, tau, witness and value are
+    None when that gap is below 1e-12 (a degenerate SPA minimum).
     """
     d = gen.dim
     phi = np.zeros(d * d, dtype=complex)
     phi[:: d + 1] = 1.0 / np.sqrt(d)
     P = np.outer(phi, phi.conj())
     C = P + eps * dissipator(gen, P, t, d)
-    vals = np.linalg.eigh(C)[0]
-    lam_min = float(vals[0])
-    lam = -lam_min if lam_min < -1e-9 else 0.0
-    n = C.shape[0]
-    a = lam * n
-    omega, nu = a / (a + 1.0), 1.0 / (a + 1.0)
-    mvals, mvecs = np.linalg.eigh(omega * np.eye(n) / n + (1.0 - omega) * C)
-    if mvals[1] - mvals[0] < 1e-12:
+    vals, vecs = np.linalg.eigh(C)
+    omega, nu = spa_weights(vals)
+    if nu * (vals[1] - vals[0]) < 1e-12:
         return C, vals, None, None, None, None, None
-    tau = np.array(mvecs[:, 0])
+    tau = np.array(vecs[:, 0])
     X = np.outer(tau, tau.conj())
     W = nu * (X + eps * dissipator(gen, X, t, d))
     value = float(np.real(nu * np.vdot(tau, C @ tau)))

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import nmwit
+from nmwit.cli import main
 from nmwit.errors import EmptyGrid
 from nmwit.kernel import BELL_PHI_PLUS
+from nmwit.witness import witness_scan
 
 from oracles import bell_choi, bell_weights, rand_unitary, tensor
 
@@ -33,19 +35,29 @@ def test_choi_state_is_built_once_per_map():
     assert nmwit.choi_of(fresh).matrix.tobytes() == c.matrix.tobytes()
 
 
-def test_each_choi_state_is_diagonalized_once(monkeypatch):
-    # The verdict, trace-norm excess included, is read from the spectrum that
-    # checked_spectrum keeps: one stacked eigh per grid, one per snapshot.
+def test_each_choi_state_is_diagonalized_once(monkeypatch, capsys):
+    # The verdict, trace-norm excess included, the SPA weights and the witness
+    # eigenvector are read from the spectrum that checked_spectrum keeps: one
+    # stacked eigh per grid, one per snapshot.
     calls = []
     for name in ("eigh", "eigvalsh"):
         solve = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda M, _n=name, _s=solve: calls.append(_n) or _s(M))
     gen = nmwit.eternal_depolarizer()
-    assert len(nmwit.scan(gen, np.linspace(0.1, 2.0, 40), EPS)) == 40
-    assert calls == ["eigh"]
-    calls.clear()
-    nmwit.classify(nmwit.choi_of(_map(gen, t=1.0)))
-    assert calls == ["eigh"]
+    grid = np.linspace(0.1, 2.0, 40)
+    m, n = _map(gen, t=1.0), _map(gen, t=1.0)
+    runs = (
+        lambda: nmwit.scan(gen, grid, EPS),
+        lambda: witness_scan(gen, grid, EPS),
+        lambda: main(["spa", "--t-start", "0.1", "--t-stop", "2", "--t-steps", "40"]),
+        lambda: nmwit.classify(nmwit.choi_of(m)),
+        lambda: (nmwit.choi_of(n), nmwit.build_witness(n)),
+    )
+    for run in runs:
+        calls.clear()
+        run()
+        assert calls == ["eigh"]
+    assert len(capsys.readouterr().out.splitlines()) == 9 + 1 + 40  # the spa run's echo, columns, rows
 
 
 def test_negative_dephasing_choi_spectrum_and_eigenvector():

@@ -40,6 +40,10 @@ def matrices(n):
     return arrays(n, n)
 
 
+# Matrix or vector arguments that are a string or ragged.
+malformed = st.sampled_from(("x", [[1, 2], [3]]))
+
+
 def hermitian(n):
     return matrices(n).map(lambda a: a / 2 + a.conj().T / 2)
 
@@ -104,8 +108,11 @@ CALLS = {
     "scan": (lambda g, grid, eps, tol: nmwit.scan(generator(*g), grid, eps, tol),
              st.tuples(generators(), st.one_of(st.lists(number, max_size=5, unique=True).map(sorted),
                                                st.lists(number, max_size=5)), positive, positive)),
-    "choi_state": (nmwit.choi_state, st.tuples(st.one_of(states(4), matrices(4), states(3)),
+    "choi_state": (nmwit.choi_state, st.tuples(st.one_of(states(4), matrices(4), states(3), malformed),
                                                number, number)),
+    "eig_hermitian": (nmwit.eig_hermitian, st.tuples(st.one_of(
+        hermitian(4), matrices(2), arrays(2, 3), arrays(3), malformed))),
+    "projector": (nmwit.projector, st.tuples(st.one_of(arrays(4), arrays(1), malformed))),
     "MapFamilyPoint": (nmwit.MapFamilyPoint, gammas),
     "werner": (nmwit.werner, st.tuples(st.one_of(number, st.floats(0.0, 1.0)))),
     "werner_threshold": (
@@ -137,13 +144,14 @@ CALLS = {
         hermitian(4), matrices(2), arrays(2, 3), arrays(3), arrays(2, 2, 2),
         st.sampled_from(("x", None, [[1, 2], [3]], np.full((2, 2), math.nan)))))),
     "adjoint_identity_residual": (nmwit.adjoint_identity_residual, st.tuples(
-        st.one_of(hermitian(2), matrices(2), matrices(3)), arrays(4), states(4), number)),
+        st.one_of(hermitian(2), matrices(2), matrices(3), malformed), st.one_of(arrays(4), malformed),
+        st.one_of(states(4), malformed), number)),
     "adjoint_identity_max_residual": (nmwit.adjoint_identity_max_residual, st.tuples(
         st.integers(-1, 3), st.integers(-2, 2**32))),
 }
 
 
-@settings(max_examples=420, deadline=timedelta(seconds=3), derandomize=True,
+@settings(max_examples=470, deadline=timedelta(seconds=3), derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_public_functions_return_or_raise_an_nmwit_error_without_warnings(data):

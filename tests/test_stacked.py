@@ -15,9 +15,9 @@ import nmwit
 from nmwit.choi import choi_grid, grid_pass
 from nmwit.errors import DegenerateMinimum, EmptyGrid, UnorderedGrid
 from nmwit.spa import spa_grid
-from nmwit.witness import witness_grid, witness_scan, witness_values
+from nmwit.witness import witness_scan, witness_values
 
-from oracles import reference_snapshot
+from oracles import reference_snapshot, spa_mixture
 
 _value = st.floats(-1.0, 1.0)
 
@@ -58,7 +58,7 @@ def _same_bits(a, b):
 @given(gen=generators(), grid=grids, eps=epsilons)
 def test_stacked_pass_matches_per_instant_reference(gen, grid, eps):
     refs = [reference_snapshot(gen, t, eps) for t in grid]
-    c, matrices, spectrum = choi_grid(gen, grid, eps)
+    _, matrices, spectrum = choi_grid(gen, grid, eps)
     for k, (C, vals, *_) in enumerate(refs):
         assert _same_bits(matrices[k], C)
         assert _same_bits(spectrum.eigenvalues[k], vals)
@@ -69,9 +69,7 @@ def test_stacked_pass_matches_per_instant_reference(gen, grid, eps):
             witness_scan(gen, grid, eps)
     if first == 0:
         return
-    n = slice(first)
-    omega, nu, tau, witnesses = witness_grid(
-        gen, grid[n], eps, c[n], matrices[n], spectrum.eigenvalues[n])
+    _, omega, nu, tau, witnesses = witness_scan(gen, grid[:first], eps)
     values = witness_values(nu, tau, matrices)
     for k in range(first):
         _, _, ref_omega, ref_nu, ref_tau, ref_W, ref_value = refs[k]
@@ -85,6 +83,36 @@ def test_stacked_pass_matches_per_instant_reference(gen, grid, eps):
         assert _same_bits(choi.matrix, matrices[k])
         assert _same_bits(W.matrix, witnesses[k])
         assert nmwit.evaluate(W, choi) == values[k]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(gen=generators(), grid=grids, eps=epsilons)
+def test_spa_spectrum_and_tau_match_the_diagonalized_mixture(gen, grid, eps):
+    # The SPA mixture built and diagonalized on its own (oracles.spa_mixture)
+    # checks what the package reads off the Choi eigendecomposition.
+    for t in grid:
+        m = nmwit.small_time_map(gen, t, eps)
+        choi = nmwit.choi_of(m)
+        if choi.spectrum.eigenvalues[0] >= -1e-9:
+            continue
+        dec = nmwit.optimal_decomposition(choi)
+        omega, nu, mixed, mvals, mvecs = spa_mixture(choi.matrix)
+        assert (dec.omega, dec.nu) == (omega, nu)
+        spa = dec.spa_choi
+        assert np.abs(spa.spectrum.eigenvalues - np.linalg.eigvalsh(spa.matrix)).max() <= 1e-14
+        assert np.abs(spa.spectrum.eigenvalues - mvals).max() <= 1e-14
+        V = spa.spectrum.eigenvectors
+        assert np.abs(V.conj().T @ spa.matrix @ V - np.diag(spa.spectrum.eigenvalues)).max() <= 1e-14
+        try:
+            tau = nmwit.build_witness(m).tau
+        except DegenerateMinimum:
+            continue
+        mu = np.vdot(tau, mixed @ tau).real
+        assert abs(np.linalg.norm(tau) - 1.0) <= 1e-12
+        assert abs(mu) <= 1e-12
+        assert np.linalg.norm(mixed @ tau - mu * tau) <= 1e-12
+        if mvals[1] - mvals[0] > 1e-6:  # then the explicit eigenvector is tau up to a phase
+            assert 1.0 - abs(np.vdot(mvecs[:, 0], tau)) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -117,7 +145,7 @@ def test_witness_sign_on_indivisible_and_cp_snapshots(gen, t, eps, cp_rates, cp_
 def test_every_grid_pass_rejects_an_empty_or_unordered_grid(grid, error):
     # The time-grid rule is checked_grid's, whichever stage runs over the grid.
     gen, eps = nmwit.eternal_depolarizer(), 0.01
-    spa_stage = lambda times, c, matrices, eigenvalues: spa_grid(matrices, eigenvalues)[:3]
+    spa_stage = lambda times, c, matrices, eigenvalues, tau: spa_grid(eigenvalues)
     for run in (lambda: witness_scan(gen, grid, eps), lambda: grid_pass(gen, grid, eps, spa_stage),
                 lambda: nmwit.scan(gen, grid, eps)):
         with pytest.raises(error, match=r"^t_grid (is empty|must be strictly ascending)$"):

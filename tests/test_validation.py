@@ -61,6 +61,8 @@ def _one_jump(matrix):
         lambda: nmwit.trace_norm(np.full((2, 2), NAN)),
         lambda: nmwit.trace_norm(np.full((2, 2), 1e308)),
         lambda: nmwit.extend_and_apply(_SNAPSHOT, np.full((4, 4), 1e308)),
+        lambda: nmwit.projector([NAN, 0.0]),
+        lambda: nmwit.projector([1e200, 1.0]),
     ],
     ids=[
         "resolution=0", "resolution=-1", "resolution=nan", "resolution=inf",
@@ -71,6 +73,7 @@ def _one_jump(matrix):
         "jump-inf", "jump-nan", "jump-1e308",
         "state-nan", "state-inf", "seed=-1",
         "trace-norm-nan", "trace-norm-overflow", "extend-overflow",
+        "projector-nan", "projector-overflow",
     ],
 )
 def test_bad_numeric_input_raises_parameter_out_of_range(build):
@@ -110,9 +113,21 @@ def test_numpy_scalars_are_shown_as_python_floats(build, shown):
         lambda: nmwit.extend_and_apply(_SNAPSHOT, "x"),
         lambda: nmwit.extend_and_apply(_SNAPSHOT, [[1, 2], [3]]),
         lambda: nmwit.detect_entanglement("x", HALF),
+        lambda: nmwit.trace_norm(np.zeros((0, 0))),
+        lambda: nmwit.eig_hermitian(np.zeros((0, 0))),
+        lambda: nmwit.choi_state(np.zeros((0, 0)), 0.0, 0.01),
+        *(call for X in ("x", [[1, 2], [3]]) for call in (
+            lambda X=X: nmwit.choi_state(X, 0.0, 0.01),
+            lambda X=X: nmwit.eig_hermitian(X),
+            lambda X=X: nmwit.projector(X),
+            lambda X=X: nmwit.adjoint_identity_residual(X, np.ones(4), np.eye(4) / 4, 0.5),
+            lambda X=X: nmwit.adjoint_identity_residual(nmwit.SIGMA_Z, X, np.eye(4) / 4, 0.5),
+            lambda X=X: nmwit.adjoint_identity_residual(nmwit.SIGMA_Z, np.ones(4), X, 0.5))),
     ],
     ids=["trace-norm-vector", "trace-norm-stack", "trace-norm-string", "extend-string",
-         "extend-ragged", "detect-string"],
+         "extend-ragged", "detect-string", "trace-norm-empty", "eig-hermitian-empty", "choi-state-empty",
+         *(f"{call}-{kind}" for kind in ("string", "ragged") for call in (
+             "choi-state", "eig-hermitian", "projector", "adjoint-G", "adjoint-alpha", "adjoint-rho"))],
 )
 def test_input_that_is_not_a_numeric_matrix_raises_dimension_mismatch(build):
     # Each escaped as a LinAlgError or ValueError, or (a stack given to

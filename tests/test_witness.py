@@ -20,8 +20,8 @@ def _eternal_map(t):
 
 
 def test_witness_reuses_the_maps_choi_state(monkeypatch):
-    # One eigh for the Choi state, one for the SPA mixture; the Choi state is
-    # not diagonalized a second time by build_witness.
+    # One eigh for the Choi state; build_witness reads the SPA weights and tau
+    # off it and diagonalizes nothing.
     calls = []
     eigh = np.linalg.eigh
 
@@ -33,7 +33,7 @@ def test_witness_reuses_the_maps_choi_state(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting)
     choi = nmwit.choi_of(m)
     W = nmwit.build_witness(m)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert nmwit.evaluate(W, choi) < 0
 
 
