@@ -119,11 +119,18 @@ class DivisibilityVerdict:
     tolerance: float
 
 
+def divisibility_grid(eigenvalues: np.ndarray, tolerance: float):
+    """(minimum eigenvalues, trace-norm excesses, markovian flags), as lists, of a stack of
+    checked Choi states from their ascending eigenvalues."""
+    lam = eigenvalues[:, 0].tolist()
+    excess = (np.abs(eigenvalues).sum(axis=1) - 1.0).tolist()
+    return lam, excess, [x >= -tolerance for x in lam]
+
+
 def verdicts(eigenvalues: np.ndarray, tolerance: float) -> list:
     """DivisibilityVerdict of each of a stack of checked Choi states, from their ascending eigenvalues."""
-    excess = np.abs(eigenvalues).sum(axis=1) - 1.0
-    return [DivisibilityVerdict(lam, ex, lam >= -tolerance, tolerance)
-            for lam, ex in zip(eigenvalues[:, 0].tolist(), excess.tolist())]
+    return [DivisibilityVerdict(lam, excess, markovian, tolerance)
+            for lam, excess, markovian in zip(*divisibility_grid(eigenvalues, tolerance))]
 
 
 def classify(choi: ChoiState, tolerance: float = 1e-9) -> DivisibilityVerdict:

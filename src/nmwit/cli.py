@@ -22,6 +22,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -99,6 +100,27 @@ def _fmt(v) -> str:
     return str(v)
 
 
+# The %-format of a CSV cell of each type that it writes as _fmt does: floats
+# at 12 significant digits, ints and strings as str() prints them.
+_CELL = {float: "%.12g", int: "%s", str: "%s"}
+
+
+@functools.cache
+def _row_format(types: tuple) -> tuple[str, tuple[int, ...]]:
+    """The %-template of a CSV row with these cell types, and the cells that go through _fmt."""
+    return (",".join(_CELL.get(t, "%s") for t in types),
+            tuple(k for k, t in enumerate(types) if t not in _CELL))
+
+
+def _csv_row(row) -> str:
+    template, via_fmt = _row_format(tuple(map(type, row)))
+    if via_fmt:
+        row = list(row)
+        for k in via_fmt:
+            row[k] = _fmt(row[k])
+    return template % tuple(row)
+
+
 def _round12(v):
     """Round floats to 12 significant digits for JSON emission."""
     if isinstance(v, bool) or v is None:
@@ -112,8 +134,12 @@ def _round12(v):
     return v
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser; an option that is not given is absent from its namespace."""
+    """The command-line parser, built once, on first use.
+
+    An option that is not given is absent from the namespace it returns.
+    """
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     for flag, spec in (_CONFIG, *_COMMON):
         common.add_argument(flag, **spec)
@@ -276,7 +302,7 @@ def _emit(cfg: argparse.Namespace, columns: list[str], rows: list[list]) -> None
     if cfg.format == "csv":
         lines = [f"# {k} = {_fmt(v)}" for k, v in cfg.echo]
         lines.append(",".join(columns))
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        lines.extend(map(_csv_row, rows))
         text = "\n".join(lines) + "\n"
     else:
         payload = {
@@ -293,10 +319,10 @@ def _emit(cfg: argparse.Namespace, columns: list[str], rows: list[list]) -> None
 
 
 def cmd_divisibility(cfg: argparse.Namespace) -> int:
-    results = choi.scan(cfg.generator, cfg.t_grid, cfg.epsilon, cfg.tolerance)
-    rows = [
-        [t, v.minimum_eigenvalue, v.trace_norm_excess, v.markovian] for t, v in results
-    ]
+    lam, excess, markovian = choi.grid_pass(
+        cfg.generator, cfg.t_grid, cfg.epsilon,
+        lambda times, c, matrices, lam, tau: choi.divisibility_grid(lam, cfg.tolerance))
+    rows = list(zip(cfg.t_grid, lam, excess, markovian))
     _emit(cfg, ["t", "lambda_min", "trace_norm_excess", "markovian"], rows)
     return EXIT_OK
 

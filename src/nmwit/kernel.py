@@ -62,9 +62,13 @@ def dag(M: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(M: np.ndarray) -> bool:
-    M = np.asarray(M)
+    """Whether M is square and equals its conjugate transpose within TOL_HERM.
+
+    Raises DimensionMismatch unless M is a nonempty numeric matrix.
+    """
+    M = as_matrix(M)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing difference is not < TOL_HERM
-        return M.ndim == 2 and M.shape[0] == M.shape[1] and np.abs(M - dag(M)).max() < TOL_HERM
+        return M.shape[0] == M.shape[1] and np.abs(M - dag(M)).max() < TOL_HERM
 
 
 def max_entangled(d: int) -> np.ndarray:

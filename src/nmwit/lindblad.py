@@ -8,12 +8,20 @@ and the snapshot map over a short step is kept in first-order form
 N = id + epsilon * L_t, never exponentiated: the threshold formulas downstream
 are exact for the first-order map and only approximate for exp(epsilon L).
 
-A generator is compiled once, at construction: per term, E = I_d (x) L, E^dag
-and K = I_d (x) L^dag L (formed as np.kron forms them, without the call), and
-the Choi image B_a = E P E^dag - (K P + P K)/2 with P = |phi+><phi+|, one
-read-only array per d. A grid of instants is then one stack: coefficients()
-gives the rows c_a(t), the Choi states are P + epsilon * sum_a c_a(t) B_a, and
-extend() applies id (x) N to a stack; single instants are the one-row case.
+A generator is compiled once, at construction, into two read-only stacks over
+its terms. The first holds each term's Liouville superoperator
+
+    S_a = L_a (x) conj(L_a) - (K_a (x) I + I (x) K_a^T) / 2,   K_a = L_a^dag L_a,
+
+which acts on a row-major vec(rho) (Havel, J. Math. Phys. 44, 534, 2003;
+Wood, Biamonte & Cory, QIC 15, 759, 2015). The second holds each term's Choi
+image B_a = E P E^dag - (K P + P K)/2, formed by these matrix products, with
+E = I_d (x) L_a, K = I_d (x) K_a and P = |phi+><phi+|, one read-only array
+per d. A grid of instants is then one stack: coefficients() gives the rows
+c_a(t), the Choi states are P + epsilon * sum_a c_a(t) B_a, and extend()
+applies id (x) N to a stack as one contraction S(t) = sum_a c_a(t) S_a and one
+batched matmul on the reshuffled stack, X[(i,a),(j,b)] -> X[(i,j),(a,b)];
+single instants are the one-row case.
 
 Generators and maps are immutable in value; a map only keeps the Choi state
 choi.choi_of builds for it (threads racing on a fresh map build the same
@@ -32,7 +40,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, MalformedDescription, NmwitError, NonPositiveEpsilon,
                      ParameterOutOfRange)
-from .kernel import (PAULI_BY_NAME, SIGMA_X, SIGMA_Y, SIGMA_Z, as_matrix, dag, frozen, max_entangled,
+from .kernel import (PAULI_BY_NAME, SIGMA_X, SIGMA_Y, SIGMA_Z, as_matrix, frozen, max_entangled,
                      projector)
 
 _KINDS = ("constant", "eternal_tanh", "tabulated", "callable")
@@ -118,39 +126,57 @@ def _as_coefficient(c) -> CoefficientModel:
 class LindbladGenerator:
     """Diagonal-form generator on dim >= 1: at most dim^2 (coefficient, jump) terms; equal only to itself.
 
-    extended (E, E^dag, K per term) and choi_images are compiled from the
-    terms (module docstring); ParameterOutOfRange if any is not finite.
+    superoperators (S_a) and choi_images (B_a) are stacks of d^2 x d^2
+    matrices, one per term, compiled from the terms (module docstring);
+    ParameterOutOfRange if any is not finite.
     """
 
     dim: int
     terms: tuple[tuple[CoefficientModel, np.ndarray], ...]
     label: str = "custom"
-    extended: tuple = field(init=False, repr=False, compare=False)
-    choi_images: tuple = field(init=False, repr=False, compare=False)
+    superoperators: np.ndarray = field(init=False, repr=False, compare=False)
+    choi_images: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
             raise MalformedDescription(f"generator dim must be an integer >= 1, got {self.dim!r}")
-        if len(self.terms) > self.dim**2:
-            raise MalformedDescription(f"{len(self.terms)} terms exceed dim^2 = {self.dim ** 2}")
+        d, n, T = self.dim, self.dim**2, len(self.terms)
+        if T > n:
+            raise MalformedDescription(f"{T} terms exceed dim^2 = {n}")
+        P = _choi_input(d)
+        # Left factors (I, I, L, K) and right factors (L, K, conj(L), I) of every term, K = L^dag L.
+        A, B = np.empty((4, T, d, d), dtype=complex), np.empty((4, T, d, d), dtype=complex)
+        L, K = A[2:]
         checked = []
-        for coef, jump in self.terms:
+        for a, (coef, jump) in enumerate(self.terms):
             jump = frozen(jump)
-            if jump.shape != (self.dim, self.dim):
-                raise DimensionMismatch(
-                    f"jump operator shape {jump.shape} does not match dim {self.dim}"
-                )
+            if jump.shape != (d, d):
+                raise DimensionMismatch(f"jump operator shape {jump.shape} does not match dim {d}")
             checked.append((_as_coefficient(coef), jump))
+            L[a] = jump
         object.__setattr__(self, "terms", tuple(checked))
-        extended = []
+        compiled = np.empty((2, T, n, n), dtype=complex)  # (S_a, B_a) of every term
         with np.errstate(all="ignore"):  # overflow is reported below, as ParameterOutOfRange
-            for _, L in checked:
-                E = _identity_kron(self.dim, L)
-                extended.append((E, dag(E), _identity_kron(self.dim, dag(L) @ L)))
-            images = tuple(_images(extended, _choi_input(self.dim)))
-        if not np.isfinite([*(K for *_, K in extended), *images]).all():  # K is finite only if L is
+            A[:2] = B[3] = np.eye(d)
+            np.conjugate(L, out=B[2])
+            np.matmul(B[2].swapaxes(1, 2), L, out=K)
+            B[:2] = A[2:]
+            # E = I (x) L, I (x) K, L (x) conj(L) and K (x) I; I (x) K^T is the transpose of I (x) K.
+            AB = _kron(A, B).reshape(4, T, n, n)
+            E, IK, LL, half = AB
+            half += IK.swapaxes(1, 2)
+            half /= 2
+            np.subtract(LL, half, out=compiled[0])  # S_a
+            EP, sym = AB[:2] @ P
+            np.matmul(EP, E.conj().swapaxes(1, 2), out=compiled[1])
+            sym += P @ IK
+            sym *= 0.5
+            compiled[1] -= sym  # B_a = E P E^dag - ((I (x) K) P + P (I (x) K))/2
+        if not np.isfinite(compiled).all():
             raise ParameterOutOfRange("jump operators and their compiled images must be finite")
-        object.__setattr__(self, "extended", tuple(extended))
+        compiled.setflags(write=False)
+        S, images = compiled
+        object.__setattr__(self, "superoperators", S)
         object.__setattr__(self, "choi_images", images)
 
 
@@ -181,9 +207,10 @@ def eternal_depolarizer() -> LindbladGenerator:
     return gen
 
 
-def _identity_kron(d: int, M: np.ndarray) -> np.ndarray:
-    """I_d (x) M, bit for bit the product np.kron(np.eye(d), M) forms."""
-    return (np.eye(d)[:, None, :, None] * M[None, :, None, :]).reshape(d * d, d * d)
+def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A (x) B for each matrix of a stack of terms, bit for bit the product np.kron forms."""
+    d = A.shape[-1]
+    return (A[..., :, None, :, None] * B[..., None, :, None, :]).reshape(-1, d * d, d * d)
 
 
 @functools.cache
@@ -194,46 +221,52 @@ def _choi_input(d: int) -> np.ndarray:
     return P
 
 
-def _images(triples, X: np.ndarray, c: np.ndarray | None = None):
-    """Each term's E X E^dag - (K X + X K)/2 for a matrix or stack X, times c[..., a] if given."""
-    for a, (E, E_dag, K) in enumerate(triples):
-        image, sym = E @ X @ E_dag, K @ X
-        sym += X @ K
-        sym *= 0.5
-        image -= sym
-        if c is not None:
-            image *= c[..., a, None, None]
-        yield image
-
-
-def _sum(terms, X: np.ndarray, epsilon: float) -> np.ndarray:
-    """X + epsilon * sum, with the terms added to zero in term order."""
-    out = np.zeros(X.shape, dtype=complex)
-    for term in terms:
-        out += term
-    out *= epsilon
-    out += X
-    return out
+def _reshuffle(X: np.ndarray, d: int) -> np.ndarray:
+    """X[(i,a),(j,b)] -> X[(i,j),(a,b)] on the last two axes of a matrix or stack; its own inverse."""
+    return X.reshape(*X.shape[:-2], d, d, d, d).swapaxes(-3, -2).reshape(X.shape)
 
 
 def coefficients(gen: LindbladGenerator, times) -> np.ndarray:
-    """c_a(t) of each term (columns) at each instant (rows), evaluated in grid order."""
-    return np.array([[coef(t) for coef, _ in gen.terms] for t in times], dtype=float)
+    """c_a(t) of each term (columns) at each instant (rows), one term's column at a time.
+
+    A tabulated or callable column stops at its first failing instant;
+    choi.grid_pass replays a failing grid to report the failure in grid order.
+    """
+    c = np.empty((len(times), len(gen.terms)))
+    for a, (coef, _) in enumerate(gen.terms):
+        if coef.kind == "constant":
+            c[:, a] = coef.value
+        elif coef.kind == "eternal_tanh":
+            c[:, a] = [coef.scale * math.tanh(t) for t in times]
+        else:
+            c[:, a] = [coef(t) for t in times]
+    return c
 
 
 def choi_matrices(gen: LindbladGenerator, c: np.ndarray, epsilon: float) -> np.ndarray:
-    """Snapshot Choi matrices P + epsilon * sum_a c[:, a] B_a for coefficient rows c, read-only."""
-    P = np.broadcast_to(_choi_input(gen.dim), (len(c),) + (gen.dim**2,) * 2)
-    matrices = _sum((c[:, a, None, None] * B for a, B in enumerate(gen.choi_images)), P, epsilon)
+    """Snapshot Choi matrices P + epsilon * sum_a c[:, a] B_a for coefficient rows c, read-only.
+
+    The terms are summed in term order, as a loop over them adds them.
+    """
+    matrices = (c.T[:, :, None, None] * gen.choi_images[:, None]).sum(axis=0)
+    matrices *= epsilon
+    matrices += _choi_input(gen.dim)
     matrices.setflags(write=False)
     return matrices
 
 
 def extend(gen: LindbladGenerator, c: np.ndarray, epsilon: float, X: np.ndarray) -> np.ndarray:
-    """X + epsilon * (id (x) L)(X) for coefficient rows c and one matrix or a stack X."""
-    if X.shape[:-2] != np.shape(c)[:-1]:  # one X for several rows: broadcast, as _sum writes X.shape
-        X = np.broadcast_to(X, np.broadcast_shapes(X.shape, np.shape(c)[:-1] + (1, 1)))
-    return _sum(_images(gen.extended, X, c), X, epsilon)
+    """X + epsilon * (id (x) L)(X) for coefficient rows c and one matrix or a stack X.
+
+    Each row's S(t) = c(t) S is its own vector-matrix product, so a row gives
+    the same bits alone as in a stack.
+    """
+    n = gen.dim**2
+    S = (c[..., None, :] @ gen.superoperators.reshape(-1, n * n)).reshape(*c.shape[:-1], n, n)
+    image = _reshuffle(_reshuffle(X, gen.dim) @ S.swapaxes(-1, -2), gen.dim)
+    image *= epsilon
+    image += X
+    return image
 
 
 def finite_image(gen: LindbladGenerator, c: np.ndarray, epsilon: float, X: np.ndarray) -> np.ndarray:

@@ -15,7 +15,13 @@ pipeline that the package's stacked pass must reproduce bit for bit: the
 Lindblad term loop with a Kronecker product per term and call, and one
 eigensolve per matrix. spa_mixture builds and diagonalizes the SPA mixture
 explicitly, the second eigensolve that the package reads off the Choi
-eigendecomposition instead.
+eigendecomposition instead. The witness matrices it builds agree with the
+package's to rounding only: the package sums the terms of id (x) L_t through
+one compiled superoperator per term.
+
+loop_coefficients and loop_witness_values are the per-instant forms of the
+package's column-wise coefficients and stacked witness values, which must
+reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -379,3 +385,16 @@ def reference_snapshot(gen, t, eps):
     W = nu * (X + eps * dissipator(gen, X, t, d))
     value = float(np.real(nu * np.vdot(tau, C @ tau)))
     return C, vals, omega, nu, tau, W, value
+
+
+# ---------------------------------------------------------------------------
+# Per-instant forms of the package's stacked helpers
+
+def loop_coefficients(gen, times):
+    """c_a(t) of each term (columns) at each instant (rows), one coefficient call per entry."""
+    return np.array([[coef(t) for coef, _ in gen.terms] for t in times], dtype=float)
+
+
+def loop_witness_values(nu, tau, matrices):
+    """nu * <tau| C |tau> of each instant, one np.vdot each."""
+    return [float(np.real(n * np.vdot(v, C @ v))) for n, v, C in zip(nu.tolist(), tau, matrices)]

@@ -251,6 +251,21 @@ def test_cli_output_matches_golden_files(tmp_path):
             assert (run_dir / exported).read_bytes() == (GOLDEN / exported).read_bytes()
 
 
+def test_in_process_cli_runs_match_golden_files(tmp_path, monkeypatch, capsys):
+    # cli.main called many times in one process, as the benchmark calls it:
+    # every invocation twice, the second round in reverse order, so that the
+    # subcommands interleave over the one parser and the cached row templates.
+    monkeypatch.delenv("NMWIT_SEED", raising=False)
+    for source in (GOLDEN / "custom_generator.json", *GOLDEN.glob("config_*.json")):
+        shutil.copy(source, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for golden, args, exported in [*GOLDEN_INVOCATIONS, *reversed(GOLDEN_INVOCATIONS)]:
+        assert cli.main(list(args)) == 0, golden
+        assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes(), golden
+        if exported:
+            assert (tmp_path / exported).read_bytes() == (GOLDEN / exported).read_bytes(), exported
+
+
 def test_full_phase_scan_matches_golden_file(tmp_path):
     # The 61x101 grid at 10k samples, as the benchmark and the README run it,
     # in-process; the small scan above covers only 7x11 points.

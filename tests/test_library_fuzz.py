@@ -113,6 +113,8 @@ CALLS = {
     "eig_hermitian": (nmwit.eig_hermitian, st.tuples(st.one_of(
         hermitian(4), matrices(2), arrays(2, 3), arrays(3), malformed))),
     "projector": (nmwit.projector, st.tuples(st.one_of(arrays(4), arrays(1), malformed))),
+    "is_hermitian": (nmwit.is_hermitian, st.tuples(st.one_of(
+        hermitian(4), matrices(2), arrays(2, 3), arrays(3), arrays(0, 0), malformed))),
     "MapFamilyPoint": (nmwit.MapFamilyPoint, gammas),
     "werner": (nmwit.werner, st.tuples(st.one_of(number, st.floats(0.0, 1.0)))),
     "werner_threshold": (
@@ -151,7 +153,7 @@ CALLS = {
 }
 
 
-@settings(max_examples=470, deadline=timedelta(seconds=3), derandomize=True,
+@settings(max_examples=490, deadline=timedelta(seconds=3), derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_public_functions_return_or_raise_an_nmwit_error_without_warnings(data):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import nmwit
 from nmwit.errors import DimensionMismatch, NonPositiveEpsilon, ParameterOutOfRange
 from nmwit.kernel import BELL_PHI_PLUS
-from nmwit.lindblad import _choi_input
+from nmwit.lindblad import _choi_input, choi_matrices, extend
 
 from oracles import (
     apply_generator,
@@ -81,15 +81,42 @@ def jump_sets(draw):
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(jump_sets())
-def test_compiled_terms_are_the_kronecker_products_bit_for_bit(dim_jumps):
+def test_compiled_superoperators_and_choi_images_bit_for_bit(dim_jumps):
+    # S_a is the Kronecker form of the term's Liouville superoperator, and B_a
+    # the term's Choi image E P E^dag - (K P + P K)/2 with E = I (x) L and
+    # K = I (x) L^dag L, each formed as np.kron and the matrix products form it.
     d, jumps = dim_jumps
     gen = nmwit.LindbladGenerator(dim=d, terms=tuple((1.0, L) for L in jumps))
-    eye = np.eye(d)
-    for (E, E_dag, K), L in zip(gen.extended, jumps):
-        E_ref = np.kron(eye, L)
-        assert E.tobytes() == E_ref.tobytes()
-        assert E_dag.tobytes() == E_ref.conj().T.tobytes()
-        assert K.tobytes() == np.kron(eye, L.conj().T @ L).tobytes()
+    eye, P = np.eye(d), _choi_input(d)
+    assert gen.superoperators.shape == gen.choi_images.shape == (len(jumps), d * d, d * d)
+    assert not (gen.superoperators.flags.writeable or gen.choi_images.flags.writeable)
+    for S, B, L in zip(gen.superoperators, gen.choi_images, jumps):
+        K = L.conj().T @ L
+        assert S.tobytes() == (np.kron(L, L.conj()) - (np.kron(K, eye) + np.kron(eye, K.T)) / 2).tobytes()
+        E, IK = np.kron(eye, L), np.kron(eye, K)
+        assert B.tobytes() == (E @ P @ E.conj().T - (IK @ P + P @ IK) / 2).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(jump_sets(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_stacked_choi_matrices_and_extensions_are_the_per_row_results(dim_jumps, k, seed):
+    # The Choi matrices add the terms in term order, as a loop over the terms
+    # does, and each row of a stacked extension has the bits of that row alone.
+    d, jumps = dim_jumps
+    gen = nmwit.LindbladGenerator(dim=d, terms=tuple((1.0, L) for L in jumps))
+    rng = np.random.default_rng(seed)
+    c, eps = rng.uniform(-1.0, 1.0, (k, len(jumps))), 0.01
+    loop = np.zeros((k, d * d, d * d), dtype=complex)
+    for a, B in enumerate(gen.choi_images):
+        loop += c[:, a, None, None] * B
+    loop *= eps
+    loop += _choi_input(d)
+    assert choi_matrices(gen, c, eps).tobytes() == loop.tobytes()
+    X = np.stack([rand_hermitian(rng, d * d) for _ in range(k)])
+    stacked, shared = extend(gen, c, eps, X), extend(gen, c, eps, X[0])
+    for row in range(k):
+        assert extend(gen, c[row], eps, X[row]).tobytes() == stacked[row].tobytes()
+        assert extend(gen, c[row], eps, X[0]).tobytes() == shared[row].tobytes()
 
 
 def test_choi_input_is_one_read_only_array_per_dimension():

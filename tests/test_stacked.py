@@ -3,7 +3,8 @@
 A generator's time grid runs as one stacked Choi -> SPA -> witness pass; the
 reference in oracles.reference_snapshot builds each instant alone, with a
 Kronecker product per term and call and one eigensolve per matrix. The two
-must agree bit for bit.
+must agree bit for bit, except the witness matrices, which the package forms
+with one compiled superoperator per term and which agree to rounding.
 """
 
 import numpy as np
@@ -75,7 +76,9 @@ def test_stacked_pass_matches_per_instant_reference(gen, grid, eps):
         _, _, ref_omega, ref_nu, ref_tau, ref_W, ref_value = refs[k]
         assert (omega[k], nu[k], values[k]) == (ref_omega, ref_nu, ref_value)
         assert _same_bits(tau[k], ref_tau)
-        assert _same_bits(witnesses[k], ref_W)
+        # The package applies the summed superoperator sum_a c_a S_a where the
+        # reference sums each term's image, so the witness matrix agrees to rounding only.
+        assert np.abs(witnesses[k] - ref_W).max() <= 4 * np.finfo(float).eps * np.abs(ref_W).max()
         # The public one-instant functions are the same pass on a one-instant stack.
         m = nmwit.small_time_map(gen, grid[k], eps)
         choi = nmwit.choi_of(m)

@@ -116,9 +116,11 @@ def test_numpy_scalars_are_shown_as_python_floats(build, shown):
         lambda: nmwit.trace_norm(np.zeros((0, 0))),
         lambda: nmwit.eig_hermitian(np.zeros((0, 0))),
         lambda: nmwit.choi_state(np.zeros((0, 0)), 0.0, 0.01),
+        lambda: nmwit.is_hermitian(np.zeros((0, 0))),
         *(call for X in ("x", [[1, 2], [3]]) for call in (
             lambda X=X: nmwit.choi_state(X, 0.0, 0.01),
             lambda X=X: nmwit.eig_hermitian(X),
+            lambda X=X: nmwit.is_hermitian(X),
             lambda X=X: nmwit.projector(X),
             lambda X=X: nmwit.adjoint_identity_residual(X, np.ones(4), np.eye(4) / 4, 0.5),
             lambda X=X: nmwit.adjoint_identity_residual(nmwit.SIGMA_Z, X, np.eye(4) / 4, 0.5),
@@ -126,8 +128,10 @@ def test_numpy_scalars_are_shown_as_python_floats(build, shown):
     ],
     ids=["trace-norm-vector", "trace-norm-stack", "trace-norm-string", "extend-string",
          "extend-ragged", "detect-string", "trace-norm-empty", "eig-hermitian-empty", "choi-state-empty",
+         "is-hermitian-empty",
          *(f"{call}-{kind}" for kind in ("string", "ragged") for call in (
-             "choi-state", "eig-hermitian", "projector", "adjoint-G", "adjoint-alpha", "adjoint-rho"))],
+             "choi-state", "eig-hermitian", "is-hermitian", "projector", "adjoint-G", "adjoint-alpha",
+             "adjoint-rho"))],
 )
 def test_input_that_is_not_a_numeric_matrix_raises_dimension_mismatch(build):
     # Each escaped as a LinAlgError or ValueError, or (a stack given to
@@ -201,3 +205,9 @@ def test_werner_threshold_ends_at_float_spacing():
         point = nmwit.MapFamilyPoint(float(a), float(b))
         assert thr == nmwit.werner_threshold(point, resolution=1e-300)
         assert abs(thr - werner_threshold_closed(a, b)) < 1e-6
+
+
+def test_a_well_formed_non_square_matrix_is_not_hermitian():
+    # Only input that is not a nonempty numeric matrix raises (see above).
+    assert not nmwit.is_hermitian(np.ones((2, 3)))
+    assert not nmwit.is_hermitian([[1.0, 2.0]])

@@ -1,0 +1,140 @@
+"""The vectorized pieces of a time-grid pass against their per-instant forms, bit for bit.
+
+The coefficient rows are filled one term's column at a time, the witness
+values come from two stacked matrix-vector products, and each CSV row is
+written with one %-template per tuple of its cell types. Each must give the
+bits of the per-instant loop it replaces (oracles.loop_coefficients,
+oracles.loop_witness_values, and cli._fmt joined per cell).
+"""
+
+import argparse
+import io
+import math
+import re
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import nmwit
+from nmwit import cli
+from nmwit.choi import grid_pass
+from nmwit.errors import ParameterOutOfRange
+from nmwit.lindblad import coefficients
+from nmwit.witness import witness_scan, witness_values
+
+from oracles import loop_coefficients, loop_witness_values
+
+_value = st.floats(-2.0, 2.0) | st.sampled_from((0.0, -0.0))
+
+
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@st.composite
+def coefficient_models(draw):
+    """One coefficient of each of the four kinds, defined on [0, 5]."""
+    kind = draw(st.sampled_from(("constant", "eternal_tanh", "tabulated", "callable")))
+    if kind == "constant":
+        return nmwit.constant(draw(_value))
+    if kind == "eternal_tanh":
+        return nmwit.eternal_tanh(draw(_value))
+    if kind == "tabulated":
+        inner = draw(st.lists(st.floats(0.1, 4.9), max_size=4, unique=True))
+        times = [0.0, *sorted(inner), 5.0]
+        return nmwit.tabulated(times, [draw(_value) for _ in times])
+    a, b = draw(_value), draw(_value)
+    return nmwit.from_callable(lambda t: a * math.sin(t) + b)
+
+
+grids = st.lists(st.floats(0.0, 5.0), min_size=1, max_size=30, unique=True).map(sorted)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(coefs=st.lists(coefficient_models(), min_size=1, max_size=4), grid=grids)
+def test_coefficients_are_the_per_instant_rows_bit_for_bit(coefs, grid):
+    gen = nmwit.LindbladGenerator(dim=2, terms=tuple((c, nmwit.SIGMA_Z) for c in coefs))
+    c = coefficients(gen, grid)
+    assert c.shape == (len(grid), len(coefs)) and c.dtype == float
+    assert _same_bits(c, loop_coefficients(gen, grid))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40), n=st.sampled_from((1, 4, 9)))
+def test_witness_values_are_the_per_instant_vdots_bit_for_bit(seed, k, n):
+    rng = np.random.default_rng(seed)
+    nu = rng.uniform(0.0, 1.0, k)
+    tau = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
+    A = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+    matrices = A + A.conj().swapaxes(1, 2)
+    values = witness_values(nu, tau, matrices)
+    assert all(type(v) is float for v in values)
+    assert _same_bits(values, loop_witness_values(nu, tau, matrices))
+
+
+@pytest.mark.parametrize("gen, epsilon", [
+    (nmwit.eternal_depolarizer(), 0.0137),
+    (nmwit.load_generator(Path(__file__).parent / "golden" / "custom_generator.json"), 0.02)])
+def test_witness_values_of_a_scan_are_the_per_instant_vdots_bit_for_bit(gen, epsilon):
+    matrices, _, nu, tau, _ = witness_scan(gen, np.linspace(0.05, 4.95, 1000), epsilon)
+    assert _same_bits(witness_values(nu, tau, matrices), loop_witness_values(nu, tau, matrices))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(grid=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=12, unique=True).map(sorted),
+       top=st.floats(1.0, 5.0), fail_from=st.floats(0.0, 6.0))
+def test_a_grid_that_leaves_a_tabulated_domain_fails_at_its_first_failing_instant(grid, top,
+                                                                                 fail_from):
+    # Term 0 is tabulated on [0, top]; term 1, a callable, has no finite value
+    # from fail_from on. The columns are filled term by term, but the error is
+    # that of a loop over the grid: the first failing instant's, term order within it.
+    table = nmwit.tabulated([0.0, top], [1.0, -1.0])
+    late = nmwit.from_callable(lambda t: math.inf if t >= fail_from else t)
+    gen = nmwit.LindbladGenerator(dim=2, terms=((table, nmwit.SIGMA_X), (late, nmwit.SIGMA_Z)))
+    stage = lambda times, c, matrices, lam, tau: len(times)
+    first = next((t for t in grid if t > top or t >= fail_from), None)
+    if first is None:
+        assert grid_pass(gen, grid, 0.01, stage) == len(grid)
+    elif first > top:
+        with pytest.raises(ParameterOutOfRange, match=re.escape(f"t={first:g} outside tabulated")):
+            grid_pass(gen, grid, 0.01, stage)
+    else:
+        with pytest.raises(nmwit.MalformedDescription, match=re.escape(f"value at t={first:g}")):
+            grid_pass(gen, grid, 0.01, stage)
+
+
+# CSV cells: the values _fmt treats apart, ints, strings, bools and None.
+_SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e300, -1e300, 1.0 / 3.0,
+            0.1, 2.0**53, 123456789012.5, 0, -7, 10**20, "eternal", "a b", "", True, False, None)
+_cells = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=True, allow_infinity=True),
+                   st.integers(-10**6, 10**6), st.text(alphabet="abc%s_ ", max_size=4))
+
+
+def _emitted_rows(rows):
+    """The data lines that _emit writes to stdout for rows, as CSV."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._emit(argparse.Namespace(format="csv", echo=[("command", "test")], output=None),
+                  ["column"], rows)
+    return out.getvalue().split("\n")[2:-1]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 4).flatmap(
+    lambda width: st.lists(st.lists(_cells, min_size=width, max_size=width), min_size=1,
+                           max_size=8)))
+def test_csv_rows_are_the_fmt_join_of_their_cells(rows):
+    assert _emitted_rows(rows) == [",".join(map(cli._fmt, row)) for row in rows]
+
+
+def test_csv_rows_with_a_column_of_none_and_floats_are_the_fmt_join():
+    # As the phase scan's werner_threshold column: None where no Werner state is detected.
+    rows = [[0.1 * k, 0.5, k % 2 == 0, True, None if k % 3 else 0.25 + k / 7] for k in range(12)]
+    rows.append([np.float64(0.5), -0.0, np.True_, False, math.nan])
+    lines = _emitted_rows(rows)
+    assert lines == [",".join(map(cli._fmt, row)) for row in rows]
+    assert lines[1] == "0.1,0.5,false,true,"
