@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGrid, NotUnitTrace, UnorderedGrid
+from .errors import DimensionMismatch, EmptyGrid, NotUnitTrace, UnorderedGrid
 from .kernel import Spectrum, as_matrix, eigh_checked, frozen
 from .lindblad import LindbladGenerator, SmallTimeMap, choi_matrices, coefficients, small_time_map
 
@@ -66,13 +66,21 @@ def choi_grid(gen: LindbladGenerator, times, epsilon: float):
 
 
 def checked_grid(t_grid) -> list[float]:
-    """The instants of t_grid as floats; EmptyGrid if there are none, UnorderedGrid unless ascending."""
-    grid = [float(t) for t in t_grid]
-    if not grid:
+    """The instants of t_grid as floats, None as NaN (left to the snapshots' finiteness check);
+    DimensionMismatch unless a 1-D real sequence, EmptyGrid if empty, UnorderedGrid unless ascending."""
+    try:
+        grid = np.asarray(t_grid)
+        if grid.dtype.kind != "c":  # a complex cast to float would drop the imaginary part
+            grid = np.asarray(grid, dtype=float)
+    except (TypeError, ValueError):  # strings, ragged nesting, other objects
+        grid = None
+    if grid is None or grid.dtype != float or grid.ndim != 1:
+        raise DimensionMismatch(f"t_grid must be a 1-D sequence of real numbers, got {type(t_grid).__name__}")
+    if not grid.size:
         raise EmptyGrid("t_grid is empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if (grid[1:] <= grid[:-1]).any():
         raise UnorderedGrid("t_grid must be strictly ascending")
-    return grid
+    return grid.tolist()
 
 
 def grid_pass(gen: LindbladGenerator, t_grid, epsilon: float, stage):

@@ -1,20 +1,23 @@
-"""Accuracy of the exported witnesses against 40-digit arithmetic.
+"""Accuracy of the CLI's printed numbers and exported witnesses against 40-digit arithmetic.
 
-The witness exports print tau and the witness matrices at 12 significant
-digits, so a reformulation of the float64 linear algebra can move their last
-digit. On the grid of custom_witness_100_export.json, this pins how far
-witness_scan's tau may sit from the exact least eigenvector of the same
-float64 Choi matrix, and how far each witness matrix may sit from
+The CLI prints at 12 significant digits, so a reformulation of the float64
+linear algebra can move a last digit. For the six 1000-instant goldens this
+keeps a ledger: how many printed cells are not the 40-digit value correctly
+rounded to 12 digits. On the grid of custom_witness_100_export.json, it pins
+how far witness_scan's tau may sit from the exact least eigenvector of the
+same float64 Choi matrix, and how far each witness matrix may sit from
 nu * (X + epsilon * (id (x) L_t)(X)), X = |tau><tau|, evaluated by mpmath at
 40 digits from the same float64 nu, tau and coefficients.
 """
 
+import decimal
 from pathlib import Path
 
 import mpmath
 import numpy as np
 
 import nmwit
+from nmwit.kernel import TOL_PSD
 from nmwit.lindblad import coefficients
 from nmwit.witness import witness_scan
 
@@ -77,3 +80,95 @@ def test_witness_matrices_are_the_40_digit_extension_to_2_ulp():
             exact = np.array([[complex(Wx[i, j]) for j in range(d * d)] for i in range(d * d)])
             worst = max(worst, np.abs(W - exact).max() / np.abs(exact).max())
     assert worst <= 2 * np.finfo(float).eps
+
+
+# Printed columns of each 1000-instant golden; t and the flags are not computed values.
+_COLUMNS = {"divisibility": ("lambda_min", "trace_norm_excess"),
+            "witness": ("omega", "nu", "witness_value"),
+            "spa": ("lambda_minus", "p_star", "omega", "nu")}
+# Cells of each generator's three goldens (9000 each) that are not correctly rounded. A change
+# that moves printed bytes may lower these counts, never raise them; lower the pin when it does.
+_LEDGER = {"eternal": 11, "custom": 32}
+
+
+def _read_golden(name):
+    """(header settings, column names, rows of cells) of a CSV golden."""
+    lines = (GOLDEN / name).read_text().splitlines()
+    header = dict(line[2:].split(" = ") for line in lines if line.startswith("# "))
+    body = [line.split(",") for line in lines if not line.startswith("#")]
+    return header, body[0], body[1:]
+
+
+def _choi_spectra(gen, c, epsilon):
+    """Ascending Choi eigenvalues at 40 digits of P + epsilon * sum_a c_a (id (x) L_a)(P) for each
+    row of c, with exact P (entries 1/d), the float64 jumps and the float64 coefficients c."""
+    d = gen.dim
+    with mpmath.workdps(40):
+        phi = mpmath.matrix([[mpmath.mpf(1) if i % (d + 1) == 0 else 0] for i in range(d * d)])
+        P = phi * phi.T / d
+        eye = mpmath.eye(d)
+        images = []
+        for _, L in gen.terms:
+            L = _mp(L)
+            E, K = _kron(eye, L), _kron(eye, L.H * L)
+            images.append(E * P * E.H - (K * P + P * K) / 2)
+        eps = mpmath.mpf(epsilon)
+        spectra = []
+        for row in c:
+            C = P + eps * sum((mpmath.mpf(x) * B for x, B in zip(row, images)), mpmath.zeros(d * d))
+            spectra.append(sorted(mpmath.eigh(C, eigvals_only=True)))
+        return spectra
+
+
+def _depolarizer_spectra(c, epsilon):
+    """Ascending Choi eigenvalues at 40 digits of a Pauli depolarizer with coefficient rows c:
+    the closed-form weights 1 - epsilon (c_x + c_y + c_z), epsilon c_x, epsilon c_y, epsilon c_z."""
+    with mpmath.workdps(40):
+        eps = mpmath.mpf(epsilon)
+        return [sorted([1 - eps * sum(map(mpmath.mpf, row)), *(eps * mpmath.mpf(x) for x in row)])
+                for row in c]
+
+
+def _exact_cells(lam):
+    """Each golden column's value at 40 digits for one instant with ascending Choi eigenvalues lam."""
+    with mpmath.workdps(40):
+        lam_minus = -lam[0] if lam[0] < -TOL_PSD else mpmath.mpf(0)
+        a = lam_minus * len(lam)
+        omega, nu = a / (a + 1), 1 / (a + 1)
+        return {"lambda_min": lam[0], "trace_norm_excess": sum(abs(x) for x in lam) - 1,
+                "lambda_minus": lam_minus, "p_star": omega, "omega": omega, "nu": nu,
+                "witness_value": nu * lam[0]}
+
+
+def _correctly_rounded(cell, exact):
+    """Whether a printed cell is the exact value rounded to 12 significant digits."""
+    rounded = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_EVEN).plus(
+        decimal.Decimal(mpmath.nstr(exact, 40, min_fixed=-1, max_fixed=-1)))
+    return decimal.Decimal(cell) == rounded
+
+
+def test_1000_instant_goldens_ledger_of_cells_not_correctly_rounded():
+    scenarios = {"eternal": nmwit.eternal_depolarizer(),
+                 "custom": nmwit.load_generator(GOLDEN / "custom_generator.json")}
+    for scenario, gen in scenarios.items():
+        header, _, _ = _read_golden(f"{scenario}_divisibility_1000.csv")
+        times = np.linspace(float(header["t_start"]), float(header["t_stop"]), int(header["t_steps"]))
+        epsilon = float(header["epsilon"])
+        c = coefficients(gen, times.tolist())
+        if scenario == "eternal":
+            spectra = _depolarizer_spectra(c, epsilon)
+            for k in (0, len(c) // 2, len(c) - 1):  # the closed form is the Choi spectrum
+                general = _choi_spectra(gen, c[k:k + 1], epsilon)[0]
+                with mpmath.workdps(40):
+                    assert max(abs(x - y) for x, y in zip(general, spectra[k])) < mpmath.mpf(10) ** -35
+        else:
+            spectra = _choi_spectra(gen, c, epsilon)
+        exact = [_exact_cells(lam) for lam in spectra]
+        off = 0
+        for command, columns in _COLUMNS.items():
+            _, names, rows = _read_golden(f"{scenario}_{command}_1000.csv")
+            assert len(rows) == len(exact)
+            for row, t, values in zip(rows, times, exact):
+                assert row[0] == f"{t:.12g}"
+                off += sum(not _correctly_rounded(row[names.index(col)], values[col]) for col in columns)
+        assert off <= _LEDGER[scenario], (scenario, off)

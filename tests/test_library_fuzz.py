@@ -44,6 +44,11 @@ def matrices(n):
 malformed = st.sampled_from(("x", [[1, 2], [3]]))
 
 
+# Time grids that are not a 1-D sequence of real numbers, or hold None.
+malformed_grids = st.sampled_from((["a"], [None], [0.5, None], [[1.0, 2.0]], [1 + 2j], np.array([0.5, 1 + 2j]),
+                                   np.ones((2, 2)), 5.0))
+
+
 def hermitian(n):
     return matrices(n).map(lambda a: a / 2 + a.conj().T / 2)
 
@@ -107,7 +112,8 @@ CALLS = {
                        st.tuples(generators(), number, number)),
     "scan": (lambda g, grid, eps, tol: nmwit.scan(generator(*g), grid, eps, tol),
              st.tuples(generators(), st.one_of(st.lists(number, max_size=5, unique=True).map(sorted),
-                                               st.lists(number, max_size=5)), positive, positive)),
+                                               st.lists(number, max_size=5), malformed_grids),
+                       positive, positive)),
     "choi_state": (nmwit.choi_state, st.tuples(st.one_of(states(4), matrices(4), states(3), malformed),
                                                number, number)),
     "eig_hermitian": (nmwit.eig_hermitian, st.tuples(st.one_of(

@@ -1,6 +1,7 @@
 """Non-finite or out-of-range numeric input is rejected with a typed error."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ import nmwit
 from nmwit.entanglement import _werner_thresholds
 from nmwit.errors import (
     DimensionMismatch,
+    EmptyGrid,
     MalformedDescription,
     NmwitError,
     NotUnitTrace,
     ParameterOutOfRange,
     UnorderedGrid,
 )
+from nmwit.witness import witness_scan
 
 from oracles import werner_threshold_closed
 
@@ -211,3 +214,32 @@ def test_a_well_formed_non_square_matrix_is_not_hermitian():
     # Only input that is not a nonempty numeric matrix raises (see above).
     assert not nmwit.is_hermitian(np.ones((2, 3)))
     assert not nmwit.is_hermitian([[1.0, 2.0]])
+
+
+@pytest.mark.parametrize("run", [nmwit.scan, witness_scan], ids=["scan", "witness-scan"])
+@pytest.mark.parametrize(
+    "grid, error",
+    [
+        (["a"], DimensionMismatch),
+        ([[1.0, 2.0]], DimensionMismatch),
+        ([0.5, [1.0, 2.0]], DimensionMismatch),
+        ([1 + 2j], DimensionMismatch),
+        (np.array([0.5, 1 + 2j]), DimensionMismatch),
+        (np.ones((2, 2)), DimensionMismatch),
+        (5.0, DimensionMismatch),
+        ([None], ParameterOutOfRange),
+        ([0.5, None], ParameterOutOfRange),
+        (np.array([]), EmptyGrid),
+        (np.array([1.0, 1.0]), UnorderedGrid),
+    ],
+    ids=["string", "nested", "ragged", "complex", "complex-array", "2-d-array", "bare-float",
+         "none", "none-after-instant", "empty-array", "repeated-instant"],
+)
+def test_malformed_time_grids_raise_typed_errors_without_warnings(run, grid, error):
+    # A complex array used to lose its imaginary part with a ComplexWarning;
+    # the others escaped as a ValueError or TypeError. None reads as NaN,
+    # which the snapshot's finiteness check rejects.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            run(nmwit.eternal_depolarizer(), grid, 0.01)
