@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -298,12 +299,15 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     return argparse.Namespace(**cfg, echo=echo)
 
 
+def _csv_text(cfg: argparse.Namespace, columns: list[str], lines) -> str:
+    """The CSV output: the echoed configuration, the header and the data lines."""
+    head = [f"# {k} = {_fmt(v)}" for k, v in cfg.echo]
+    return "\n".join([*head, ",".join(columns), *lines]) + "\n"
+
+
 def _emit(cfg: argparse.Namespace, columns: list[str], rows: list[list]) -> None:
     if cfg.format == "csv":
-        lines = [f"# {k} = {_fmt(v)}" for k, v in cfg.echo]
-        lines.append(",".join(columns))
-        lines.extend(map(_csv_row, rows))
-        text = "\n".join(lines) + "\n"
+        text = _csv_text(cfg, columns, map(_csv_row, rows))
     else:
         payload = {
             "config": {k: _round12(v) for k, v in cfg.echo},
@@ -311,6 +315,10 @@ def _emit(cfg: argparse.Namespace, columns: list[str], rows: list[list]) -> None
             "rows": [[_round12(v) for v in row] for row in rows],
         }
         text = json.dumps(payload, indent=2) + "\n"
+    _write(cfg, text)
+
+
+def _write(cfg: argparse.Namespace, text: str) -> None:
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -356,9 +364,22 @@ def cmd_spa(cfg: argparse.Namespace) -> int:
 
 def cmd_entangle(cfg: argparse.Namespace) -> int:
     if cfg.scan:
-        results = entanglement.phase_scan(*cfg.scan_grid, tolerance=cfg.tolerance)
-        rows = [[r.gamma1, r.gamma2, r.positive, r.cp, r.werner_threshold] for r in results]
-        _emit(cfg, ["gamma1", "gamma2", "positive", "cp", "werner_threshold"], rows)
+        g1s, g2s, positive, cp, thresholds = entanglement._scan_columns(*cfg.scan_grid,
+                                                                        cfg.tolerance)
+        columns = ["gamma1", "gamma2", "positive", "cp", "werner_threshold"]
+        positive, cp = positive.tolist(), cp.tolist()
+        if cfg.format == "csv":
+            # The cells that _fmt writes, with each axis value formatted once.
+            cells = itertools.product(*(["%.12g" % g for g in axis.tolist()]
+                                        for axis in (g1s, g2s)))
+            words = ("false", "true")
+            _write(cfg, _csv_text(cfg, columns, (
+                f"{a},{b},{words[p]},{words[c]},{'' if t is None else '%.12g' % t}"
+                for (a, b), p, c, t in zip(cells, positive, cp, thresholds))))
+        else:
+            points = itertools.product(g1s.tolist(), g2s.tolist())
+            _emit(cfg, columns, [[g1, g2, p, c, t]
+                                 for (g1, g2), p, c, t in zip(points, positive, cp, thresholds)])
         return EXIT_OK
     detected, lam = entanglement.detect_entanglement(cfg.werner.matrix, cfg.point, cfg.tolerance)
     _emit(cfg, ["gamma1", "gamma2", "p", "lambda_min", "detected"],

@@ -11,15 +11,18 @@ Positivity of the map is therefore equivalent to max(|s|, |u|) <= 1, and
 complete positivity to nonnegativity of the Choi weights
 {1 - 2*g1 - g2, g1, g1, g2}. Both closed forms are checked against the map
 itself at every use, from its stacked Choi matrices J (lindblad.choi_matrices):
-the Pauli transfer matrix read off J must be diag(1, s, s, u), and the
-spectrum of J must be the Choi weights. A disagreement raises CrossCheckFailed.
+the Pauli transfer matrix, read off all of J in one matrix product, must be
+diag(1, s, s, u), and the spectrum of J must be the Choi weights. A
+disagreement raises CrossCheckFailed.
 
-The phase scan works one gamma1 row at a time: one Choi stack checks the whole
-row, and the Werner thresholds of the row's positive-but-not-CP points are
-found together. A threshold is the point where bisection of the detected
-interval would end; it is decided by eigvalsh of (id (x) Map)(W_p) alone, at
-the threshold and one step below, starting from the closed-form onset of
-the spectrum p*w + (1-p)/4 over the Choi weights w.
+The phase scan walks the grid in blocks of whole gamma1 rows, about _BLOCK
+points each: one Choi stack checks the whole block, and the Werner thresholds
+of the block's positive-but-not-CP points are found together. Every stacked
+step works point by point, so the block edges change no result. A threshold
+is the point where bisection of the detected interval would end; it is
+decided by eigvalsh of (id (x) Map)(W_p) alone, at the threshold and one step
+below, starting from the closed-form onset of the spectrum p*w + (1-p)/4 over
+the Choi weights w.
 
 A point that is positive but not completely positive certifies entanglement:
 a negative eigenvalue of (id (x) Map)(state) cannot occur on separable input.
@@ -27,6 +30,7 @@ a negative eigenvalue of (id (x) Map)(state) cannot occur on separable input.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,10 +58,15 @@ _FAMILY = depolarizer(0.0, 0.0, 0.0)
 _SINGLET = projector(BELL_PSI_MINUS)
 _RESOLUTION = 1e-6
 _STEPS = 64  # lattice steps a Werner threshold may walk from its closed-form onset
+# Points per phase-scan block, rounded down to whole gamma1 rows (at least one).
+# The whole grid in one stack is no faster and holds its (3, N, 4, 4) Choi terms at once.
+_BLOCK = 512
 # R[i, j] = Tr[(sigma_j^T (x) sigma_i) J] is the Pauli transfer matrix of the map
-# whose Choi matrix is J.
+# whose Choi matrix is J. Flattened, R.ravel() = J.ravel() @ _TRANSFER, with
+# _TRANSFER[4b + a, 4i + j] = (sigma_j^T (x) sigma_i)[a, b].
 _PAULIS = (np.eye(2), SIGMA_X, SIGMA_Y, SIGMA_Z)
 _PROBES = np.array([[np.kron(sj.T, si) for sj in _PAULIS] for si in _PAULIS])
+_TRANSFER = frozen(_PROBES.transpose(3, 2, 0, 1).reshape(16, 16))
 
 
 @dataclass(frozen=True)
@@ -135,32 +144,34 @@ def _choi_weights(g1, g2) -> np.ndarray:
     return np.sort(np.stack([1.0 - 2.0 * g1 - g2, g1, g1, g2], axis=-1), axis=-1)
 
 
-def _require_agreement(what: str, closed, numeric, g1: np.ndarray, g2: np.ndarray) -> None:
-    """Raise CrossCheckFailed at the first point where closed and numeric differ beyond rounding.
+def _disagree(closed, numeric, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """Whether closed and numeric differ beyond rounding at each point.
 
     Rounding may reach 1e-12 per unit of coefficient magnitude; NaN always differs.
     """
     gap = np.abs(closed - numeric).reshape(len(g1), -1).max(axis=-1)
-    bad = ~(gap <= 1e-12 * (1.0 + np.abs(g1) + np.abs(g2)))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise CrossCheckFailed(f"{what} mismatch at gamma1={g1[k]:g}, gamma2={g2[k]:g}")
+    return ~(gap <= 1e-12 * (1.0 + np.abs(g1) + np.abs(g2)))
 
 
 def _check_points(g1: np.ndarray, g2: np.ndarray, tolerance: float):
     """(positive, cp) of each point (g1[k], g2[k]), from one stacked Choi matrix J.
 
     The Pauli transfer matrix R[i, j] = Tr[(sigma_j^T (x) sigma_i) J] must equal
-    diag(1, s, s, u), and the spectrum of J the closed-form Choi weights;
-    a mismatch raises CrossCheckFailed.
+    diag(1, s, s, u), and the spectrum of J the closed-form Choi weights.
+    A mismatch raises CrossCheckFailed for the first failing point, naming
+    its first failing check, as a loop over the points would.
     """
     J = choi_matrices(_FAMILY, np.stack([g1, g1, g2], axis=-1), 1.0)
     s, u = _factors(g1, g2)
     transfer = np.stack([np.ones_like(s), s, s, u], axis=-1)[:, :, None] * np.eye(4)
-    R = np.einsum("ijab,nba->nij", _PROBES, J)
-    _require_agreement("transfer matrix", transfer, R, g1, g2)
+    R = (J.reshape(len(g1), 16) @ _TRANSFER).reshape(transfer.shape)
+    wrong_transfer = _disagree(transfer, R, g1, g2)
     weights = _choi_weights(g1, g2)
-    _require_agreement("Choi spectrum", weights, np.linalg.eigvalsh(J), g1, g2)
+    wrong = wrong_transfer | _disagree(weights, np.linalg.eigvalsh(J), g1, g2)
+    if wrong.any():
+        k = int(np.argmax(wrong))
+        what = "transfer matrix" if wrong_transfer[k] else "Choi spectrum"
+        raise CrossCheckFailed(f"{what} mismatch at gamma1={g1[k]:g}, gamma2={g2[k]:g}")
     return _positive(s, u, tolerance), weights[:, 0] >= -tolerance
 
 
@@ -272,6 +283,32 @@ def scan_axes(gamma1_range, gamma2_range, steps):
     return g1s, g2s
 
 
+def _scan_columns(gamma1_range, gamma2_range, steps, tolerance: float):
+    """The axes (g1s, g2s) of a phase scan and its positive, cp and threshold columns.
+
+    Point k of a column is (g1s[k // len(g2s)], g2s[k % len(g2s)]); a
+    threshold is None where the point is not positive-but-not-CP or no Werner
+    state is detected there. The grid is walked in blocks of whole gamma1
+    rows, about _BLOCK points each, so the first failing block raises, as a
+    loop over the points would.
+    """
+    g1s, g2s = scan_axes(gamma1_range, gamma2_range, steps)
+    n2 = len(g2s)
+    positive, cp = np.empty(len(g1s) * n2, dtype=bool), np.empty(len(g1s) * n2, dtype=bool)
+    thresholds: list[float | None] = [None] * positive.size
+    rows = max(1, _BLOCK // n2)
+    for start in range(0, len(g1s), rows):
+        g1, g2 = (x.ravel() for x in np.meshgrid(g1s[start:start + rows], g2s, indexing="ij"))
+        block = slice(start * n2, start * n2 + g1.size)
+        positive[block], cp[block] = _check_points(g1, g2, tolerance)
+        todo = np.flatnonzero(positive[block] & ~cp[block])
+        if todo.size:
+            found = _werner_thresholds(g1[todo], g2[todo], _RESOLUTION, tolerance)
+            for k, threshold in zip((todo + block.start).tolist(), found):
+                thresholds[k] = threshold
+    return g1s, g2s, positive, cp, thresholds
+
+
 def phase_scan(
     gamma1_range: tuple[float, float],
     gamma2_range: tuple[float, float],
@@ -281,26 +318,16 @@ def phase_scan(
 ) -> list[PhaseScanRow]:
     """Classify the (gamma1, gamma2) grid and locate Werner thresholds.
 
-    Each gamma1 row is decided at once: positivity from the closed-form Bloch
-    criterion and complete positivity from the closed-form Choi weights, both
-    cross-checked against the row's stacked Choi matrices (see is_positive and
-    is_cp), and - only where the map is positive but not completely positive -
-    the Werner detection threshold at the default resolution of
-    werner_threshold, found for the whole row at once.
+    The grid is decided in blocks of whole gamma1 rows: positivity from the
+    closed-form Bloch criterion and complete positivity from the closed-form
+    Choi weights, both cross-checked against the block's stacked Choi
+    matrices (see is_positive and is_cp), and - only where the map is
+    positive but not completely positive - the Werner detection threshold at
+    the default resolution of werner_threshold, found for the whole block at once.
     """
-    g1s, g2s = scan_axes(gamma1_range, gamma2_range, steps)
-    rows = []
-    for g1 in g1s.tolist():
-        g1_row = np.full_like(g2s, g1)
-        positive, cp = _check_points(g1_row, g2s, tolerance)
-        thresholds: list[float | None] = [None] * len(g2s)
-        todo = np.flatnonzero(positive & ~cp)
-        if todo.size:
-            found = _werner_thresholds(g1_row[todo], g2s[todo], _RESOLUTION, tolerance)
-            for k, threshold in zip(todo, found):
-                thresholds[k] = threshold
-        rows.extend(
-            PhaseScanRow(gamma1=g1, gamma2=g2, positive=p, cp=c, werner_threshold=t)
-            for g2, p, c, t in zip(g2s.tolist(), positive.tolist(), cp.tolist(), thresholds)
-        )
-    return rows
+    g1s, g2s, positive, cp, thresholds = _scan_columns(gamma1_range, gamma2_range, steps, tolerance)
+    return [
+        PhaseScanRow(gamma1=g1, gamma2=g2, positive=p, cp=c, werner_threshold=t)
+        for (g1, g2), p, c, t in zip(itertools.product(g1s.tolist(), g2s.tolist()),
+                                     positive.tolist(), cp.tolist(), thresholds)
+    ]

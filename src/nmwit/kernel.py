@@ -90,8 +90,7 @@ def projector(v: np.ndarray) -> np.ndarray:
     return P
 
 
-# Two-qubit Bell kets in the computational basis.
-BELL_PHI_PLUS = frozen(np.array([1, 0, 0, 1]) / np.sqrt(2))
+# The singlet Bell ket in the computational basis.
 BELL_PSI_MINUS = frozen(np.array([0, 1, -1, 0]) / np.sqrt(2))
 
 

@@ -238,6 +238,12 @@ def coefficients(gen: LindbladGenerator, times) -> np.ndarray:
             c[:, a] = coef.value
         elif coef.kind == "eternal_tanh":
             c[:, a] = [coef.scale * math.tanh(t) for t in times]
+        elif coef.kind == "tabulated":
+            t = np.asarray(times, dtype=float)
+            outside = ~((coef.times[0] <= t) & (t <= coef.times[-1]))
+            if outside.any():  # the per-instant call raises the domain error
+                coef(float(t[np.argmax(outside)]))
+            c[:, a] = np.interp(t, coef.times, coef.values)
         else:
             c[:, a] = [coef(t) for t in times]
     return c

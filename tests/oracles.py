@@ -30,6 +30,7 @@ import numpy as np
 
 import nmwit
 from nmwit.errors import DimensionMismatch
+from nmwit.kernel import frozen
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -42,6 +43,8 @@ PHI_P = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 PHI_M = np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2)
 PSI_P = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
 PSI_M = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
+# phi+ read-only, as the package's own kets are.
+BELL_PHI_PLUS = frozen(PHI_P)
 
 
 def proj(v):

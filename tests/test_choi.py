@@ -4,10 +4,9 @@ import pytest
 import nmwit
 from nmwit.cli import main
 from nmwit.errors import EmptyGrid
-from nmwit.kernel import BELL_PHI_PLUS
 from nmwit.witness import witness_scan
 
-from oracles import bell_choi, bell_weights, rand_unitary, tensor
+from oracles import BELL_PHI_PLUS, bell_choi, bell_weights, rand_unitary, tensor
 
 EPS = 0.01
 

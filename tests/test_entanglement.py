@@ -1,10 +1,13 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nmwit
-from nmwit import entanglement
+from nmwit import cli, entanglement
 from nmwit.errors import (
     CrossCheckFailed,
     DimensionMismatch,
@@ -352,3 +355,95 @@ def test_phase_scan_small_grid():
 def test_phase_scan_rejects_empty_grid():
     with pytest.raises(EmptyGrid):
         nmwit.phase_scan((0.0, 0.5), (0.0, 1.0), (0, 5))
+
+
+# --- the blocked phase scan ------------------------------------------------------
+
+# Grids of several blocks: 13 rows of 101 points go in blocks of 5 rows, the
+# last one partial; rows of 700 points go one row per block.
+_BLOCKED = [((0.0, 0.6), (0.0, 1.0), (13, 101)), ((0.0, 0.6), (0.0, 1.0), (3, 700))]
+
+
+def _scan_table(g1_range, g2_range, steps):
+    return [[r.gamma1, r.gamma2, r.positive, r.cp, r.werner_threshold]
+            for r in nmwit.phase_scan(g1_range, g2_range, steps)]
+
+
+@pytest.mark.parametrize("g1_range, g2_range, steps", _BLOCKED)
+def test_blocked_phase_scan_is_the_per_point_loop(g1_range, g2_range, steps):
+    g1s, g2s = np.linspace(*g1_range, steps[0]), np.linspace(*g2_range, steps[1])
+    expected = []
+    for g1 in g1s.tolist():
+        for g2 in g2s.tolist():
+            point = pt(g1, g2)
+            positive = nmwit.is_positive(point, tolerance=1e-9)
+            cp = nmwit.is_cp(point, tolerance=1e-9)
+            threshold = nmwit.werner_threshold(point) if positive and not cp else None
+            expected.append([g1, g2, positive, cp, threshold])
+    assert any(row[4] is not None for row in expected)
+    assert _scan_table(g1_range, g2_range, steps) == expected
+
+
+@pytest.mark.parametrize("g1_range, g2_range, steps", _BLOCKED)
+def test_blocked_scan_output_is_the_fmt_join_and_round12_of_the_rows(g1_range, g2_range, steps,
+                                                                      capsys):
+    rows = _scan_table(g1_range, g2_range, steps)
+    argv = ["entangle", "--scan", "--gamma1-range", f"{g1_range[0]}:{g1_range[1]}:{steps[0]}",
+            "--gamma2-range", f"{g2_range[0]}:{g2_range[1]}:{steps[1]}"]
+    assert cli.main([*argv, "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines.index("gamma1,gamma2,positive,cp,werner_threshold")
+    assert lines[header + 1:] == [",".join(map(cli._fmt, row)) for row in rows]
+    assert cli.main([*argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == [list(map(cli._round12, row))
+                                                           for row in rows]
+
+
+@pytest.mark.parametrize("g1_range, g2_range, steps", _BLOCKED)
+def test_blocked_scan_checks_whole_rows_at_most_a_block_at_a_time(g1_range, g2_range, steps,
+                                                                  monkeypatch):
+    sizes, check = [], entanglement._check_points
+
+    def recorder(g1, g2, tolerance):
+        sizes.append(len(g1))
+        return check(g1, g2, tolerance)
+
+    monkeypatch.setattr(entanglement, "_check_points", recorder)
+    nmwit.phase_scan(g1_range, g2_range, steps)
+    n1, n2 = steps
+    assert sum(sizes) == n1 * n2 and all(size % n2 == 0 for size in sizes)
+    assert max(sizes) <= max(n2, entanglement._BLOCK)
+    assert len(sizes) == -(-n1 // max(1, entanglement._BLOCK // n2))
+
+
+_G1S, _G2S = np.linspace(0.0, 0.6, 13), np.linspace(0.0, 1.0, 101)
+
+
+def _bump(corners, g1, g2):
+    """1e-9 at the grid points at or past any (row, column) corner, 0 elsewhere."""
+    hit = np.zeros(np.shape(g1), dtype=bool)
+    for i, j in corners:
+        hit |= (g1 >= _G1S[i]) & (g2 >= _G2S[j])
+    return 1e-9 * hit
+
+
+@pytest.mark.parametrize("factor_corners, weight_corners, expected", [
+    # Only points of the second and third blocks are off; the first of them is named.
+    (((6, 50), (11, 3)), (), ("transfer matrix", 6, 50)),
+    ((), ((6, 50), (11, 3)), ("Choi spectrum", 6, 50)),
+    # Within a block, the first failing point wins, then its first failing check.
+    (((6, 50),), ((6, 20),), ("Choi spectrum", 6, 20)),
+    (((6, 50),), ((6, 50),), ("transfer matrix", 6, 50)),
+])
+def test_blocked_scan_fails_at_the_first_failing_point_in_grid_order(
+    factor_corners, weight_corners, expected, monkeypatch
+):
+    factors, weights = entanglement._factors, entanglement._choi_weights
+    monkeypatch.setattr(entanglement, "_factors", lambda g1, g2: (
+        factors(g1, g2)[0] + _bump(factor_corners, g1, g2), factors(g1, g2)[1]))
+    monkeypatch.setattr(entanglement, "_choi_weights", lambda g1, g2: (
+        weights(g1, g2) + _bump(weight_corners, g1, g2)[..., None]))
+    what, i, j = expected
+    message = f"{what} mismatch at gamma1={_G1S[i]:g}, gamma2={_G2S[j]:g}"
+    with pytest.raises(CrossCheckFailed, match=f"^{re.escape(message)}$"):
+        nmwit.phase_scan((0.0, 0.6), (0.0, 1.0), (13, 101))

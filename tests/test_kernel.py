@@ -3,9 +3,10 @@ import pytest
 
 import nmwit
 from nmwit.errors import DimensionMismatch, NonHermitianInput
-from nmwit.kernel import BELL_PHI_PLUS, BELL_PSI_MINUS, dag
+from nmwit.kernel import BELL_PSI_MINUS, dag
 
 from oracles import (
+    BELL_PHI_PLUS,
     bell_choi,
     is_density,
     jacobi_eigvalsh,

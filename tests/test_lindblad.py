@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 import nmwit
 from nmwit.errors import DimensionMismatch, NonPositiveEpsilon, ParameterOutOfRange
-from nmwit.kernel import BELL_PHI_PLUS
 from nmwit.lindblad import _choi_input, choi_matrices, extend
 
 from oracles import (
+    BELL_PHI_PLUS,
     apply_generator,
     bell_choi,
     bloch_apply_pauli_generator,

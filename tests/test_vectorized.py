@@ -63,6 +63,24 @@ def test_coefficients_are_the_per_instant_rows_bit_for_bit(coefs, grid):
     assert _same_bits(c, loop_coefficients(gen, grid))
 
 
+def test_a_tabulated_column_is_the_per_instant_calls_bit_for_bit():
+    # The custom golden generator's tabulated term, on its 1000-instant grid.
+    gen = nmwit.load_generator(Path(__file__).parent / "golden" / "custom_generator.json")
+    grid = np.linspace(0.01, 4.99, 1000).tolist()
+    (a, (coef, _)), = ((a, term) for a, term in enumerate(gen.terms) if term[0].kind == "tabulated")
+    assert _same_bits(coefficients(gen, grid)[:, a], [coef(t) for t in grid])
+
+
+def test_a_tabulated_column_fails_at_its_first_instant_outside_the_table():
+    table = nmwit.tabulated([0.0, 1.0, 2.0], [0.0, 2.0, 2.0])
+    gen = nmwit.LindbladGenerator(dim=2, terms=((table, nmwit.SIGMA_Z),))
+    with pytest.raises(ParameterOutOfRange) as per_instant:
+        table(2.5)
+    with pytest.raises(ParameterOutOfRange) as column:
+        coefficients(gen, [0.5, 1.0, 2.5, 1.5, 3.0, -1.0])
+    assert str(column.value) == str(per_instant.value) == "t=2.5 outside tabulated domain [0, 2]"
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40), n=st.sampled_from((1, 4, 9)))
 def test_witness_values_are_the_per_instant_vdots_bit_for_bit(seed, k, n):

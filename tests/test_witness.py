@@ -3,9 +3,8 @@ import pytest
 
 import nmwit
 from nmwit.errors import DegenerateMinimum, DimensionMismatch, NonHermitianJump
-from nmwit.kernel import BELL_PHI_PLUS
 
-from oracles import bell_witness_image, rand_density
+from oracles import BELL_PHI_PLUS, bell_witness_image, rand_density
 
 EPS = 0.01
 TAU_TARGET = np.array([-1, 0, 0, 1]) / np.sqrt(2)
