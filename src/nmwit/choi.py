@@ -10,7 +10,9 @@ A grid of instants, which checked_grid accepts or rejects, is one stacked
 pass (grid_pass): choi_grid builds every Choi state from the generator's
 compiled Choi images and checks and diagonalizes them in one call, and a stage
 (the verdicts, the SPA, the witness) reads the stack and its eigendecomposition.
-choi_of and classify are its one-instant case; a map keeps its choi_of state.
+The CLI checks its grid once, when it reads its configuration, and runs
+_grid_pass, which takes a grid checked_grid has returned. choi_of and classify
+are the pass's one-instant case; a map keeps its choi_of state.
 """
 
 from __future__ import annotations
@@ -90,13 +92,17 @@ def grid_pass(gen: LindbladGenerator, t_grid, epsilon: float, stage):
     failing pass is replayed one instant at a time, so that the error is that
     of a loop over the grid: the first failing instant's, at its first failing check.
     """
+    return _grid_pass(gen, checked_grid(t_grid), epsilon, stage)
+
+
+def _grid_pass(gen: LindbladGenerator, grid: list[float], epsilon: float, stage):
+    """grid_pass over a grid that checked_grid has already returned."""
     def run(times):
         c, matrices, spectrum = choi_grid(gen, times, epsilon)
         # The stage gets the eigenvectors of the least eigenvalues; the others are freed.
         lam, tau, spectrum = spectrum.eigenvalues, spectrum.eigenvectors[:, :, 0].copy(), None
         return stage(times, c, matrices, lam, tau)
 
-    grid = checked_grid(t_grid)
     try:
         return run(grid)
     except Exception:

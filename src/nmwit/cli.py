@@ -101,27 +101,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-# The %-format of a CSV cell of each type that it writes as _fmt does: floats
-# at 12 significant digits, ints and strings as str() prints them.
-_CELL = {float: "%.12g", int: "%s", str: "%s"}
-
-
-@functools.cache
-def _row_format(types: tuple) -> tuple[str, tuple[int, ...]]:
-    """The %-template of a CSV row with these cell types, and the cells that go through _fmt."""
-    return (",".join(_CELL.get(t, "%s") for t in types),
-            tuple(k for k, t in enumerate(types) if t not in _CELL))
-
-
-def _csv_row(row) -> str:
-    template, via_fmt = _row_format(tuple(map(type, row)))
-    if via_fmt:
-        row = list(row)
-        for k in via_fmt:
-            row[k] = _fmt(row[k])
-    return template % tuple(row)
-
-
 def _round12(v):
     """Round floats to 12 significant digits for JSON emission."""
     if isinstance(v, bool) or v is None:
@@ -279,8 +258,7 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
                 cfg[key] = _parse_range(cfg[key], "--" + key.replace("_", "-"))
                 echo.append((key, ":".join(_fmt(x) for x in cfg[key])))
             g1, g2 = cfg["gamma1_range"], cfg["gamma2_range"]
-            cfg["scan_grid"] = (g1[:2], g2[:2], (g1[2], g2[2]))  # phase_scan's arguments
-            entanglement.scan_axes(*cfg["scan_grid"])
+            cfg["scan_grid"] = entanglement.scan_axes(g1[:2], g2[:2], (g1[2], g2[2]))
             echo.append(("samples", cfg["samples"]))
         else:
             keys = ("gamma1", "gamma2", "p")
@@ -307,7 +285,7 @@ def _csv_text(cfg: argparse.Namespace, columns: list[str], lines) -> str:
 
 def _emit(cfg: argparse.Namespace, columns: list[str], rows: list[list]) -> None:
     if cfg.format == "csv":
-        text = _csv_text(cfg, columns, map(_csv_row, rows))
+        text = _csv_text(cfg, columns, (",".join(map(_fmt, row)) for row in rows))
     else:
         payload = {
             "config": {k: _round12(v) for k, v in cfg.echo},
@@ -326,28 +304,46 @@ def _write(cfg: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _emit_columns(cfg: argparse.Namespace, names: list[str], columns: list[list]) -> None:
+    """_emit of the rows zipped from columns, each a non-empty list of Python floats or bools.
+
+    The CSV is written from the columns: one %-template for every row, and
+    each bool cell looked up as the word that _fmt writes.
+    """
+    if cfg.format != "csv":
+        _emit(cfg, names, list(zip(*columns)))
+        return
+    words = ("false", "true")
+    bools = [type(column[0]) is bool for column in columns]
+    template = ",".join("%s" if b else "%.12g" for b in bools)
+    columns = [[words[v] for v in column] if b else column for column, b in zip(columns, bools)]
+    _write(cfg, _csv_text(cfg, names, map(template.__mod__, zip(*columns))))
+
+
 def cmd_divisibility(cfg: argparse.Namespace) -> int:
-    lam, excess, markovian = choi.grid_pass(
+    lam, excess, markovian = choi._grid_pass(
         cfg.generator, cfg.t_grid, cfg.epsilon,
         lambda times, c, matrices, lam, tau: choi.divisibility_grid(lam, cfg.tolerance))
-    rows = list(zip(cfg.t_grid, lam, excess, markovian))
-    _emit(cfg, ["t", "lambda_min", "trace_norm_excess", "markovian"], rows)
+    _emit_columns(cfg, ["t", "lambda_min", "trace_norm_excess", "markovian"],
+                  [cfg.t_grid, lam, excess, markovian])
     return EXIT_OK
 
 
 def cmd_witness(cfg: argparse.Namespace) -> int:
-    matrices, omega, nu, tau, witnesses = witness.witness_scan(
-        cfg.generator, cfg.t_grid, cfg.epsilon)
+    c, matrices, omega, nu, tau = choi._grid_pass(
+        cfg.generator, cfg.t_grid, cfg.epsilon, lambda times, c, matrices, lam, tau: (
+            c, matrices, *witness.witness_weights(times, lam), tau))
     values = witness.witness_values(nu, tau, matrices)
-    omega, nu = omega.tolist(), nu.tolist()
-    rows = [[t, o, n, v, v < -cfg.tolerance] for t, o, n, v in zip(cfg.t_grid, omega, nu, values)]
-    _emit(cfg, ["t", "omega", "nu", "witness_value", "detected"], rows)
+    omegas, nus = omega.tolist(), nu.tolist()
+    _emit_columns(cfg, ["t", "omega", "nu", "witness_value", "detected"],
+                  [cfg.t_grid, omegas, nus, values, [v < -cfg.tolerance for v in values]])
     if cfg.export_witness:
+        witnesses = witness.witness_matrices(cfg.generator, c, cfg.epsilon, nu, tau)
         exports = [
             witness.witness_to_dict(witness.WitnessOperator(
                 matrix=W, nu=n, omega=o, tau=v,
                 source_map=lindblad.small_time_map(cfg.generator, t, cfg.epsilon)))
-            for t, o, n, v, W in zip(cfg.t_grid, omega, nu, tau, witnesses)
+            for t, o, n, v, W in zip(cfg.t_grid, omegas, nus, tau, witnesses)
         ]
         with open(cfg.export_witness, "w", encoding="utf-8", newline="") as fh:
             fh.write(json.dumps(_round12(exports), indent=2) + "\n")
@@ -355,17 +351,17 @@ def cmd_witness(cfg: argparse.Namespace) -> int:
 
 
 def cmd_spa(cfg: argparse.Namespace) -> int:
-    lam, omega, nu = (x.tolist() for x in choi.grid_pass(
+    lam, omega, nu = (x.tolist() for x in choi._grid_pass(
         cfg.generator, cfg.t_grid, cfg.epsilon, lambda times, c, matrices, lam, tau: spa.spa_grid(lam)))
-    rows = [[t, lm, o, o, n] for t, lm, o, n in zip(cfg.t_grid, lam, omega, nu)]
-    _emit(cfg, ["t", "lambda_minus", "p_star", "omega", "nu"], rows)
+    _emit_columns(cfg, ["t", "lambda_minus", "p_star", "omega", "nu"],
+                  [cfg.t_grid, lam, omega, omega, nu])
     return EXIT_OK
 
 
 def cmd_entangle(cfg: argparse.Namespace) -> int:
     if cfg.scan:
-        g1s, g2s, positive, cp, thresholds = entanglement._scan_columns(*cfg.scan_grid,
-                                                                        cfg.tolerance)
+        g1s, g2s = cfg.scan_grid
+        positive, cp, thresholds = entanglement._scan_columns(g1s, g2s, cfg.tolerance)
         columns = ["gamma1", "gamma2", "positive", "cp", "werner_threshold"]
         positive, cp = positive.tolist(), cp.tolist()
         if cfg.format == "csv":

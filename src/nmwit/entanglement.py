@@ -283,8 +283,8 @@ def scan_axes(gamma1_range, gamma2_range, steps):
     return g1s, g2s
 
 
-def _scan_columns(gamma1_range, gamma2_range, steps, tolerance: float):
-    """The axes (g1s, g2s) of a phase scan and its positive, cp and threshold columns.
+def _scan_columns(g1s: np.ndarray, g2s: np.ndarray, tolerance: float):
+    """The positive, cp and threshold columns of a phase scan over axes that scan_axes returned.
 
     Point k of a column is (g1s[k // len(g2s)], g2s[k % len(g2s)]); a
     threshold is None where the point is not positive-but-not-CP or no Werner
@@ -292,7 +292,6 @@ def _scan_columns(gamma1_range, gamma2_range, steps, tolerance: float):
     rows, about _BLOCK points each, so the first failing block raises, as a
     loop over the points would.
     """
-    g1s, g2s = scan_axes(gamma1_range, gamma2_range, steps)
     n2 = len(g2s)
     positive, cp = np.empty(len(g1s) * n2, dtype=bool), np.empty(len(g1s) * n2, dtype=bool)
     thresholds: list[float | None] = [None] * positive.size
@@ -306,7 +305,7 @@ def _scan_columns(gamma1_range, gamma2_range, steps, tolerance: float):
             found = _werner_thresholds(g1[todo], g2[todo], _RESOLUTION, tolerance)
             for k, threshold in zip((todo + block.start).tolist(), found):
                 thresholds[k] = threshold
-    return g1s, g2s, positive, cp, thresholds
+    return positive, cp, thresholds
 
 
 def phase_scan(
@@ -325,7 +324,8 @@ def phase_scan(
     positive but not completely positive - the Werner detection threshold at
     the default resolution of werner_threshold, found for the whole block at once.
     """
-    g1s, g2s, positive, cp, thresholds = _scan_columns(gamma1_range, gamma2_range, steps, tolerance)
+    g1s, g2s = scan_axes(gamma1_range, gamma2_range, steps)
+    positive, cp, thresholds = _scan_columns(g1s, g2s, tolerance)
     return [
         PhaseScanRow(gamma1=g1, gamma2=g2, positive=p, cp=c, werner_threshold=t)
         for (g1, g2), p, c, t in zip(itertools.product(g1s.tolist(), g2s.tolist()),

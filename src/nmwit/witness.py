@@ -16,11 +16,14 @@ the witness was built from whenever that state has a negative eigenvalue.
 
 The SPA state nu*C + omega*I/d^2 has the eigenvectors of C, so tau is the
 eigenvector of C's least eigenvalue and nothing is diagonalized but C. A grid
-of instants is one stacked pass: witness_grid reads (omega, nu) and tau off
-the Choi spectra of choi.grid_pass and forms every witness matrix with one
-stacked extension; build_witness is its one-instant case, as is the replay of
-a grid that fails, and reads the Choi state the snapshot map keeps
-(choi.choi_of). evaluate is the one-instant case of witness_values.
+of instants is one stacked pass, and witness_grid runs it in two pieces:
+witness_weights reads (omega, nu) off the Choi spectra of choi.grid_pass and
+rejects a degenerate minimum, and witness_matrices forms every witness matrix
+from tau with one stacked extension. build_witness is their one-instant case,
+as is the replay of a grid that fails, and reads the Choi state the snapshot
+map keeps (choi.choi_of). evaluate is the one-instant case of witness_values,
+which needs no witness matrix, so the CLI's witness command forms the matrices
+only when it exports them.
 """
 
 from __future__ import annotations
@@ -112,15 +115,12 @@ def adjoint_identity_max_residual(draws: int = 100, seed: int = 0) -> float:
     return worst
 
 
-def witness_grid(gen: LindbladGenerator, times, epsilon: float, c: np.ndarray, eigenvalues: np.ndarray,
-                 tau: np.ndarray):
-    """(omega, nu, tau, witness matrices) for snapshots of gen at times.
+def witness_weights(times, eigenvalues: np.ndarray):
+    """(omega, nu) of the SPA states of snapshots at times, from their ascending Choi spectra.
 
-    c, eigenvalues and tau are the snapshots' coefficient rows, ascending
-    Choi spectra and eigenvectors of the least Choi eigenvalues (see
-    choi.grid_pass). Raises DegenerateMinimum for the first SPA state whose
-    two lowest eigenvalues, nu * (lambda_1 - lambda_0), are within
-    _DEGENERACY_TOL, because its minimizing eigenvector is then not well defined.
+    Raises DegenerateMinimum for the first SPA state whose two lowest
+    eigenvalues, nu * (lambda_1 - lambda_0), are within _DEGENERACY_TOL,
+    because its minimizing eigenvector is then not well defined.
     """
     _, omega, nu = spa_grid(eigenvalues)
     lam = eigenvalues  # a 1x1 state has one eigenvalue, so no degenerate minimum
@@ -129,10 +129,31 @@ def witness_grid(gen: LindbladGenerator, times, epsilon: float, c: np.ndarray, e
         k = int(np.argmax(gap < _DEGENERACY_TOL))
         raise DegenerateMinimum(f"minimum eigenvalue of the SPA state is degenerate "
                                 f"at t={times[k]:g} (gap {gap[k]:.3g})")
+    return omega, nu
+
+
+def witness_matrices(gen: LindbladGenerator, c: np.ndarray, epsilon: float, nu: np.ndarray,
+                     tau: np.ndarray) -> np.ndarray:
+    """The read-only witness matrices nu * (id (x) N)(|tau><tau|) of snapshots with
+    coefficient rows c, as one stacked extension."""
     witnesses = extend(gen, c, epsilon, tau[:, :, None] * tau.conj()[:, None, :])
     witnesses *= nu[:, None, None]
-    tau.setflags(write=False)
     witnesses.setflags(write=False)
+    return witnesses
+
+
+def witness_grid(gen: LindbladGenerator, times, epsilon: float, c: np.ndarray, eigenvalues: np.ndarray,
+                 tau: np.ndarray):
+    """(omega, nu, tau, witness matrices) for snapshots of gen at times.
+
+    c, eigenvalues and tau are the snapshots' coefficient rows, ascending
+    Choi spectra and eigenvectors of the least Choi eigenvalues (see
+    choi.grid_pass). It is witness_weights, which raises DegenerateMinimum,
+    then witness_matrices; the CLI runs the second only for --export-witness.
+    """
+    omega, nu = witness_weights(times, eigenvalues)
+    witnesses = witness_matrices(gen, c, epsilon, nu, tau)
+    tau.setflags(write=False)
     return omega, nu, tau, witnesses
 
 

@@ -494,3 +494,48 @@ def test_samples_and_seed_are_echoed_but_do_not_change_the_scan(capsys):
     assert "# samples = 3\n" in outputs[1] and "# seed = 99\n" in outputs[1]
     strip = lambda text: [ln for ln in text.splitlines() if not ln.startswith("#")]
     assert strip(outputs[0]) == strip(outputs[1])
+
+
+@pytest.mark.parametrize("argv", [
+    ["divisibility", *_GRID],
+    ["witness", *_GRID],
+    ["witness", *_GRID, "--export-witness", "wit.json"],
+    ["spa", *_GRID, "--format", "json"],
+    ["entangle", "--scan", "--gamma1-range", "0:0.6:7", "--gamma2-range", "0:1:11"],
+    ["entangle", "--gamma1", "0.5", "--gamma2", "0.5", "--p", "0.5"],
+    ["prop1", "--draws", "3"],
+])
+def test_each_command_checks_its_grids_once(argv, tmp_path, monkeypatch, capsys):
+    # resolve_config checks the time grid (and a scan's axes); the handlers
+    # run on what it returned and do not check them again.
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    for module, name in ((nmwit.choi, "checked_grid"), (nmwit.entanglement, "scan_axes")):
+        check = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, _check=check, _name=name: (calls.append(_name),
+                                                                     _check(*args))[1])
+    assert cli.main(argv) == 0
+    assert sorted(calls) == ["checked_grid", *(["scan_axes"] if "--scan" in argv else [])]
+
+
+@pytest.mark.parametrize("export", [False, True])
+def test_witness_forms_the_witness_matrices_only_for_an_export(export, tmp_path, monkeypatch,
+                                                               capsys):
+    monkeypatch.chdir(tmp_path)
+    calls, extend = [], nmwit.witness.extend
+    monkeypatch.setattr(nmwit.witness, "extend", lambda *args: (calls.append(args), extend(*args))[1])
+    assert cli.main(["witness", *_GRID, *(["--export-witness", "wit.json"] if export else [])]) == 0
+    assert len(calls) == export
+    assert (tmp_path / "wit.json").exists() == export
+
+
+def test_a_degenerate_grid_exits_4_before_any_export(tmp_path, monkeypatch, capsys):
+    # The pass fails past the table's domain first; its replay meets the
+    # degenerate SPA minimum at t=0.5, before any witness matrix is formed.
+    monkeypatch.chdir(tmp_path)
+    generator = _tabulated_generator(tmp_path, [0, 1], [2, 2], "sigma_z")
+    code = cli.main(["witness", *_GRID, "--scenario", "custom", "--generator", generator,
+                     "--export-witness", "wit.json"])
+    assert (code, capsys.readouterr().err.splitlines()[-1]) == (4, _DEGENERATE_AT_HALF)
+    assert not (tmp_path / "wit.json").exists()

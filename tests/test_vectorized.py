@@ -1,14 +1,16 @@
 """The vectorized pieces of a time-grid pass against their per-instant forms, bit for bit.
 
 The coefficient rows are filled one term's column at a time, the witness
-values come from two stacked matrix-vector products, and each CSV row is
-written with one %-template per tuple of its cell types. Each must give the
-bits of the per-instant loop it replaces (oracles.loop_coefficients,
-oracles.loop_witness_values, and cli._fmt joined per cell).
+values come from two stacked matrix-vector products, and a time grid's output
+is written from its columns, with one %-template for every CSV row. Each must
+give the bits of the per-instant loop or per-row path it replaces
+(oracles.loop_coefficients, oracles.loop_witness_values, and cli._emit of the
+zipped rows, whose CSV cells are cli._fmt joined per cell).
 """
 
 import argparse
 import io
+import json
 import math
 import re
 from contextlib import redirect_stdout
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nmwit
@@ -156,3 +158,84 @@ def test_csv_rows_with_a_column_of_none_and_floats_are_the_fmt_join():
     lines = _emitted_rows(rows)
     assert lines == [",".join(map(cli._fmt, row)) for row in rows]
     assert lines[1] == "0.1,0.5,false,true,"
+
+
+# Time-grid columns: floats, with the values _fmt treats apart, and bools.
+_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 1.0 / 3.0)
+
+
+@st.composite
+def time_grid_columns(draw):
+    rows = draw(st.integers(1, 6))
+    floats = st.sampled_from(_FLOATS) | st.floats(allow_nan=True, allow_infinity=True)
+    return [draw(st.lists(st.booleans() if is_bool else floats, min_size=rows, max_size=rows))
+            for is_bool in draw(st.lists(st.booleans(), min_size=1, max_size=5))]
+
+
+def _written(emit, fmt, names, data, echo=(("command", "test"),)):
+    """What emit writes to stdout for (names, data) in the format fmt."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        emit(argparse.Namespace(format=fmt, echo=list(echo), output=None), names, data)
+    return out.getvalue()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@example(columns=[list(_FLOATS), [True, False] * 4, [-x for x in _FLOATS]])
+@given(columns=time_grid_columns())
+def test_columns_are_written_as_emit_writes_their_rows(columns):
+    names = [f"c{k}" for k in range(len(columns))]
+    rows = list(zip(*columns))
+    csv = _written(cli._emit_columns, "csv", names, columns)
+    assert csv.split("\n")[2:-1] == [",".join(map(cli._fmt, row)) for row in rows]
+    assert csv == _written(cli._emit, "csv", names, rows)
+    assert (_written(cli._emit_columns, "json", names, columns)
+            == _written(cli._emit, "json", names, rows))
+
+
+@pytest.mark.parametrize("command", ["divisibility", "witness", "spa"])
+def test_time_grid_commands_pass_python_floats_and_bools_to_the_emitter(command, monkeypatch,
+                                                                        capsys):
+    # The emitter picks a column's %-format from the type of its first cell, so
+    # numpy scalars never reach it: the commands pass .tolist() values.
+    seen, emit = [], cli._emit_columns
+    monkeypatch.setattr(cli, "_emit_columns",
+                        lambda cfg, names, columns: (seen.append(columns), emit(cfg, names, columns)))
+    assert cli.main([command, "--t-start", "0.5", "--t-stop", "2", "--t-steps", "4"]) == 0
+    (columns,) = seen
+    assert [{type(v) for v in column} for column in columns] in (
+        [{float}] * 3 + [{bool}], [{float}] * 4 + [{bool}], [{float}] * 5)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+_CUSTOM_1000 = ["--scenario", "custom", "--generator", "custom_generator.json", "--epsilon", "0.02",
+                "--t-start", "0.01", "--t-stop", "4.99", "--t-steps", "1000", "--seed", "3"]
+
+
+def _json_of_csv(text, echo):
+    """The JSON output whose rows are the cells of the CSV output text."""
+    names, *cells = (line.split(",") for line in text.splitlines() if not line.startswith("#"))
+    rows = [[c == "true" if c in ("true", "false") else float(c) for c in row] for row in cells]
+    payload = {"config": {k: cli._round12(v) for k, v in echo}, "columns": names, "rows": rows}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command", ["divisibility", "witness", "spa"])
+@pytest.mark.parametrize("golden, args", [
+    ("eternal_{}_1.csv", ["--scenario", "eternal", "--epsilon", "0.0137", "--t-start", "1",
+                          "--seed", "3"]),
+    ("eternal_{}_1000.csv", ["--scenario", "eternal", "--epsilon", "0.0137", "--t-start", "0.05",
+                             "--t-stop", "5", "--t-steps", "1000", "--seed", "3"]),
+    ("custom_{}_1000.csv", _CUSTOM_1000)])
+def test_time_grid_commands_write_the_golden_rows_in_csv_and_json(command, golden, args,
+                                                                  monkeypatch, capsys):
+    # A float's JSON value is its 12-digit CSV cell read back, so the JSON
+    # output is pinned byte for byte by the CSV golden's cells.
+    monkeypatch.chdir(GOLDEN)
+    expected = (GOLDEN / golden.format(command)).read_text(encoding="utf-8")
+    assert cli.main([command, *args]) == 0
+    assert capsys.readouterr().out == expected
+    argv = [command, *args, "--format", "json"]
+    assert cli.main(argv) == 0
+    echo = cli.resolve_config(cli.build_parser().parse_args(argv)).echo
+    assert capsys.readouterr().out == _json_of_csv(expected, echo)
