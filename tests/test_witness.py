@@ -1,8 +1,12 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import nmwit
 from nmwit.errors import DegenerateMinimum, DimensionMismatch, NonHermitianJump
+from nmwit.witness import witness_scan
 
 from oracles import BELL_PHI_PLUS, bell_witness_image, rand_density
 
@@ -215,3 +219,40 @@ def test_witness_export_dict():
     tau = np.array([complex(re, im) for re, im in d["tau"]])
     assert np.abs(tau - W.tau).max() == 0.0
     assert d["nu"] == W.nu and d["omega"] == W.omega
+
+
+def _check_floor(W):
+    """Parts of W's matrix and tau below the floor are exported as +0.0, and every other part
+    prints as without the floor. Returns the number of parts the floor changed."""
+    d = nmwit.witness_to_dict(W)
+    changed = 0
+    for key, A in (("matrix", W.matrix), ("tau", W.tau)):
+        floor = 1e-14 * np.abs(A).max()
+        for y, x in zip(np.ravel(d[key]).tolist(), np.stack((A.real, A.imag), axis=-1).ravel().tolist()):
+            if abs(x) < floor or x == 0:
+                assert y == 0.0 and math.copysign(1.0, y) == 1.0, (x, y)
+                changed += repr(y) != repr(x)
+            else:
+                assert f"{y:.12g}" == f"{x:.12g}", (x, y)
+    return changed
+
+
+def test_witness_export_floors_only_the_rounding_residue():
+    gen = nmwit.load_generator(Path(__file__).parent / "golden" / "custom_generator.json")
+    times, eps = np.linspace(0.1, 4.9, 100), 0.02
+    _, omega, nu, tau, witnesses = witness_scan(gen, times, eps)
+    changed = sum(_check_floor(nmwit.WitnessOperator(
+        matrix=W, nu=n, omega=o, tau=v, source_map=nmwit.small_time_map(gen, t, eps)))
+        for t, o, n, v, W in zip(times, omega, nu, tau, witnesses))
+    assert changed > 0
+
+
+def test_witness_export_writes_signed_zeros_as_zero_and_keeps_parts_above_the_floor():
+    above, below = np.nextafter(1e-14, 1.0), np.nextafter(1e-14, 0.0)
+    matrix = np.array([[1.0, complex(-0.0, above)], [complex(above, -0.0), complex(below, -below)]])
+    tau = np.array([complex(-0.0, 0.0), complex(-2.0, -below * 2)])
+    W = nmwit.WitnessOperator(matrix=matrix, nu=1.0, omega=0.0, tau=tau, source_map=_dephasing_map())
+    assert _check_floor(W) == 6
+    d = nmwit.witness_to_dict(W)
+    assert d["matrix"] == [[[1.0, 0.0], [0.0, above]], [[above, 0.0], [0.0, 0.0]]]
+    assert d["tau"] == [[0.0, 0.0], [-2.0, 0.0]]
