@@ -8,20 +8,19 @@ and the snapshot map over a short step is kept in first-order form
 N = id + epsilon * L_t, never exponentiated: the threshold formulas downstream
 are exact for the first-order map and only approximate for exp(epsilon L).
 
-A generator is compiled once, at construction, into two read-only stacks over
-its terms. The first holds each term's Liouville superoperator
-
-    S_a = L_a (x) conj(L_a) - (K_a (x) I + I (x) K_a^T) / 2,   K_a = L_a^dag L_a,
-
-which acts on a row-major vec(rho) (Havel, J. Math. Phys. 44, 534, 2003;
-Wood, Biamonte & Cory, QIC 15, 759, 2015). The second holds each term's Choi
-image B_a = E P E^dag - (K P + P K)/2, formed by these matrix products, with
-E = I_d (x) L_a, K = I_d (x) K_a and P = |phi+><phi+|, one read-only array
-per d. A grid of instants is then one stack: coefficients() gives the rows
-c_a(t), the Choi states are P + epsilon * sum_a c_a(t) B_a, and extend()
-applies id (x) N to a stack as one contraction S(t) = sum_a c_a(t) S_a and one
-batched matmul on the reshuffled stack, X[(i,a),(j,b)] -> X[(i,j),(a,b)];
-single instants are the one-row case.
+A generator is compiled once, at construction, into one read-only stack: each
+term's Choi image B_a = E P E^dag - (K P + P K)/2, formed by these matrix
+products, with E = I_d (x) L_a, K = I_d (x) K_a, K_a = L_a^dag L_a and
+P = |phi+><phi+|, one read-only array per d. The term's Liouville
+superoperator on a row-major vec(rho), S_a = L_a (x) conj(L_a) - (K_a (x) I +
+I (x) K_a^T) / 2, is read off it by the reshuffle S_a[(k,l),(i,j)] =
+B_a[(i,k),(j,l)] / P[0,0] (Havel, J. Math. Phys. 44, 534, 2003; Wood,
+Biamonte & Cory, QIC 15, 759, 2015). A grid of instants is then one stack:
+coefficients() gives the rows c_a(t), the Choi states are
+P + epsilon * sum_a c_a(t) B_a, and extend() applies id (x) N to a stack as
+one contraction S(t) = sum_a c_a(t) S_a and one batched matmul on the
+reshuffled stack, X[(i,a),(j,b)] -> X[(i,j),(a,b)]; single instants are the
+one-row case.
 
 Generators and maps are immutable in value; a map only keeps the Choi state
 choi.choi_of builds for it (threads racing on a fresh map build the same
@@ -126,15 +125,13 @@ def _as_coefficient(c) -> CoefficientModel:
 class LindbladGenerator:
     """Diagonal-form generator on dim >= 1: at most dim^2 (coefficient, jump) terms; equal only to itself.
 
-    superoperators (S_a) and choi_images (B_a) are stacks of d^2 x d^2
-    matrices, one per term, compiled from the terms (module docstring);
-    ParameterOutOfRange if any is not finite.
+    choi_images, one d^2 x d^2 Choi image B_a per term, is the one compiled stack
+    (module docstring); ParameterOutOfRange if any is not finite.
     """
 
     dim: int
     terms: tuple[tuple[CoefficientModel, np.ndarray], ...]
     label: str = "custom"
-    superoperators: np.ndarray = field(init=False, repr=False, compare=False)
     choi_images: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -144,9 +141,7 @@ class LindbladGenerator:
         if T > n:
             raise MalformedDescription(f"{T} terms exceed dim^2 = {n}")
         P = _choi_input(d)
-        # Left factors (I, I, L, K) and right factors (L, K, conj(L), I) of every term, K = L^dag L.
-        A, B = np.empty((4, T, d, d), dtype=complex), np.empty((4, T, d, d), dtype=complex)
-        L, K = A[2:]
+        L, K = LK = np.empty((2, T, d, d), dtype=complex)  # L_a and K_a = L_a^dag L_a of every term
         checked = []
         for a, (coef, jump) in enumerate(self.terms):
             jump = frozen(jump)
@@ -155,28 +150,17 @@ class LindbladGenerator:
             checked.append((_as_coefficient(coef), jump))
             L[a] = jump
         object.__setattr__(self, "terms", tuple(checked))
-        compiled = np.empty((2, T, n, n), dtype=complex)  # (S_a, B_a) of every term
         with np.errstate(all="ignore"):  # overflow is reported below, as ParameterOutOfRange
-            A[:2] = B[3] = np.eye(d)
-            np.conjugate(L, out=B[2])
-            np.matmul(B[2].swapaxes(1, 2), L, out=K)
-            B[:2] = A[2:]
-            # E = I (x) L, I (x) K, L (x) conj(L) and K (x) I; I (x) K^T is the transpose of I (x) K.
-            AB = _kron(A, B).reshape(4, T, n, n)
-            E, IK, LL, half = AB
-            half += IK.swapaxes(1, 2)
-            half /= 2
-            np.subtract(LL, half, out=compiled[0])  # S_a
-            EP, sym = AB[:2] @ P
-            np.matmul(EP, E.conj().swapaxes(1, 2), out=compiled[1])
+            np.matmul(L.conj().swapaxes(1, 2), L, out=K)
+            E, IK = _kron(np.eye(d, dtype=complex), LK).reshape(2, T, n, n)  # E = I (x) L and I (x) K
+            EP, sym = E @ P, IK @ P
+            images = EP @ E.conj().swapaxes(1, 2)
             sym += P @ IK
             sym *= 0.5
-            compiled[1] -= sym  # B_a = E P E^dag - ((I (x) K) P + P (I (x) K))/2
-        if not np.isfinite(compiled).all():
+            images -= sym  # B_a = E P E^dag - ((I (x) K) P + P (I (x) K))/2
+        if not np.isfinite(images).all():
             raise ParameterOutOfRange("jump operators and their compiled images must be finite")
-        compiled.setflags(write=False)
-        S, images = compiled
-        object.__setattr__(self, "superoperators", S)
+        images.setflags(write=False)
         object.__setattr__(self, "choi_images", images)
 
 
@@ -261,14 +245,21 @@ def choi_matrices(gen: LindbladGenerator, c: np.ndarray, epsilon: float) -> np.n
     return matrices
 
 
+def _superoperators(gen: LindbladGenerator) -> np.ndarray:
+    """Each term's S_a[(k,l),(i,j)] = B_a[(i,k),(j,l)] / P[0,0] as a row of a contiguous (T, d^4) array."""
+    T, d = len(gen.terms), gen.dim
+    S = gen.choi_images.reshape(T, d, d, d, d).transpose(0, 2, 4, 1, 3)
+    return np.divide(S, _choi_input(d)[0, 0], out=np.empty(S.shape, dtype=complex)).reshape(T, d**4)
+
+
 def extend(gen: LindbladGenerator, c: np.ndarray, epsilon: float, X: np.ndarray) -> np.ndarray:
     """X + epsilon * (id (x) L)(X) for coefficient rows c and one matrix or a stack X.
 
-    Each row's S(t) = c(t) S is its own vector-matrix product, so a row gives
-    the same bits alone as in a stack.
+    Each row's S(t) = c(t) S, with S read off the Choi images, is its own
+    vector-matrix product, so a row gives the same bits alone as in a stack.
     """
     n = gen.dim**2
-    S = (c[..., None, :] @ gen.superoperators.reshape(-1, n * n)).reshape(*c.shape[:-1], n, n)
+    S = (c[..., None, :] @ _superoperators(gen)).reshape(*c.shape[:-1], n, n)
     image = _reshuffle(_reshuffle(X, gen.dim) @ S.swapaxes(-1, -2), gen.dim)
     image *= epsilon
     image += X

@@ -42,7 +42,6 @@ from .spa import spa_grid
 MARKOVIAN_CONSISTENT = "markovian_consistent"
 NON_MARKOVIAN_DETECTED = "non_markovian_detected"
 _DEGENERACY_TOL = 1e-12  # an SPA state whose two lowest eigenvalues are closer has no witness
-_EXPORT_FLOOR = 1e-14  # relative to an exported array's largest magnitude
 
 
 @dataclass(frozen=True)
@@ -208,19 +207,14 @@ def classify_by_witness(W: WitnessOperator, choi: ChoiState, tolerance: float = 
 
 
 def _floored_pairs(A: np.ndarray) -> list:
-    """A's entries as [re, im] pairs, each part below _EXPORT_FLOOR times A's largest
-    magnitude, or a zero of either sign, written as 0.0."""
+    """A as [re, im] pairs, each part below 1e-14 of A's largest magnitude, or a signed zero, as 0.0."""
     parts = np.stack((A.real, A.imag), axis=-1)
-    parts[(np.abs(parts) < _EXPORT_FLOOR * np.abs(A).max()) | (parts == 0)] = 0.0
+    parts[(np.abs(parts) < 1e-14 * np.abs(A).max()) | (parts == 0)] = 0.0
     return parts.tolist()
 
 
 def witness_to_dict(W: WitnessOperator) -> dict:
-    """JSON-exportable form: matrix and tau as [re, im] pairs plus provenance.
-
-    A part below the floor is rounding residue whose digits depend on the order
-    of the float operations, so it is written as 0.0 (see _floored_pairs).
-    """
+    """JSON-exportable form: matrix and tau as [re, im] pairs with rounding residue floored, plus provenance."""
     return {
         "matrix": _floored_pairs(W.matrix),
         "nu": W.nu,

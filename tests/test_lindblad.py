@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 import nmwit
 from nmwit.errors import DimensionMismatch, NonPositiveEpsilon, ParameterOutOfRange
-from nmwit.lindblad import _choi_input, choi_matrices, extend
+from nmwit.lindblad import _choi_input, _superoperators, choi_matrices, extend
 
 from oracles import (
     BELL_PHI_PLUS,
@@ -79,22 +81,47 @@ def jump_sets(draw):
     return d, draw(st.lists(jump, min_size=1, max_size=d * d))
 
 
+def _exact_superoperator_error(S, L):
+    """max |S - (L (x) conj(L) - (K (x) I + I (x) K^T)/2)|, K = L^dag L, evaluated at 40 digits."""
+    d = len(L)
+    with mpmath.workdps(40):
+        M = [[mpmath.mpc(complex(z)) for z in row] for row in L]
+        K = [[mpmath.fsum(mpmath.conj(M[k][i]) * M[k][j] for k in range(d)) for j in range(d)]
+             for i in range(d)]
+        worst = mpmath.mpf(0)
+        for a, b, i, j in itertools.product(range(d), repeat=4):
+            exact = M[a][i] * mpmath.conj(M[b][j]) - (
+                (K[a][i] if b == j else 0) + (K[j][b] if a == i else 0)) / 2
+            worst = max(worst, abs(mpmath.mpc(complex(S[a * d + b, i * d + j])) - exact))
+        return float(worst)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(jump_sets())
-def test_compiled_superoperators_and_choi_images_bit_for_bit(dim_jumps):
-    # S_a is the Kronecker form of the term's Liouville superoperator, and B_a
-    # the term's Choi image E P E^dag - (K P + P K)/2 with E = I (x) L and
-    # K = I (x) L^dag L, each formed as np.kron and the matrix products form it.
+def test_compiled_choi_images_bit_for_bit_and_their_superoperators_to_2_ulp(dim_jumps):
+    # B_a is the term's Choi image E P E^dag - (K P + P K)/2 with E = I (x) L and
+    # K = I (x) L^dag L, formed as np.kron and the matrix products form it. The
+    # superoperator S_a read off it by the reshuffle is the Kronecker form of the
+    # term's Liouville superoperator to 2 ulp of ||L_a||_F^2, the scale of its entries.
     d, jumps = dim_jumps
     gen = nmwit.LindbladGenerator(dim=d, terms=tuple((1.0, L) for L in jumps))
     eye, P = np.eye(d), _choi_input(d)
-    assert gen.superoperators.shape == gen.choi_images.shape == (len(jumps), d * d, d * d)
-    assert not (gen.superoperators.flags.writeable or gen.choi_images.flags.writeable)
-    for S, B, L in zip(gen.superoperators, gen.choi_images, jumps):
-        K = L.conj().T @ L
-        assert S.tobytes() == (np.kron(L, L.conj()) - (np.kron(K, eye) + np.kron(eye, K.T)) / 2).tobytes()
-        E, IK = np.kron(eye, L), np.kron(eye, K)
+    assert gen.choi_images.shape == (len(jumps), d * d, d * d)
+    assert not gen.choi_images.flags.writeable
+    S = _superoperators(gen)
+    assert S.shape == (len(jumps), d**4) and S.flags.c_contiguous
+    for Sa, B, L in zip(S, gen.choi_images, jumps):
+        E, IK = np.kron(eye, L), np.kron(eye, L.conj().T @ L)
         assert B.tobytes() == (E @ P @ E.conj().T - (IK @ P + P @ IK) / 2).tobytes()
+        scale = np.linalg.norm(L) ** 2
+        assert _exact_superoperator_error(Sa.reshape(d * d, d * d), L) <= 2 * np.finfo(float).eps * scale
+
+
+def test_superoperators_of_pauli_jumps_are_exact():
+    gen, eye = nmwit.depolarizer(1.0, 1.0, 1.0), np.eye(2)
+    for Sa, (_, L) in zip(_superoperators(gen), gen.terms):
+        K = L.conj().T @ L
+        assert np.array_equal(Sa.reshape(4, 4), np.kron(L, L.conj()) - (np.kron(K, eye) + np.kron(eye, K.T)) / 2)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -117,6 +144,21 @@ def test_stacked_choi_matrices_and_extensions_are_the_per_row_results(dim_jumps,
     for row in range(k):
         assert extend(gen, c[row], eps, X[row]).tobytes() == stacked[row].tobytes()
         assert extend(gen, c[row], eps, X[0]).tobytes() == shared[row].tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(jump_sets(), st.integers(1, 6), st.floats(1e-3, 1.0), st.integers(0, 2**32 - 1))
+def test_extension_of_the_choi_input_is_the_choi_matrix(dim_jumps, k, eps, seed):
+    # C = (id (x) N)(P): extend, through the superoperators read off the Choi
+    # images, and choi_matrices, which sums the images, agree to 2 ulp of the
+    # scale 1 + eps * max_k sum_a |c_ka| ||L_a||_F^2 of their entries.
+    d, jumps = dim_jumps
+    jumps = [(L + L.conj().T) / 2 for L in jumps]
+    gen = nmwit.LindbladGenerator(dim=d, terms=tuple((1.0, L) for L in jumps))
+    c = np.random.default_rng(seed).uniform(-1.0, 1.0, (k, len(jumps)))
+    scale = 1 + eps * (np.abs(c) @ [np.linalg.norm(L) ** 2 for L in jumps]).max()
+    error = np.abs(extend(gen, c, eps, _choi_input(d)) - choi_matrices(gen, c, eps)).max()
+    assert error <= 2 * np.finfo(float).eps * scale
 
 
 def test_choi_input_is_one_read_only_array_per_dimension():
