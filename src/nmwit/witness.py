@@ -207,14 +207,14 @@ def classify_by_witness(W: WitnessOperator, choi: ChoiState, tolerance: float = 
 
 
 def _floored_pairs(A: np.ndarray) -> list:
-    """A as [re, im] pairs, each part below 1e-14 of A's largest magnitude, or a signed zero, as 0.0."""
+    """A as [re, im] pairs, each part below 1e-14 of A's largest magnitude, signed zeros included, as 0.0."""
     parts = np.stack((A.real, A.imag), axis=-1)
-    parts[(np.abs(parts) < 1e-14 * np.abs(A).max()) | (parts == 0)] = 0.0
+    parts[np.abs(parts) < 1e-14 * np.abs(A).max()] = 0.0
     return parts.tolist()
 
 
 def witness_to_dict(W: WitnessOperator) -> dict:
-    """JSON-exportable form: matrix and tau as [re, im] pairs with rounding residue floored, plus provenance."""
+    """JSON-exportable form: matrix and tau as [re, im] pairs, floored by _floored_pairs, plus provenance."""
     return {
         "matrix": _floored_pairs(W.matrix),
         "nu": W.nu,

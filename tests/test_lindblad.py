@@ -121,7 +121,8 @@ def test_superoperators_of_pauli_jumps_are_exact():
     gen, eye = nmwit.depolarizer(1.0, 1.0, 1.0), np.eye(2)
     for Sa, (_, L) in zip(_superoperators(gen), gen.terms):
         K = L.conj().T @ L
-        assert np.array_equal(Sa.reshape(4, 4), np.kron(L, L.conj()) - (np.kron(K, eye) + np.kron(eye, K.T)) / 2)
+        exact = np.kron(L, L.conj()) - (np.kron(K, eye) + np.kron(eye, K.T)) / 2
+        assert np.array_equal(Sa.reshape(4, 4), exact)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -229,7 +229,7 @@ def _check_floor(W):
     for key, A in (("matrix", W.matrix), ("tau", W.tau)):
         floor = 1e-14 * np.abs(A).max()
         for y, x in zip(np.ravel(d[key]).tolist(), np.stack((A.real, A.imag), axis=-1).ravel().tolist()):
-            if abs(x) < floor or x == 0:
+            if abs(x) < floor:
                 assert y == 0.0 and math.copysign(1.0, y) == 1.0, (x, y)
                 changed += repr(y) != repr(x)
             else:
