@@ -363,19 +363,19 @@ def cmd_entangle(cfg: argparse.Namespace) -> int:
         g1s, g2s = cfg.scan_grid
         positive, cp, thresholds = entanglement._scan_columns(g1s, g2s, cfg.tolerance)
         columns = ["gamma1", "gamma2", "positive", "cp", "werner_threshold"]
-        positive, cp = positive.tolist(), cp.tolist()
         if cfg.format == "csv":
-            # The cells that _fmt writes, with each axis value formatted once.
-            cells = itertools.product(*(["%.12g" % g for g in axis.tolist()]
-                                        for axis in (g1s, g2s)))
-            words = ("false", "true")
-            _write(cfg, _csv_text(cfg, columns, (
-                f"{a},{b},{words[p]},{words[c]},{'' if t is None else '%.12g' % t}"
-                for (a, b), p, c, t in zip(cells, positive, cp, thresholds))))
+            # The cells that _fmt writes, as whole columns: each axis value and
+            # each threshold formatted once, and each (positive, cp) pair looked up.
+            a, b = (["%.12g," % g for g in axis.tolist()] for axis in (g1s, g2s))
+            flags = ("false,false,", "false,true,", "true,false,", "true,true,")
+            cells = zip([x for x in a for _ in b], b * len(a),
+                        map(flags.__getitem__, (2 * positive + cp).tolist()),
+                        ["" if t is None else "%.12g" % t for t in thresholds])
+            _write(cfg, _csv_text(cfg, columns, map("".join, cells)))
         else:
             points = itertools.product(g1s.tolist(), g2s.tolist())
-            _emit(cfg, columns, [[g1, g2, p, c, t]
-                                 for (g1, g2), p, c, t in zip(points, positive, cp, thresholds)])
+            _emit(cfg, columns, [[g1, g2, p, c, t] for (g1, g2), p, c, t in
+                                 zip(points, positive.tolist(), cp.tolist(), thresholds)])
         return EXIT_OK
     detected, lam = entanglement.detect_entanglement(cfg.werner.matrix, cfg.point, cfg.tolerance)
     _emit(cfg, ["gamma1", "gamma2", "p", "lambda_min", "detected"],

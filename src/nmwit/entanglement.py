@@ -15,14 +15,22 @@ the Pauli transfer matrix, read off all of J in one matrix product, must be
 diag(1, s, s, u), and the spectrum of J must be the Choi weights. A
 disagreement raises CrossCheckFailed.
 
+Every spectrum here comes from _eigvalsh, which diagonalizes a stack whose
+imaginary part is exactly zero in real arithmetic, as eigvalsh of its real
+part. The family's Choi matrices and Werner images always qualify (each
+product of two imaginary sigma_y entries is real), and a complex state's
+image takes the complex solve; the Werner walk and detect_entanglement share
+the helper, so they decide every Werner parameter alike.
+
 The phase scan walks the grid in blocks of whole gamma1 rows, about _BLOCK
 points each: one Choi stack checks the whole block, and the Werner thresholds
 of the block's positive-but-not-CP points are found together. Every stacked
 step works point by point, so the block edges change no result. A threshold
 is the point where bisection of the detected interval would end; it is
-decided by eigvalsh of (id (x) Map)(W_p) alone, at the threshold and one step
-below, starting from the closed-form onset of the spectrum p*w + (1-p)/4 over
-the Choi weights w.
+decided by the spectrum of (id (x) Map)(W_p) alone, at the threshold and one
+step below, both in one stacked solve per step, starting from the closed-form
+onset of the spectrum p*w + (1-p)/4 over the Choi weights w, which the
+block's check has already computed.
 
 A point that is positive but not completely positive certifies entanglement:
 a negative eigenvalue of (id (x) Map)(state) cannot occur on separable input.
@@ -59,8 +67,8 @@ _SINGLET = projector(BELL_PSI_MINUS)
 _RESOLUTION = 1e-6
 _STEPS = 64  # lattice steps a Werner threshold may walk from its closed-form onset
 # Points per phase-scan block, rounded down to whole gamma1 rows (at least one).
-# The whole grid in one stack is no faster and holds its (3, N, 4, 4) Choi terms at once.
-_BLOCK = 512
+# The whole grid in one stack is no faster and holds all of its Choi matrices at once.
+_BLOCK = 1024
 # R[i, j] = Tr[(sigma_j^T (x) sigma_i) J] is the Pauli transfer matrix of the map
 # whose Choi matrix is J. Flattened, R.ravel() = J.ravel() @ _TRANSFER, with
 # _TRANSFER[4b + a, 4i + j] = (sigma_j^T (x) sigma_i)[a, b].
@@ -139,22 +147,27 @@ def is_positive(pt: MapFamilyPoint, *, tolerance: float = TOL_PSD) -> bool:
     return bool(_check_points(np.array([pt.gamma1]), np.array([pt.gamma2]), tolerance)[0][0])
 
 
+def _eigvalsh(M: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh of a Hermitian matrix or stack, as eigvalsh(M.real) when M.imag is all zero."""
+    return np.linalg.eigvalsh(M if M.imag.any() else M.real)
+
+
 def _choi_weights(g1, g2) -> np.ndarray:
     """Closed-form Choi eigenvalues {1-2*g1-g2, g1, g1, g2} of each point, ascending."""
     return np.sort(np.stack([1.0 - 2.0 * g1 - g2, g1, g1, g2], axis=-1), axis=-1)
 
 
-def _disagree(closed, numeric, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    """Whether closed and numeric differ beyond rounding at each point.
+def _disagree(residual: np.ndarray, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """Whether the closed-form-minus-numeric residual exceeds rounding at each point.
 
     Rounding may reach 1e-12 per unit of coefficient magnitude; NaN always differs.
     """
-    gap = np.abs(closed - numeric).reshape(len(g1), -1).max(axis=-1)
+    gap = np.abs(residual).reshape(len(g1), -1).max(axis=-1)
     return ~(gap <= 1e-12 * (1.0 + np.abs(g1) + np.abs(g2)))
 
 
 def _check_points(g1: np.ndarray, g2: np.ndarray, tolerance: float):
-    """(positive, cp) of each point (g1[k], g2[k]), from one stacked Choi matrix J.
+    """(positive, cp, least Choi weight) of each point (g1[k], g2[k]), from one stacked Choi matrix J.
 
     The Pauli transfer matrix R[i, j] = Tr[(sigma_j^T (x) sigma_i) J] must equal
     diag(1, s, s, u), and the spectrum of J the closed-form Choi weights.
@@ -163,16 +176,19 @@ def _check_points(g1: np.ndarray, g2: np.ndarray, tolerance: float):
     """
     J = choi_matrices(_FAMILY, np.stack([g1, g1, g2], axis=-1), 1.0)
     s, u = _factors(g1, g2)
-    transfer = np.stack([np.ones_like(s), s, s, u], axis=-1)[:, :, None] * np.eye(4)
-    R = (J.reshape(len(g1), 16) @ _TRANSFER).reshape(transfer.shape)
-    wrong_transfer = _disagree(transfer, R, g1, g2)
+    R = J.reshape(len(g1), 16) @ _TRANSFER  # R[k, 4i + j]; the diagonal is at columns 0, 5, 10, 15
+    R[:, 0] -= 1.0
+    R[:, 5:11:5] -= s[:, None]
+    R[:, 15] -= u
+    wrong_transfer = _disagree(R, g1, g2)
     weights = _choi_weights(g1, g2)
-    wrong = wrong_transfer | _disagree(weights, np.linalg.eigvalsh(J), g1, g2)
+    wrong = wrong_transfer | _disagree(weights - _eigvalsh(J), g1, g2)
     if wrong.any():
         k = int(np.argmax(wrong))
         what = "transfer matrix" if wrong_transfer[k] else "Choi spectrum"
         raise CrossCheckFailed(f"{what} mismatch at gamma1={g1[k]:g}, gamma2={g2[k]:g}")
-    return _positive(s, u, tolerance), weights[:, 0] >= -tolerance
+    least = weights[:, 0]
+    return _positive(s, u, tolerance), least >= -tolerance, least
 
 
 def is_cp(pt: MapFamilyPoint, *, tolerance: float = TOL_PSD) -> bool:
@@ -189,19 +205,23 @@ def detect_entanglement(
 
     Returns (detected, min_eigenvalue of (id (x) Map)(state)); detected means
     the eigenvalue is below -tolerance, which is impossible for separable
-    states under a positive map. Raises MapNotPositive when pt fails the
-    positivity criterion, since a non-positive map certifies nothing, and
-    ParameterOutOfRange when the state or its image is not finite.
+    states under a positive map. The image is diagonalized as the Werner walk
+    diagonalizes it: in real arithmetic when its imaginary part is exactly
+    zero, as for every Werner state, else as a complex Hermitian matrix.
+    Raises MapNotPositive when pt fails the positivity criterion, since a
+    non-positive map certifies nothing, and ParameterOutOfRange when the
+    state or its image is not finite.
     """
     state = as_matrix(state, (4, 4))
     _require_positive(pt, tolerance)
     image = finite_image(_FAMILY, np.array([pt.gamma1, pt.gamma1, pt.gamma2]), 1.0, state)
-    lam = float(np.linalg.eigvalsh(image)[0])
+    lam = float(_eigvalsh(image)[0])
     return lam < -tolerance, lam
 
 
 def _werner_thresholds(
-    g1: np.ndarray, g2: np.ndarray, resolution: float, tolerance: float
+    g1: np.ndarray, g2: np.ndarray, resolution: float, tolerance: float,
+    least: np.ndarray | None = None,
 ) -> list[float | None]:
     """Werner thresholds of positive points (g1[k], g2[k]), where bisection from [0, 1] ends.
 
@@ -209,26 +229,27 @@ def _werner_thresholds(
     largest power of two <= resolution, at most 1) or at float spacing: hi is
     the first lattice point that is detected. Each point starts at the
     closed-form onset p* = (1/4 + tolerance) / (1/4 - w_min) of the spectrum
-    p*w + (1-p)/4 of (id (x) Map)(W_p), rounded up to the lattice. Each step
-    diagonalizes every point at hi and at lo, one stacked eigvalsh each, and
-    moves hi up where it is not detected (below 1) and down where lo is
-    detected too. A point not settled after _STEPS steps raises CrossCheckFailed.
+    p*w + (1-p)/4 of (id (x) Map)(W_p), rounded up to the lattice; least, if
+    given, holds each point's w_min, as _check_points returns it. Each step
+    diagonalizes every point at hi and at lo in one stacked extend and one
+    _eigvalsh, as detect_entanglement diagonalizes one image, and moves hi up
+    where it is not detected (below 1) and down where lo is detected too. A
+    point not settled after _STEPS steps raises CrossCheckFailed.
     """
     h = min(1.0, math.ldexp(0.5, math.frexp(resolution)[1]))
     rows = np.stack([g1, g1, g2], axis=-1)
-
-    def detected(p: np.ndarray) -> np.ndarray:
-        lam = np.linalg.eigvalsh(extend(_FAMILY, rows, 1.0, _werner_matrices(p)))[:, 0]
-        return lam < -tolerance
-
+    if least is None:
+        least = _choi_weights(g1, g2)[:, 0]
     with np.errstate(all="ignore"):  # p* is not finite where no Werner state can be detected
-        onset = (0.25 + tolerance) / (0.25 - _choi_weights(g1, g2)[:, 0])
+        onset = (0.25 + tolerance) / (0.25 - least)
     unit = max(h, 2.0**-60)  # multiples of 2**-60 lie on every finer lattice; onset/unit is finite
     hi = np.fmin(np.fmax(np.ceil(np.fmin(onset, 1.0) / unit) * unit, h), 1.0)
     for _ in range(_STEPS):
         lo = np.maximum(np.minimum(hi - h, np.nextafter(hi, 0.0)), 0.0)
-        found = detected(hi)
-        up, down = ~found & (hi < 1.0), found & detected(lo)
+        # Each point's map applied to its Werner states at hi and at lo, a (2, n, 4, 4) stack.
+        images = extend(_FAMILY, rows, 1.0, _werner_matrices([hi, lo]))
+        found, below = _eigvalsh(images)[..., 0] < -tolerance
+        up, down = ~found & (hi < 1.0), found & below
         if not (up | down).any():
             return [float(p) if f else None for p, f in zip(hi, found)]
         hi, last = np.where(up, np.minimum(np.maximum(hi + h, np.nextafter(hi, 2.0)), 1.0),
@@ -299,10 +320,10 @@ def _scan_columns(g1s: np.ndarray, g2s: np.ndarray, tolerance: float):
     for start in range(0, len(g1s), rows):
         g1, g2 = (x.ravel() for x in np.meshgrid(g1s[start:start + rows], g2s, indexing="ij"))
         block = slice(start * n2, start * n2 + g1.size)
-        positive[block], cp[block] = _check_points(g1, g2, tolerance)
+        positive[block], cp[block], least = _check_points(g1, g2, tolerance)
         todo = np.flatnonzero(positive[block] & ~cp[block])
         if todo.size:
-            found = _werner_thresholds(g1[todo], g2[todo], _RESOLUTION, tolerance)
+            found = _werner_thresholds(g1[todo], g2[todo], _RESOLUTION, tolerance, least[todo])
             for k, threshold in zip((todo + block.start).tolist(), found):
                 thresholds[k] = threshold
     return positive, cp, thresholds

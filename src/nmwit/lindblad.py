@@ -236,9 +236,11 @@ def coefficients(gen: LindbladGenerator, times) -> np.ndarray:
 def choi_matrices(gen: LindbladGenerator, c: np.ndarray, epsilon: float) -> np.ndarray:
     """Snapshot Choi matrices P + epsilon * sum_a c[:, a] B_a for coefficient rows c, read-only.
 
-    The terms are summed in term order, as a loop over them adds them.
+    The rows are cast to complex once, and each entry adds c_a B_a into a zeroed
+    stack in term order (np.einsum without optimize), as a loop over the terms
+    adds them, with no (T, rows, d^2, d^2) stack of products.
     """
-    matrices = (c.T[:, :, None, None] * gen.choi_images[:, None]).sum(axis=0)
+    matrices = np.einsum("ka,aij->kij", c.astype(complex), gen.choi_images)
     matrices *= epsilon
     matrices += _choi_input(gen.dim)
     matrices.setflags(write=False)
@@ -249,7 +251,8 @@ def _superoperators(gen: LindbladGenerator) -> np.ndarray:
     """Each term's S_a[(k,l),(i,j)] = B_a[(i,k),(j,l)] / P[0,0] as a row of a contiguous (T, d^4) array."""
     T, d = len(gen.terms), gen.dim
     R = gen.choi_images.reshape(T, d, d, d, d).transpose(0, 2, 4, 1, 3)  # R[a,k,l,i,j] = B_a[(i,k),(j,l)]
-    return np.divide(R, _choi_input(d)[0, 0], out=np.empty(R.shape, dtype=complex)).reshape(T, d**4)
+    p = float(_choi_input(d)[0, 0].real)  # the complex scalar's bits, divided by faster
+    return np.divide(R, p, out=np.empty(R.shape, dtype=complex)).reshape(T, d**4)
 
 
 def extend(gen: LindbladGenerator, c: np.ndarray, epsilon: float, X: np.ndarray) -> np.ndarray:
@@ -257,6 +260,8 @@ def extend(gen: LindbladGenerator, c: np.ndarray, epsilon: float, X: np.ndarray)
 
     Each row's S(t) = c(t) S, with S read off the Choi images, is its own
     vector-matrix product, so a row gives the same bits alone as in a stack.
+    The stack's leading axes broadcast against the rows as in matmul: a
+    (k, rows, n, n) stack applies each row's map to k matrices.
     """
     n = gen.dim**2
     S = (c[..., None, :] @ _superoperators(gen)).reshape(*c.shape[:-1], n, n)

@@ -16,7 +16,8 @@ from nmwit.errors import (
     ParameterOutOfRange,
 )
 from nmwit.entanglement import _FAMILY, _factors, _werner_thresholds
-from nmwit.lindblad import depolarizer, extend, extend_and_apply, small_time_map
+from nmwit.lindblad import (choi_matrices, depolarizer, extend, extend_and_apply, finite_image,
+                            small_time_map)
 
 from oracles import (
     family_extend,
@@ -281,7 +282,7 @@ def test_werner_threshold_matches_per_point_bisection_at_any_resolution(g1, f, r
 
 
 def test_werner_bisection_diagonalizes_only_at_the_boundary(monkeypatch):
-    # Every decision is an eigvalsh of a stacked (hi, one step below) pair,
+    # Every decision is one eigvalsh of a stacked (hi, one step below) pair,
     # one step being 2**-20 (the lattice of resolution 1e-6). At (0.5, 0.3)
     # the closed-form onset lands on the crossing, so one pair settles it; at
     # (0.5, 0.25 + 2e-9) the crossing is within rounding of p = 1/2, where
@@ -291,14 +292,14 @@ def test_werner_bisection_diagonalizes_only_at_the_boundary(monkeypatch):
     calls, eigvalsh, werner_matrices = [], np.linalg.eigvalsh, entanglement._werner_matrices
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
     assert nmwit.werner_threshold(far) == expected[1]
-    assert calls == [1, 1]
+    assert calls == [2]
     calls.clear()
     monkeypatch.setattr(entanglement, "_werner_matrices",
-                        lambda p: calls.append(float(p[0])) or werner_matrices(p))
+                        lambda p: calls.append(np.ravel(p).tolist()) or werner_matrices(p))
     assert nmwit.werner_threshold(near) == expected[0]
-    # Each pair is (p at hi, eigvalsh, p one step below, eigvalsh), ending at the threshold.
-    assert len(calls) % 4 == 0 and calls[1::2] == [1] * (len(calls) // 2)
-    pairs = [(calls[k], calls[k + 2]) for k in range(0, len(calls), 4)]
+    # Each step is ([p at hi, p one step below], one eigvalsh of both), ending at the threshold.
+    assert len(calls) % 2 == 0 and calls[1::2] == [2] * (len(calls) // 2)
+    pairs = calls[0::2]
     assert all(lo == hi - 2.0**-20 for hi, lo in pairs)
     assert pairs[-1][0] == expected[0]
 
@@ -339,6 +340,33 @@ def test_family_rows_extend_like_per_point_maps(coeffs, seed):
         assert np.abs(shared[k] - family_extend(pt(a, b), X[0])).max() < 1e-14
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(0.0, 1.0)),
+                min_size=1, max_size=8))
+def test_family_choi_stacks_and_werner_images_are_exactly_real(points):
+    # Every product of two imaginary sigma_y entries is real, so _eigvalsh
+    # diagonalizes the family's stacks in real arithmetic, negative and large
+    # coefficients included.
+    g1, g2, p = np.array(points).T
+    rows = np.stack([g1, g1, g2], axis=-1)
+    assert not choi_matrices(_FAMILY, rows, 1.0).imag.any()
+    assert not extend(_FAMILY, rows, 1.0, entanglement._werner_matrices(p)).imag.any()
+
+
+def test_detection_diagonalizes_a_complex_image_as_complex_and_a_real_one_as_real(monkeypatch):
+    rng, point, eigvalsh = np.random.default_rng(71), pt(0.5, 0.3), np.linalg.eigvalsh
+    for state, real in [(rand_density(rng, 4), False), (nmwit.werner(0.7).matrix, True)]:
+        image = finite_image(_FAMILY, np.array([0.5, 0.5, 0.3]), 1.0, state)
+        assert image.imag.any() != real
+        expected = eigvalsh(image.real if real else image)[0]
+        kinds = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: kinds.append(a.dtype.kind) or eigvalsh(a))
+        lam = nmwit.detect_entanglement(state, point)[1]
+        monkeypatch.undo()
+        assert kinds == ["f" if real else "c"]
+        assert np.float64(lam).tobytes() == expected.tobytes()
+
+
 def test_phase_scan_small_grid():
     rows = nmwit.phase_scan((0.0, 0.5), (0.0, 1.0), (3, 5))
     assert len(rows) == 15
@@ -359,9 +387,15 @@ def test_phase_scan_rejects_empty_grid():
 
 # --- the blocked phase scan ------------------------------------------------------
 
-# Grids of several blocks: 13 rows of 101 points go in blocks of 5 rows, the
-# last one partial; rows of 700 points go one row per block.
+# Grids of several blocks of 512 points: 13 rows of 101 points go in blocks of
+# 5 rows, the last one partial; rows of 700 points go one row per block.
 _BLOCKED = [((0.0, 0.6), (0.0, 1.0), (13, 101)), ((0.0, 0.6), (0.0, 1.0), (3, 700))]
+
+
+@pytest.fixture
+def blocks_of_512(monkeypatch):
+    """Blocks of 512 points, so that the grids above span several blocks whatever _BLOCK is."""
+    monkeypatch.setattr(entanglement, "_BLOCK", 512)
 
 
 def _scan_table(g1_range, g2_range, steps):
@@ -370,7 +404,7 @@ def _scan_table(g1_range, g2_range, steps):
 
 
 @pytest.mark.parametrize("g1_range, g2_range, steps", _BLOCKED)
-def test_blocked_phase_scan_is_the_per_point_loop(g1_range, g2_range, steps):
+def test_blocked_phase_scan_is_the_per_point_loop(g1_range, g2_range, steps, blocks_of_512):
     g1s, g2s = np.linspace(*g1_range, steps[0]), np.linspace(*g2_range, steps[1])
     expected = []
     for g1 in g1s.tolist():
@@ -386,7 +420,7 @@ def test_blocked_phase_scan_is_the_per_point_loop(g1_range, g2_range, steps):
 
 @pytest.mark.parametrize("g1_range, g2_range, steps", _BLOCKED)
 def test_blocked_scan_output_is_the_fmt_join_and_round12_of_the_rows(g1_range, g2_range, steps,
-                                                                      capsys):
+                                                                      capsys, blocks_of_512):
     rows = _scan_table(g1_range, g2_range, steps)
     argv = ["entangle", "--scan", "--gamma1-range", f"{g1_range[0]}:{g1_range[1]}:{steps[0]}",
             "--gamma2-range", f"{g2_range[0]}:{g2_range[1]}:{steps[1]}"]
@@ -401,7 +435,7 @@ def test_blocked_scan_output_is_the_fmt_join_and_round12_of_the_rows(g1_range, g
 
 @pytest.mark.parametrize("g1_range, g2_range, steps", _BLOCKED)
 def test_blocked_scan_checks_whole_rows_at_most_a_block_at_a_time(g1_range, g2_range, steps,
-                                                                  monkeypatch):
+                                                                  monkeypatch, blocks_of_512):
     sizes, check = [], entanglement._check_points
 
     def recorder(g1, g2, tolerance):
@@ -436,7 +470,7 @@ def _bump(corners, g1, g2):
     (((6, 50),), ((6, 50),), ("transfer matrix", 6, 50)),
 ])
 def test_blocked_scan_fails_at_the_first_failing_point_in_grid_order(
-    factor_corners, weight_corners, expected, monkeypatch
+    factor_corners, weight_corners, expected, monkeypatch, blocks_of_512
 ):
     factors, weights = entanglement._factors, entanglement._choi_weights
     monkeypatch.setattr(entanglement, "_factors", lambda g1, g2: (

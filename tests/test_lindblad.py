@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import nmwit
@@ -70,6 +70,12 @@ def test_generator_rejects_wrong_jump_dimension():
         nmwit.LindbladGenerator(dim=2, terms=((nmwit.constant(1.0), np.eye(3)),))
 
 
+# The default phases but shrink: a failing example is reported as found, where
+# shrinking it (through 40-digit mpmath evaluations, or through generator
+# builds) would take minutes.
+_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
+
+
 @st.composite
 def jump_sets(draw):
     """(d, jumps): 1 to d^2 complex d x d jumps, signed zeros included, with d = 1 to 3."""
@@ -96,7 +102,7 @@ def _exact_superoperator_error(S, L):
         return float(worst)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80, deadline=None, derandomize=True, phases=_NO_SHRINK)
 @given(jump_sets())
 def test_compiled_choi_images_bit_for_bit_and_their_superoperators_to_2_ulp(dim_jumps):
     # B_a is the term's Choi image E P E^dag - (K P + P K)/2 with E = I (x) L and
@@ -125,6 +131,33 @@ def test_superoperators_of_pauli_jumps_are_exact():
         assert np.array_equal(Sa.reshape(4, 4), exact)
 
 
+@st.composite
+def qubit_coefficient_stacks(draw):
+    """(generator, rows c): 0 to 4 qubit jumps and one row or many, signed zeros included."""
+    part = st.floats(-2.0, 2.0) | st.sampled_from((0.0, -0.0))
+    jump = st.lists(st.builds(complex, part, part), min_size=4, max_size=4).map(
+        lambda xs: np.array(xs).reshape(2, 2))
+    jumps = draw(st.lists(jump, max_size=4))
+    rows = draw(st.just(1) | st.integers(2, 40))
+    coefficient = st.floats(-1e3, 1e3) | st.sampled_from((0.0, -0.0))
+    c = draw(st.lists(coefficient, min_size=rows * len(jumps), max_size=rows * len(jumps)))
+    gen = nmwit.LindbladGenerator(dim=2, terms=tuple((1.0, L) for L in jumps))
+    return gen, np.array(c, dtype=float).reshape(rows, len(jumps))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, phases=_NO_SHRINK)
+@given(qubit_coefficient_stacks(), st.sampled_from((1.0, 0.01)) | st.floats(1e-6, 10.0))
+def test_choi_matrices_are_the_broadcast_sum_bit_for_bit(gen_c, eps):
+    # The stack of all products c[k, a] B_a, summed over the terms, then scaled and shifted.
+    gen, c = gen_c
+    broadcast = (c.T[:, :, None, None] * gen.choi_images[:, None]).sum(axis=0)
+    broadcast *= eps
+    broadcast += _choi_input(2)
+    matrices = choi_matrices(gen, c, eps)
+    assert matrices.shape == broadcast.shape and not matrices.flags.writeable
+    assert matrices.tobytes() == broadcast.tobytes()
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(jump_sets(), st.integers(1, 6), st.integers(0, 2**32 - 1))
 def test_stacked_choi_matrices_and_extensions_are_the_per_row_results(dim_jumps, k, seed):
@@ -145,6 +178,10 @@ def test_stacked_choi_matrices_and_extensions_are_the_per_row_results(dim_jumps,
     for row in range(k):
         assert extend(gen, c[row], eps, X[row]).tobytes() == stacked[row].tobytes()
         assert extend(gen, c[row], eps, X[0]).tobytes() == shared[row].tobytes()
+    # A (2, k) stack applies each row's map to both of its matrices, bit for bit.
+    pair = extend(gen, c, eps, np.stack([X, X[::-1]]))
+    assert pair[0].tobytes() == stacked.tobytes()
+    assert pair[1].tobytes() == extend(gen, c, eps, X[::-1]).tobytes()
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
