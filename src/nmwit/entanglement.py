@@ -67,7 +67,7 @@ _SINGLET = projector(BELL_PSI_MINUS)
 _RESOLUTION = 1e-6
 _STEPS = 64  # lattice steps a Werner threshold may walk from its closed-form onset
 # Points per phase-scan block, rounded down to whole gamma1 rows (at least one).
-# The whole grid in one stack is no faster and holds all of its Choi matrices at once.
+# The whole grid in one stack is no faster and holds its (3, N, 4, 4) Choi terms at once.
 _BLOCK = 1024
 # R[i, j] = Tr[(sigma_j^T (x) sigma_i) J] is the Pauli transfer matrix of the map
 # whose Choi matrix is J. Flattened, R.ravel() = J.ravel() @ _TRANSFER, with

@@ -236,11 +236,9 @@ def coefficients(gen: LindbladGenerator, times) -> np.ndarray:
 def choi_matrices(gen: LindbladGenerator, c: np.ndarray, epsilon: float) -> np.ndarray:
     """Snapshot Choi matrices P + epsilon * sum_a c[:, a] B_a for coefficient rows c, read-only.
 
-    The rows are cast to complex once, and each entry adds c_a B_a into a zeroed
-    stack in term order (np.einsum without optimize), as a loop over the terms
-    adds them, with no (T, rows, d^2, d^2) stack of products.
+    The terms are summed in term order, as a loop over them adds them.
     """
-    matrices = np.einsum("ka,aij->kij", c.astype(complex), gen.choi_images)
+    matrices = (c.T[:, :, None, None] * gen.choi_images[:, None]).sum(axis=0)
     matrices *= epsilon
     matrices += _choi_input(gen.dim)
     matrices.setflags(write=False)

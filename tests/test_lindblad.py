@@ -147,15 +147,18 @@ def qubit_coefficient_stacks(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True, phases=_NO_SHRINK)
 @given(qubit_coefficient_stacks(), st.sampled_from((1.0, 0.01)) | st.floats(1e-6, 10.0))
-def test_choi_matrices_are_the_broadcast_sum_bit_for_bit(gen_c, eps):
-    # The stack of all products c[k, a] B_a, summed over the terms, then scaled and shifted.
+def test_choi_matrices_add_the_terms_in_term_order_bit_for_bit(gen_c, eps):
+    # A loop that adds c[:, a] B_a into a zeroed stack, term by term, then
+    # scales and shifts it: no terms (T = 0), one row and signed zeros included.
     gen, c = gen_c
-    broadcast = (c.T[:, :, None, None] * gen.choi_images[:, None]).sum(axis=0)
-    broadcast *= eps
-    broadcast += _choi_input(2)
+    loop = np.zeros((len(c), 4, 4), dtype=complex)
+    for a, B in enumerate(gen.choi_images):
+        loop += c[:, a, None, None] * B
+    loop *= eps
+    loop += _choi_input(2)
     matrices = choi_matrices(gen, c, eps)
-    assert matrices.shape == broadcast.shape and not matrices.flags.writeable
-    assert matrices.tobytes() == broadcast.tobytes()
+    assert matrices.shape == loop.shape and not matrices.flags.writeable
+    assert matrices.tobytes() == loop.tobytes()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
