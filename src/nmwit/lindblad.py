@@ -249,8 +249,7 @@ def _superoperators(gen: LindbladGenerator) -> np.ndarray:
     """Each term's S_a[(k,l),(i,j)] = B_a[(i,k),(j,l)] / P[0,0] as a row of a contiguous (T, d^4) array."""
     T, d = len(gen.terms), gen.dim
     R = gen.choi_images.reshape(T, d, d, d, d).transpose(0, 2, 4, 1, 3)  # R[a,k,l,i,j] = B_a[(i,k),(j,l)]
-    p = float(_choi_input(d)[0, 0].real)  # the complex scalar's bits, divided by faster
-    return np.divide(R, p, out=np.empty(R.shape, dtype=complex)).reshape(T, d**4)
+    return np.divide(R, _choi_input(d)[0, 0], out=np.empty(R.shape, dtype=complex)).reshape(T, d**4)
 
 
 def extend(gen: LindbladGenerator, c: np.ndarray, epsilon: float, X: np.ndarray) -> np.ndarray:
