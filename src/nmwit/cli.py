@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
@@ -283,60 +282,53 @@ def _csv_text(cfg: argparse.Namespace, columns: list[str], lines) -> str:
     return "\n".join([*head, ",".join(columns), *lines]) + "\n"
 
 
-def _emit(cfg: argparse.Namespace, columns: list[str], rows: list[list]) -> None:
+def _emit(cfg: argparse.Namespace, names: list[str], columns: list[list]) -> None:
+    """Write the rows zipped from columns: in CSV, one %-template for every row, %.12g for a
+    column of Python floats only, else each cell's _fmt string; in JSON, _round12 of each row.
+
+    Only the phase scan's CSV is written apart, in cmd_entangle: formatting its two expanded
+    6161-cell axis columns cell by cell took 5.8 ms, against 0.16 ms for each axis value once
+    (in-process, best of 7, 2 vCPU).
+    """
     if cfg.format == "csv":
-        text = _csv_text(cfg, columns, (",".join(map(_fmt, row)) for row in rows))
+        floats = [set(map(type, column)) == {float} for column in columns]
+        template = ",".join("%.12g" if f else "%s" for f in floats)
+        columns = [column if f else list(map(_fmt, column)) for column, f in zip(columns, floats)]
+        text = _csv_text(cfg, names, map(template.__mod__, zip(*columns)))
     else:
         payload = {
             "config": {k: _round12(v) for k, v in cfg.echo},
-            "columns": columns,
-            "rows": [[_round12(v) for v in row] for row in rows],
+            "columns": names,
+            "rows": [[_round12(v) for v in row] for row in zip(*columns)],
         }
         text = json.dumps(payload, indent=2) + "\n"
-    _write(cfg, text)
+    _write(cfg.output, text)
 
 
-def _write(cfg: argparse.Namespace, text: str) -> None:
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
+def _write(path: str | None, text: str) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_columns(cfg: argparse.Namespace, names: list[str], columns: list[list]) -> None:
-    """_emit of the rows zipped from columns, each a non-empty list of Python floats or bools.
-
-    The CSV is written from the columns: one %-template for every row, and
-    each bool cell looked up as the word that _fmt writes.
-    """
-    if cfg.format != "csv":
-        _emit(cfg, names, list(zip(*columns)))
-        return
-    words = ("false", "true")
-    bools = [type(column[0]) is bool for column in columns]
-    template = ",".join("%s" if b else "%.12g" for b in bools)
-    columns = [[words[v] for v in column] if b else column for column, b in zip(columns, bools)]
-    _write(cfg, _csv_text(cfg, names, map(template.__mod__, zip(*columns))))
 
 
 def cmd_divisibility(cfg: argparse.Namespace) -> int:
     lam, excess, markovian = choi._grid_pass(
         cfg.generator, cfg.t_grid, cfg.epsilon,
         lambda times, c, matrices, lam, tau: choi.divisibility_grid(lam, cfg.tolerance))
-    _emit_columns(cfg, ["t", "lambda_min", "trace_norm_excess", "markovian"],
-                  [cfg.t_grid, lam, excess, markovian])
+    _emit(cfg, ["t", "lambda_min", "trace_norm_excess", "markovian"],
+          [cfg.t_grid, lam, excess, markovian])
     return EXIT_OK
 
 
 def cmd_witness(cfg: argparse.Namespace) -> int:
-    c, matrices, omega, nu, tau = choi._grid_pass(
-        cfg.generator, cfg.t_grid, cfg.epsilon, lambda times, c, matrices, lam, tau: (
-            c, matrices, *witness.witness_weights(times, lam), tau))
+    c, matrices, omega, nu, tau = choi._grid_pass(cfg.generator, cfg.t_grid, cfg.epsilon,
+                                                  witness.witness_stage)
     values = witness.witness_values(nu, tau, matrices)
     omegas, nus = omega.tolist(), nu.tolist()
-    _emit_columns(cfg, ["t", "omega", "nu", "witness_value", "detected"],
-                  [cfg.t_grid, omegas, nus, values, [v < -cfg.tolerance for v in values]])
+    _emit(cfg, ["t", "omega", "nu", "witness_value", "detected"],
+          [cfg.t_grid, omegas, nus, values, [v < -cfg.tolerance for v in values]])
     if cfg.export_witness:
         witnesses = witness.witness_matrices(cfg.generator, c, cfg.epsilon, nu, tau)
         exports = [
@@ -345,47 +337,45 @@ def cmd_witness(cfg: argparse.Namespace) -> int:
                 source_map=lindblad.small_time_map(cfg.generator, t, cfg.epsilon)))
             for t, o, n, v, W in zip(cfg.t_grid, omegas, nus, tau, witnesses)
         ]
-        with open(cfg.export_witness, "w", encoding="utf-8", newline="") as fh:
-            fh.write(json.dumps(_round12(exports), indent=2) + "\n")
+        _write(cfg.export_witness, json.dumps(_round12(exports), indent=2) + "\n")
     return EXIT_OK
 
 
 def cmd_spa(cfg: argparse.Namespace) -> int:
     lam, omega, nu = (x.tolist() for x in choi._grid_pass(
         cfg.generator, cfg.t_grid, cfg.epsilon, lambda times, c, matrices, lam, tau: spa.spa_grid(lam)))
-    _emit_columns(cfg, ["t", "lambda_minus", "p_star", "omega", "nu"],
-                  [cfg.t_grid, lam, omega, omega, nu])
+    _emit(cfg, ["t", "lambda_minus", "p_star", "omega", "nu"], [cfg.t_grid, lam, omega, omega, nu])
     return EXIT_OK
 
 
 def cmd_entangle(cfg: argparse.Namespace) -> int:
-    if cfg.scan:
-        g1s, g2s = cfg.scan_grid
-        positive, cp, thresholds = entanglement._scan_columns(g1s, g2s, cfg.tolerance)
-        columns = ["gamma1", "gamma2", "positive", "cp", "werner_threshold"]
-        if cfg.format == "csv":
-            # The cells that _fmt writes, as whole columns: each axis value and
-            # each threshold formatted once, and each (positive, cp) pair looked up.
-            a, b = (["%.12g," % g for g in axis.tolist()] for axis in (g1s, g2s))
-            flags = ("false,false,", "false,true,", "true,false,", "true,true,")
-            cells = zip([x for x in a for _ in b], b * len(a),
-                        map(flags.__getitem__, (2 * positive + cp).tolist()),
-                        ["" if t is None else "%.12g" % t for t in thresholds])
-            _write(cfg, _csv_text(cfg, columns, map("".join, cells)))
-        else:
-            points = itertools.product(g1s.tolist(), g2s.tolist())
-            _emit(cfg, columns, [[g1, g2, p, c, t] for (g1, g2), p, c, t in
-                                 zip(points, positive.tolist(), cp.tolist(), thresholds)])
+    if not cfg.scan:
+        detected, lam = entanglement.detect_entanglement(cfg.werner.matrix, cfg.point, cfg.tolerance)
+        _emit(cfg, ["gamma1", "gamma2", "p", "lambda_min", "detected"],
+              [[cfg.gamma1], [cfg.gamma2], [cfg.p], [lam], [detected]])
         return EXIT_OK
-    detected, lam = entanglement.detect_entanglement(cfg.werner.matrix, cfg.point, cfg.tolerance)
-    _emit(cfg, ["gamma1", "gamma2", "p", "lambda_min", "detected"],
-          [[cfg.gamma1, cfg.gamma2, cfg.p, lam, detected]])
+    g1s, g2s = cfg.scan_grid
+    positive, cp, thresholds = entanglement._scan_columns(g1s, g2s, cfg.tolerance)
+    names = ["gamma1", "gamma2", "positive", "cp", "werner_threshold"]
+    if cfg.format != "csv":
+        a, b = g1s.tolist(), g2s.tolist()
+        _emit(cfg, names, [[x for x in a for _ in b], b * len(a), positive.tolist(), cp.tolist(),
+                           thresholds])
+        return EXIT_OK
+    # The cells that _fmt writes, as whole columns: each axis value and each
+    # threshold formatted once, and each (positive, cp) pair looked up.
+    a, b = (["%.12g," % g for g in axis.tolist()] for axis in (g1s, g2s))
+    flags = ("false,false,", "false,true,", "true,false,", "true,true,")
+    cells = zip([x for x in a for _ in b], b * len(a),
+                map(flags.__getitem__, (2 * positive + cp).tolist()),
+                ["" if t is None else "%.12g" % t for t in thresholds])
+    _write(cfg.output, _csv_text(cfg, names, map("".join, cells)))
     return EXIT_OK
 
 
 def cmd_prop1(cfg: argparse.Namespace) -> int:
     worst = witness.adjoint_identity_max_residual(cfg.draws, cfg.seed)
-    _emit(cfg, ["draws", "max_residual"], [[cfg.draws, worst]])
+    _emit(cfg, ["draws", "max_residual"], [[cfg.draws], [worst]])
     if worst >= 1e-10:
         print(f"adjoint-identity residual {worst:.3e} exceeds 1e-10", file=sys.stderr)
         return EXIT_NUMERIC

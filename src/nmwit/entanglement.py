@@ -13,7 +13,8 @@ complete positivity to nonnegativity of the Choi weights
 itself at every use, from its stacked Choi matrices J (lindblad.choi_matrices):
 the Pauli transfer matrix, read off all of J in one matrix product, must be
 diag(1, s, s, u), and the spectrum of J must be the Choi weights. A
-disagreement raises CrossCheckFailed.
+disagreement raises CrossCheckFailed. Every entry that judges a point runs
+this one check (_check_points), the phase scan on each block.
 
 Every spectrum here comes from _eigvalsh, which diagonalizes a stack whose
 imaginary part is exactly zero in real arithmetic, as eigvalsh of its real
@@ -129,11 +130,14 @@ def _positive(s, u, tolerance: float):
     return np.maximum(np.abs(s), np.abs(u)) <= 1.0 + 2.0 * tolerance
 
 
-def _require_positive(pt: MapFamilyPoint, tolerance: float) -> None:
-    if not _positive(*_factors(pt.gamma1, pt.gamma2), tolerance):
+def _require_positive(pt: MapFamilyPoint, tolerance: float) -> np.ndarray:
+    """pt's least Choi weight, as _check_points returns it; MapNotPositive unless pt is positive."""
+    positive, _, least = _check_points(np.array([pt.gamma1]), np.array([pt.gamma2]), tolerance)
+    if not positive[0]:
         raise MapNotPositive(
             f"map at gamma1={pt.gamma1:g}, gamma2={pt.gamma2:g} is not positive"
         )
+    return least
 
 
 def is_positive(pt: MapFamilyPoint, *, tolerance: float = TOL_PSD) -> bool:
@@ -208,9 +212,9 @@ def detect_entanglement(
     states under a positive map. The image is diagonalized as the Werner walk
     diagonalizes it: in real arithmetic when its imaginary part is exactly
     zero, as for every Werner state, else as a complex Hermitian matrix.
-    Raises MapNotPositive when pt fails the positivity criterion, since a
-    non-positive map certifies nothing, and ParameterOutOfRange when the
-    state or its image is not finite.
+    Raises MapNotPositive or CrossCheckFailed as is_positive decides them,
+    since a non-positive map certifies nothing, and ParameterOutOfRange when
+    the state or its image is not finite.
     """
     state = as_matrix(state, (4, 4))
     _require_positive(pt, tolerance)
@@ -220,8 +224,7 @@ def detect_entanglement(
 
 
 def _werner_thresholds(
-    g1: np.ndarray, g2: np.ndarray, resolution: float, tolerance: float,
-    least: np.ndarray | None = None,
+    g1: np.ndarray, g2: np.ndarray, resolution: float, tolerance: float, least: np.ndarray
 ) -> list[float | None]:
     """Werner thresholds of positive points (g1[k], g2[k]), where bisection from [0, 1] ends.
 
@@ -229,8 +232,8 @@ def _werner_thresholds(
     largest power of two <= resolution, at most 1) or at float spacing: hi is
     the first lattice point that is detected. Each point starts at the
     closed-form onset p* = (1/4 + tolerance) / (1/4 - w_min) of the spectrum
-    p*w + (1-p)/4 of (id (x) Map)(W_p), rounded up to the lattice; least, if
-    given, holds each point's w_min, as _check_points returns it. Each step
+    p*w + (1-p)/4 of (id (x) Map)(W_p), rounded up to the lattice; least holds
+    each point's w_min, as _check_points returns it. Each step
     diagonalizes every point at hi and at lo in one stacked extend and one
     _eigvalsh, as detect_entanglement diagonalizes one image, and moves hi up
     where it is not detected (below 1) and down where lo is detected too. A
@@ -238,8 +241,6 @@ def _werner_thresholds(
     """
     h = min(1.0, math.ldexp(0.5, math.frexp(resolution)[1]))
     rows = np.stack([g1, g1, g2], axis=-1)
-    if least is None:
-        least = _choi_weights(g1, g2)[:, 0]
     with np.errstate(all="ignore"):  # p* is not finite where no Werner state can be detected
         onset = (0.25 + tolerance) / (0.25 - least)
     unit = max(h, 2.0**-60)  # multiples of 2**-60 lie on every finer lattice; onset/unit is finite
@@ -270,14 +271,13 @@ def werner_threshold(
     Returns None when not even p = 1 is detected. The detection region in p
     is an interval ending at 1, so its end is exact up to the requested
     resolution, or up to float spacing when that is coarser.
-    Raises MapNotPositive when pt fails the positivity criterion.
+    Raises MapNotPositive or CrossCheckFailed as is_positive decides them;
+    the walk starts from that check's least Choi weight.
     """
     if not 0.0 < resolution < np.inf:
         raise ParameterOutOfRange(f"resolution must be finite and > 0, got {float(resolution)!r}")
-    _require_positive(pt, tolerance)
-    return _werner_thresholds(
-        np.array([pt.gamma1]), np.array([pt.gamma2]), resolution, tolerance
-    )[0]
+    return _werner_thresholds(np.array([pt.gamma1]), np.array([pt.gamma2]), resolution, tolerance,
+                              _require_positive(pt, tolerance))[0]
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,14 @@ the witness was built from whenever that state has a negative eigenvalue.
 
 The SPA state nu*C + omega*I/d^2 has the eigenvectors of C, so tau is the
 eigenvector of C's least eigenvalue and nothing is diagonalized but C. A grid
-of instants is one stacked pass, and witness_grid runs it in two pieces:
-witness_weights reads (omega, nu) off the Choi spectra of choi.grid_pass and
-rejects a degenerate minimum, and witness_matrices forms every witness matrix
-from tau with one stacked extension. build_witness is their one-instant case,
-as is the replay of a grid that fails, and reads the Choi state the snapshot
-map keeps (choi.choi_of). evaluate is the one-instant case of witness_values,
-which needs no witness matrix, so the CLI's witness command forms the matrices
-only when it exports them.
+of instants is one stacked pass (choi.grid_pass) with one stage,
+witness_stage: witness_weights reads (omega, nu) off the Choi spectra and
+rejects a degenerate minimum. witness_matrices then forms every witness
+matrix from tau with one stacked extension. build_witness does both at one
+instant, off the Choi state the snapshot map keeps (choi.choi_of). evaluate is
+the one-instant case of witness_values, which needs no witness matrix, so the
+CLI's witness command runs the stage alone and forms the matrices only when
+it exports them.
 """
 
 from __future__ import annotations
@@ -96,10 +96,11 @@ def adjoint_identity_max_residual(draws: int = 100, seed: int = 0) -> float:
     """Max adjoint-identity residual over a seeded randomized suite.
 
     Each draw uses a random Hermitian 2x2 jump, a random unit 4-vector, a
-    random 4x4 density matrix and a coefficient in [-1, 1].
+    random 4x4 density matrix and a coefficient in [-1, 1]. A maximum over
+    no draws is undefined, so ParameterOutOfRange unless draws >= 1 and seed >= 0.
     """
-    if seed < 0:
-        raise ParameterOutOfRange(f"seed must be a nonnegative integer, got {seed!r}")
+    if draws < 1 or seed < 0:
+        raise ParameterOutOfRange(f"draws must be >= 1 and seed >= 0, got draws={draws!r}, seed={seed!r}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(draws):
@@ -142,31 +143,23 @@ def witness_matrices(gen: LindbladGenerator, c: np.ndarray, epsilon: float, nu: 
     return witnesses
 
 
-def witness_grid(gen: LindbladGenerator, times, epsilon: float, c: np.ndarray, eigenvalues: np.ndarray,
-                 tau: np.ndarray):
-    """(omega, nu, tau, witness matrices) for snapshots of gen at times.
-
-    c, eigenvalues and tau are the snapshots' coefficient rows, ascending
-    Choi spectra and eigenvectors of the least Choi eigenvalues (see
-    choi.grid_pass). It is witness_weights, which raises DegenerateMinimum,
-    then witness_matrices; the CLI runs the second only for --export-witness.
-    """
-    omega, nu = witness_weights(times, eigenvalues)
-    witnesses = witness_matrices(gen, c, epsilon, nu, tau)
+def witness_stage(times, c: np.ndarray, matrices: np.ndarray, eigenvalues: np.ndarray, tau: np.ndarray):
+    """The grid_pass stage (c, matrices, omega, nu, tau), tau read-only; (omega, nu) are
+    witness_weights of the Choi spectra, which raises DegenerateMinimum."""
     tau.setflags(write=False)
-    return omega, nu, tau, witnesses
+    return (c, matrices, *witness_weights(times, eigenvalues), tau)
 
 
 def build_witness(m: SmallTimeMap) -> WitnessOperator:
-    """Witness operator for the snapshot map m (witness_grid at one instant).
+    """Witness operator for the snapshot map m (witness_scan at one instant).
 
     It reads m's Choi state through choi_of(m), which builds it only if no
-    earlier call on m has. Raises DegenerateMinimum as witness_grid.
+    earlier call on m has. Raises DegenerateMinimum as witness_weights.
     """
     spectrum = choi_of(m).spectrum[None]
-    omega, nu, tau, matrices = witness_grid(
-        m.generator, [m.t], m.epsilon, coefficients(m.generator, [m.t]), spectrum.eigenvalues,
-        spectrum.eigenvectors[:, :, 0].copy())
+    omega, nu = witness_weights([m.t], spectrum.eigenvalues)
+    tau = spectrum.eigenvectors[:, :, 0]
+    matrices = witness_matrices(m.generator, coefficients(m.generator, [m.t]), m.epsilon, nu, tau)
     return WitnessOperator(matrix=matrices[0], nu=float(nu[0]), omega=float(omega[0]), tau=tau[0],
                            source_map=m)
 
@@ -176,8 +169,8 @@ def witness_scan(gen: LindbladGenerator, times, epsilon: float):
 
     Fails as a loop of build_witness over the grid fails (see choi.grid_pass).
     """
-    return grid_pass(gen, times, epsilon, lambda ts, c, matrices, lam, tau: (
-        matrices, *witness_grid(gen, ts, epsilon, c, lam, tau)))
+    c, matrices, omega, nu, tau = grid_pass(gen, times, epsilon, witness_stage)
+    return matrices, omega, nu, tau, witness_matrices(gen, c, epsilon, nu, tau)
 
 
 def witness_values(nu: np.ndarray, tau: np.ndarray, matrices: np.ndarray) -> list[float]:

@@ -15,7 +15,7 @@ from nmwit.errors import (
     MapNotPositive,
     ParameterOutOfRange,
 )
-from nmwit.entanglement import _FAMILY, _factors, _werner_thresholds
+from nmwit.entanglement import _FAMILY, _choi_weights, _factors, _werner_thresholds
 from nmwit.lindblad import (choi_matrices, depolarizer, extend, extend_and_apply, finite_image,
                             small_time_map)
 
@@ -130,13 +130,30 @@ def test_choi_spectrum_check_fires_on_wrong_weights(monkeypatch):
         nmwit.is_cp(pt(0.3, 0.4))
 
 
-def test_werner_bracket_check_fires_on_wrong_weights(monkeypatch):
+def test_werner_bracket_check_fires_on_wrong_weights():
     # A least Choi weight off by 0.01 moves the closed-form threshold 1/3 by
     # about 0.01, far outside the 1e-6 bracket that eigvalsh confirms.
-    weights = entanglement._choi_weights
-    monkeypatch.setattr(entanglement, "_choi_weights", lambda g1, g2: weights(g1, g2) + 0.01)
+    g = np.array([0.5])
     with pytest.raises(CrossCheckFailed, match="^Werner bracket .* not confirmed at gamma1=0.5"):
-        nmwit.werner_threshold(pt(0.5, 0.5))
+        _werner_thresholds(g, g, 1e-6, 1e-9, _choi_weights(g, g)[:, 0] + 0.01)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda point: nmwit.werner_threshold(point),
+    lambda point: nmwit.detect_entanglement(nmwit.werner(0.9).matrix, point),
+], ids=["werner_threshold", "detect_entanglement"])
+@pytest.mark.parametrize("g2, offset", [(0.4, 1e-9), (0.4, 5.0), (0.8, 0.5)],
+                         ids=["slightly-off", "says-not-positive", "says-positive"])
+def test_threshold_and_detection_cross_check_their_positivity(entry, g2, offset, monkeypatch):
+    # They decide positivity as is_positive does, from the map's own transfer
+    # matrix: a wrong Bloch factor fails the check, whether the closed form
+    # then calls a positive map (0.3, 0.4) not positive or a map that is not
+    # positive (0.3, 0.8; s = -1.2) positive.
+    factors = entanglement._factors
+    monkeypatch.setattr(entanglement, "_factors", lambda g1, g2: (factors(g1, g2)[0] + offset,
+                                                                 factors(g1, g2)[1]))
+    with pytest.raises(CrossCheckFailed, match=f"^transfer matrix mismatch at gamma1=0.3, gamma2={g2}$"):
+        entry(pt(0.3, g2))
 
 
 def test_cross_check_failure_is_a_runtime_error():
@@ -257,7 +274,8 @@ def test_batched_werner_thresholds_match_per_point_bisection(g1, fractions):
     # One gamma1 row of positive-but-not-CP points, 1 - 2*g1 < g2 <= 1 - g1,
     # where the closed-form onset is 1/(8*g1 + 4*g2 - 3).
     g2 = np.array([1.0 - 2.0 * g1 + f * g1 for f in fractions])
-    batch = _werner_thresholds(np.full(len(g2), g1), g2, 1e-6, 1e-9)
+    g1s = np.full(len(g2), g1)
+    batch = _werner_thresholds(g1s, g2, 1e-6, 1e-9, _choi_weights(g1s, g2)[:, 0])
     for thr, b in zip(batch, g2):
         point = pt(g1, float(b))
         assert thr == nmwit.werner_threshold(point) == loop_threshold(point)
@@ -282,22 +300,25 @@ def test_werner_threshold_matches_per_point_bisection_at_any_resolution(g1, f, r
 
 
 def test_werner_bisection_diagonalizes_only_at_the_boundary(monkeypatch):
-    # Every decision is one eigvalsh of a stacked (hi, one step below) pair,
-    # one step being 2**-20 (the lattice of resolution 1e-6). At (0.5, 0.3)
-    # the closed-form onset lands on the crossing, so one pair settles it; at
-    # (0.5, 0.25 + 2e-9) the crossing is within rounding of p = 1/2, where
-    # the closed form cannot decide and eigvalsh does.
+    # After the positivity check's one-row Choi solve, every decision is one
+    # eigvalsh of a stacked (hi, one step below) pair, one step being 2**-20
+    # (the lattice of resolution 1e-6). At (0.5, 0.3) the closed-form onset
+    # lands on the crossing, so one pair settles it; at (0.5, 0.25 + 2e-9)
+    # the crossing is within rounding of p = 1/2, where the closed form cannot
+    # decide and eigvalsh does.
     near, far = pt(0.5, 0.25 + 2e-9), pt(0.5, 0.3)
     expected = loop_threshold(near), loop_threshold(far)
     calls, eigvalsh, werner_matrices = [], np.linalg.eigvalsh, entanglement._werner_matrices
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
     assert nmwit.werner_threshold(far) == expected[1]
-    assert calls == [2]
+    assert calls == [1, 2]
     calls.clear()
     monkeypatch.setattr(entanglement, "_werner_matrices",
                         lambda p: calls.append(np.ravel(p).tolist()) or werner_matrices(p))
     assert nmwit.werner_threshold(near) == expected[0]
     # Each step is ([p at hi, p one step below], one eigvalsh of both), ending at the threshold.
+    assert calls[0] == 1
+    calls = calls[1:]
     assert len(calls) % 2 == 0 and calls[1::2] == [2] * (len(calls) // 2)
     pairs = calls[0::2]
     assert all(lo == hi - 2.0**-20 for hi, lo in pairs)
@@ -305,14 +326,13 @@ def test_werner_bisection_diagonalizes_only_at_the_boundary(monkeypatch):
 
 
 @pytest.mark.parametrize("offset", [-1e-5, 1e-5])
-def test_werner_walk_corrects_an_onset_some_steps_off(offset, monkeypatch):
+def test_werner_walk_corrects_an_onset_some_steps_off(offset):
     # A least Choi weight off by 1e-5 moves the closed-form onset at (0.5, 0.5)
     # by about 4.4e-6, four or five lattice steps up or down; the walk still
     # ends where bisection does.
-    expected = loop_threshold(pt(0.5, 0.5))
-    weights = entanglement._choi_weights
-    monkeypatch.setattr(entanglement, "_choi_weights", lambda g1, g2: weights(g1, g2) + offset)
-    assert nmwit.werner_threshold(pt(0.5, 0.5)) == expected
+    g = np.array([0.5])
+    assert (_werner_thresholds(g, g, 1e-6, 1e-9, _choi_weights(g, g)[:, 0] + offset)
+            == [loop_threshold(pt(0.5, 0.5))])
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -363,7 +383,7 @@ def test_detection_diagonalizes_a_complex_image_as_complex_and_a_real_one_as_rea
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: kinds.append(a.dtype.kind) or eigvalsh(a))
         lam = nmwit.detect_entanglement(state, point)[1]
         monkeypatch.undo()
-        assert kinds == ["f" if real else "c"]
+        assert kinds == ["f", "f" if real else "c"]  # the positivity check's Choi solve, then the image
         assert np.float64(lam).tobytes() == expected.tobytes()
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import nmwit
-from nmwit.entanglement import _werner_thresholds
+from nmwit.entanglement import _choi_weights, _werner_thresholds
 from nmwit.errors import (
     DimensionMismatch,
     EmptyGrid,
@@ -60,6 +60,9 @@ def _one_jump(matrix):
         lambda: nmwit.detect_entanglement(np.full((4, 4), NAN), HALF),
         lambda: nmwit.detect_entanglement(np.diag([INF, 0, 0, 0]), HALF),
         lambda: nmwit.adjoint_identity_max_residual(2, -1),
+        # A maximum over no draws.
+        lambda: nmwit.adjoint_identity_max_residual(0),
+        lambda: nmwit.adjoint_identity_max_residual(-3, 1),
         # Matrices that are not finite or whose image or trace norm overflows.
         lambda: nmwit.trace_norm(np.full((2, 2), NAN)),
         lambda: nmwit.trace_norm(np.full((2, 2), 1e308)),
@@ -74,7 +77,7 @@ def _one_jump(matrix):
         "gamma1=nan", "gamma2=-inf",
         "gamma1=8e307", "gamma2=9e307", "gamma1=gamma2=-5e307", "scan-overflow",
         "jump-inf", "jump-nan", "jump-1e308",
-        "state-nan", "state-inf", "seed=-1",
+        "state-nan", "state-inf", "seed=-1", "draws=0", "draws=-3",
         "trace-norm-nan", "trace-norm-overflow", "extend-overflow",
         "projector-nan", "projector-overflow",
     ],
@@ -202,7 +205,7 @@ def test_werner_threshold_ends_at_float_spacing():
     # steps, and an undetected point never starts; each stops on its own.
     g1 = np.array([0.5, 0.5, 0.4, 0.3, 0.2])
     g2 = np.array([0.5, 0.3, 0.45, 0.6, 0.2])
-    batch = _werner_thresholds(g1, g2, 1e-300, 1e-9)
+    batch = _werner_thresholds(g1, g2, 1e-300, 1e-9, _choi_weights(g1, g2)[:, 0])
     assert batch[-1] is None
     for a, b, thr in zip(g1[:-1], g2[:-1], batch[:-1]):
         point = nmwit.MapFamilyPoint(float(a), float(b))
