@@ -8,8 +8,9 @@ trace-norm excess ||C||_1 - 1 is the equivalent scalar indicator.
 
 A grid of instants, which checked_grid accepts or rejects, is one stacked
 pass (grid_pass): choi_grid builds every Choi state from the generator's
-compiled Choi images and checks and diagonalizes them in one call, and a stage
-(the verdicts, the SPA, the witness) reads the stack and its eigendecomposition.
+compiled Choi images and checks and diagonalizes them in one eigh_checked
+call, and a stage (the verdicts, the SPA, the witness) reads the stack and its
+eigendecomposition.
 The CLI checks its grid once, when it reads its configuration, and runs
 _grid_pass, which takes a grid checked_grid has returned. choi_of and classify
 are the pass's one-instant case; a map keeps its choi_of state.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyGrid, NotUnitTrace, UnorderedGrid
-from .kernel import Spectrum, as_matrix, eigh_checked, frozen
+from .kernel import Spectrum, as_matrix, check_tolerance, eigh_checked, frozen
 from .lindblad import LindbladGenerator, SmallTimeMap, choi_matrices, coefficients, small_time_map
 
 
@@ -135,7 +136,9 @@ class DivisibilityVerdict:
 
 def divisibility_grid(eigenvalues: np.ndarray, tolerance: float):
     """(minimum eigenvalues, trace-norm excesses, markovian flags), as lists, of a stack of
-    checked Choi states from their ascending eigenvalues."""
+    checked Choi states from their ascending eigenvalues; ParameterOutOfRange unless
+    tolerance is finite and >= 0."""
+    check_tolerance(tolerance)
     lam = eigenvalues[:, 0].tolist()
     excess = (np.abs(eigenvalues).sum(axis=1) - 1.0).tolist()
     return lam, excess, [x >= -tolerance for x in lam]

@@ -16,12 +16,12 @@ diag(1, s, s, u), and the spectrum of J must be the Choi weights. A
 disagreement raises CrossCheckFailed. Every entry that judges a point runs
 this one check (_check_points), the phase scan on each block.
 
-Every spectrum here comes from _eigvalsh, which diagonalizes a stack whose
-imaginary part is exactly zero in real arithmetic, as eigvalsh of its real
-part. The family's Choi matrices and Werner images always qualify (each
-product of two imaginary sigma_y entries is real), and a complex state's
-image takes the complex solve; the Werner walk and detect_entanglement share
-the helper, so they decide every Werner parameter alike.
+Every spectrum here comes from kernel.eigvalsh, which solves each matrix
+whose imaginary part is exactly zero in real arithmetic. The family's Choi
+matrices and Werner images always qualify (each product of two imaginary
+sigma_y entries is real), and a complex state's image takes the complex
+solve; the Werner walk and detect_entanglement decide every Werner parameter
+alike, since a matrix gets the same bits alone as in a stack.
 
 The phase scan walks the grid in blocks of whole gamma1 rows, about _BLOCK
 points each: one Choi stack checks the whole block, and the Werner thresholds
@@ -58,13 +58,15 @@ from .kernel import (
     SIGMA_Z,
     TOL_PSD,
     as_matrix,
+    check_tolerance,
+    eigvalsh,
     frozen,
     projector,
 )
 from .lindblad import choi_matrices, depolarizer, extend, finite_image
 
 _FAMILY = depolarizer(0.0, 0.0, 0.0)
-_SINGLET = projector(BELL_PSI_MINUS)
+_SINGLET = frozen(projector(BELL_PSI_MINUS))
 _RESOLUTION = 1e-6
 _STEPS = 64  # lattice steps a Werner threshold may walk from its closed-form onset
 # Points per phase-scan block, rounded down to whole gamma1 rows (at least one).
@@ -151,11 +153,6 @@ def is_positive(pt: MapFamilyPoint, *, tolerance: float = TOL_PSD) -> bool:
     return bool(_check_points(np.array([pt.gamma1]), np.array([pt.gamma2]), tolerance)[0][0])
 
 
-def _eigvalsh(M: np.ndarray) -> np.ndarray:
-    """np.linalg.eigvalsh of a Hermitian matrix or stack, as eigvalsh(M.real) when M.imag is all zero."""
-    return np.linalg.eigvalsh(M if M.imag.any() else M.real)
-
-
 def _choi_weights(g1, g2) -> np.ndarray:
     """Closed-form Choi eigenvalues {1-2*g1-g2, g1, g1, g2} of each point, ascending."""
     return np.sort(np.stack([1.0 - 2.0 * g1 - g2, g1, g1, g2], axis=-1), axis=-1)
@@ -176,8 +173,10 @@ def _check_points(g1: np.ndarray, g2: np.ndarray, tolerance: float):
     The Pauli transfer matrix R[i, j] = Tr[(sigma_j^T (x) sigma_i) J] must equal
     diag(1, s, s, u), and the spectrum of J the closed-form Choi weights.
     A mismatch raises CrossCheckFailed for the first failing point, naming
-    its first failing check, as a loop over the points would.
+    its first failing check, as a loop over the points would. Raises
+    ParameterOutOfRange unless tolerance is finite and >= 0.
     """
+    check_tolerance(tolerance)
     J = choi_matrices(_FAMILY, np.stack([g1, g1, g2], axis=-1), 1.0)
     s, u = _factors(g1, g2)
     R = J.reshape(len(g1), 16) @ _TRANSFER  # R[k, 4i + j]; the diagonal is at columns 0, 5, 10, 15
@@ -186,7 +185,7 @@ def _check_points(g1: np.ndarray, g2: np.ndarray, tolerance: float):
     R[:, 15] -= u
     wrong_transfer = _disagree(R, g1, g2)
     weights = _choi_weights(g1, g2)
-    wrong = wrong_transfer | _disagree(weights - _eigvalsh(J), g1, g2)
+    wrong = wrong_transfer | _disagree(weights - eigvalsh(J), g1, g2)
     if wrong.any():
         k = int(np.argmax(wrong))
         what = "transfer matrix" if wrong_transfer[k] else "Choi spectrum"
@@ -219,7 +218,7 @@ def detect_entanglement(
     state = as_matrix(state, (4, 4))
     _require_positive(pt, tolerance)
     image = finite_image(_FAMILY, np.array([pt.gamma1, pt.gamma1, pt.gamma2]), 1.0, state)
-    lam = float(_eigvalsh(image)[0])
+    lam = float(eigvalsh(image)[0])
     return lam < -tolerance, lam
 
 
@@ -233,11 +232,11 @@ def _werner_thresholds(
     the first lattice point that is detected. Each point starts at the
     closed-form onset p* = (1/4 + tolerance) / (1/4 - w_min) of the spectrum
     p*w + (1-p)/4 of (id (x) Map)(W_p), rounded up to the lattice; least holds
-    each point's w_min, as _check_points returns it. Each step
-    diagonalizes every point at hi and at lo in one stacked extend and one
-    _eigvalsh, as detect_entanglement diagonalizes one image, and moves hi up
-    where it is not detected (below 1) and down where lo is detected too. A
-    point not settled after _STEPS steps raises CrossCheckFailed.
+    each point's w_min, as _check_points returns it. Each step diagonalizes
+    every point at hi and at lo in one stacked extend and one eigvalsh, as
+    detect_entanglement diagonalizes one image, and moves hi up where it is
+    not detected (below 1) and down where lo is detected too. A point not
+    settled after _STEPS steps raises CrossCheckFailed.
     """
     h = min(1.0, math.ldexp(0.5, math.frexp(resolution)[1]))
     rows = np.stack([g1, g1, g2], axis=-1)
@@ -249,7 +248,7 @@ def _werner_thresholds(
         lo = np.maximum(np.minimum(hi - h, np.nextafter(hi, 0.0)), 0.0)
         # Each point's map applied to its Werner states at hi and at lo, a (2, n, 4, 4) stack.
         images = extend(_FAMILY, rows, 1.0, _werner_matrices([hi, lo]))
-        found, below = _eigvalsh(images)[..., 0] < -tolerance
+        found, below = eigvalsh(images)[..., 0] < -tolerance
         up, down = ~found & (hi < 1.0), found & below
         if not (up | down).any():
             return [float(p) if f else None for p, f in zip(hi, found)]

@@ -2,11 +2,18 @@
 
 Construction helpers (Paulis, Bell vectors, projectors), Hermitian
 eigendecomposition and trace norm. All functions take and return plain numpy
-arrays; arrays produced here are marked read-only, and every operation is a
-pure function, so values can be shared freely across threads.
+arrays, and every operation is a pure function. The module's constants, the
+arrays of frozen and max_entangled and those of eigh_checked's Spectrum are
+marked read-only, so they can be shared freely across threads; projector and
+eigvalsh return fresh writable arrays.
 
-Eigendecomposition works on stacks: eigh_checked diagonalizes a stack in
-one call, and eig_hermitian is its one-matrix case.
+Every Hermitian eigensolve of the package goes through eigh_checked or
+eigvalsh, under one rule decided per matrix: a matrix whose imaginary part is
+all zero is solved in real arithmetic, any other in complex arithmetic. So a
+matrix gets the same bits alone as in any stack; a stack of one kind takes
+one LAPACK call, and a mixed stack one more, for its real matrices.
+eig_hermitian is eigh_checked's one-matrix case, and eigh_checked's
+eigenvectors are complex either way.
 
 Intended scale is small dense matrices (qubit and two-qubit operators, up to
 dimension ~16); there is no sparse or arbitrary-precision path.
@@ -23,6 +30,12 @@ from .errors import DimensionMismatch, NonHermitianInput, ParameterOutOfRange
 #: Tolerances of the Hermiticity / positivity predicates.
 TOL_HERM = 1e-9
 TOL_PSD = 1e-9
+
+
+def check_tolerance(tolerance: float) -> None:
+    """ParameterOutOfRange unless a verdict's tolerance is finite and >= 0."""
+    if not 0.0 <= tolerance < np.inf:
+        raise ParameterOutOfRange(f"tolerance must be finite and >= 0, got {float(tolerance)!r}")
 
 
 def frozen(values) -> np.ndarray:
@@ -111,11 +124,29 @@ class Spectrum:
         return Spectrum(self.eigenvalues[index], self.eigenvectors[index])
 
 
-def eigh_checked(M: np.ndarray) -> Spectrum:
-    """Ascending eigendecompositions of a stack (k, n, n) of Hermitian matrices, in one call.
+def _solve(solve, M: np.ndarray):
+    """solve(M), a tuple of arrays, for a matrix or stack (..., n, n) under the module's rule."""
+    cplx = M.imag.any(axis=(-2, -1))
+    k = np.count_nonzero(cplx)
+    out = solve(M if k else M.real)
+    if 0 < k < cplx.size:  # a mixed stack: its real matrices again, in real arithmetic
+        real = ~cplx
+        for whole, part in zip(out, solve(M.real[real])):
+            whole[real] = part
+    return out
 
-    Raises NonHermitianInput for the first matrix that fails the Hermiticity
-    check at TOL_HERM.
+
+def eigvalsh(M: np.ndarray) -> np.ndarray:
+    """Fresh ascending eigenvalues of a Hermitian matrix or stack, unchecked, under the module's rule."""
+    return _solve(lambda A: (np.linalg.eigvalsh(A),), M)[0]
+
+
+def eigh_checked(M: np.ndarray) -> Spectrum:
+    """Ascending eigendecompositions of a stack (k, n, n) of Hermitian matrices, under the module's rule.
+
+    Eigenvalues are real and eigenvectors complex, both read-only. Raises
+    NonHermitianInput for the first matrix that fails the Hermiticity check
+    at TOL_HERM.
     """
     if M.ndim != 3 or M.shape[1] != M.shape[2]:
         raise NonHermitianInput(f"expected square matrices, got shape {M.shape[1:]}")
@@ -125,7 +156,8 @@ def eigh_checked(M: np.ndarray) -> Spectrum:
         raise NonHermitianInput(
             f"matrix is not Hermitian within {TOL_HERM:g} (max deviation {deviation[k]:.3g})"
         )
-    vals, vecs = np.linalg.eigh(M)
+    vals, vecs = _solve(np.linalg.eigh, M)
+    vecs = vecs.astype(complex, copy=False)
     vals.setflags(write=False)
     vecs.setflags(write=False)
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
@@ -151,7 +183,7 @@ def trace_norm(X: np.ndarray) -> float:
     if not np.isfinite(X).all():
         raise ParameterOutOfRange("matrix entries must be finite")
     with np.errstate(over="ignore"):  # an overflowing sum is reported below
-        norm = float(np.abs(np.linalg.eigvalsh(X)).sum() if is_hermitian(X)
+        norm = float(np.abs(eigvalsh(X)).sum() if is_hermitian(X)
                      else np.linalg.svd(X, compute_uv=False).sum())
     if not np.isfinite(norm):
         raise ParameterOutOfRange(f"trace norm overflows, got {norm}")

@@ -34,7 +34,7 @@ import numpy as np
 
 from .choi import ChoiState, choi_of, grid_pass
 from .errors import DegenerateMinimum, DimensionMismatch, NonHermitianJump, ParameterOutOfRange
-from .kernel import as_complex, as_matrix, dag, is_hermitian, projector
+from .kernel import as_complex, as_matrix, check_tolerance, dag, is_hermitian, projector
 from .lindblad import LindbladGenerator, SmallTimeMap, coefficients, constant, extend
 from .lindblad import extend_and_apply, small_time_map
 from .spa import spa_grid
@@ -195,7 +195,9 @@ def evaluate(W: WitnessOperator, choi: ChoiState) -> float:
 
 
 def classify_by_witness(W: WitnessOperator, choi: ChoiState, tolerance: float = 1e-9) -> str:
-    """NON_MARKOVIAN_DETECTED when the witness value drops below -tolerance."""
+    """NON_MARKOVIAN_DETECTED when the witness value drops below -tolerance;
+    ParameterOutOfRange unless tolerance is finite and >= 0."""
+    check_tolerance(tolerance)
     return NON_MARKOVIAN_DETECTED if evaluate(W, choi) < -tolerance else MARKOVIAN_CONSISTENT
 
 

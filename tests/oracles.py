@@ -13,9 +13,10 @@ is_density, reconstruct) live here too, as do the single-system map actions
 the last blockwise to a two-qubit operator) and the per-instant reference
 pipeline that the package's stacked pass must reproduce bit for bit: the
 Lindblad term loop with a Kronecker product per term and call, and one
-eigensolve per matrix. spa_mixture builds and diagonalizes the SPA mixture
-explicitly, the second eigensolve that the package reads off the Choi
-eigendecomposition instead. The witness matrices it builds agree with the
+eigensolve per matrix, in real arithmetic when its imaginary part is all
+zero. spa_mixture builds and diagonalizes the SPA mixture explicitly, the
+second eigensolve that the package reads off the Choi eigendecomposition
+instead. The witness matrices it builds agree with the
 package's to rounding only: the package sums the terms of id (x) L_t through
 one compiled superoperator per term.
 
@@ -379,11 +380,11 @@ def reference_snapshot(gen, t, eps):
     phi[:: d + 1] = 1.0 / np.sqrt(d)
     P = np.outer(phi, phi.conj())
     C = P + eps * dissipator(gen, P, t, d)
-    vals, vecs = np.linalg.eigh(C)
+    vals, vecs = np.linalg.eigh(C if C.imag.any() else C.real)
     omega, nu = spa_weights(vals)
     if nu * (vals[1] - vals[0]) < 1e-12:
         return C, vals, None, None, None, None, None
-    tau = np.array(vecs[:, 0])
+    tau = np.array(vecs[:, 0], dtype=complex)
     X = np.outer(tau, tau.conj())
     W = nu * (X + eps * dissipator(gen, X, t, d))
     value = float(np.real(nu * np.vdot(tau, C @ tau)))

@@ -364,7 +364,7 @@ def test_family_rows_extend_like_per_point_maps(coeffs, seed):
 @given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(0.0, 1.0)),
                 min_size=1, max_size=8))
 def test_family_choi_stacks_and_werner_images_are_exactly_real(points):
-    # Every product of two imaginary sigma_y entries is real, so _eigvalsh
+    # Every product of two imaginary sigma_y entries is real, so kernel.eigvalsh
     # diagonalizes the family's stacks in real arithmetic, negative and large
     # coefficients included.
     g1, g2, p = np.array(points).T

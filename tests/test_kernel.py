@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nmwit
+from nmwit import kernel
 from nmwit.errors import DimensionMismatch, NonHermitianInput
 from nmwit.kernel import BELL_PSI_MINUS, dag
 
@@ -144,3 +149,58 @@ def test_hermiticity_and_density_predicates():
     assert is_density(np.eye(2) / 2)
     assert not is_density(np.eye(2))  # trace 2
     assert not is_density(nmwit.SIGMA_Z)  # negative eigenvalue
+
+
+@st.composite
+def hermitian_stacks(draw):
+    """(M, real): a (n, 4, 4) or (2, n, 4, 4) stack of Hermitian matrices, and which are exactly real."""
+    shape = (*draw(st.sampled_from([(), (2,)])), draw(st.integers(1, 5)))
+    size = int(np.prod(shape))
+    real = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size))).reshape(shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.normal(size=(*shape, 4, 4)) + 1j * rng.normal(size=(*shape, 4, 4))
+    A[real] = A[real].real
+    return (A + A.conj().swapaxes(-1, -2)) / 2, real
+
+
+def _solved(name, run):
+    """(run(), the matrices np.linalg.<name> received in real arithmetic, the number of calls)."""
+    calls, solve = [], getattr(np.linalg, name)
+    with mock.patch.object(np.linalg, name, lambda A: calls.append(A) or solve(A)):
+        result = run()
+    real = [A.reshape(-1, *A.shape[-2:]) for A in calls if A.dtype.kind == "f"]
+    return result, np.concatenate(real) if real else np.empty((0, 4, 4)), len(calls)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(stack=hermitian_stacks())
+def test_each_matrix_of_a_stack_is_solved_alone_in_its_own_arithmetic(stack):
+    # The rule is per matrix: exactly the real matrices reach LAPACK as real,
+    # so each matrix gets the bits of its own one-matrix solve in any stack,
+    # and a mixed stack takes one call more than a stack of one kind.
+    M, real = stack
+    flat, flat_real = M.reshape(-1, 4, 4), real.ravel()
+    calls = 1 + (real.any() and not real.all())
+    spectrum, solved_real, n = _solved("eigh", lambda: kernel.eigh_checked(flat))
+    assert np.array_equal(solved_real, flat[flat_real]) and n == calls
+    values, solved_real, n = _solved("eigvalsh", lambda: kernel.eigvalsh(M))
+    assert np.array_equal(solved_real, M[real]) and n == calls
+    assert spectrum.eigenvectors.dtype == complex and values.shape == M.shape[:-1]
+    assert not spectrum.eigenvalues.flags.writeable and not spectrum.eigenvectors.flags.writeable
+    values = values.reshape(-1, 4)
+    for k, row in enumerate(flat):
+        vals, vecs = np.linalg.eigh(row.real if flat_real[k] else row)
+        one = kernel.eigh_checked(row[None])
+        assert spectrum.eigenvalues[k].tobytes() == vals.tobytes() == one.eigenvalues.tobytes()
+        assert (spectrum.eigenvectors[k].tobytes() == vecs.astype(complex).tobytes()
+                == one.eigenvectors.tobytes())
+        assert (values[k].tobytes() == np.linalg.eigvalsh(row.real if flat_real[k] else row).tobytes()
+                == kernel.eigvalsh(row).tobytes())
+
+
+@pytest.mark.parametrize("matrix, kind", [(nmwit.SIGMA_X, "f"), (nmwit.SIGMA_Y, "c")])
+def test_trace_norm_solves_a_hermitian_matrix_under_the_rule(matrix, kind, monkeypatch):
+    kinds, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: kinds.append(A.dtype.kind) or eigvalsh(A))
+    assert nmwit.trace_norm(matrix) == 2.0
+    assert kinds == [kind]

@@ -2,14 +2,15 @@
 
 A generator's time grid runs as one stacked Choi -> SPA -> witness pass; the
 reference in oracles.reference_snapshot builds each instant alone, with a
-Kronecker product per term and call and one eigensolve per matrix. The two
+Kronecker product per term and call and one eigensolve per matrix, in real
+arithmetic when its imaginary part is all zero, as kernel's rule says. The two
 must agree bit for bit, except the witness matrices, which the package forms
 with one compiled superoperator per term and which agree to rounding.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nmwit
@@ -55,8 +56,22 @@ def _same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+_REAL_JUMP = np.array([[0.3, 0.5], [0.5, -0.2]])
+_COMPLEX_JUMP = np.array([[0.2, 0.3 - 0.6j], [0.3 + 0.6j, -0.1]])
+_TWELVE = [0.25 + 0.4 * k for k in range(12)]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(gen=generators(), grid=grids, eps=epsilons)
+# An exactly real generator: every Choi matrix is solved in real arithmetic.
+@example(gen=nmwit.LindbladGenerator(dim=2, terms=((nmwit.constant(-0.8), _REAL_JUMP),)),
+         grid=_TWELVE, eps=0.01)
+# A mixed grid: the complex jump's coefficient is 0 up to t = 2, so the first
+# five Choi matrices are exactly real and the other seven complex.
+@example(gen=nmwit.LindbladGenerator(dim=2, terms=(
+    (nmwit.constant(-0.5), _REAL_JUMP),
+    (nmwit.tabulated([0.0, 2.0, 5.0], [0.0, 0.0, 0.9]), _COMPLEX_JUMP),
+)), grid=_TWELVE, eps=0.01)
 def test_stacked_pass_matches_per_instant_reference(gen, grid, eps):
     refs = [reference_snapshot(gen, t, eps) for t in grid]
     _, matrices, spectrum = choi_grid(gen, grid, eps)

@@ -246,3 +246,34 @@ def test_malformed_time_grids_raise_typed_errors_without_warnings(run, grid, err
         warnings.simplefilter("error")
         with pytest.raises(error):
             run(nmwit.eternal_depolarizer(), grid, 0.01)
+
+
+# Every entry that takes a verdict's tolerance; each runs _check_points,
+# choi.divisibility_grid or classify_by_witness, which check it.
+_TOLERANCE_ENTRIES = {
+    "is_positive": lambda tol: nmwit.is_positive(nmwit.MapFamilyPoint(5, 5), tolerance=tol),
+    "is_cp": lambda tol: nmwit.is_cp(HALF, tolerance=tol),
+    "werner_threshold": lambda tol: nmwit.werner_threshold(HALF, tolerance=tol),
+    "detect_entanglement": lambda tol: nmwit.detect_entanglement(nmwit.werner(0.5).matrix, HALF, tol),
+    "phase_scan": lambda tol: nmwit.phase_scan((0.0, 0.5), (0.0, 1.0), (2, 2), tolerance=tol),
+    "classify": lambda tol: nmwit.classify(nmwit.choi_of(_SNAPSHOT), tol),
+    "scan": lambda tol: nmwit.scan(nmwit.eternal_depolarizer(), [0.5, 1.0], 0.01, tol),
+    "classify_by_witness": lambda tol: nmwit.classify_by_witness(
+        nmwit.build_witness(_SNAPSHOT), nmwit.choi_of(_SNAPSHOT), tol),
+}
+
+
+@pytest.mark.parametrize("tolerance", [NAN, INF, -INF, -1.0, np.float64(-1e-300)])
+@pytest.mark.parametrize("entry", list(_TOLERANCE_ENTRIES))
+def test_a_tolerance_that_is_not_finite_and_nonnegative_raises(entry, tolerance):
+    # A NaN or negative tolerance used to call the positive map at HALF not
+    # positive (MapNotPositive) and a PSD Choi state non-Markovian, and an
+    # infinite one to call the non-positive map at (5, 5) positive.
+    with pytest.raises(ParameterOutOfRange,
+                       match=rf"^tolerance must be finite and >= 0, got {float(tolerance)!r}$"):
+        _TOLERANCE_ENTRIES[entry](tolerance)
+
+
+@pytest.mark.parametrize("entry", list(_TOLERANCE_ENTRIES))
+def test_a_zero_tolerance_is_accepted(entry):
+    _TOLERANCE_ENTRIES[entry](0.0)
