@@ -9,8 +9,10 @@ trace-norm excess ||C||_1 - 1 is the equivalent scalar indicator.
 A grid of instants, which checked_grid accepts or rejects, is one stacked
 pass (grid_pass): choi_grid builds every Choi state from the generator's
 compiled Choi images and checks and diagonalizes them in one eigh_checked
-call, and a stage (the verdicts, the SPA, the witness) reads the stack and its
-eigendecomposition.
+call (one solve per kind of matrix in the stack, under kernel's rule: the
+Pauli-diagonal scenarios' Choi matrices are Bell-diagonal and take the closed
+form), and a stage (the verdicts, the SPA, the witness) reads the stack and
+its eigendecomposition.
 The CLI checks its grid once, when it reads its configuration, and runs
 _grid_pass, which takes a grid checked_grid has returned. choi_of and classify
 are the pass's one-instant case; a map keeps its choi_of state.

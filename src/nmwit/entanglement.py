@@ -17,11 +17,14 @@ disagreement raises CrossCheckFailed. Every entry that judges a point runs
 this one check (_check_points), the phase scan on each block.
 
 Every spectrum here comes from kernel.eigvalsh, which solves each matrix
-whose imaginary part is exactly zero in real arithmetic. The family's Choi
-matrices and Werner images always qualify (each product of two imaginary
-sigma_y entries is real), and a complex state's image takes the complex
-solve; the Werner walk and detect_entanglement decide every Werner parameter
-alike, since a matrix gets the same bits alone as in a stack.
+under kernel's rule: a real X-pattern (Bell-diagonal) matrix in closed form,
+any other real matrix in real arithmetic, a complex one in complex
+arithmetic. The family's Choi matrices and Werner images are always real
+X-pattern matrices (the map is Pauli-diagonal, and each product of two
+imaginary sigma_y entries is real), so the scan solves no eigenproblem with
+LAPACK; the image of a state is of the state's kind. The Werner walk and
+detect_entanglement decide every Werner parameter alike, since a matrix gets
+the same bits alone as in a stack.
 
 The phase scan walks the grid in blocks of whole gamma1 rows, about _BLOCK
 points each: one Choi stack checks the whole block, and the Werner thresholds
@@ -208,9 +211,10 @@ def detect_entanglement(
 
     Returns (detected, min_eigenvalue of (id (x) Map)(state)); detected means
     the eigenvalue is below -tolerance, which is impossible for separable
-    states under a positive map. The image is diagonalized as the Werner walk
-    diagonalizes it: in real arithmetic when its imaginary part is exactly
-    zero, as for every Werner state, else as a complex Hermitian matrix.
+    states under a positive map. The image is diagonalized under kernel's
+    rule, as the Werner walk diagonalizes it: in closed form when it is a
+    real X-pattern matrix, as for every Werner state, else by LAPACK in real
+    or complex arithmetic.
     Raises MapNotPositive or CrossCheckFailed as is_positive decides them,
     since a non-positive map certifies nothing, and ParameterOutOfRange when
     the state or its image is not finite.

@@ -8,12 +8,17 @@ marked read-only, so they can be shared freely across threads; projector and
 eigvalsh return fresh writable arrays.
 
 Every Hermitian eigensolve of the package goes through eigh_checked or
-eigvalsh, under one rule decided per matrix: a matrix whose imaginary part is
-all zero is solved in real arithmetic, any other in complex arithmetic. So a
-matrix gets the same bits alone as in any stack; a stack of one kind takes
-one LAPACK call, and a mixed stack one more, for its real matrices.
-eig_hermitian is eigh_checked's one-matrix case, and eigh_checked's
-eigenvectors are complex either way.
+eigvalsh, under one rule decided per matrix, which knows three kinds:
+- a matrix whose imaginary part is not all zero: LAPACK in complex arithmetic;
+- a real matrix: LAPACK in real arithmetic;
+- a real 4x4 matrix that is also exactly zero outside the "X" of the blocks
+  (0, 3) and (1, 2), as every Bell-diagonal matrix is: the closed form of
+  those two symmetric 2x2 blocks (_x_blocks), never LAPACK.
+_solve sorts a stack's matrices by kind, solves each kind in one call and
+scatters the results back, so a matrix gets the same bits alone as in any
+stack; the closed form gives the same bits on numpy arrays and, for a stack
+of a few matrices, on Python floats. eig_hermitian is eigh_checked's
+one-matrix case, and eigh_checked's eigenvectors are complex for every kind.
 
 Intended scale is small dense matrices (qubit and two-qubit operators, up to
 dimension ~16); there is no sparse or arbitrary-precision path.
@@ -21,7 +26,9 @@ dimension ~16); there is no sparse or arbitrary-precision path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -124,21 +131,113 @@ class Spectrum:
         return Spectrum(self.eigenvalues[index], self.eigenvectors[index])
 
 
-def _solve(solve, M: np.ndarray):
-    """solve(M), a tuple of arrays, for a matrix or stack (..., n, n) under the module's rule."""
+# Flat indices into a 4x4 matrix: a, b, c of its blocks [[a, b], [b, c]] (0, 3) and (1, 2), b from
+# the lower triangle that LAPACK reads, then the eight entries outside that "X" pattern.
+_GATHER = np.array([0, 12, 15, 5, 9, 10, 1, 2, 4, 7, 8, 11, 13, 14])
+# Where the closed form's eigenvector components go, as flat indices into the 4x4 matrix whose
+# rows are the eigenvectors of lo (0, 3), hi (0, 3), lo (1, 2), hi (1, 2): the first component of
+# lo in both blocks, lo's second, hi's first, hi's second.
+_VEC = np.array([0, 9, 3, 10, 4, 13, 7, 14])
+_SPLIT = 2.0**27 + 1.0  # Dekker's splitter for float64 (TwoProduct)
+# Stacks of at most this many X-pattern matrices take the closed form on Python floats, which is
+# cheaper there than numpy's per-call cost on tiny arrays: one matrix takes a fifth of the time.
+_FEW = 4
+# The closed form's elementwise functions on Python floats, which give numpy's bits.
+_FLOATS = SimpleNamespace(frexp=math.frexp, ldexp=math.ldexp, copysign=math.copysign, sqrt=math.sqrt,
+                          minimum=min, maximum=max, where=lambda cond, x, y: x if cond else y)
+
+
+def _x_blocks(a, b, c, xp, vectors: bool):
+    """(lo, hi) or (lo, hi, x, y) of the symmetric blocks [[a, b], [b, c]], elementwise.
+
+    lo <= hi are the eigenvalues and (x, y) is hi's unit eigenvector, (-y, x) lo's. a, b and c
+    are Python floats with xp _FLOATS, or arrays with xp numpy; both give the same bits. The
+    block is scaled by a power of two so that its largest |entry| lies in [0.5, 1), which is
+    exact. The eigenvalue of larger magnitude is rt1 of LAPACK's dlaev2, the other det / rt1,
+    with det = a*c - b*b from Dekker's error-free TwoProduct; the eigenvector is formed as in
+    dlaev2, from a ratio of magnitude at most 1.
+    """
+    e = xp.frexp(xp.maximum(xp.maximum(abs(a), abs(b)), abs(c)))[1]
+    a, b, c = xp.ldexp(a, -e), xp.ldexp(b, -e), xp.ldexp(c, -e)
+    ha, hb, hc = a * _SPLIT, b * _SPLIT, c * _SPLIT
+    ha, hb, hc = ha - (ha - a), hb - (hb - b), hc - (hc - c)
+    la, lb, lc = a - ha, b - hb, c - hc  # each entry split exactly into halves of 26 bits
+    p, q = a * c, b * b
+    det = (p - q) + (((((ha * hc - p) + ha * lc) + la * hc) + la * lc)
+                     - ((((hb * hb - q) + hb * lb) + lb * hb) + lb * lb))
+    sm, df, tb = a + c, a - c, b + b
+    rt = xp.sqrt(df * df + tb * tb)
+    rt1 = 0.5 * (sm + xp.copysign(rt, sm))
+    rt2 = det / (rt1 + (rt1 == 0.0))  # 0 for a zero block
+    lo = xp.ldexp(xp.minimum(rt1, rt2), e) + 0.0  # + 0.0 turns -0.0 into 0.0
+    hi = xp.ldexp(xp.maximum(rt1, rt2), e) + 0.0
+    if not vectors:
+        return lo, hi
+    # hi's eigenvector is (r, tb) for df >= 0 and (tb, r) otherwise, up to a factor, with
+    # r = |df| + rt >= |tb| free of cancellation; r = 0 only for a multiple of the identity.
+    r = xp.maximum(abs(df) + rt, abs(tb))
+    t = tb / (r + (r == 0.0))
+    h = xp.sqrt(1.0 + t * t)
+    x, y = 1.0 / h, t / h
+    up = df >= 0.0
+    return lo, hi, xp.where(up, x, y), xp.where(up, y, x)
+
+
+def _x_solve(G: np.ndarray, vectors: bool):
+    """(eigenvalues, complex eigenvectors or None) of a stack of real X-pattern 4x4 matrices,
+    from the rows of their entries gathered by _GATHER."""
+    k = len(G)
+    if k <= _FEW:
+        B = np.array([_x_blocks(*row[j:j + 3], _FLOATS, vectors)
+                      for row in G[:, :6].tolist() for j in (0, 3)]).reshape(k, 2, -1)
+    else:
+        B = np.stack(_x_blocks(G[:, 0:6:3], G[:, 1:6:3], G[:, 2:6:3], np, vectors), axis=-1)
+    vals = B[:, :, :2].reshape(k, 4)  # [lo (0, 3), hi (0, 3), lo (1, 2), hi (1, 2)]
+    if not vectors:
+        vals.sort(axis=1)
+        return vals, None
+    x, y = B[:, :, 2], B[:, :, 3]
+    V = np.zeros((k, 4, 4), dtype=complex)  # V[i, j] is the eigenvector of vals[i, j]
+    V.real.reshape(k, 16)[:, _VEC] = np.concatenate((-y, x, x, y), axis=1) + 0.0
+    order, i = np.argsort(vals, axis=1, kind="stable"), np.arange(k)[:, None]
+    return vals[i, order], V[i, order].transpose(0, 2, 1)
+
+
+def _lapack(A: np.ndarray, vectors: bool):
+    """(eigenvalues, eigenvectors or None) of a stack, from numpy.linalg."""
+    return np.linalg.eigh(A) if vectors else (np.linalg.eigvalsh(A), None)
+
+
+def _solve(M: np.ndarray, vectors: bool):
+    """(eigenvalues, eigenvectors or None) of a Hermitian matrix or stack (..., n, n) under the
+    module's rule: its complex, real and real X-pattern matrices, each kind solved in one call."""
     cplx = M.imag.any(axis=(-2, -1))
-    k = np.count_nonzero(cplx)
-    out = solve(M if k else M.real)
-    if 0 < k < cplx.size:  # a mixed stack: its real matrices again, in real arithmetic
-        real = ~cplx
-        for whole, part in zip(out, solve(M.real[real])):
-            whole[real] = part
-    return out
+    n_cplx = np.count_nonzero(cplx)
+    if n_cplx == cplx.size:  # complex matrices only
+        return _lapack(M, vectors)
+    shape, n = M.shape[:-1], M.shape[-1]
+    M, cplx = M.reshape(-1, n, n), cplx.reshape(-1)
+    G = M.real.reshape(-1, 16)[:, _GATHER] if n == 4 else None
+    if G is not None and not n_cplx and not G[:, 6:].any():  # real X-pattern matrices only
+        vals, vecs = _x_solve(G, vectors)
+    else:
+        x = np.zeros_like(cplx) if G is None else ~(cplx | G[:, 6:].any(axis=1))
+        if not (n_cplx or x.any()):  # real matrices only
+            vals, vecs = _lapack(M.real, vectors)
+        else:  # mixed kinds: each solved once, its results scattered back to its rows
+            vals = np.empty(M.shape[:-1])
+            vecs = np.empty(M.shape, dtype=complex) if vectors else None
+            for rows, solve, A in (x, _x_solve, G), (cplx, _lapack, M), (~(cplx | x), _lapack, M.real):
+                if rows.any():
+                    vals[rows], part = solve(A[rows], vectors)
+                    if vectors:
+                        vecs[rows] = part
+    return vals.reshape(shape), None if vecs is None else vecs.reshape(*shape, n)
 
 
 def eigvalsh(M: np.ndarray) -> np.ndarray:
     """Fresh ascending eigenvalues of a Hermitian matrix or stack, unchecked, under the module's rule."""
-    return _solve(lambda A: (np.linalg.eigvalsh(A),), M)[0]
+    return _solve(M, False)[0]
 
 
 def eigh_checked(M: np.ndarray) -> Spectrum:
@@ -156,7 +255,7 @@ def eigh_checked(M: np.ndarray) -> Spectrum:
         raise NonHermitianInput(
             f"matrix is not Hermitian within {TOL_HERM:g} (max deviation {deviation[k]:.3g})"
         )
-    vals, vecs = _solve(np.linalg.eigh, M)
+    vals, vecs = _solve(M, True)
     vecs = vecs.astype(complex, copy=False)
     vals.setflags(write=False)
     vecs.setflags(write=False)

@@ -3,9 +3,10 @@
 Nothing here shares a code path with the package: eigenvalues come from a
 hand-rolled Jacobi rotation solver, generator actions from Pauli-basis
 coefficient algebra, Choi matrices from explicit Bell-projector sums, and SPA
-thresholds from bisection on the positivity indicator. The one exception is
+thresholds from bisection on the positivity indicator. The exceptions are
 loop_threshold, the per-point Werner bisection on the package's own
-detect_entanglement: it pins where the package's threshold search must end.
+detect_entanglement, which pins where the package's threshold search must
+end, and reference_snapshot's one-matrix eigensolve (below).
 
 The linear-algebra helpers that only tests use (tensor, partial_trace,
 is_density, reconstruct) live here too, as do the single-system map actions
@@ -13,8 +14,10 @@ is_density, reconstruct) live here too, as do the single-system map actions
 the last blockwise to a two-qubit operator) and the per-instant reference
 pipeline that the package's stacked pass must reproduce bit for bit: the
 Lindblad term loop with a Kronecker product per term and call, and one
-eigensolve per matrix, in real arithmetic when its imaginary part is all
-zero. spa_mixture builds and diagonalizes the SPA mixture explicitly, the
+eigensolve per matrix, which is the package's own one-matrix solve
+(eig_hermitian), so that each matrix is solved under kernel's rule: in
+complex or real arithmetic, or in closed form for a real X-pattern matrix.
+spa_mixture builds and diagonalizes the SPA mixture explicitly, the
 second eigensolve that the package reads off the Choi eigendecomposition
 instead. The witness matrices it builds agree with the
 package's to rounding only: the package sums the terms of id (x) L_t through
@@ -380,7 +383,8 @@ def reference_snapshot(gen, t, eps):
     phi[:: d + 1] = 1.0 / np.sqrt(d)
     P = np.outer(phi, phi.conj())
     C = P + eps * dissipator(gen, P, t, d)
-    vals, vecs = np.linalg.eigh(C if C.imag.any() else C.real)
+    spectrum = nmwit.eig_hermitian(C)
+    vals, vecs = spectrum.eigenvalues, spectrum.eigenvectors
     omega, nu = spa_weights(vals)
     if nu * (vals[1] - vals[0]) < 1e-12:
         return C, vals, None, None, None, None, None

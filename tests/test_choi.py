@@ -34,28 +34,25 @@ def test_choi_state_is_built_once_per_map():
     assert nmwit.choi_of(fresh).matrix.tobytes() == c.matrix.tobytes()
 
 
-def test_each_choi_state_is_diagonalized_once(monkeypatch, capsys):
+def test_each_choi_state_is_diagonalized_once(solves, capsys):
     # The verdict, trace-norm excess included, the SPA weights and the witness
     # eigenvector are read from the spectrum that checked_spectrum keeps: one
-    # stacked eigh per grid, one per snapshot.
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        solve = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda M, _n=name, _s=solve: calls.append(_n) or _s(M))
+    # stacked eigensolve with eigenvectors per grid, one per snapshot. The
+    # eternal depolarizer's Choi matrices are X-pattern, so that solve is the closed form.
     gen = nmwit.eternal_depolarizer()
     grid = np.linspace(0.1, 2.0, 40)
     m, n = _map(gen, t=1.0), _map(gen, t=1.0)
     runs = (
-        lambda: nmwit.scan(gen, grid, EPS),
-        lambda: witness_scan(gen, grid, EPS),
-        lambda: main(["spa", "--t-start", "0.1", "--t-stop", "2", "--t-steps", "40"]),
-        lambda: nmwit.classify(nmwit.choi_of(m)),
-        lambda: (nmwit.choi_of(n), nmwit.build_witness(n)),
+        (40, lambda: nmwit.scan(gen, grid, EPS)),
+        (40, lambda: witness_scan(gen, grid, EPS)),
+        (40, lambda: main(["spa", "--t-start", "0.1", "--t-stop", "2", "--t-steps", "40"])),
+        (1, lambda: nmwit.classify(nmwit.choi_of(m))),
+        (1, lambda: (nmwit.choi_of(n), nmwit.build_witness(n))),
     )
-    for run in runs:
-        calls.clear()
+    for rows, run in runs:
+        solves.clear()
         run()
-        assert calls == ["eigh"]
+        assert solves == [("x", rows, True)]
     assert len(capsys.readouterr().out.splitlines()) == 9 + 1 + 40  # the spa run's echo, columns, rows
 
 

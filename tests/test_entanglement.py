@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nmwit
-from nmwit import cli, entanglement
+from nmwit import cli, entanglement, kernel
 from nmwit.errors import (
     CrossCheckFailed,
     DimensionMismatch,
@@ -299,27 +299,27 @@ def test_werner_threshold_matches_per_point_bisection_at_any_resolution(g1, f, r
             == loop_threshold(point, resolution, tolerance))
 
 
-def test_werner_bisection_diagonalizes_only_at_the_boundary(monkeypatch):
+def test_werner_bisection_diagonalizes_only_at_the_boundary(solves, monkeypatch):
     # After the positivity check's one-row Choi solve, every decision is one
-    # eigvalsh of a stacked (hi, one step below) pair, one step being 2**-20
+    # eigenvalue solve of a stacked (hi, one step below) pair, one step being 2**-20
     # (the lattice of resolution 1e-6). At (0.5, 0.3) the closed-form onset
     # lands on the crossing, so one pair settles it; at (0.5, 0.25 + 2e-9)
     # the crossing is within rounding of p = 1/2, where the closed form cannot
-    # decide and eigvalsh does.
+    # decide and the spectra do. Every matrix is X-pattern, so each solve is kernel's closed form.
     near, far = pt(0.5, 0.25 + 2e-9), pt(0.5, 0.3)
     expected = loop_threshold(near), loop_threshold(far)
-    calls, eigvalsh, werner_matrices = [], np.linalg.eigvalsh, entanglement._werner_matrices
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
+    werner_matrices = entanglement._werner_matrices
+    solves.clear()
     assert nmwit.werner_threshold(far) == expected[1]
-    assert calls == [1, 2]
-    calls.clear()
+    assert solves == [("x", 1, False), ("x", 2, False)]
+    solves.clear()
     monkeypatch.setattr(entanglement, "_werner_matrices",
-                        lambda p: calls.append(np.ravel(p).tolist()) or werner_matrices(p))
+                        lambda p: solves.append(np.ravel(p).tolist()) or werner_matrices(p))
     assert nmwit.werner_threshold(near) == expected[0]
-    # Each step is ([p at hi, p one step below], one eigvalsh of both), ending at the threshold.
-    assert calls[0] == 1
-    calls = calls[1:]
-    assert len(calls) % 2 == 0 and calls[1::2] == [2] * (len(calls) // 2)
+    # Each step is ([p at hi, p one step below], one solve of both), ending at the threshold.
+    assert solves[0] == ("x", 1, False)
+    calls = solves[1:]
+    assert len(calls) % 2 == 0 and calls[1::2] == [("x", 2, False)] * (len(calls) // 2)
     pairs = calls[0::2]
     assert all(lo == hi - 2.0**-20 for hi, lo in pairs)
     assert pairs[-1][0] == expected[0]
@@ -364,27 +364,41 @@ def test_family_rows_extend_like_per_point_maps(coeffs, seed):
 @given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(0.0, 1.0)),
                 min_size=1, max_size=8))
 def test_family_choi_stacks_and_werner_images_are_exactly_real(points):
-    # Every product of two imaginary sigma_y entries is real, so kernel.eigvalsh
-    # diagonalizes the family's stacks in real arithmetic, negative and large
-    # coefficients included.
+    # Every product of two imaginary sigma_y entries is real, and the map is
+    # Pauli-diagonal, so the family's stacks are exactly real and exactly zero
+    # outside the X (Bell-diagonal): kernel.eigvalsh solves them in closed form,
+    # negative and large coefficients included.
     g1, g2, p = np.array(points).T
     rows = np.stack([g1, g1, g2], axis=-1)
-    assert not choi_matrices(_FAMILY, rows, 1.0).imag.any()
-    assert not extend(_FAMILY, rows, 1.0, entanglement._werner_matrices(p)).imag.any()
+    off_x = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+    for stack in choi_matrices(_FAMILY, rows, 1.0), extend(_FAMILY, rows, 1.0,
+                                                             entanglement._werner_matrices(p)):
+        assert not stack.imag.any() and not stack[..., off_x].any()
 
 
-def test_detection_diagonalizes_a_complex_image_as_complex_and_a_real_one_as_real(monkeypatch):
-    rng, point, eigvalsh = np.random.default_rng(71), pt(0.5, 0.3), np.linalg.eigvalsh
-    for state, real in [(rand_density(rng, 4), False), (nmwit.werner(0.7).matrix, True)]:
+def _real_density(rng):
+    A = rng.normal(size=(4, 4))
+    return A @ A.T / np.trace(A @ A.T)
+
+
+def test_detection_diagonalizes_a_complex_image_as_complex_and_a_real_one_as_real(solves):
+    # The positivity check's Choi solve is the closed form; the image of a complex
+    # state takes the complex LAPACK solve, that of a real state the real one, and
+    # that of a Werner state (X-pattern, as is every Bell-diagonal state) the closed form.
+    rng, point = np.random.default_rng(71), pt(0.5, 0.3)
+    for state, kind in [(rand_density(rng, 4), "complex"), (_real_density(rng), "real"),
+                        (nmwit.werner(0.7).matrix, "x")]:
         image = finite_image(_FAMILY, np.array([0.5, 0.5, 0.3]), 1.0, state)
-        assert image.imag.any() != real
-        expected = eigvalsh(image.real if real else image)[0]
-        kinds = []
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: kinds.append(a.dtype.kind) or eigvalsh(a))
+        solves.clear()
+        expected = kernel.eigvalsh(image)[0]
+        assert solves == [(kind, 1, False)]
+        solves.clear()
         lam = nmwit.detect_entanglement(state, point)[1]
-        monkeypatch.undo()
-        assert kinds == ["f", "f" if real else "c"]  # the positivity check's Choi solve, then the image
+        assert solves == [("x", 1, False), (kind, 1, False)]
         assert np.float64(lam).tobytes() == expected.tobytes()
+        if kind != "x":
+            numpy_solve = np.linalg.eigvalsh(image.real if kind == "real" else image)[0]
+            assert expected.tobytes() == numpy_solve.tobytes()
 
 
 def test_phase_scan_small_grid():

@@ -1,5 +1,8 @@
+import ast
+from pathlib import Path
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,51 +154,116 @@ def test_hermiticity_and_density_predicates():
     assert not is_density(nmwit.SIGMA_Z)  # negative eigenvalue
 
 
+# Which entries of a 4x4 matrix an X-pattern matrix may have nonzero: the blocks (0, 3) and (1, 2).
+_X = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
+
+
 @st.composite
 def hermitian_stacks(draw):
-    """(M, real): a (n, 4, 4) or (2, n, 4, 4) stack of Hermitian matrices, and which are exactly real."""
-    shape = (*draw(st.sampled_from([(), (2,)])), draw(st.integers(1, 5)))
+    """(M, kind): a (n, 4, 4) or (2, n, 4, 4) stack of Hermitian matrices, and the kind of each
+    matrix: 0 complex, 1 exactly real, 2 exactly real and X-pattern."""
+    shape = (*draw(st.sampled_from([(), (2,)])), draw(st.integers(1, 2 * kernel._FEW + 1)))
     size = int(np.prod(shape))
-    real = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size))).reshape(shape)
+    kind = np.array(draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))).reshape(shape)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A = rng.normal(size=(*shape, 4, 4)) + 1j * rng.normal(size=(*shape, 4, 4))
-    A[real] = A[real].real
-    return (A + A.conj().swapaxes(-1, -2)) / 2, real
+    A[kind > 0] = A[kind > 0].real
+    A[kind == 2] *= _X
+    return (A + A.conj().swapaxes(-1, -2)) / 2, kind
 
 
 def _solved(name, run):
-    """(run(), the matrices np.linalg.<name> received in real arithmetic, the number of calls)."""
-    calls, solve = [], getattr(np.linalg, name)
-    with mock.patch.object(np.linalg, name, lambda A: calls.append(A) or solve(A)):
+    """(run(), the matrices np.linalg.<name> received in complex and in real arithmetic, the
+    number of its calls, the number of closed-form calls)."""
+    calls, closed, solve, x_solve = [], [], getattr(np.linalg, name), kernel._x_solve
+    with mock.patch.object(np.linalg, name, lambda A: calls.append(A) or solve(A)), \
+            mock.patch.object(kernel, "_x_solve", lambda G, v: closed.append(G) or x_solve(G, v)):
         result = run()
-    real = [A.reshape(-1, *A.shape[-2:]) for A in calls if A.dtype.kind == "f"]
-    return result, np.concatenate(real) if real else np.empty((0, 4, 4)), len(calls)
+    received = [np.concatenate([A.reshape(-1, 4, 4) for A in calls if A.dtype.kind == k] or
+                               [np.empty((0, 4, 4))]) for k in "cf"]
+    return result, *received, len(calls), len(closed)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(stack=hermitian_stacks())
 def test_each_matrix_of_a_stack_is_solved_alone_in_its_own_arithmetic(stack):
-    # The rule is per matrix: exactly the real matrices reach LAPACK as real,
-    # so each matrix gets the bits of its own one-matrix solve in any stack,
-    # and a mixed stack takes one call more than a stack of one kind.
-    M, real = stack
-    flat, flat_real = M.reshape(-1, 4, 4), real.ravel()
-    calls = 1 + (real.any() and not real.all())
-    spectrum, solved_real, n = _solved("eigh", lambda: kernel.eigh_checked(flat))
-    assert np.array_equal(solved_real, flat[flat_real]) and n == calls
-    values, solved_real, n = _solved("eigvalsh", lambda: kernel.eigvalsh(M))
-    assert np.array_equal(solved_real, M[real]) and n == calls
+    # The rule is per matrix: exactly the complex matrices reach LAPACK as complex and the
+    # real ones outside the X pattern as real, and no X-pattern matrix reaches it. So each
+    # matrix gets the bits of its own one-matrix solve in any stack (the closed form on
+    # Python floats for a few matrices, on arrays for more), with one call per kind present.
+    M, kind = stack
+    flat, flat_kind = M.reshape(-1, 4, 4), kind.ravel()
+    lapack_calls, x_calls = len({0, 1} & set(flat_kind.tolist())), int((flat_kind == 2).any())
+    spectrum, *eigh_received = _solved("eigh", lambda: kernel.eigh_checked(flat))
+    values, *eigvalsh_received = _solved("eigvalsh", lambda: kernel.eigvalsh(M))
+    for complex_rows, real_rows, n, n_x in eigh_received, eigvalsh_received:
+        assert np.array_equal(complex_rows, flat[flat_kind == 0])
+        assert np.array_equal(real_rows, flat[flat_kind == 1].real)
+        assert (n, n_x) == (lapack_calls, x_calls)
     assert spectrum.eigenvectors.dtype == complex and values.shape == M.shape[:-1]
     assert not spectrum.eigenvalues.flags.writeable and not spectrum.eigenvectors.flags.writeable
     values = values.reshape(-1, 4)
     for k, row in enumerate(flat):
-        vals, vecs = np.linalg.eigh(row.real if flat_real[k] else row)
         one = kernel.eigh_checked(row[None])
-        assert spectrum.eigenvalues[k].tobytes() == vals.tobytes() == one.eigenvalues.tobytes()
-        assert (spectrum.eigenvectors[k].tobytes() == vecs.astype(complex).tobytes()
-                == one.eigenvectors.tobytes())
-        assert (values[k].tobytes() == np.linalg.eigvalsh(row.real if flat_real[k] else row).tobytes()
-                == kernel.eigvalsh(row).tobytes())
+        assert spectrum.eigenvalues[k].tobytes() == one.eigenvalues.tobytes()
+        assert spectrum.eigenvectors[k].tobytes() == one.eigenvectors.tobytes()
+        assert values[k].tobytes() == kernel.eigvalsh(row).tobytes()
+        if flat_kind[k] == 2:
+            assert values[k].tobytes() == one.eigenvalues[0].tobytes()
+        else:
+            lapack = row.real if flat_kind[k] else row
+            vals, vecs = np.linalg.eigh(lapack)
+            assert one.eigenvalues[0].tobytes() == vals.tobytes()
+            assert one.eigenvectors[0].tobytes() == vecs.astype(complex).tobytes()
+            assert values[k].tobytes() == np.linalg.eigvalsh(lapack).tobytes()
+
+
+_SPECIAL = st.sampled_from([0.0, 0.5, -0.5, 1.0, -0.25])
+_ENTRY = st.one_of(_SPECIAL, st.floats(2.0**-20, 1.0), st.floats(-1.0, -(2.0**-20)))
+
+
+@st.composite
+def x_blocks(draw):
+    """(a, b, c) of a symmetric 2x2 block: any, zero, diagonal (b = 0) or with a = c."""
+    a, b, c = draw(_ENTRY), draw(_ENTRY), draw(_ENTRY)
+    form = draw(st.sampled_from(["any", "zero", "diagonal", "a = c"]))
+    return {"any": (a, b, c), "zero": (0.0, 0.0, 0.0), "diagonal": (a, 0.0, c), "a = c": (a, b, a)}[form]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(first=x_blocks(), second=st.one_of(x_blocks(), st.none()),
+       scale=st.sampled_from([1.0, 2.0**1000, 2.0**-1000, 1e300, 1e-300]))
+def test_closed_form_matches_40_digit_eigenvalues_of_each_block(first, second, scale):
+    # An X-pattern matrix with blocks (0, 3) and (1, 2); second None repeats the first block,
+    # an exact tie across the blocks. Each eigenvalue, the smaller one of each block too,
+    # is within a few ulp of its own magnitude; the eigenvectors are orthonormal and their
+    # residual is within a few ulp of the largest entry; no result is -0.0.
+    blocks = [first, first if second is None else second]
+    M = np.zeros((4, 4))
+    for (i, j), (a, b, c) in zip([(0, 3), (1, 2)], blocks):
+        M[i, i], M[i, j], M[j, i], M[j, j] = a * scale, b * scale, b * scale, c * scale
+    spectrum = kernel.eigh_checked(M[None])[0]
+    values, V = spectrum.eigenvalues, spectrum.eigenvectors
+    with mpmath.workdps(40):
+        exact = []
+        for i, j in [(0, 3), (1, 2)]:
+            a, b, c = (mpmath.mpf(float(M[p, q])) for p, q in [(i, i), (i, j), (j, j)])
+            sign = 1 if a + c >= 0 else -1  # big is the eigenvalue of larger magnitude
+            big = (a + c) / 2 + sign * mpmath.sqrt(((a - c) / 2) ** 2 + b * b)
+            exact += [big, (a * c - b * b) / big] if big else [big, big]
+        exact.sort()
+        for got, x in zip(values.tolist(), exact):
+            assert abs(mpmath.mpf(got) - x) <= 4 * np.spacing(abs(float(x)))
+    norm = np.abs(M).max()
+    assert np.abs(V.conj().T @ V - np.eye(4)).max() <= 4 * np.finfo(float).eps
+    assert np.abs(M @ V - V * values).max() <= 8 * np.spacing(norm)
+    assert values.tobytes() == kernel.eigvalsh(M).tobytes()
+    # A stack of more than a few takes the closed form on arrays, with the same bits.
+    stack = np.repeat(M[None], kernel._FEW + 1, axis=0)
+    assert kernel.eigvalsh(stack)[-1].tobytes() == values.tobytes()
+    assert kernel.eigh_checked(stack)[-1].eigenvectors.tobytes() == V.tobytes()
+    for part in (values, V.real, V.imag):
+        assert not (np.signbit(part) & (part == 0)).any()
 
 
 @pytest.mark.parametrize("matrix, kind", [(nmwit.SIGMA_X, "f"), (nmwit.SIGMA_Y, "c")])
@@ -204,3 +272,30 @@ def test_trace_norm_solves_a_hermitian_matrix_under_the_rule(matrix, kind, monke
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: kinds.append(A.dtype.kind) or eigvalsh(A))
     assert nmwit.trace_norm(matrix) == 2.0
     assert kinds == [kind]
+
+
+# numpy.linalg's eigensolvers and SVDs, which only kernel may call.
+_LINALG_SOLVERS = {"eig", "eigh", "eigvals", "eigvalsh", "svd", "svdvals"}
+
+
+def _solver_references(source):
+    """The references to a numpy.linalg eigensolver or SVD in Python source, as source text."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _LINALG_SOLVERS:
+            yield ast.unparse(node)
+        elif isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""):
+            yield from (f"{node.module}.{a.name}" for a in node.names if a.name in _LINALG_SOLVERS)
+
+
+def test_only_kernel_references_an_eigensolver_or_svd():
+    # kernel's per-matrix rule (and its closed form for X-pattern matrices) holds for the
+    # package only if every eigensolve and SVD goes through kernel.
+    assert list(_solver_references(
+        "import numpy as np\nfrom numpy.linalg import eigvalsh, norm\nla = np.linalg\n"
+        "np.linalg.eigh(A); la.svd(A); np.linalg.norm(A); s.eigenvalues\n"
+    )) == ["numpy.linalg.eigvalsh", "np.linalg.eigh", "la.svd"]
+    package = Path(nmwit.__file__).parent
+    found = {path.name: list(_solver_references(path.read_text(encoding="utf-8")))
+             for path in sorted(package.glob("*.py"))}
+    assert found.pop("kernel.py")
+    assert found and not any(found.values()), found

@@ -2,8 +2,8 @@
 
 A generator's time grid runs as one stacked Choi -> SPA -> witness pass; the
 reference in oracles.reference_snapshot builds each instant alone, with a
-Kronecker product per term and call and one eigensolve per matrix, in real
-arithmetic when its imaginary part is all zero, as kernel's rule says. The two
+Kronecker product per term and call and one one-matrix eigensolve each, in
+the arithmetic kernel's rule gives that matrix alone. The two
 must agree bit for bit, except the witness matrices, which the package forms
 with one compiled superoperator per term and which agree to rounding.
 """
@@ -71,6 +71,14 @@ _TWELVE = [0.25 + 0.4 * k for k in range(12)]
 @example(gen=nmwit.LindbladGenerator(dim=2, terms=(
     (nmwit.constant(-0.5), _REAL_JUMP),
     (nmwit.tabulated([0.0, 2.0, 5.0], [0.0, 0.0, 0.9]), _COMPLEX_JUMP),
+)), grid=_TWELVE, eps=0.01)
+# X-pattern Choi matrices only: the closed form on a stack of 12 and on each alone.
+@example(gen=nmwit.eternal_depolarizer(), grid=_TWELVE, eps=0.01)
+# All three kinds: X-pattern up to t = 2, then real, and complex from t = 3.5 on.
+@example(gen=nmwit.LindbladGenerator(dim=2, terms=(
+    (nmwit.constant(-0.5), nmwit.SIGMA_Z),
+    (nmwit.tabulated([0.0, 2.0, 5.0], [0.0, 0.0, 0.9]), _REAL_JUMP),
+    (nmwit.tabulated([0.0, 3.5, 5.0], [0.0, 0.0, 0.7]), _COMPLEX_JUMP),
 )), grid=_TWELVE, eps=0.01)
 def test_stacked_pass_matches_per_instant_reference(gen, grid, eps):
     refs = [reference_snapshot(gen, t, eps) for t in grid]
