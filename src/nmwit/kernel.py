@@ -16,9 +16,8 @@ eigvalsh, under one rule decided per matrix, which knows three kinds:
   those two symmetric 2x2 blocks (_x_blocks), never LAPACK.
 _solve sorts a stack's matrices by kind, solves each kind in one call and
 scatters the results back, so a matrix gets the same bits alone as in any
-stack; the closed form gives the same bits on numpy arrays and, for a stack
-of a few matrices, on Python floats. eig_hermitian is eigh_checked's
-one-matrix case, and eigh_checked's eigenvectors are complex for every kind.
+stack. eig_hermitian is eigh_checked's one-matrix case, and eigh_checked's
+eigenvectors are complex for every kind.
 
 Intended scale is small dense matrices (qubit and two-qubit operators, up to
 dimension ~16); there is no sparse or arbitrary-precision path.
@@ -26,9 +25,7 @@ dimension ~16); there is no sparse or arbitrary-precision path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -131,72 +128,65 @@ class Spectrum:
         return Spectrum(self.eigenvalues[index], self.eigenvectors[index])
 
 
-# Flat indices into a 4x4 matrix: a, b, c of its blocks [[a, b], [b, c]] (0, 3) and (1, 2), b from
-# the lower triangle that LAPACK reads, then the eight entries outside that "X" pattern.
-_GATHER = np.array([0, 12, 15, 5, 9, 10, 1, 2, 4, 7, 8, 11, 13, 14])
+# Flat indices into a 4x4 matrix: (a, b, c) of its blocks [[a, b], [b, c]] (0, 3) and (1, 2), b
+# from the lower triangle that LAPACK reads; and the eight entries outside that "X" pattern.
+_BLOCKS = np.array([0, 12, 15, 5, 9, 10])
+_OFF_X = np.array([1, 2, 4, 7, 8, 11, 13, 14])
 # Where the closed form's eigenvector components go, as flat indices into the 4x4 matrix whose
 # rows are the eigenvectors of lo (0, 3), hi (0, 3), lo (1, 2), hi (1, 2): the first component of
 # lo in both blocks, lo's second, hi's first, hi's second.
 _VEC = np.array([0, 9, 3, 10, 4, 13, 7, 14])
 _SPLIT = 2.0**27 + 1.0  # Dekker's splitter for float64 (TwoProduct)
-# Stacks of at most this many X-pattern matrices take the closed form on Python floats, which is
-# cheaper there than numpy's per-call cost on tiny arrays: one matrix takes a fifth of the time.
-_FEW = 4
-# The closed form's elementwise functions on Python floats, which give numpy's bits.
-_FLOATS = SimpleNamespace(frexp=math.frexp, ldexp=math.ldexp, copysign=math.copysign, sqrt=math.sqrt,
-                          minimum=min, maximum=max, where=lambda cond, x, y: x if cond else y)
 
 
-def _x_blocks(a, b, c, xp, vectors: bool):
-    """(lo, hi) or (lo, hi, x, y) of the symmetric blocks [[a, b], [b, c]], elementwise.
+def _x_blocks(B: np.ndarray, vectors: bool):
+    """(values, x, y) of the symmetric blocks [[a, b], [b, c]] whose (a, b, c) run along the
+    last axis of B, elementwise.
 
-    lo <= hi are the eigenvalues and (x, y) is hi's unit eigenvector, (-y, x) lo's. a, b and c
-    are Python floats with xp _FLOATS, or arrays with xp numpy; both give the same bits. The
-    block is scaled by a power of two so that its largest |entry| lies in [0.5, 1), which is
-    exact. The eigenvalue of larger magnitude is rt1 of LAPACK's dlaev2, the other det / rt1,
+    values[..., :] is (lo, hi), lo <= hi, and (x, y) is hi's unit eigenvector, (-y, x) lo's
+    (x and y are None unless vectors). Each block is scaled by a power of two so that its
+    largest |entry| lies in [0.5, 1), which is exact. The eigenvalue of larger magnitude is rt1 of LAPACK's dlaev2, the other det / rt1,
     with det = a*c - b*b from Dekker's error-free TwoProduct; the eigenvector is formed as in
     dlaev2, from a ratio of magnitude at most 1.
     """
-    e = xp.frexp(xp.maximum(xp.maximum(abs(a), abs(b)), abs(c)))[1]
-    a, b, c = xp.ldexp(a, -e), xp.ldexp(b, -e), xp.ldexp(c, -e)
-    ha, hb, hc = a * _SPLIT, b * _SPLIT, c * _SPLIT
-    ha, hb, hc = ha - (ha - a), hb - (hb - b), hc - (hc - c)
-    la, lb, lc = a - ha, b - hb, c - hc  # each entry split exactly into halves of 26 bits
-    p, q = a * c, b * b
-    det = (p - q) + (((((ha * hc - p) + ha * lc) + la * hc) + la * lc)
-                     - ((((hb * hb - q) + hb * lb) + lb * hb) + lb * lb))
+    e = np.frexp(np.abs(B).max(axis=-1))[1]
+    B = np.ldexp(B, -e[..., None])
+    H = B * _SPLIT
+    H = H - (H - B)
+    L = B - H  # each entry split exactly into halves of 26 bits
+    (X, Y), (HX, HY), (LX, LY) = ((A[..., :2], A[..., 2:0:-1]) for A in (B, H, L))
+    P = X * Y  # (a*c, b*b) and their rounding errors E
+    E = (((HX * HY - P) + HX * LY) + LX * HY) + LX * LY
+    det = (P[..., 0] - P[..., 1]) + (E[..., 0] - E[..., 1])
+    a, b, c = B[..., 0], B[..., 1], B[..., 2]
     sm, df, tb = a + c, a - c, b + b
-    rt = xp.sqrt(df * df + tb * tb)
-    rt1 = 0.5 * (sm + xp.copysign(rt, sm))
+    rt = np.sqrt(df * df + tb * tb)
+    rt1 = 0.5 * (sm + np.copysign(rt, sm))
     rt2 = det / (rt1 + (rt1 == 0.0))  # 0 for a zero block
-    lo = xp.ldexp(xp.minimum(rt1, rt2), e) + 0.0  # + 0.0 turns -0.0 into 0.0
-    hi = xp.ldexp(xp.maximum(rt1, rt2), e) + 0.0
+    with np.errstate(over="ignore"):  # an eigenvalue beyond the float range is inf, as from LAPACK
+        values = np.ldexp(np.stack((np.minimum(rt1, rt2), np.maximum(rt1, rt2)), axis=-1),
+                          e[..., None]) + 0.0  # + 0.0 turns -0.0 into 0.0
     if not vectors:
-        return lo, hi
+        return values, None, None
     # hi's eigenvector is (r, tb) for df >= 0 and (tb, r) otherwise, up to a factor, with
     # r = |df| + rt >= |tb| free of cancellation; r = 0 only for a multiple of the identity.
-    r = xp.maximum(abs(df) + rt, abs(tb))
+    r = np.maximum(np.abs(df) + rt, np.abs(tb))
     t = tb / (r + (r == 0.0))
-    h = xp.sqrt(1.0 + t * t)
+    h = np.sqrt(1.0 + t * t)
     x, y = 1.0 / h, t / h
     up = df >= 0.0
-    return lo, hi, xp.where(up, x, y), xp.where(up, y, x)
+    return values, np.where(up, x, y), np.where(up, y, x)
 
 
-def _x_solve(G: np.ndarray, vectors: bool):
-    """(eigenvalues, complex eigenvectors or None) of a stack of real X-pattern 4x4 matrices,
-    from the rows of their entries gathered by _GATHER."""
-    k = len(G)
-    if k <= _FEW:
-        B = np.array([_x_blocks(*row[j:j + 3], _FLOATS, vectors)
-                      for row in G[:, :6].tolist() for j in (0, 3)]).reshape(k, 2, -1)
-    else:
-        B = np.stack(_x_blocks(G[:, 0:6:3], G[:, 1:6:3], G[:, 2:6:3], np, vectors), axis=-1)
-    vals = B[:, :, :2].reshape(k, 4)  # [lo (0, 3), hi (0, 3), lo (1, 2), hi (1, 2)]
+def _x_solve(R: np.ndarray, vectors: bool):
+    """(eigenvalues, complex eigenvectors or None) of a stack (k, 4, 4) of real X-pattern
+    matrices, from the closed form of their two blocks."""
+    k = len(R)
+    values, x, y = _x_blocks(R.reshape(k, 16)[:, _BLOCKS].reshape(k, 2, 3), vectors)
+    vals = values.reshape(k, 4)  # [lo (0, 3), hi (0, 3), lo (1, 2), hi (1, 2)]
     if not vectors:
         vals.sort(axis=1)
         return vals, None
-    x, y = B[:, :, 2], B[:, :, 3]
     V = np.zeros((k, 4, 4), dtype=complex)  # V[i, j] is the eigenvector of vals[i, j]
     V.real.reshape(k, 16)[:, _VEC] = np.concatenate((-y, x, x, y), axis=1) + 0.0
     order, i = np.argsort(vals, axis=1, kind="stable"), np.arange(k)[:, None]
@@ -212,26 +202,24 @@ def _solve(M: np.ndarray, vectors: bool):
     """(eigenvalues, eigenvectors or None) of a Hermitian matrix or stack (..., n, n) under the
     module's rule: its complex, real and real X-pattern matrices, each kind solved in one call."""
     cplx = M.imag.any(axis=(-2, -1))
-    n_cplx = np.count_nonzero(cplx)
-    if n_cplx == cplx.size:  # complex matrices only
+    if np.count_nonzero(cplx) == cplx.size:  # complex matrices only, which need no X test
         return _lapack(M, vectors)
     shape, n = M.shape[:-1], M.shape[-1]
     M, cplx = M.reshape(-1, n, n), cplx.reshape(-1)
-    G = M.real.reshape(-1, 16)[:, _GATHER] if n == 4 else None
-    if G is not None and not n_cplx and not G[:, 6:].any():  # real X-pattern matrices only
-        vals, vecs = _x_solve(G, vectors)
-    else:
-        x = np.zeros_like(cplx) if G is None else ~(cplx | G[:, 6:].any(axis=1))
-        if not (n_cplx or x.any()):  # real matrices only
-            vals, vecs = _lapack(M.real, vectors)
-        else:  # mixed kinds: each solved once, its results scattered back to its rows
-            vals = np.empty(M.shape[:-1])
-            vecs = np.empty(M.shape, dtype=complex) if vectors else None
-            for rows, solve, A in (x, _x_solve, G), (cplx, _lapack, M), (~(cplx | x), _lapack, M.real):
-                if rows.any():
-                    vals[rows], part = solve(A[rows], vectors)
-                    if vectors:
-                        vecs[rows] = part
+    R = M.real
+    x = ~(cplx | R.reshape(-1, 16)[:, _OFF_X].any(axis=1)) if n == 4 else np.zeros_like(cplx)
+    kinds = [(rows, solve, A) for rows, solve, A in ((x, _x_solve, R), (cplx, _lapack, M),
+                                                     (~(cplx | x), _lapack, R)) if rows.any()]
+    if len(kinds) == 1:  # one kind: the whole stack in one call, with no rows to gather
+        (_, solve, A), = kinds
+        vals, vecs = solve(A, vectors)
+    else:  # each kind solved once, its results scattered back to its rows
+        vals = np.empty(M.shape[:-1])
+        vecs = np.empty(M.shape, dtype=complex) if vectors else None
+        for rows, solve, A in kinds:
+            vals[rows], part = solve(A[rows], vectors)
+            if vectors:
+                vecs[rows] = part
     return vals.reshape(shape), None if vecs is None else vecs.reshape(*shape, n)
 
 

@@ -66,6 +66,7 @@ def _one_jump(matrix):
         # Matrices that are not finite or whose image or trace norm overflows.
         lambda: nmwit.trace_norm(np.full((2, 2), NAN)),
         lambda: nmwit.trace_norm(np.full((2, 2), 1e308)),
+        lambda: nmwit.trace_norm(1e308 * np.outer([1, 0, 0, 1], [1, 0, 0, 1])),  # X pattern
         lambda: nmwit.extend_and_apply(_SNAPSHOT, np.full((4, 4), 1e308)),
         lambda: nmwit.projector([NAN, 0.0]),
         lambda: nmwit.projector([1e200, 1.0]),
@@ -78,7 +79,7 @@ def _one_jump(matrix):
         "gamma1=8e307", "gamma2=9e307", "gamma1=gamma2=-5e307", "scan-overflow",
         "jump-inf", "jump-nan", "jump-1e308",
         "state-nan", "state-inf", "seed=-1", "draws=0", "draws=-3",
-        "trace-norm-nan", "trace-norm-overflow", "extend-overflow",
+        "trace-norm-nan", "trace-norm-overflow", "trace-norm-x-overflow", "extend-overflow",
         "projector-nan", "projector-overflow",
     ],
 )
