@@ -17,6 +17,15 @@ configuration is echoed into the output header. Outputs are deterministic
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 degenerate witness minimum, 5 requested map point not positive.
+
+Heap policy: main fixes glibc malloc's mmap and trim thresholds once per
+process (_hold_heap), where mallopt is available. Left dynamic, both rise
+with the largest block freed so far, so whether a block's stacks (about 1 MB
+per phase-scan block) come from the heap, or from fresh pages that the next
+block faults in again, depends on what the process freed before. With both
+fixed, a request reuses the heap its predecessor left, in a one-shot process
+too (between the scan's blocks). Only main does this: a library must not
+change its host's allocator.
 """
 
 from __future__ import annotations
@@ -31,6 +40,11 @@ import numpy as np
 
 from . import choi, entanglement, lindblad, spa, witness
 from .errors import DegenerateMinimum, MapNotPositive, NmwitError
+
+# glibc mallopt parameters, and the values _hold_heap gives them: its dynamic mmap threshold's
+# ceiling on 64-bit hosts (32 MiB), and twice that for the trim threshold, as the dynamic rule sets.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 * 1024 * 1024
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -391,7 +405,23 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _hold_heap() -> bool:
+    """Fix glibc malloc's mmap and trim thresholds for this process, once (see the module
+    docstring); whether mallopt was found and accepted both."""
+    import ctypes  # here, not at import, so that importing nmwit costs nothing for it
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no such symbol, or no C library to load
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
+            and mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD) == 1)
+
+
 def main(argv=None) -> int:
+    _hold_heap()
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)

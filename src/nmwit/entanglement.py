@@ -22,9 +22,14 @@ any other real matrix in real arithmetic, a complex one in complex
 arithmetic. The family's Choi matrices and Werner images are always real
 X-pattern matrices (the map is Pauli-diagonal, and each product of two
 imaginary sigma_y entries is real), so the scan solves no eigenproblem with
-LAPACK; the image of a state is of the state's kind. The Werner walk and
-detect_entanglement decide every Werner parameter alike, since a matrix gets
-the same bits alone as in a stack.
+LAPACK; the image of a state is of the state's kind. _FAMILY compiles to a
+float64 stack (lindblad), and _SINGLET and _werner_matrices are real, so the
+scan's Choi stacks and the Werner walk's images are float64 stacks, built and
+solved on half the bytes of complex ones. detect_entanglement extends the
+complex matrix of werner(p); the real part of that image has the bits of the
+walk's real image, its imaginary part is zero, and kernel gives a matrix the
+same bits real or complex, alone or in a stack. So the Werner walk and
+detect_entanglement decide every Werner parameter alike.
 
 The phase scan walks the grid in blocks of whole gamma1 rows, about _BLOCK
 points each: one Choi stack checks the whole block, and the Werner thresholds
@@ -69,7 +74,7 @@ from .kernel import (
 from .lindblad import choi_matrices, depolarizer, extend, finite_image
 
 _FAMILY = depolarizer(0.0, 0.0, 0.0)
-_SINGLET = frozen(projector(BELL_PSI_MINUS))
+_SINGLET = frozen(projector(BELL_PSI_MINUS).real, float)
 _RESOLUTION = 1e-6
 _STEPS = 64  # lattice steps a Werner threshold may walk from its closed-form onset
 # Points per phase-scan block, rounded down to whole gamma1 rows (at least one).
@@ -107,7 +112,7 @@ class WernerState:
 
 
 def _werner_matrices(p):
-    """Werner matrices for a scalar or an array of parameters, stacked on the leading axes."""
+    """Real Werner matrices for a scalar or an array of parameters, stacked on the leading axes."""
     p = np.asarray(p, dtype=float)[..., None, None]
     return p * _SINGLET + (1.0 - p) * np.eye(4) / 4
 

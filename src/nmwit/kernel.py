@@ -1,4 +1,4 @@
-"""Dense complex-matrix foundation.
+"""Dense matrix foundation.
 
 Construction helpers (Paulis, Bell vectors, projectors), Hermitian
 eigendecomposition and trace norm. All functions take and return plain numpy
@@ -10,13 +10,18 @@ eigvalsh return fresh writable arrays.
 Every Hermitian eigensolve of the package goes through eigh_checked or
 eigvalsh, under one rule decided per matrix, which knows three kinds:
 - a matrix whose imaginary part is not all zero: LAPACK in complex arithmetic;
-- a real matrix: LAPACK in real arithmetic;
+- a real matrix, of a real or a complex dtype: LAPACK in real arithmetic;
 - a real 4x4 matrix that is also exactly zero outside the "X" of the blocks
   (0, 3) and (1, 2), as every Bell-diagonal matrix is: the closed form of
   those two symmetric 2x2 blocks (_x_blocks), never LAPACK.
 _solve sorts a stack's matrices by kind, solves each kind in one call and
 scatters the results back, so a matrix gets the same bits alone as in any
-stack. eig_hermitian is eigh_checked's one-matrix case, and eigh_checked's
+stack. A stack of a real dtype (the float64 stacks of a Pauli-diagonal
+generator, lindblad) holds real matrices only, so it is neither tested for an
+imaginary part nor copied into one: its Hermiticity check in eigh_checked is
+a real transpose, difference and abs. A real matrix gets the same bits
+whether it arrives real or as complex with a zero imaginary part.
+eig_hermitian is eigh_checked's one-matrix case, and eigh_checked's
 eigenvectors are complex for every kind.
 
 Intended scale is small dense matrices (qubit and two-qubit operators, up to
@@ -42,9 +47,9 @@ def check_tolerance(tolerance: float) -> None:
         raise ParameterOutOfRange(f"tolerance must be finite and >= 0, got {float(tolerance)!r}")
 
 
-def frozen(values) -> np.ndarray:
-    """Complex read-only array from array-like input."""
-    arr = np.array(values, dtype=complex)
+def frozen(values, dtype=complex) -> np.ndarray:
+    """Read-only array, complex unless dtype says otherwise, from array-like input."""
+    arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -201,12 +206,15 @@ def _lapack(A: np.ndarray, vectors: bool):
 def _solve(M: np.ndarray, vectors: bool):
     """(eigenvalues, eigenvectors or None) of a Hermitian matrix or stack (..., n, n) under the
     module's rule: its complex, real and real X-pattern matrices, each kind solved in one call."""
-    cplx = M.imag.any(axis=(-2, -1))
-    if np.count_nonzero(cplx) == cplx.size:  # complex matrices only, which need no X test
-        return _lapack(M, vectors)
+    if M.dtype.kind != "c":  # a real stack: no imaginary part to test
+        cplx = np.zeros(M.shape[:-2], dtype=bool)
+    else:
+        cplx = M.imag.any(axis=(-2, -1))
+        if np.count_nonzero(cplx) == cplx.size:  # complex matrices only, which need no X test
+            return _lapack(M, vectors)
     shape, n = M.shape[:-1], M.shape[-1]
     M, cplx = M.reshape(-1, n, n), cplx.reshape(-1)
-    R = M.real
+    R = M.real  # M itself when M is real
     x = ~(cplx | R.reshape(-1, 16)[:, _OFF_X].any(axis=1)) if n == 4 else np.zeros_like(cplx)
     kinds = [(rows, solve, A) for rows, solve, A in ((x, _x_solve, R), (cplx, _lapack, M),
                                                      (~(cplx | x), _lapack, R)) if rows.any()]
@@ -229,7 +237,8 @@ def eigvalsh(M: np.ndarray) -> np.ndarray:
 
 
 def eigh_checked(M: np.ndarray) -> Spectrum:
-    """Ascending eigendecompositions of a stack (k, n, n) of Hermitian matrices, under the module's rule.
+    """Ascending eigendecompositions of a stack (k, n, n) of Hermitian matrices, real or
+    complex, under the module's rule.
 
     Eigenvalues are real and eigenvectors complex, both read-only. Raises
     NonHermitianInput for the first matrix that fails the Hermiticity check

@@ -10,17 +10,25 @@ are exact for the first-order map and only approximate for exp(epsilon L).
 
 A generator is compiled once, at construction, into one read-only stack: each
 term's Choi image B_a = E P E^dag - (K P + P K)/2, formed by these matrix
-products, with E = I_d (x) L_a, K = I_d (x) K_a, K_a = L_a^dag L_a and
-P = |phi+><phi+|, one read-only array per d. The term's Liouville
-superoperator on a row-major vec(rho), S_a = L_a (x) conj(L_a) - (K_a (x) I +
-I (x) K_a^T) / 2, is read off it by the reshuffle S_a[(k,l),(i,j)] =
-B_a[(i,k),(j,l)] / P[0,0] (Havel, J. Math. Phys. 44, 534, 2003; Wood,
+products in complex arithmetic, with E = I_d (x) L_a, K = I_d (x) K_a,
+K_a = L_a^dag L_a and P = |phi+><phi+|, one real read-only array per d. The
+term's Liouville superoperator on a row-major vec(rho), S_a = L_a (x) conj(L_a)
+- (K_a (x) I + I (x) K_a^T) / 2, is read off it by the reshuffle
+S_a[(k,l),(i,j)] = B_a[(i,k),(j,l)] / P[0,0] (Havel, J. Math. Phys. 44, 534, 2003; Wood,
 Biamonte & Cory, QIC 15, 759, 2015). A grid of instants is then one stack:
 coefficients() gives the rows c_a(t), the Choi states are
 P + epsilon * sum_a c_a(t) B_a, and extend() applies id (x) N to a stack as
 one contraction S(t) = sum_a c_a(t) S_a and one batched matmul on the
 reshuffled stack, X[(i,a),(j,b)] -> X[(i,j),(a,b)]; single instants are the
 one-row case.
+
+The compiled stack is float64 when every image is exactly real, as for every
+Pauli-diagonal generator (the eternal depolarizer, dephasing and
+entanglement's map family), and holds the complex images' real parts bit for
+bit; otherwise it is complex128. What is built from it has its dtype: the
+Choi matrices, the superoperators, and the images of real operators under
+extend, each the real part of its complex counterpart bit for bit. So a real
+generator's stacks are built, checked and diagonalized on half the bytes.
 
 Generators and maps are immutable in value; a map only keeps the Choi state
 choi.choi_of builds for it (threads racing on a fresh map build the same
@@ -126,7 +134,8 @@ class LindbladGenerator:
     """Diagonal-form generator on dim >= 1: at most dim^2 (coefficient, jump) terms; equal only to itself.
 
     choi_images, one d^2 x d^2 Choi image B_a per term, is the one compiled stack
-    (module docstring); ParameterOutOfRange if any is not finite.
+    (module docstring): float64 when every image is exactly real, else
+    complex128; ParameterOutOfRange if any is not finite.
     """
 
     dim: int
@@ -140,7 +149,7 @@ class LindbladGenerator:
         d, n, T = self.dim, self.dim**2, len(self.terms)
         if T > n:
             raise MalformedDescription(f"{T} terms exceed dim^2 = {n}")
-        P = _choi_input(d)
+        P = _choi_input(d, complex)
         L, K = LK = np.empty((2, T, d, d), dtype=complex)  # L_a and K_a = L_a^dag L_a of every term
         checked = []
         for a, (coef, jump) in enumerate(self.terms):
@@ -160,6 +169,8 @@ class LindbladGenerator:
             images -= sym  # B_a = E P E^dag - ((I (x) K) P + P (I (x) K))/2
         if not np.isfinite(images).all():
             raise ParameterOutOfRange("jump operators and their compiled images must be finite")
+        if not np.count_nonzero(images.imag):  # exactly real, as every Pauli-diagonal generator's
+            images = np.ascontiguousarray(images.real)
         images.setflags(write=False)
         object.__setattr__(self, "choi_images", images)
 
@@ -198,11 +209,10 @@ def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _choi_input(d: int) -> np.ndarray:
-    """P = |phi+><phi+| on the d^2-dimensional space, one read-only array per d."""
-    P = projector(max_entangled(d))
-    P.setflags(write=False)
-    return P
+def _choi_input(d: int, dtype=float) -> np.ndarray:
+    """P = |phi+><phi+| on the d^2-dimensional space, one read-only array per d and dtype: real,
+    or complex with a +0 imaginary part, so that a stack meets the P of its own dtype."""
+    return frozen(projector(max_entangled(d)).real, dtype)
 
 
 def _reshuffle(X: np.ndarray, d: int) -> np.ndarray:
@@ -234,22 +244,35 @@ def coefficients(gen: LindbladGenerator, times) -> np.ndarray:
 
 
 def choi_matrices(gen: LindbladGenerator, c: np.ndarray, epsilon: float) -> np.ndarray:
-    """Snapshot Choi matrices P + epsilon * sum_a c[:, a] B_a for coefficient rows c, read-only.
+    """Snapshot Choi matrices P + epsilon * sum_a c[:, a] B_a for coefficient rows c, read-only,
+    of the images' dtype.
 
-    The terms are summed in term order, as a loop over them adds them.
+    The terms are summed in term order, as a loop over them adds them, with
+    no (rows, terms, d^2, d^2) stack of products.
     """
-    matrices = (c.T[:, :, None, None] * gen.choi_images[:, None]).sum(axis=0)
+    matrices = np.einsum("ka,aij->kij", c, gen.choi_images)
     matrices *= epsilon
-    matrices += _choi_input(gen.dim)
+    matrices += _choi_input(gen.dim, matrices.dtype)
     matrices.setflags(write=False)
     return matrices
 
 
 def _superoperators(gen: LindbladGenerator) -> np.ndarray:
-    """Each term's S_a[(k,l),(i,j)] = B_a[(i,k),(j,l)] / P[0,0] as a row of a contiguous (T, d^4) array."""
-    T, d = len(gen.terms), gen.dim
-    R = gen.choi_images.reshape(T, d, d, d, d).transpose(0, 2, 4, 1, 3)  # R[a,k,l,i,j] = B_a[(i,k),(j,l)]
-    return np.divide(R, _choi_input(d)[0, 0], out=np.empty(R.shape, dtype=complex)).reshape(T, d**4)
+    """Each term's S_a[(k,l),(i,j)] = B_a[(i,k),(j,l)] / P[0,0] as a row of a contiguous (T, d^4)
+    array of the images' dtype.
+
+    numpy divides a + bi by p + 0i as ((a + b*0) * (1/p), (b - a*0) * (1/p)),
+    so a real image's entry a becomes (a + 0.0) * (1/p): the bits of the real
+    part of the complex quotient of a + 0i.
+    """
+    T, d, B = len(gen.terms), gen.dim, gen.choi_images
+    R = B.reshape(T, d, d, d, d).transpose(0, 2, 4, 1, 3)  # R[a,k,l,i,j] = B_a[(i,k),(j,l)]
+    S, p = np.empty(R.shape, dtype=B.dtype), _choi_input(d, B.dtype)[0, 0]
+    if B.dtype.kind == "c":
+        np.divide(R, p, out=S)
+    else:
+        np.multiply(R + 0.0, 1.0 / p, out=S)
+    return S.reshape(T, d**4)
 
 
 def extend(gen: LindbladGenerator, c: np.ndarray, epsilon: float, X: np.ndarray) -> np.ndarray:

@@ -25,7 +25,8 @@ one compiled superoperator per term.
 
 loop_coefficients and loop_witness_values are the per-instant forms of the
 package's column-wise coefficients and stacked witness values, which must
-reproduce them bit for bit.
+reproduce them bit for bit. same_bits_as compares a stack the package keeps
+real with a complex reference bit for bit.
 """
 
 from __future__ import annotations
@@ -406,3 +407,14 @@ def loop_coefficients(gen, times):
 def loop_witness_values(nu, tau, matrices):
     """nu * <tau| C |tau> of each instant, one np.vdot each."""
     return [float(np.real(n * np.vdot(v, C @ v))) for n, v, C in zip(nu.tolist(), tau, matrices)]
+
+
+def same_bits_as(A, ref) -> bool:
+    """Whether A has the bits of ref, or, where A is real and ref complex, those of ref's real
+    part with ref's imaginary part exactly zero (the package keeps exactly real stacks real)."""
+    A, ref = np.asarray(A), np.asarray(ref)
+    if np.iscomplexobj(ref) and not np.iscomplexobj(A):
+        if ref.imag.any():
+            return False
+        ref = ref.real
+    return A.dtype == ref.dtype and A.shape == ref.shape and A.tobytes() == ref.tobytes()

@@ -20,6 +20,7 @@ from oracles import (
     map_apply,
     rand_density,
     rand_hermitian,
+    same_bits_as,
 )
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -106,9 +107,10 @@ def _exact_superoperator_error(S, L):
 @given(jump_sets())
 def test_compiled_choi_images_bit_for_bit_and_their_superoperators_to_2_ulp(dim_jumps):
     # B_a is the term's Choi image E P E^dag - (K P + P K)/2 with E = I (x) L and
-    # K = I (x) L^dag L, formed as np.kron and the matrix products form it. The
-    # superoperator S_a read off it by the reshuffle is the Kronecker form of the
-    # term's Liouville superoperator to 2 ulp of ||L_a||_F^2, the scale of its entries.
+    # K = I (x) L^dag L, formed as np.kron and the matrix products form it, and kept
+    # real when every image is exactly real. The superoperator S_a read off it by
+    # the reshuffle is the Kronecker form of the term's Liouville superoperator to
+    # 2 ulp of ||L_a||_F^2, the scale of its entries.
     d, jumps = dim_jumps
     gen = nmwit.LindbladGenerator(dim=d, terms=tuple((1.0, L) for L in jumps))
     eye, P = np.eye(d), _choi_input(d)
@@ -118,7 +120,7 @@ def test_compiled_choi_images_bit_for_bit_and_their_superoperators_to_2_ulp(dim_
     assert S.shape == (len(jumps), d**4) and S.flags.c_contiguous
     for Sa, B, L in zip(S, gen.choi_images, jumps):
         E, IK = np.kron(eye, L), np.kron(eye, L.conj().T @ L)
-        assert B.tobytes() == (E @ P @ E.conj().T - (IK @ P + P @ IK) / 2).tobytes()
+        assert same_bits_as(B, E @ P @ E.conj().T - (IK @ P + P @ IK) / 2)
         scale = np.linalg.norm(L) ** 2
         assert _exact_superoperator_error(Sa.reshape(d * d, d * d), L) <= 2 * np.finfo(float).eps * scale
 
@@ -158,7 +160,7 @@ def test_choi_matrices_add_the_terms_in_term_order_bit_for_bit(gen_c, eps):
     loop += _choi_input(2)
     matrices = choi_matrices(gen, c, eps)
     assert matrices.shape == loop.shape and not matrices.flags.writeable
-    assert matrices.tobytes() == loop.tobytes()
+    assert same_bits_as(matrices, loop)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -175,7 +177,7 @@ def test_stacked_choi_matrices_and_extensions_are_the_per_row_results(dim_jumps,
         loop += c[:, a, None, None] * B
     loop *= eps
     loop += _choi_input(d)
-    assert choi_matrices(gen, c, eps).tobytes() == loop.tobytes()
+    assert same_bits_as(choi_matrices(gen, c, eps), loop)
     X = np.stack([rand_hermitian(rng, d * d) for _ in range(k)])
     stacked, shared = extend(gen, c, eps, X), extend(gen, c, eps, X[0])
     for row in range(k):
@@ -219,6 +221,76 @@ def test_generators_compare_and_hash_by_identity():
     fresh = nmwit.small_time_map(a, 1.0, 0.01)
     assert m == fresh and hash(m) == hash(fresh) and len({m, fresh}) == 1
     assert m != nmwit.small_time_map(a, 1.0, 0.02) and m != nmwit.small_time_map(a, 2.0, 0.01)
+
+
+# --- the compiled dtype ------------------------------------------------------
+
+_PAULIS = (np.eye(2), nmwit.SIGMA_X, nmwit.SIGMA_Y, nmwit.SIGMA_Z)
+_COMPLEX_IMAGE_JUMP = np.array([[0.2, 0.3 - 0.6j], [0.3 + 0.6j, -0.1]])
+
+
+@st.composite
+def pauli_diagonal_generators(draw):
+    """Qubit generators whose 0 to 4 jumps are real multiples of I and the Paulis."""
+    scale = st.floats(-2.0, 2.0) | st.sampled_from((0.0, -0.0))
+    jumps = draw(st.lists(st.builds(lambda k, r: r * _PAULIS[k], st.integers(0, 3), scale), max_size=4))
+    return nmwit.LindbladGenerator(dim=2, terms=tuple((1.0, L) for L in jumps))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, phases=_NO_SHRINK)
+@given(pauli_diagonal_generators(), jump_sets())
+def test_compiled_images_are_real_exactly_when_every_image_is(pauli_gen, dim_jumps):
+    # Pauli-diagonal generators compile to float64; any other jump set compiles to
+    # complex128 exactly when one of its images, formed in complex arithmetic, has
+    # a nonzero imaginary part. Either way the superoperators have the bits of the
+    # complex quotients of the reshuffled images (a real one as complex) by P[0,0].
+    from nmwit.entanglement import _FAMILY
+    named = (_FAMILY, nmwit.eternal_depolarizer(), nmwit.dephasing(), nmwit.depolarizer(0.3, -1.0, 2.0))
+    for gen in (pauli_gen, *named):
+        assert gen.choi_images.dtype == np.float64
+    _, jumps = dim_jumps
+    for jump_set in (jumps, [L.real for L in jumps], [_COMPLEX_IMAGE_JUMP]):
+        d = len(jump_set[0])
+        gen = nmwit.LindbladGenerator(dim=d, terms=tuple((1.0, L) for L in jump_set))
+        eye, P = np.eye(d), _choi_input(d)
+        imaginary = False
+        for L in jump_set:
+            E, IK = np.kron(eye, L), np.kron(eye, L.conj().T @ L)
+            imaginary |= bool((E @ P @ E.conj().T - (IK @ P + P @ IK) / 2).imag.any())
+        assert gen.choi_images.dtype == (np.complex128 if imaginary else np.float64)
+        R = gen.choi_images.reshape(-1, d, d, d, d).transpose(0, 2, 4, 1, 3).astype(complex)
+        assert same_bits_as(_superoperators(gen), (R / complex(P[0, 0])).reshape(len(jump_set), -1))
+    assert gen.choi_images.dtype == np.complex128  # the last set's image is not real
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, phases=_NO_SHRINK)
+@given(pauli_diagonal_generators() | jump_sets().map(lambda dj: nmwit.LindbladGenerator(
+    dim=dj[0], terms=tuple((1.0, L.real) for L in dj[1]))), st.integers(1, 500),
+    st.floats(1e-3, 1.0), st.integers(0, 2**32 - 1))
+def test_real_stacks_extend_and_solve_as_their_complex_forms(gen, k, eps, seed):
+    # The Werner walk extends and solves real stacks, detect_entanglement the
+    # complex form of one matrix: a real stack's extension has the bits of the
+    # real part of its complex form's extension, whose imaginary part is exactly
+    # zero, and eigvalsh gives both the same bits, in a stack and one at a time.
+    # On qubits, X holds Werner states (X-pattern images) among random symmetric matrices.
+    from nmwit.entanglement import _werner_matrices
+    from nmwit.kernel import eigvalsh
+    n, T = gen.dim**2, len(gen.terms)
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-1.0, 1.0, (k, T))
+    X = rng.normal(size=(2, k, n, n))
+    X += X.swapaxes(-1, -2)
+    if n == 4:
+        werner = rng.random((2, k)) < 0.5
+        X[werner] = _werner_matrices(rng.random(np.count_nonzero(werner)))
+    images = extend(gen, c, eps, X)
+    assert images.dtype == np.float64
+    assert same_bits_as(images, extend(gen, c, eps, X.astype(complex)))
+    for i in range(2):
+        values = eigvalsh(images[i])
+        assert values.tobytes() == eigvalsh(images[i].astype(complex)).tobytes()
+        for j in rng.choice(k, min(k, 5), replace=False):
+            assert values[j].tobytes() == eigvalsh(images[i, j].astype(complex)).tobytes()
 
 
 # --- apply_generator ---------------------------------------------------------
