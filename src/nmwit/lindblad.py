@@ -231,7 +231,8 @@ def coefficients(gen: LindbladGenerator, times) -> np.ndarray:
         if coef.kind == "constant":
             c[:, a] = coef.value
         elif coef.kind == "eternal_tanh":
-            c[:, a] = [coef.scale * math.tanh(t) for t in times]
+            c[:, a] = list(map(math.tanh, times))
+            c[:, a] *= coef.scale  # the same IEEE products as coef.scale * math.tanh(t)
         elif coef.kind == "tabulated":
             t = np.asarray(times, dtype=float)
             outside = ~((coef.times[0] <= t) & (t <= coef.times[-1]))

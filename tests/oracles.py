@@ -6,7 +6,8 @@ coefficient algebra, Choi matrices from explicit Bell-projector sums, and SPA
 thresholds from bisection on the positivity indicator. The exceptions are
 loop_threshold, the per-point Werner bisection on the package's own
 detect_entanglement, which pins where the package's threshold search must
-end, and reference_snapshot's one-matrix eigensolve (below).
+end, and the one-matrix eigensolves of reference_snapshot and of
+spa_mixture's Choi state (below).
 
 The linear-algebra helpers that only tests use (tensor, partial_trace,
 is_density, reconstruct) live here too, as do the single-system map actions
@@ -19,14 +20,18 @@ eigensolve per matrix, which is the package's own one-matrix solve
 complex or real arithmetic, or in closed form for a real X-pattern matrix.
 spa_mixture builds and diagonalizes the SPA mixture explicitly, the
 second eigensolve that the package reads off the Choi eigendecomposition
-instead. The witness matrices it builds agree with the
+instead; it takes (omega, nu) from the Choi state's eigenvalues under
+kernel's rule too, since a real X-pattern matrix's closed form and complex
+LAPACK differ in the last bits. The witness matrices it builds agree with the
 package's to rounding only: the package sums the terms of id (x) L_t through
 one compiled superoperator per term.
 
 loop_coefficients and loop_witness_values are the per-instant forms of the
 package's column-wise coefficients and stacked witness values, which must
 reproduce them bit for bit. same_bits_as compares a stack the package keeps
-real with a complex reference bit for bit.
+real with a complex reference bit for bit. per_row_csv_lines is the CLI's
+CSV formatter as it was, one row at a time, which its one-pass body must
+reproduce byte for byte.
 """
 
 from __future__ import annotations
@@ -365,7 +370,7 @@ def spa_mixture(C):
     """
     C = np.asarray(C, dtype=complex)
     n = C.shape[0]
-    omega, nu = spa_weights(np.linalg.eigh(C)[0])
+    omega, nu = spa_weights(nmwit.eig_hermitian(C).eigenvalues)
     mixed = omega * np.eye(n) / n + (1.0 - omega) * C
     mvals, mvecs = np.linalg.eigh(mixed)
     return omega, nu, mixed, mvals, mvecs
@@ -418,3 +423,26 @@ def same_bits_as(A, ref) -> bool:
             return False
         ref = ref.real
     return A.dtype == ref.dtype and A.shape == ref.shape and A.tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The CLI's CSV data lines, formatted one row at a time
+
+def _cell_text(v) -> str:
+    """A CSV cell: false/true for a bool, empty for None, 12 significant digits for a float."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return f"{v:.12g}"
+    return str(v)
+
+
+def per_row_csv_lines(columns) -> list[str]:
+    """The data lines of a table's columns, one %-template per row: %.12g for a column of
+    Python floats only, else each cell's text."""
+    floats = [set(map(type, column)) == {float} for column in columns]
+    template = ",".join("%.12g" if f else "%s" for f in floats)
+    columns = [column if f else list(map(_cell_text, column)) for column, f in zip(columns, floats)]
+    return [template % row for row in zip(*columns)]

@@ -2,10 +2,11 @@
 
 The coefficient rows are filled one term's column at a time, the witness
 values come from two stacked matrix-vector products, and cli._emit writes a
-table from its columns, with one %-template for every CSV row. Each must give
+table from its columns, with one % over the whole CSV body. Each must give
 the bits of the per-instant loop or per-cell path it replaces
 (oracles.loop_coefficients, oracles.loop_witness_values, and cli._fmt joined
-over the cells of each row).
+over the cells of each row, or oracles.per_row_csv_lines, the formatter that
+applied one %-template per row).
 """
 
 import argparse
@@ -28,7 +29,7 @@ from nmwit.errors import ParameterOutOfRange
 from nmwit.lindblad import coefficients
 from nmwit.witness import witness_scan, witness_values
 
-from oracles import loop_coefficients, loop_witness_values
+from oracles import loop_coefficients, loop_witness_values, per_row_csv_lines
 
 _value = st.floats(-2.0, 2.0) | st.sampled_from((0.0, -0.0))
 
@@ -129,7 +130,7 @@ def test_a_grid_that_leaves_a_tabulated_domain_fails_at_its_first_failing_instan
 
 # Table cells. Floats with the values _fmt treats apart, and a column of any
 # cells: ints, strings, bools and None among floats.
-_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 1.0 / 3.0)
+_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.225e-308, 1e300, 1e-300, 1.0 / 3.0)
 _SPECIAL = (*_FLOATS, -5e-324, -1e300, 0.1, 2.0**53, 123456789012.5, 0, -7, 10**20, "eternal",
             "a b", "", True, False, None)
 _floats = st.sampled_from(_FLOATS) | st.floats(allow_nan=True, allow_infinity=True)
@@ -140,14 +141,17 @@ _COLUMNS = {
     "float or None": st.none() | _floats,
     "numpy scalar": st.one_of(_floats.map(np.float64), st.booleans().map(np.bool_),
                               st.integers(-10**6, 10**6).map(np.int64)),
+    "None": st.none(),
+    # No newline: the fmt-join test splits the CSV into lines.
+    "str": st.text(st.characters(codec="utf-8", exclude_characters="\n"), max_size=6),
     "any": st.one_of(st.sampled_from(_SPECIAL), _floats, st.integers(-10**6, 10**6),
                      st.text(alphabet="abc%s_ ", max_size=4)),
 }
 
 
 @st.composite
-def table_columns(draw):
-    rows = draw(st.integers(1, 6))
+def table_columns(draw, max_rows=6):
+    rows = draw(st.integers(1, max_rows))
     kinds = draw(st.lists(st.sampled_from(sorted(_COLUMNS)), min_size=1, max_size=5))
     return [draw(st.lists(_COLUMNS[kind], min_size=rows, max_size=rows)) for kind in kinds]
 
@@ -161,7 +165,7 @@ def _written(fmt, names, columns, echo=(("command", "test"),)):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@example(columns=[list(_FLOATS), [True, False] * 4, [-x for x in _FLOATS]])
+@example(columns=[list(_FLOATS), [True, False] * 5, [-x for x in _FLOATS]])
 @example(columns=[[0.1, 0.25, None, math.nan], [np.float64(0.5), 1.0, -0.0, 2.0],
                   [1, True, "a%s", None]])
 @given(columns=table_columns())
@@ -216,3 +220,12 @@ def test_time_grid_commands_write_the_golden_rows_in_csv_and_json(command, golde
     assert cli.main(argv) == 0
     echo = cli.resolve_config(cli.build_parser().parse_args(argv)).echo
     assert capsys.readouterr().out == _json_of_csv(expected, echo)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(columns=table_columns(max_rows=200))
+def test_the_one_pass_csv_body_is_the_per_row_formatters_byte_for_byte(columns):
+    names = [f"c{k}" for k in range(len(columns))]
+    expected = cli._csv_text(argparse.Namespace(echo=[("command", "test")]), names,
+                             per_row_csv_lines(columns))
+    assert _written("csv", names, columns).encode() == expected.encode()
