@@ -42,10 +42,10 @@ class ChoiState:
     spectrum: Spectrum
 
 
-def checked_spectrum(matrices: np.ndarray) -> Spectrum:
-    """Spectra of a stack of Choi matrices; raises for the first that is not
+def checked_spectrum(matrices: np.ndarray, vectors: bool = True) -> Spectrum:
+    """Spectra of a stack of Choi matrices (eigh_checked's); raises for the first that is not
     Hermitian (NonHermitianInput) or, failing that, not of unit trace (NotUnitTrace)."""
-    spectrum = eigh_checked(matrices)
+    spectrum = eigh_checked(matrices, vectors)
     tr = np.trace(matrices, axis1=1, axis2=2).real
     off = abs(tr - 1.0) > 1e-9
     if off.any():
@@ -60,14 +60,15 @@ def choi_state(matrix: np.ndarray, t: float, epsilon: float) -> ChoiState:
         return ChoiState(matrix, t, epsilon, checked_spectrum(matrix[None])[0])
 
 
-def choi_grid(gen: LindbladGenerator, times, epsilon: float):
-    """(coefficient rows, Choi matrices, their spectra) for the snapshots at times."""
+def choi_grid(gen: LindbladGenerator, times, epsilon: float, vectors: bool = True):
+    """(coefficient rows, Choi matrices, their spectra) for the snapshots at times; the spectra
+    carry eigenvectors only with vectors."""
     # Checks the snapshots as small_time_map does: the first non-finite t, else the first t.
     small_time_map(gen, times[int(np.isfinite(times).argmin())], epsilon)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails checked_spectrum's checks
         c = coefficients(gen, times)
         matrices = choi_matrices(gen, c, epsilon)
-        return c, matrices, checked_spectrum(matrices)
+        return c, matrices, checked_spectrum(matrices, vectors)
 
 
 def checked_grid(t_grid) -> list[float]:
@@ -88,22 +89,24 @@ def checked_grid(t_grid) -> list[float]:
     return grid.tolist()
 
 
-def grid_pass(gen: LindbladGenerator, t_grid, epsilon: float, stage):
+def grid_pass(gen: LindbladGenerator, t_grid, epsilon: float, stage, vectors: bool = True):
     """stage(times, c, matrices, eigenvalues, tau) after choi_grid over the checked t_grid, in one pass.
 
-    tau[k] is the eigenvector of the least eigenvalue eigenvalues[k, 0]. A
+    tau[k] is the eigenvector of the least eigenvalue eigenvalues[k, 0], and
+    tau is None without vectors, for a stage that reads the eigenvalues only. A
     failing pass is replayed one instant at a time, so that the error is that
     of a loop over the grid: the first failing instant's, at its first failing check.
     """
-    return _grid_pass(gen, checked_grid(t_grid), epsilon, stage)
+    return _grid_pass(gen, checked_grid(t_grid), epsilon, stage, vectors)
 
 
-def _grid_pass(gen: LindbladGenerator, grid: list[float], epsilon: float, stage):
+def _grid_pass(gen: LindbladGenerator, grid: list[float], epsilon: float, stage, vectors: bool = True):
     """grid_pass over a grid that checked_grid has already returned."""
     def run(times):
-        c, matrices, spectrum = choi_grid(gen, times, epsilon)
+        c, matrices, spectrum = choi_grid(gen, times, epsilon, vectors)
         # The stage gets the eigenvectors of the least eigenvalues; the others are freed.
-        lam, tau, spectrum = spectrum.eigenvalues, spectrum.eigenvectors[:, :, 0].copy(), None
+        lam, tau = spectrum.eigenvalues, spectrum.eigenvectors[:, :, 0].copy() if vectors else None
+        spectrum = None
         return stage(times, c, matrices, lam, tau)
 
     try:
@@ -165,4 +168,5 @@ def scan(
 ) -> list[tuple[float, DivisibilityVerdict]]:
     """Classify instantaneous divisibility at each instant of an ascending grid (see grid_pass)."""
     return grid_pass(gen, t_grid, epsilon,
-                     lambda times, c, matrices, lam, tau: list(zip(times, verdicts(lam, tolerance))))
+                     lambda times, c, matrices, lam, tau: list(zip(times, verdicts(lam, tolerance))),
+                     vectors=False)

@@ -29,9 +29,7 @@ one compiled superoperator per term.
 loop_coefficients and loop_witness_values are the per-instant forms of the
 package's column-wise coefficients and stacked witness values, which must
 reproduce them bit for bit. same_bits_as compares a stack the package keeps
-real with a complex reference bit for bit. per_row_csv_lines is the CLI's
-CSV formatter as it was, one row at a time, which its one-pass body must
-reproduce byte for byte.
+real with a complex reference bit for bit.
 """
 
 from __future__ import annotations
@@ -423,26 +421,3 @@ def same_bits_as(A, ref) -> bool:
             return False
         ref = ref.real
     return A.dtype == ref.dtype and A.shape == ref.shape and A.tobytes() == ref.tobytes()
-
-
-# ---------------------------------------------------------------------------
-# The CLI's CSV data lines, formatted one row at a time
-
-def _cell_text(v) -> str:
-    """A CSV cell: false/true for a bool, empty for None, 12 significant digits for a float."""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
-
-
-def per_row_csv_lines(columns) -> list[str]:
-    """The data lines of a table's columns, one %-template per row: %.12g for a column of
-    Python floats only, else each cell's text."""
-    floats = [set(map(type, column)) == {float} for column in columns]
-    template = ",".join("%.12g" if f else "%s" for f in floats)
-    columns = [column if f else list(map(_cell_text, column)) for column, f in zip(columns, floats)]
-    return [template % row for row in zip(*columns)]

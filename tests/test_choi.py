@@ -37,22 +37,23 @@ def test_choi_state_is_built_once_per_map():
 def test_each_choi_state_is_diagonalized_once(solves, capsys):
     # The verdict, trace-norm excess included, the SPA weights and the witness
     # eigenvector are read from the spectrum that checked_spectrum keeps: one
-    # stacked eigensolve with eigenvectors per grid, one per snapshot. The
+    # stacked eigensolve per grid, one per snapshot, with eigenvectors only
+    # where they are read (the witness, and a snapshot's kept state). The
     # eternal depolarizer's Choi matrices are X-pattern, so that solve is the closed form.
     gen = nmwit.eternal_depolarizer()
     grid = np.linspace(0.1, 2.0, 40)
     m, n = _map(gen, t=1.0), _map(gen, t=1.0)
     runs = (
-        (40, lambda: nmwit.scan(gen, grid, EPS)),
-        (40, lambda: witness_scan(gen, grid, EPS)),
-        (40, lambda: main(["spa", "--t-start", "0.1", "--t-stop", "2", "--t-steps", "40"])),
-        (1, lambda: nmwit.classify(nmwit.choi_of(m))),
-        (1, lambda: (nmwit.choi_of(n), nmwit.build_witness(n))),
+        (40, False, lambda: nmwit.scan(gen, grid, EPS)),
+        (40, True, lambda: witness_scan(gen, grid, EPS)),
+        (40, False, lambda: main(["spa", "--t-start", "0.1", "--t-stop", "2", "--t-steps", "40"])),
+        (1, True, lambda: nmwit.classify(nmwit.choi_of(m))),
+        (1, True, lambda: (nmwit.choi_of(n), nmwit.build_witness(n))),
     )
-    for rows, run in runs:
+    for rows, vectors, run in runs:
         solves.clear()
         run()
-        assert solves == [("x", rows, True)]
+        assert solves == [("x", rows, vectors)]
     assert len(capsys.readouterr().out.splitlines()) == 9 + 1 + 40  # the spa run's echo, columns, rows
 
 

@@ -1,8 +1,6 @@
-import errno
 import json
 import math
 import os
-import stat
 import subprocess
 import sys
 
@@ -579,67 +577,3 @@ def test_repeated_requests_fault_in_no_pages_once_the_heap_is_held(tmp_path):
     assert child.returncode == 0, child.stderr
     for argv, faults in zip((scan, witness), json.loads(child.stdout)):
         assert sum(faults) < 5 * len(faults), (argv[0], faults)
-
-
-# _write rewrites an output in place (no O_TRUNC at open): each test below pins
-# something that truncating the file on open used to give for free.
-_TEXT = "# command = test\nt,value\n1,0.5\n"
-
-
-@pytest.mark.parametrize("old", [b"stale,row\n" * 100, b"t\n", b""], ids=["longer", "shorter", "empty"])
-def test_write_rewrites_a_file_in_place_with_exactly_the_new_bytes(old, tmp_path):
-    path = tmp_path / "out.csv"
-    path.write_bytes(old)
-    path.chmod(0o600)
-    inode = path.stat().st_ino
-    cli._write(str(path), _TEXT)
-    assert path.read_bytes() == _TEXT.encode()
-    assert (path.stat().st_ino, stat.S_IMODE(path.stat().st_mode)) == (inode, 0o600)
-
-
-def test_output_to_a_file_that_is_not_regular_exits_0(capsys):
-    assert cli.main(["prop1", "--draws", "1", "--output", os.devnull]) == 0
-    assert capsys.readouterr() == ("", "")
-
-
-def test_write_creates_a_new_file_under_the_umask(tmp_path):
-    path = tmp_path / "new.csv"
-    umask = os.umask(0o027)
-    try:
-        cli._write(str(path), _TEXT)
-    finally:
-        os.umask(umask)
-    assert path.read_bytes() == _TEXT.encode()
-    assert stat.S_IMODE(path.stat().st_mode) == 0o640
-
-
-@pytest.mark.parametrize("existing", [True, False], ids=["target", "dangling"])
-def test_write_through_a_symlink_writes_its_target(existing, tmp_path):
-    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
-    if existing:
-        target.write_bytes(b"stale,row\n" * 100)
-    link.symlink_to(target)
-    cli._write(str(link), _TEXT)
-    assert link.is_symlink() and target.read_bytes() == _TEXT.encode()
-
-
-def test_a_write_that_raises_leaves_the_file_empty(tmp_path, monkeypatch):
-    # Neither the new bytes followed by the old ones, nor a part of the new ones.
-    path = tmp_path / "out.csv"
-    path.write_bytes(b"stale,row\n" * 1000)
-    write = os.write
-
-    def half_then_full_disk(fd, data):
-        write(fd, data[:len(data) // 2])
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-    monkeypatch.setattr(os, "write", half_then_full_disk)
-    with pytest.raises(OSError):
-        cli._write(str(path), _TEXT * 10)
-    monkeypatch.undo()
-    assert path.read_bytes() == b""
-    path.write_bytes(b"stale,row\n")
-    with pytest.raises(UnicodeEncodeError):  # a lone surrogate fails before any byte is written
-        cli._write(str(path), _TEXT + "\ud800")
-    assert path.read_bytes() == b""
-

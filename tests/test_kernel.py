@@ -196,7 +196,11 @@ def test_each_matrix_of_a_stack_is_solved_alone_in_its_own_arithmetic(stack):
     lapack_calls, x_calls = len({0, 1} & set(flat_kind.tolist())), int((flat_kind == 2).any())
     spectrum, *eigh_received = _solved("eigh", lambda: kernel.eigh_checked(flat))
     values, *eigvalsh_received = _solved("eigvalsh", lambda: kernel.eigvalsh(M))
-    for complex_rows, real_rows, n, n_x in eigh_received, eigvalsh_received:
+    # Without vectors, LAPACK's matrices still go to eigh, so every eigenvalue keeps its bits.
+    bare, *bare_received = _solved("eigh", lambda: kernel.eigh_checked(flat, vectors=False))
+    assert bare.eigenvectors is None and not bare.eigenvalues.flags.writeable
+    assert bare.eigenvalues.tobytes() == spectrum.eigenvalues.tobytes()
+    for complex_rows, real_rows, n, n_x in eigh_received, eigvalsh_received, bare_received:
         assert np.array_equal(complex_rows, flat[flat_kind == 0])
         assert np.array_equal(real_rows, flat[flat_kind == 1].real)
         assert (n, n_x) == (lapack_calls, x_calls)

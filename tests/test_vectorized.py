@@ -5,8 +5,7 @@ values come from two stacked matrix-vector products, and cli._emit writes a
 table from its columns, with one % over the whole CSV body. Each must give
 the bits of the per-instant loop or per-cell path it replaces
 (oracles.loop_coefficients, oracles.loop_witness_values, and cli._fmt joined
-over the cells of each row, or oracles.per_row_csv_lines, the formatter that
-applied one %-template per row).
+over the cells of each row).
 """
 
 import argparse
@@ -29,7 +28,7 @@ from nmwit.errors import ParameterOutOfRange
 from nmwit.lindblad import coefficients
 from nmwit.witness import witness_scan, witness_values
 
-from oracles import loop_coefficients, loop_witness_values, per_row_csv_lines
+from oracles import loop_coefficients, loop_witness_values
 
 _value = st.floats(-2.0, 2.0) | st.sampled_from((0.0, -0.0))
 
@@ -150,8 +149,8 @@ _COLUMNS = {
 
 
 @st.composite
-def table_columns(draw, max_rows=6):
-    rows = draw(st.integers(1, max_rows))
+def table_columns(draw):
+    rows = draw(st.integers(1, 200))
     kinds = draw(st.lists(st.sampled_from(sorted(_COLUMNS)), min_size=1, max_size=5))
     return [draw(st.lists(_COLUMNS[kind], min_size=rows, max_size=rows)) for kind in kinds]
 
@@ -220,12 +219,3 @@ def test_time_grid_commands_write_the_golden_rows_in_csv_and_json(command, golde
     assert cli.main(argv) == 0
     echo = cli.resolve_config(cli.build_parser().parse_args(argv)).echo
     assert capsys.readouterr().out == _json_of_csv(expected, echo)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(columns=table_columns(max_rows=200))
-def test_the_one_pass_csv_body_is_the_per_row_formatters_byte_for_byte(columns):
-    names = [f"c{k}" for k in range(len(columns))]
-    expected = cli._csv_text(argparse.Namespace(echo=[("command", "test")]), names,
-                             per_row_csv_lines(columns))
-    assert _written("csv", names, columns).encode() == expected.encode()
