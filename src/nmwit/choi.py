@@ -12,10 +12,10 @@ compiled Choi images and checks and diagonalizes them in one eigh_checked
 call (one solve per kind of matrix in the stack, under kernel's rule: the
 Pauli-diagonal scenarios' Choi matrices are Bell-diagonal and take the closed
 form), and a stage (the verdicts, the SPA, the witness) reads the stack and
-its eigendecomposition.
-The CLI checks its grid once, when it reads its configuration, and runs
-_grid_pass, which takes a grid checked_grid has returned. choi_of and classify
-are the pass's one-instant case; a map keeps its choi_of state.
+its eigendecomposition. grid_pass takes the list checked_grid returns, so a
+grid is checked once: scan checks its own, and the CLI checks its grid when
+it reads its configuration. choi_of and classify are the pass's one-instant
+case; a map keeps its choi_of state.
 """
 
 from __future__ import annotations
@@ -89,19 +89,15 @@ def checked_grid(t_grid) -> list[float]:
     return grid.tolist()
 
 
-def grid_pass(gen: LindbladGenerator, t_grid, epsilon: float, stage, vectors: bool = True):
-    """stage(times, c, matrices, eigenvalues, tau) after choi_grid over the checked t_grid, in one pass.
+def grid_pass(gen: LindbladGenerator, grid: list[float], epsilon: float, stage, vectors: bool = True):
+    """stage(times, c, matrices, eigenvalues, tau) after choi_grid over grid, a list that
+    checked_grid has returned, in one pass.
 
     tau[k] is the eigenvector of the least eigenvalue eigenvalues[k, 0], and
     tau is None without vectors, for a stage that reads the eigenvalues only. A
     failing pass is replayed one instant at a time, so that the error is that
     of a loop over the grid: the first failing instant's, at its first failing check.
     """
-    return _grid_pass(gen, checked_grid(t_grid), epsilon, stage, vectors)
-
-
-def _grid_pass(gen: LindbladGenerator, grid: list[float], epsilon: float, stage, vectors: bool = True):
-    """grid_pass over a grid that checked_grid has already returned."""
     def run(times):
         c, matrices, spectrum = choi_grid(gen, times, epsilon, vectors)
         # The stage gets the eigenvectors of the least eigenvalues; the others are freed.
@@ -167,6 +163,6 @@ def scan(
     tolerance: float = 1e-9,
 ) -> list[tuple[float, DivisibilityVerdict]]:
     """Classify instantaneous divisibility at each instant of an ascending grid (see grid_pass)."""
-    return grid_pass(gen, t_grid, epsilon,
+    return grid_pass(gen, checked_grid(t_grid), epsilon,
                      lambda times, c, matrices, lam, tau: list(zip(times, verdicts(lam, tolerance))),
                      vectors=False)

@@ -343,7 +343,7 @@ def _write(path: str | None, text: str) -> None:
 
 
 def cmd_divisibility(cfg: argparse.Namespace) -> int:
-    lam, excess, markovian = choi._grid_pass(
+    lam, excess, markovian = choi.grid_pass(
         cfg.generator, cfg.t_grid, cfg.epsilon,
         lambda times, c, matrices, lam, tau: choi.divisibility_grid(lam, cfg.tolerance),
         vectors=False)
@@ -353,8 +353,8 @@ def cmd_divisibility(cfg: argparse.Namespace) -> int:
 
 
 def cmd_witness(cfg: argparse.Namespace) -> int:
-    c, matrices, omega, nu, tau = choi._grid_pass(cfg.generator, cfg.t_grid, cfg.epsilon,
-                                                  witness.witness_stage)
+    c, matrices, omega, nu, tau = choi.grid_pass(cfg.generator, cfg.t_grid, cfg.epsilon,
+                                                 witness.witness_stage)
     values = witness.witness_values(nu, tau, matrices)
     omegas, nus = omega.tolist(), nu.tolist()
     _emit(cfg, ["t", "omega", "nu", "witness_value", "detected"],
@@ -372,7 +372,7 @@ def cmd_witness(cfg: argparse.Namespace) -> int:
 
 
 def cmd_spa(cfg: argparse.Namespace) -> int:
-    lam, omega, nu = (x.tolist() for x in choi._grid_pass(
+    lam, omega, nu = (x.tolist() for x in choi.grid_pass(
         cfg.generator, cfg.t_grid, cfg.epsilon, lambda times, c, matrices, lam, tau: spa.spa_grid(lam),
         vectors=False))
     _emit(cfg, ["t", "lambda_minus", "p_star", "omega", "nu"], [cfg.t_grid, lam, omega, omega, nu])

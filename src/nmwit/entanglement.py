@@ -57,6 +57,7 @@ from .errors import (
     CrossCheckFailed,
     EmptyGrid,
     MapNotPositive,
+    NonHermitianInput,
     ParameterOutOfRange,
 )
 from .kernel import (
@@ -64,11 +65,13 @@ from .kernel import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    TOL_HERM,
     TOL_PSD,
     as_matrix,
     check_tolerance,
     eigvalsh,
     frozen,
+    is_hermitian,
     projector,
 )
 from .lindblad import choi_matrices, depolarizer, extend, finite_image
@@ -221,12 +224,15 @@ def detect_entanglement(
     real X-pattern matrix, as for every Werner state, else by LAPACK in real
     or complex arithmetic.
     Raises MapNotPositive or CrossCheckFailed as is_positive decides them,
-    since a non-positive map certifies nothing, and ParameterOutOfRange when
-    the state or its image is not finite.
+    since a non-positive map certifies nothing, ParameterOutOfRange when
+    the state or its image is not finite, and NonHermitianInput unless the
+    state is Hermitian within TOL_HERM: a solve reads one triangle only.
     """
     state = as_matrix(state, (4, 4))
     _require_positive(pt, tolerance)
     image = finite_image(_FAMILY, np.array([pt.gamma1, pt.gamma1, pt.gamma2]), 1.0, state)
+    if not is_hermitian(state):
+        raise NonHermitianInput(f"state is not Hermitian within {TOL_HERM:g}")
     lam = float(eigvalsh(image)[0])
     return lam < -tolerance, lam
 

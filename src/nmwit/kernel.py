@@ -22,11 +22,11 @@ imaginary part nor copied into one: its Hermiticity check in eigh_checked is
 a real transpose, difference and abs. A real matrix gets the same bits
 whether it arrives real or as complex with a zero imaginary part.
 eig_hermitian is eigh_checked's one-matrix case, and eigh_checked's
-eigenvectors are complex for every kind. eigh_checked without vectors gives
-the same eigenvalue bits: LAPACK's values-only driver may differ from eigh in
-the last bits, so only the closed form, whose eigenvalues do not depend on
-its vectors, leaves them out. For the 1000-instant eternal stack that is
-0.21 ms against 0.54 ms (best of 7, 2 vCPU).
+eigenvectors are complex for every kind. LAPACK is always numpy's eigh, its
+vectors dropped where none are asked for (its values-only routine may differ
+in the last bits); only the closed form, whose eigenvalues do not depend on
+them, leaves its vectors out. So eigvalsh and eigh_checked, with vectors or
+without, give every matrix the same eigenvalue bits.
 
 Intended scale is small dense matrices (qubit and two-qubit operators, up to
 dimension ~16); there is no sparse or arbitrary-precision path.
@@ -135,7 +135,8 @@ class Spectrum:
     eigenvectors: np.ndarray | None
 
     def __getitem__(self, index) -> Spectrum:
-        return Spectrum(self.eigenvalues[index], self.eigenvectors[index])
+        vecs = self.eigenvectors
+        return Spectrum(self.eigenvalues[index], None if vecs is None else vecs[index])
 
 
 # Flat indices into a 4x4 matrix: (a, b, c) of its blocks [[a, b], [b, c]] (0, 3) and (1, 2), b
@@ -204,39 +205,34 @@ def _x_solve(R: np.ndarray, vectors: bool):
 
 
 def _lapack(A: np.ndarray, vectors: bool):
-    """(eigenvalues, eigenvectors or None) of a stack, from numpy.linalg."""
-    return np.linalg.eigh(A) if vectors else (np.linalg.eigvalsh(A), None)
+    """(eigenvalues, eigenvectors or None) of a stack, from numpy.linalg.eigh either way."""
+    vals, vecs = np.linalg.eigh(A)
+    return vals, vecs if vectors else None
 
 
-def _solve(M: np.ndarray, vectors: bool, eigh_values: bool = False):
+def _solve(M: np.ndarray, vectors: bool):
     """(eigenvalues, eigenvectors or None) of a Hermitian matrix or stack (..., n, n) under the
-    module's rule: its complex, real and real X-pattern matrices, each kind solved in one call.
-
-    With eigh_values, a kind that LAPACK solves is solved with its vectors even when vectors is
-    False, so the eigenvalues are eigh's bits, which LAPACK's values-only driver need not give;
-    the closed form gives the same eigenvalues with or without its vectors."""
+    module's rule: its complex, real and real X-pattern matrices, each kind solved in one call."""
     if M.dtype.kind != "c":  # a real stack: no imaginary part to test
         cplx = np.zeros(M.shape[:-2], dtype=bool)
     else:
         cplx = M.imag.any(axis=(-2, -1))
         if np.count_nonzero(cplx) == cplx.size:  # complex matrices only, which need no X test
-            vals, vecs = _lapack(M, vectors or eigh_values)
-            return vals, vecs if vectors else None
+            return _lapack(M, vectors)
     shape, n = M.shape[:-1], M.shape[-1]
     M, cplx = M.reshape(-1, n, n), cplx.reshape(-1)
     R = M.real  # M itself when M is real
     x = ~(cplx | R.reshape(-1, 16)[:, _OFF_X].any(axis=1)) if n == 4 else np.zeros_like(cplx)
-    kinds = [(rows, solve, A, vectors or (eigh_values and solve is _lapack))
-             for rows, solve, A in ((x, _x_solve, R), (cplx, _lapack, M), (~(cplx | x), _lapack, R))
-             if rows.any()]
+    kinds = [kind for kind in ((x, _x_solve, R), (cplx, _lapack, M), (~(cplx | x), _lapack, R))
+             if kind[0].any()]
     if len(kinds) == 1:  # one kind: the whole stack in one call, with no rows to gather
-        (_, solve, A, with_vectors), = kinds
-        vals, vecs = solve(A, with_vectors)
+        (_, solve, A), = kinds
+        vals, vecs = solve(A, vectors)
     else:  # each kind solved once, its results scattered back to its rows
         vals = np.empty(M.shape[:-1])
         vecs = np.empty(M.shape, dtype=complex) if vectors else None
-        for rows, solve, A, with_vectors in kinds:
-            vals[rows], part = solve(A[rows], with_vectors)
+        for rows, solve, A in kinds:
+            vals[rows], part = solve(A[rows], vectors)
             if vectors:
                 vecs[rows] = part
     return vals.reshape(shape), vecs.reshape(*shape, n) if vectors else None
@@ -254,7 +250,7 @@ def eigh_checked(M: np.ndarray, vectors: bool = True) -> Spectrum:
     Eigenvalues are real and eigenvectors complex, both read-only. Raises
     NonHermitianInput for the first matrix that fails the Hermiticity check
     at TOL_HERM. Without vectors, eigenvectors is None and the eigenvalues are
-    the same bits: only the closed form skips its vectors (_solve's eigh_values).
+    the same bits.
     """
     if M.ndim != 3 or M.shape[1] != M.shape[2]:
         raise NonHermitianInput(f"expected square matrices, got shape {M.shape[1:]}")
@@ -264,7 +260,7 @@ def eigh_checked(M: np.ndarray, vectors: bool = True) -> Spectrum:
         raise NonHermitianInput(
             f"matrix is not Hermitian within {TOL_HERM:g} (max deviation {deviation[k]:.3g})"
         )
-    vals, vecs = _solve(M, vectors, eigh_values=True)
+    vals, vecs = _solve(M, vectors)
     vals.setflags(write=False)
     if vectors:
         vecs = vecs.astype(complex, copy=False)

@@ -20,7 +20,9 @@ coefficients() gives the rows c_a(t), the Choi states are
 P + epsilon * sum_a c_a(t) B_a, and extend() applies id (x) N to a stack as
 one contraction S(t) = sum_a c_a(t) S_a and one batched matmul on the
 reshuffled stack, X[(i,a),(j,b)] -> X[(i,j),(a,b)]; single instants are the
-one-row case.
+one-row case. Each coefficient kind has one rule, CoefficientModel._fill,
+which coefficients() applies column by column and a coefficient's call at one
+instant.
 
 The compiled stack is float64 when every image is exactly real, as for every
 Pauli-diagonal generator (the eternal depolarizer, dephasing and
@@ -89,19 +91,30 @@ class CoefficientModel:
             raise MalformedDescription("callable coefficient needs func")
 
     def __call__(self, t: float) -> float:
+        return float(self._fill([t], np.empty(1))[0])
+
+    def _fill(self, times, out: np.ndarray) -> np.ndarray:
+        """out (1-D) with c(t) at each instant of times written into it under the kind's rule.
+
+        A tabulated or callable coefficient raises at its first failing instant.
+        """
         if self.kind == "constant":
-            return self.value
-        if self.kind == "eternal_tanh":
-            return self.scale * math.tanh(t)
-        if self.kind == "tabulated":
-            if not self.times[0] <= t <= self.times[-1]:
-                raise ParameterOutOfRange(
-                    f"t={t:g} outside tabulated domain [{self.times[0]:g}, {self.times[-1]:g}]"
-                )
-            return float(np.interp(t, self.times, self.values))
-        out = float(self.func(t))
-        if not math.isfinite(out):
-            raise MalformedDescription(f"coefficient evaluated to non-finite value at t={t:g}")
+            out[:] = self.value
+        elif self.kind == "eternal_tanh":
+            out[:] = list(map(math.tanh, times))
+            out *= self.scale  # the same IEEE products as self.scale * math.tanh(t)
+        elif self.kind == "tabulated":
+            t = np.asarray(times, dtype=float)
+            outside = ~((self.times[0] <= t) & (t <= self.times[-1]))
+            if outside.any():
+                raise ParameterOutOfRange(f"t={t[np.argmax(outside)]:g} outside tabulated domain "
+                                          f"[{self.times[0]:g}, {self.times[-1]:g}]")
+            out[:] = np.interp(t, self.times, self.values)
+        else:
+            for k, t in enumerate(times):
+                out[k] = value = float(self.func(t))
+                if not math.isfinite(value):
+                    raise MalformedDescription(f"coefficient evaluated to non-finite value at t={t:g}")
         return out
 
 
@@ -228,19 +241,7 @@ def coefficients(gen: LindbladGenerator, times) -> np.ndarray:
     """
     c = np.empty((len(times), len(gen.terms)))
     for a, (coef, _) in enumerate(gen.terms):
-        if coef.kind == "constant":
-            c[:, a] = coef.value
-        elif coef.kind == "eternal_tanh":
-            c[:, a] = list(map(math.tanh, times))
-            c[:, a] *= coef.scale  # the same IEEE products as coef.scale * math.tanh(t)
-        elif coef.kind == "tabulated":
-            t = np.asarray(times, dtype=float)
-            outside = ~((coef.times[0] <= t) & (t <= coef.times[-1]))
-            if outside.any():  # the per-instant call raises the domain error
-                coef(float(t[np.argmax(outside)]))
-            c[:, a] = np.interp(t, coef.times, coef.values)
-        else:
-            c[:, a] = [coef(t) for t in times]
+        coef._fill(times, c[:, a])
     return c
 
 

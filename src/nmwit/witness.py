@@ -18,12 +18,13 @@ The SPA state nu*C + omega*I/d^2 has the eigenvectors of C, so tau is the
 eigenvector of C's least eigenvalue and nothing is diagonalized but C. A grid
 of instants is one stacked pass (choi.grid_pass) with one stage,
 witness_stage: witness_weights reads (omega, nu) off the Choi spectra and
-rejects a degenerate minimum. witness_matrices then forms every witness
-matrix from tau with one stacked extension. build_witness does both at one
-instant, off the Choi state the snapshot map keeps (choi.choi_of). evaluate is
-the one-instant case of witness_values, which needs no witness matrix, so the
-CLI's witness command runs the stage alone and forms the matrices only when
-it exports them.
+rejects a degenerate minimum, so the pass fails as a loop of build_witness
+over the grid does. witness_matrices then forms every witness matrix from tau
+with one stacked extension. build_witness does both at one instant, off the
+Choi state the snapshot map keeps (choi.choi_of). evaluate is the one-instant
+case of witness_values, which needs no witness matrix, so the CLI's witness
+command runs the pass and its stage alone and forms the matrices only when it
+exports them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choi import ChoiState, choi_of, grid_pass
+from .choi import ChoiState, choi_of
 from .errors import DegenerateMinimum, DimensionMismatch, NonHermitianJump, ParameterOutOfRange
 from .kernel import as_complex, as_matrix, check_tolerance, dag, is_hermitian, projector
 from .lindblad import LindbladGenerator, SmallTimeMap, coefficients, constant, extend
@@ -151,7 +152,7 @@ def witness_stage(times, c: np.ndarray, matrices: np.ndarray, eigenvalues: np.nd
 
 
 def build_witness(m: SmallTimeMap) -> WitnessOperator:
-    """Witness operator for the snapshot map m (witness_scan at one instant).
+    """Witness operator for the snapshot map m (the witness stage and witness_matrices at one instant).
 
     It reads m's Choi state through choi_of(m), which builds it only if no
     earlier call on m has. Raises DegenerateMinimum as witness_weights.
@@ -162,15 +163,6 @@ def build_witness(m: SmallTimeMap) -> WitnessOperator:
     matrices = witness_matrices(m.generator, coefficients(m.generator, [m.t]), m.epsilon, nu, tau)
     return WitnessOperator(matrix=matrices[0], nu=float(nu[0]), omega=float(omega[0]), tau=tau[0],
                            source_map=m)
-
-
-def witness_scan(gen: LindbladGenerator, times, epsilon: float):
-    """(Choi matrices, omega, nu, tau, witness matrices) over a grid, in one stacked pass.
-
-    Fails as a loop of build_witness over the grid fails (see choi.grid_pass).
-    """
-    c, matrices, omega, nu, tau = grid_pass(gen, times, epsilon, witness_stage)
-    return matrices, omega, nu, tau, witness_matrices(gen, c, epsilon, nu, tau)
 
 
 def witness_values(nu: np.ndarray, tau: np.ndarray, matrices: np.ndarray) -> list[float]:

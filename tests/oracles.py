@@ -28,11 +28,14 @@ one compiled superoperator per term.
 
 loop_coefficients and loop_witness_values are the per-instant forms of the
 package's column-wise coefficients and stacked witness values, which must
-reproduce them bit for bit. same_bits_as compares a stack the package keeps
+reproduce them bit for bit; loop_coefficients reads each coefficient's kind
+and parameters itself (coefficient_at), not through the package's rule. same_bits_as compares a stack the package keeps
 real with a complex reference bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -402,9 +405,20 @@ def reference_snapshot(gen, t, eps):
 # ---------------------------------------------------------------------------
 # Per-instant forms of the package's stacked helpers
 
+def coefficient_at(coef, t):
+    """c(t) of one coefficient inside its domain, from its kind's formula in scalar arithmetic."""
+    if coef.kind == "constant":
+        return coef.value
+    if coef.kind == "eternal_tanh":
+        return coef.scale * math.tanh(t)
+    if coef.kind == "tabulated":
+        return float(np.interp(t, coef.times, coef.values))
+    return float(coef.func(t))
+
+
 def loop_coefficients(gen, times):
-    """c_a(t) of each term (columns) at each instant (rows), one coefficient call per entry."""
-    return np.array([[coef(t) for coef, _ in gen.terms] for t in times], dtype=float)
+    """c_a(t) of each term (columns) at each instant (rows), one coefficient_at per entry."""
+    return np.array([[coefficient_at(coef, t) for coef, _ in gen.terms] for t in times], dtype=float)
 
 
 def loop_witness_values(nu, tau, matrices):

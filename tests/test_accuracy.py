@@ -4,7 +4,7 @@ The CLI prints at 12 significant digits, so a reformulation of the float64
 linear algebra can move a last digit. For the six 1000-instant goldens this
 keeps a ledger: how many printed cells are not the 40-digit value correctly
 rounded to 12 digits. On the grid of custom_witness_100_export.json, it pins
-how far witness_scan's tau may sit from the exact least eigenvector of the
+how far the witness stage's tau may sit from the exact least eigenvector of the
 same float64 Choi matrix, and how far each witness matrix may sit from
 nu * (X + epsilon * (id (x) L_t)(X)), X = |tau><tau|, evaluated by mpmath at
 40 digits from the same float64 nu, tau and coefficients.
@@ -19,7 +19,8 @@ import numpy as np
 import nmwit
 from nmwit.kernel import TOL_PSD
 from nmwit.lindblad import coefficients
-from nmwit.witness import witness_scan
+from nmwit.choi import checked_grid, grid_pass
+from nmwit.witness import witness_matrices, witness_stage
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -47,7 +48,8 @@ def _least_eigenvector(C, dps=40):
 
 def test_witness_tau_is_the_least_eigenvector_to_1e13():
     gen = nmwit.load_generator(GOLDEN / "custom_generator.json")
-    matrices, _, _, tau, _ = witness_scan(gen, np.linspace(0.1, 4.9, 100), 0.02)
+    _, matrices, _, _, tau = grid_pass(gen, checked_grid(np.linspace(0.1, 4.9, 100)), 0.02,
+                                       witness_stage)
     worst = 0.0
     for C, v in zip(matrices, tau):
         exact = _least_eigenvector(C)
@@ -61,8 +63,8 @@ def test_witness_matrices_are_the_40_digit_extension_to_2_ulp():
     # read off the generator's one compiled stack, its Choi images, by the reshuffle.
     gen = nmwit.load_generator(GOLDEN / "custom_generator.json")
     times, epsilon = np.linspace(0.1, 4.9, 100), 0.02
-    _, _, nu, tau, witnesses = witness_scan(gen, times, epsilon)
-    c = coefficients(gen, times.tolist())
+    c, _, _, nu, tau = grid_pass(gen, checked_grid(times), epsilon, witness_stage)
+    witnesses = witness_matrices(gen, c, epsilon, nu, tau)
     d = gen.dim
     worst = 0.0
     with mpmath.workdps(40):

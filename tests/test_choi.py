@@ -1,10 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import nmwit
+from nmwit import kernel
 from nmwit.cli import main
 from nmwit.errors import EmptyGrid
-from nmwit.witness import witness_scan
 
 from oracles import BELL_PHI_PLUS, bell_choi, bell_weights, rand_unitary, tensor
 
@@ -43,10 +45,11 @@ def test_each_choi_state_is_diagonalized_once(solves, capsys):
     gen = nmwit.eternal_depolarizer()
     grid = np.linspace(0.1, 2.0, 40)
     m, n = _map(gen, t=1.0), _map(gen, t=1.0)
+    grid_flags = ["--t-start", "0.1", "--t-stop", "2", "--t-steps", "40"]
     runs = (
         (40, False, lambda: nmwit.scan(gen, grid, EPS)),
-        (40, True, lambda: witness_scan(gen, grid, EPS)),
-        (40, False, lambda: main(["spa", "--t-start", "0.1", "--t-stop", "2", "--t-steps", "40"])),
+        (40, True, lambda: main(["witness", *grid_flags])),
+        (40, False, lambda: main(["spa", *grid_flags])),
         (1, True, lambda: nmwit.classify(nmwit.choi_of(m))),
         (1, True, lambda: (nmwit.choi_of(n), nmwit.build_witness(n))),
     )
@@ -54,7 +57,33 @@ def test_each_choi_state_is_diagonalized_once(solves, capsys):
         solves.clear()
         run()
         assert solves == [("x", rows, vectors)]
-    assert len(capsys.readouterr().out.splitlines()) == 9 + 1 + 40  # the spa run's echo, columns, rows
+    # The witness and spa runs' echoes, columns and rows.
+    assert len(capsys.readouterr().out.splitlines()) == 2 * (9 + 1 + 40)
+
+
+_GRIDS = {  # generator, epsilon, 500 instants
+    "custom": (nmwit.load_generator(Path(__file__).parent / "golden" / "custom_generator.json"),
+               0.02, np.linspace(0.01, 4.9, 500)),
+    "eternal": (nmwit.eternal_depolarizer(), EPS, np.linspace(0.01, 4.9, 500)),
+}
+
+
+@pytest.mark.parametrize("name", list(_GRIDS))
+def test_trace_norm_excess_is_the_trace_norm_of_the_choi_state_less_one(name):
+    # DivisibilityVerdict documents trace_norm_excess as ||C||_1 - 1: trace_norm solves C
+    # under kernel's rule with the one LAPACK routine, so the two agree bit for bit.
+    gen, eps, grid = _GRIDS[name]
+    for t in grid:
+        choi = nmwit.choi_of(nmwit.small_time_map(gen, t, eps))
+        assert nmwit.trace_norm(choi.matrix) - 1.0 == nmwit.classify(choi).trace_norm_excess
+
+
+@pytest.mark.parametrize("name", list(_GRIDS))
+def test_eigvalsh_gives_the_kept_choi_spectrum_bit_for_bit(name):
+    gen, eps, grid = _GRIDS[name]
+    for t in grid:
+        choi = nmwit.choi_of(nmwit.small_time_map(gen, t, eps))
+        assert kernel.eigvalsh(choi.matrix).tobytes() == choi.spectrum.eigenvalues.tobytes()
 
 
 def test_negative_dephasing_choi_spectrum_and_eigenvector():

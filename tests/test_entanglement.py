@@ -13,6 +13,7 @@ from nmwit.errors import (
     DimensionMismatch,
     EmptyGrid,
     MapNotPositive,
+    NonHermitianInput,
     ParameterOutOfRange,
 )
 from nmwit.entanglement import _FAMILY, _choi_weights, _factors, _werner_thresholds
@@ -237,6 +238,14 @@ def test_detect_dimension_mismatch():
         nmwit.detect_entanglement(np.eye(2) / 2, pt(0.5, 0.5))
 
 
+@pytest.mark.parametrize("triangle", [np.triu, np.tril], ids=["upper", "lower"])
+def test_detect_rejects_a_state_that_is_not_hermitian(triangle):
+    # A solve reads one triangle of the image, so these two read (False, 0.25) and
+    # (False, -4.5e-17) at this point when their Hermiticity went unchecked.
+    with pytest.raises(NonHermitianInput, match="not Hermitian"):
+        nmwit.detect_entanglement(triangle(np.ones((4, 4))) / 4, pt(0.3, 0.5))
+
+
 def test_extended_spectrum_matches_closed_form():
     rng = np.random.default_rng(67)
     for _ in range(25):
@@ -397,7 +406,7 @@ def test_detection_diagonalizes_a_complex_image_as_complex_and_a_real_one_as_rea
         assert solves == [("x", 1, False), (kind, 1, False)]
         assert np.float64(lam).tobytes() == expected.tobytes()
         if kind != "x":
-            numpy_solve = np.linalg.eigvalsh(image.real if kind == "real" else image)[0]
+            numpy_solve = np.linalg.eigh(image.real if kind == "real" else image)[0][0]
             assert expected.tobytes() == numpy_solve.tobytes()
 
 

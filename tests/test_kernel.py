@@ -195,31 +195,44 @@ def test_each_matrix_of_a_stack_is_solved_alone_in_its_own_arithmetic(stack):
     flat, flat_kind = M.reshape(-1, 4, 4), kind.ravel()
     lapack_calls, x_calls = len({0, 1} & set(flat_kind.tolist())), int((flat_kind == 2).any())
     spectrum, *eigh_received = _solved("eigh", lambda: kernel.eigh_checked(flat))
-    values, *eigvalsh_received = _solved("eigvalsh", lambda: kernel.eigvalsh(M))
-    # Without vectors, LAPACK's matrices still go to eigh, so every eigenvalue keeps its bits.
+    # LAPACK is always eigh, whose vectors are dropped where none are asked for, so every
+    # matrix of every kind keeps its eigenvalue bits with vectors or without.
+    values, *eigvalsh_received = _solved("eigh", lambda: kernel.eigvalsh(M))
     bare, *bare_received = _solved("eigh", lambda: kernel.eigh_checked(flat, vectors=False))
     assert bare.eigenvectors is None and not bare.eigenvalues.flags.writeable
     assert bare.eigenvalues.tobytes() == spectrum.eigenvalues.tobytes()
+    assert values.shape == M.shape[:-1] and values.tobytes() == spectrum.eigenvalues.tobytes()
     for complex_rows, real_rows, n, n_x in eigh_received, eigvalsh_received, bare_received:
         assert np.array_equal(complex_rows, flat[flat_kind == 0])
         assert np.array_equal(real_rows, flat[flat_kind == 1].real)
         assert (n, n_x) == (lapack_calls, x_calls)
-    assert spectrum.eigenvectors.dtype == complex and values.shape == M.shape[:-1]
+    assert spectrum.eigenvectors.dtype == complex
     assert not spectrum.eigenvalues.flags.writeable and not spectrum.eigenvectors.flags.writeable
-    values = values.reshape(-1, 4)
     for k, row in enumerate(flat):
         one = kernel.eigh_checked(row[None])
         assert spectrum.eigenvalues[k].tobytes() == one.eigenvalues.tobytes()
         assert spectrum.eigenvectors[k].tobytes() == one.eigenvectors.tobytes()
-        assert values[k].tobytes() == kernel.eigvalsh(row).tobytes()
-        if flat_kind[k] == 2:
-            assert values[k].tobytes() == one.eigenvalues[0].tobytes()
-        else:
+        assert spectrum.eigenvalues[k].tobytes() == kernel.eigvalsh(row).tobytes()
+        if flat_kind[k] != 2:
             lapack = row.real if flat_kind[k] else row
             vals, vecs = np.linalg.eigh(lapack)
             assert one.eigenvalues[0].tobytes() == vals.tobytes()
             assert one.eigenvectors[0].tobytes() == vecs.astype(complex).tobytes()
-            assert values[k].tobytes() == np.linalg.eigvalsh(lapack).tobytes()
+
+
+@pytest.mark.parametrize("vectors", [True, False], ids=["vectors", "values-only"])
+@pytest.mark.parametrize("index", [0, None], ids=["0", "None"])
+def test_a_spectrum_indexes_its_eigenvectors_only_when_it_has_them(index, vectors):
+    # A stack of two: [0] selects the first spectrum, [None] adds an axis; a spectrum
+    # asked for without vectors keeps eigenvectors None.
+    M = np.stack([np.diag([2.0, 1.0]), nmwit.SIGMA_Y])
+    spectrum = kernel.eigh_checked(M, vectors)
+    part = spectrum[index]
+    assert part.eigenvalues.tobytes() == spectrum.eigenvalues[index].tobytes()
+    if vectors:
+        assert part.eigenvectors.tobytes() == spectrum.eigenvectors[index].tobytes()
+    else:
+        assert part.eigenvectors is None
 
 
 _SPECIAL = st.sampled_from([0.0, 0.5, -0.5, 1.0, -0.25])
@@ -276,8 +289,8 @@ def test_an_overflowing_x_pattern_eigenvalue_is_inf_without_a_warning():
 
 @pytest.mark.parametrize("matrix, kind", [(nmwit.SIGMA_X, "f"), (nmwit.SIGMA_Y, "c")])
 def test_trace_norm_solves_a_hermitian_matrix_under_the_rule(matrix, kind, monkeypatch):
-    kinds, eigvalsh = [], np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: kinds.append(A.dtype.kind) or eigvalsh(A))
+    kinds, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda A: kinds.append(A.dtype.kind) or eigh(A))
     assert nmwit.trace_norm(matrix) == 2.0
     assert kinds == [kind]
 
@@ -297,7 +310,8 @@ def _solver_references(source):
 
 def test_only_kernel_references_an_eigensolver_or_svd():
     # kernel's per-matrix rule (and its closed form for X-pattern matrices) holds for the
-    # package only if every eigensolve and SVD goes through kernel.
+    # package only if every eigensolve and SVD goes through kernel, and kernel's eigenvalues
+    # are the same bits with vectors or without only if its one LAPACK routine is eigh.
     assert list(_solver_references(
         "import numpy as np\nfrom numpy.linalg import eigvalsh, norm\nla = np.linalg\n"
         "np.linalg.eigh(A); la.svd(A); np.linalg.norm(A); s.eigenvalues\n"
@@ -305,5 +319,5 @@ def test_only_kernel_references_an_eigensolver_or_svd():
     package = Path(nmwit.__file__).parent
     found = {path.name: list(_solver_references(path.read_text(encoding="utf-8")))
              for path in sorted(package.glob("*.py"))}
-    assert found.pop("kernel.py")
+    assert sorted(found.pop("kernel.py")) == ["np.linalg.eigh", "np.linalg.svd"]
     assert found and not any(found.values()), found

@@ -14,10 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nmwit
-from nmwit.choi import choi_grid, grid_pass
+from nmwit.choi import checked_grid, choi_grid, grid_pass
 from nmwit.errors import DegenerateMinimum, EmptyGrid, UnorderedGrid
 from nmwit.spa import spa_grid
-from nmwit.witness import witness_scan, witness_values
+from nmwit.witness import witness_matrices, witness_stage, witness_values
 
 from oracles import reference_snapshot, same_bits_as, spa_mixture
 
@@ -90,10 +90,11 @@ def test_stacked_pass_matches_per_instant_reference(gen, grid, eps):
     first = next((k for k, ref in enumerate(refs) if ref[2] is None), len(grid))
     if first < len(grid):
         with pytest.raises(DegenerateMinimum, match=f"at t={grid[first]:g} "):
-            witness_scan(gen, grid, eps)
+            grid_pass(gen, checked_grid(grid), eps, witness_stage)
     if first == 0:
         return
-    _, omega, nu, tau, witnesses = witness_scan(gen, grid[:first], eps)
+    c, _, omega, nu, tau = grid_pass(gen, checked_grid(grid[:first]), eps, witness_stage)
+    witnesses = witness_matrices(gen, c, eps, nu, tau)
     values = witness_values(nu, tau, matrices[:first])
     for k in range(first):
         _, _, ref_omega, ref_nu, ref_tau, ref_W, ref_value = refs[k]
@@ -176,7 +177,7 @@ def test_every_grid_pass_rejects_an_empty_or_unordered_grid(grid, error):
     # The time-grid rule is checked_grid's, whichever stage runs over the grid.
     gen, eps = nmwit.eternal_depolarizer(), 0.01
     spa_stage = lambda times, c, matrices, eigenvalues, tau: spa_grid(eigenvalues)
-    for run in (lambda: witness_scan(gen, grid, eps), lambda: grid_pass(gen, grid, eps, spa_stage),
+    for run in (lambda: grid_pass(gen, checked_grid(grid), eps, spa_stage),
                 lambda: nmwit.scan(gen, grid, eps)):
         with pytest.raises(error, match=r"^t_grid (is empty|must be strictly ascending)$"):
             run()

@@ -17,7 +17,6 @@ from nmwit.errors import (
     ParameterOutOfRange,
     UnorderedGrid,
 )
-from nmwit.witness import witness_scan
 
 from oracles import werner_threshold_closed
 
@@ -220,7 +219,7 @@ def test_a_well_formed_non_square_matrix_is_not_hermitian():
     assert not nmwit.is_hermitian([[1.0, 2.0]])
 
 
-@pytest.mark.parametrize("run", [nmwit.scan, witness_scan], ids=["scan", "witness-scan"])
+@pytest.mark.parametrize("run", [nmwit.scan], ids=["scan"])
 @pytest.mark.parametrize(
     "grid, error",
     [

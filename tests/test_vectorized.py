@@ -23,10 +23,10 @@ from hypothesis import strategies as st
 
 import nmwit
 from nmwit import cli
-from nmwit.choi import grid_pass
+from nmwit.choi import checked_grid, grid_pass
 from nmwit.errors import ParameterOutOfRange
 from nmwit.lindblad import coefficients
-from nmwit.witness import witness_scan, witness_values
+from nmwit.witness import witness_stage, witness_values
 
 from oracles import loop_coefficients, loop_witness_values
 
@@ -83,6 +83,20 @@ def test_a_tabulated_column_fails_at_its_first_instant_outside_the_table():
     assert str(column.value) == str(per_instant.value) == "t=2.5 outside tabulated domain [0, 2]"
 
 
+def test_a_callable_column_fails_at_its_first_non_finite_instant():
+    # A coefficient's call is the one-instant case of the rule that coefficients applies to
+    # a column: the same error, and no instant past the first failing one is evaluated.
+    seen = []
+    late = nmwit.from_callable(lambda t: seen.append(t) or (math.inf if t >= 2.0 else t))
+    gen = nmwit.LindbladGenerator(dim=2, terms=((late, nmwit.SIGMA_Z),))
+    with pytest.raises(nmwit.MalformedDescription) as per_instant:
+        late(2.5)
+    with pytest.raises(nmwit.MalformedDescription) as column:
+        coefficients(gen, [0.5, 1.0, 2.5, 1.5, 3.0])
+    assert str(column.value) == str(per_instant.value) == "coefficient evaluated to non-finite value at t=2.5"
+    assert seen == [2.5, 0.5, 1.0, 2.5]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40), n=st.sampled_from((1, 4, 9)))
 def test_witness_values_are_the_per_instant_vdots_bit_for_bit(seed, k, n):
@@ -100,7 +114,8 @@ def test_witness_values_are_the_per_instant_vdots_bit_for_bit(seed, k, n):
     (nmwit.eternal_depolarizer(), 0.0137),
     (nmwit.load_generator(Path(__file__).parent / "golden" / "custom_generator.json"), 0.02)])
 def test_witness_values_of_a_scan_are_the_per_instant_vdots_bit_for_bit(gen, epsilon):
-    matrices, _, nu, tau, _ = witness_scan(gen, np.linspace(0.05, 4.95, 1000), epsilon)
+    _, matrices, _, nu, tau = grid_pass(gen, checked_grid(np.linspace(0.05, 4.95, 1000)), epsilon,
+                                        witness_stage)
     assert _same_bits(witness_values(nu, tau, matrices), loop_witness_values(nu, tau, matrices))
 
 
@@ -115,7 +130,7 @@ def test_a_grid_that_leaves_a_tabulated_domain_fails_at_its_first_failing_instan
     table = nmwit.tabulated([0.0, top], [1.0, -1.0])
     late = nmwit.from_callable(lambda t: math.inf if t >= fail_from else t)
     gen = nmwit.LindbladGenerator(dim=2, terms=((table, nmwit.SIGMA_X), (late, nmwit.SIGMA_Z)))
-    stage = lambda times, c, matrices, lam, tau: len(times)
+    stage, grid = lambda times, c, matrices, lam, tau: len(times), checked_grid(grid)
     first = next((t for t in grid if t > top or t >= fail_from), None)
     if first is None:
         assert grid_pass(gen, grid, 0.01, stage) == len(grid)

@@ -6,7 +6,8 @@ import pytest
 
 import nmwit
 from nmwit.errors import DegenerateMinimum, DimensionMismatch, NonHermitianJump
-from nmwit.witness import witness_scan
+from nmwit.choi import checked_grid, grid_pass
+from nmwit.witness import witness_matrices, witness_stage
 
 from oracles import BELL_PHI_PLUS, bell_witness_image, rand_density
 
@@ -232,7 +233,8 @@ def _check_floor(W):
 def test_witness_export_floors_only_the_rounding_residue():
     gen = nmwit.load_generator(Path(__file__).parent / "golden" / "custom_generator.json")
     times, eps = np.linspace(0.1, 4.9, 100), 0.02
-    _, omega, nu, tau, witnesses = witness_scan(gen, times, eps)
+    c, _, omega, nu, tau = grid_pass(gen, checked_grid(times), eps, witness_stage)
+    witnesses = witness_matrices(gen, c, eps, nu, tau)
     changed = sum(_check_floor(nmwit.WitnessOperator(
         matrix=W, nu=n, omega=o, tau=v, source_map=nmwit.small_time_map(gen, t, eps)))
         for t, o, n, v, W in zip(times, omega, nu, tau, witnesses))
@@ -258,7 +260,9 @@ def test_x_pattern_witnesses_are_exactly_zero_outside_the_x(gen, start, stop):
     # in one block and W has exactly 0.0 outside the X: the --export-witness floor at
     # 1e-14 of the largest entry never decides these entries. (LAPACK's dense solve left
     # roundoff up to 7.2e-15 there on these grids for the eternal depolarizer.)
-    _, _, _, tau, W = witness_scan(gen, np.linspace(start, stop, 1000), EPS)
+    grid = checked_grid(np.linspace(start, stop, 1000))
+    c, _, _, nu, tau = grid_pass(gen, grid, EPS, witness_stage)
+    W = witness_matrices(gen, c, EPS, nu, tau)
     x = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
     assert ((tau[:, [1, 2]] == 0).all(axis=1) | (tau[:, [0, 3]] == 0).all(axis=1)).all()
     assert not W[:, ~x].any()
