@@ -117,8 +117,7 @@ def choi_of(m: SmallTimeMap) -> ChoiState:
     """Choi state (id (x) N)(|phi+><phi+|) of a snapshot map, built once and kept by m."""
     if m._choi is None:
         _, matrices, spectrum = choi_grid(m.generator, [m.t], m.epsilon)
-        matrix = matrices[0] if matrices.dtype.kind == "c" else frozen(matrices[0])  # kept complex
-        object.__setattr__(m, "_choi", ChoiState(matrix, m.t, m.epsilon, spectrum[0]))
+        object.__setattr__(m, "_choi", ChoiState(matrices[0], m.t, m.epsilon, spectrum[0]))
     return m._choi
 
 

@@ -20,9 +20,9 @@ stack. A stack of a real dtype (the float64 stacks of a Pauli-diagonal
 generator, lindblad) holds real matrices only, so it is neither tested for an
 imaginary part nor copied into one: its Hermiticity check in eigh_checked is
 a real transpose, difference and abs. A real matrix gets the same bits
-whether it arrives real or as complex with a zero imaginary part.
-eig_hermitian is eigh_checked's one-matrix case, and eigh_checked's
-eigenvectors are complex for every kind. LAPACK is always numpy's eigh, its
+whether it arrives real or as complex with a zero imaginary part, and
+eigh_checked's eigenvectors take the stack's dtype, whatever the kind of each
+matrix; eig_hermitian is its one-matrix case. LAPACK is always numpy's eigh, its
 vectors dropped where none are asked for (its values-only routine may differ
 in the last bits); only the closed form, whose eigenvalues do not depend on
 them, leaves its vectors out. So eigvalsh and eigh_checked, with vectors or
@@ -97,8 +97,15 @@ def is_hermitian(M: np.ndarray) -> bool:
         return M.shape[0] == M.shape[1] and np.abs(M - dag(M)).max() < TOL_HERM
 
 
+def is_dim(d) -> bool:
+    """Whether d is a dimension: an integer >= 1, and not a bool."""
+    return not isinstance(d, bool) and isinstance(d, (int, np.integer)) and d >= 1
+
+
 def max_entangled(d: int) -> np.ndarray:
-    """Ket sum_i |ii> / sqrt(d) on a d*d bipartite space."""
+    """Ket sum_i |ii> / sqrt(d) on a d*d bipartite space; ParameterOutOfRange unless is_dim(d)."""
+    if not is_dim(d):
+        raise ParameterOutOfRange(f"dimension must be an integer >= 1, got {d!r}")
     v = np.zeros(d * d, dtype=complex)
     v[:: d + 1] = 1.0 / np.sqrt(d)
     v.setflags(write=False)
@@ -190,7 +197,7 @@ def _x_blocks(B: np.ndarray, vectors: bool):
 
 
 def _x_solve(R: np.ndarray, vectors: bool):
-    """(eigenvalues, complex eigenvectors or None) of a stack (k, 4, 4) of real X-pattern
+    """(eigenvalues, real eigenvectors or None) of a stack (k, 4, 4) of real X-pattern
     matrices, from the closed form of their two blocks."""
     k = len(R)
     values, x, y = _x_blocks(R.reshape(k, 16)[:, _BLOCKS].reshape(k, 2, 3), vectors)
@@ -198,8 +205,8 @@ def _x_solve(R: np.ndarray, vectors: bool):
     if not vectors:
         vals.sort(axis=1)
         return vals, None
-    V = np.zeros((k, 4, 4), dtype=complex)  # V[i, j] is the eigenvector of vals[i, j]
-    V.real.reshape(k, 16)[:, _VEC] = np.concatenate((-y, x, x, y), axis=1) + 0.0
+    V = np.zeros((k, 4, 4))  # V[i, j] is the eigenvector of vals[i, j]
+    V.reshape(k, 16)[:, _VEC] = np.concatenate((-y, x, x, y), axis=1) + 0.0
     order, i = np.argsort(vals, axis=1, kind="stable"), np.arange(k)[:, None]
     return vals[i, order], V[i, order].transpose(0, 2, 1)
 
@@ -230,7 +237,7 @@ def _solve(M: np.ndarray, vectors: bool):
         vals, vecs = solve(A, vectors)
     else:  # each kind solved once, its results scattered back to its rows
         vals = np.empty(M.shape[:-1])
-        vecs = np.empty(M.shape, dtype=complex) if vectors else None
+        vecs = np.empty(M.shape, dtype=M.dtype) if vectors else None
         for rows, solve, A in kinds:
             vals[rows], part = solve(A[rows], vectors)
             if vectors:
@@ -247,7 +254,7 @@ def eigh_checked(M: np.ndarray, vectors: bool = True) -> Spectrum:
     """Ascending eigendecompositions of a stack (k, n, n) of Hermitian matrices, real or
     complex, under the module's rule.
 
-    Eigenvalues are real and eigenvectors complex, both read-only. Raises
+    Eigenvalues are real and eigenvectors of M's dtype, both read-only. Raises
     NonHermitianInput for the first matrix that fails the Hermiticity check
     at TOL_HERM. Without vectors, eigenvectors is None and the eigenvalues are
     the same bits.
@@ -263,7 +270,7 @@ def eigh_checked(M: np.ndarray, vectors: bool = True) -> Spectrum:
     vals, vecs = _solve(M, vectors)
     vals.setflags(write=False)
     if vectors:
-        vecs = vecs.astype(complex, copy=False)
+        vecs = vecs.astype(M.dtype, copy=False)
         vecs.setflags(write=False)
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 

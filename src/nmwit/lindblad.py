@@ -27,10 +27,11 @@ instant.
 The compiled stack is float64 when every image is exactly real, as for every
 Pauli-diagonal generator (the eternal depolarizer, dephasing and
 entanglement's map family), and holds the complex images' real parts bit for
-bit; otherwise it is complex128. What is built from it has its dtype: the
-Choi matrices, the superoperators, and the images of real operators under
-extend, each the real part of its complex counterpart bit for bit. So a real
-generator's stacks are built, checked and diagonalized on half the bytes.
+bit; otherwise it is complex128. Only the compile decides real or complex:
+what is built from the stack has its dtype (Choi matrices and states, their
+eigenvectors, SPA states, superoperators, witnesses, images of real operators
+under extend), each the real part of its complex counterpart bit for bit. So
+a real generator's stacks are built, checked and diagonalized on half the bytes.
 
 Generators and maps are immutable in value; a map only keeps the Choi state
 choi.choi_of builds for it (threads racing on a fresh map build the same
@@ -47,10 +48,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (DimensionMismatch, MalformedDescription, NmwitError, NonPositiveEpsilon,
-                     ParameterOutOfRange)
-from .kernel import (PAULI_BY_NAME, SIGMA_X, SIGMA_Y, SIGMA_Z, as_matrix, frozen, max_entangled,
-                     projector)
+from .errors import MalformedDescription, NmwitError, NonPositiveEpsilon, ParameterOutOfRange
+from .kernel import (PAULI_BY_NAME, SIGMA_X, SIGMA_Y, SIGMA_Z, as_matrix, frozen, is_dim,
+                     max_entangled, projector)
 
 _KINDS = ("constant", "eternal_tanh", "tabulated", "callable")
 
@@ -65,7 +65,7 @@ class CoefficientModel:
                        negative coefficient of the benchmark depolarizer)
       tabulated     -> linear interpolation of (times, values); evaluation
                        outside the table domain raises ParameterOutOfRange
-      callable      -> func(t)
+      callable      -> func(t), a finite real number (else MalformedDescription)
     """
 
     kind: str
@@ -112,9 +112,13 @@ class CoefficientModel:
             out[:] = np.interp(t, self.times, self.values)
         else:
             for k, t in enumerate(times):
-                out[k] = value = float(self.func(t))
-                if not math.isfinite(value):
-                    raise MalformedDescription(f"coefficient evaluated to non-finite value at t={t:g}")
+                value = self.func(t)  # an exception the callable raises propagates unchanged
+                try:  # not float() of a complex value, which would drop its imaginary part
+                    out[k] = number = math.nan if np.iscomplexobj(value) else float(value)
+                except (TypeError, ValueError, OverflowError):  # None, a list, "x", 10**400
+                    number = math.nan
+                if not math.isfinite(number):
+                    raise MalformedDescription(f"coefficient evaluated to non-real or non-finite value at t={t:g}")
         return out
 
 
@@ -146,6 +150,7 @@ def _as_coefficient(c) -> CoefficientModel:
 class LindbladGenerator:
     """Diagonal-form generator on dim >= 1: at most dim^2 (coefficient, jump) terms; equal only to itself.
 
+    Each jump is a numeric dim x dim matrix (DimensionMismatch otherwise).
     choi_images, one d^2 x d^2 Choi image B_a per term, is the one compiled stack
     (module docstring): float64 when every image is exactly real, else
     complex128; ParameterOutOfRange if any is not finite.
@@ -157,21 +162,17 @@ class LindbladGenerator:
     choi_images: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+        if not is_dim(self.dim):
             raise MalformedDescription(f"generator dim must be an integer >= 1, got {self.dim!r}")
         d, n, T = self.dim, self.dim**2, len(self.terms)
         if T > n:
             raise MalformedDescription(f"{T} terms exceed dim^2 = {n}")
-        P = _choi_input(d, complex)
+        P = _choi_input(d).astype(complex)  # cast once, not promoted by each of three products
+        terms = tuple((_as_coefficient(coef), frozen(as_matrix(jump, (d, d)))) for coef, jump in self.terms)
+        object.__setattr__(self, "terms", terms)
         L, K = LK = np.empty((2, T, d, d), dtype=complex)  # L_a and K_a = L_a^dag L_a of every term
-        checked = []
-        for a, (coef, jump) in enumerate(self.terms):
-            jump = frozen(jump)
-            if jump.shape != (d, d):
-                raise DimensionMismatch(f"jump operator shape {jump.shape} does not match dim {d}")
-            checked.append((_as_coefficient(coef), jump))
+        for a, (_, jump) in enumerate(terms):
             L[a] = jump
-        object.__setattr__(self, "terms", tuple(checked))
         with np.errstate(all="ignore"):  # overflow is reported below, as ParameterOutOfRange
             np.matmul(L.conj().swapaxes(1, 2), L, out=K)
             E, IK = _kron(np.eye(d, dtype=complex), LK).reshape(2, T, n, n)  # E = I (x) L and I (x) K
@@ -222,10 +223,10 @@ def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _choi_input(d: int, dtype=float) -> np.ndarray:
-    """P = |phi+><phi+| on the d^2-dimensional space, one read-only array per d and dtype: real,
-    or complex with a +0 imaginary part, so that a stack meets the P of its own dtype."""
-    return frozen(projector(max_entangled(d)).real, dtype)
+def _choi_input(d: int) -> np.ndarray:
+    """P = |phi+><phi+| on the d^2-dimensional space, one real read-only array per d; numpy
+    promotes it to P + 0i where it meets a complex stack."""
+    return frozen(projector(max_entangled(d)).real, float)
 
 
 def _reshuffle(X: np.ndarray, d: int) -> np.ndarray:
@@ -254,7 +255,7 @@ def choi_matrices(gen: LindbladGenerator, c: np.ndarray, epsilon: float) -> np.n
     """
     matrices = np.einsum("ka,aij->kij", c, gen.choi_images)
     matrices *= epsilon
-    matrices += _choi_input(gen.dim, matrices.dtype)
+    matrices += _choi_input(gen.dim)
     matrices.setflags(write=False)
     return matrices
 
@@ -263,17 +264,14 @@ def _superoperators(gen: LindbladGenerator) -> np.ndarray:
     """Each term's S_a[(k,l),(i,j)] = B_a[(i,k),(j,l)] / P[0,0] as a row of a contiguous (T, d^4)
     array of the images' dtype.
 
-    numpy divides a + bi by p + 0i as ((a + b*0) * (1/p), (b - a*0) * (1/p)),
-    so a real image's entry a becomes (a + 0.0) * (1/p): the bits of the real
-    part of the complex quotient of a + 0i.
+    numpy promotes the real p to p + 0i and divides a + bi by it as
+    ((a + b*0) * (1/p), (b - a*0) * (1/p)), so a real image's entry a becomes
+    (a + 0.0) * (1/p): the bits of the real part of the complex quotient of a + 0i.
     """
     T, d, B = len(gen.terms), gen.dim, gen.choi_images
     R = B.reshape(T, d, d, d, d).transpose(0, 2, 4, 1, 3)  # R[a,k,l,i,j] = B_a[(i,k),(j,l)]
-    S, p = np.empty(R.shape, dtype=B.dtype), _choi_input(d, B.dtype)[0, 0]
-    if B.dtype.kind == "c":
-        np.divide(R, p, out=S)
-    else:
-        np.multiply(R + 0.0, 1.0 / p, out=S)
+    p = _choi_input(d)[0, 0]
+    S = np.divide(R, p, order="C") if B.dtype.kind == "c" else np.multiply(R + 0.0, 1.0 / p, order="C")
     return S.reshape(T, d**4)
 
 

@@ -59,6 +59,6 @@ def optimal_decomposition(choi: ChoiState) -> SpaDecomposition:
     n = len(choi.matrix)
     shifted = nu * choi.spectrum.eigenvalues + p / n  # the mixture keeps C's eigenvectors
     shifted.setflags(write=False)
-    spa_choi = ChoiState(frozen(nu * choi.matrix + p * np.eye(n) / n), choi.t, choi.epsilon,
-                         Spectrum(shifted, choi.spectrum.eigenvectors))
+    matrix = frozen(nu * choi.matrix + p * np.eye(n) / n, choi.matrix.dtype)
+    spa_choi = ChoiState(matrix, choi.t, choi.epsilon, Spectrum(shifted, choi.spectrum.eigenvectors))
     return SpaDecomposition(lambda_minus=lam, omega=p, nu=nu, spa_choi=spa_choi)

@@ -3,7 +3,9 @@
 CLI tests run ``python -m nmwit`` in subprocesses, some of them with a
 temporary working directory. A relative ``PYTHONPATH=src`` does not resolve
 there, so the absolute path of ``src`` is put first on the PYTHONPATH that
-subprocesses inherit.
+subprocesses inherit. PYTHONWARNINGS gives those subprocesses (the CLI and
+the demos) the warning policy that pyproject.toml gives in-process tests: a
+RuntimeWarning or DeprecationWarning is an error.
 
 The solves fixture counts eigensolves at kernel's solver boundary.
 """
@@ -18,6 +20,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (SRC, os.environ.get("PYTHONPATH")) if p
 )
+os.environ["PYTHONWARNINGS"] = "error::RuntimeWarning,error::DeprecationWarning"
 
 
 @pytest.fixture

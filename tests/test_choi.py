@@ -217,6 +217,31 @@ def test_scan_fails_with_the_first_failing_instant_in_grid_order():
         nmwit.scan(gen, [0.5, float("inf")], EPS)
 
 
+@pytest.mark.parametrize("bad", [np.complex128(0.5 + 0.5j), 0.5 + 0j, None, [0.5], "x", 10**400],
+                         ids=["numpy-complex", "complex", "none", "list", "string", "huge-int"])
+def test_a_callable_coefficient_whose_value_is_not_real_fails_at_its_first_instant(bad):
+    # float() kept the real part of a numpy complex value with only a ComplexWarning, and
+    # raised a bare TypeError or ValueError for the others. The first term's column fails
+    # from t=3 and the second's from t=2, so the pass must report t=2, as a loop does.
+    late = nmwit.from_callable(lambda t: None if t >= 3 else 0.5)
+    early = nmwit.from_callable(lambda t: bad if t >= 2 else 0.5)
+    gen = nmwit.LindbladGenerator(dim=2, terms=((late, nmwit.SIGMA_X), (early, nmwit.SIGMA_Z)))
+    message = r"^coefficient evaluated to non-real or non-finite value at t=2$"
+    with pytest.raises(nmwit.MalformedDescription, match=message):
+        nmwit.choi_of(nmwit.small_time_map(gen, 2.0, EPS))
+    with pytest.raises(nmwit.MalformedDescription, match=message):
+        nmwit.scan(gen, [1.0, 2.0, 3.0], EPS)
+
+
+def test_an_exception_of_a_callable_coefficient_propagates_unchanged():
+    pole = nmwit.from_callable(lambda t: 1 / (t - 2))
+    gen = nmwit.LindbladGenerator(dim=2, terms=((pole, nmwit.SIGMA_Z),))
+    for run in (lambda: nmwit.choi_of(nmwit.small_time_map(gen, 2.0, EPS)),
+                lambda: nmwit.scan(gen, [1.0, 2.0, 3.0], EPS)):
+        with pytest.raises(ZeroDivisionError):
+            run()
+
+
 @pytest.mark.parametrize("matrix, trace", [(np.zeros((4, 4)), "0"), (np.eye(4) / 3, "1.33333")])
 def test_trace_error_prints_the_trace_as_a_plain_number(matrix, trace):
     with pytest.raises(ValueError, match=rf"^Choi matrix trace {trace} is not 1$"):

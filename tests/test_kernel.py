@@ -22,6 +22,7 @@ from oracles import (
     rand_density,
     rand_hermitian,
     reconstruct,
+    same_bits_as,
     tensor,
 )
 
@@ -206,10 +207,19 @@ def test_each_matrix_of_a_stack_is_solved_alone_in_its_own_arithmetic(stack):
         assert np.array_equal(complex_rows, flat[flat_kind == 0])
         assert np.array_equal(real_rows, flat[flat_kind == 1].real)
         assert (n, n_x) == (lapack_calls, x_calls)
-    assert spectrum.eigenvectors.dtype == complex
+    # Eigenvectors take the stack's dtype: these stacks are complex, whatever the kind of a
+    # matrix; a real matrix arriving real gets real vectors, with the same bits.
+    assert spectrum.eigenvectors.dtype == flat.dtype == complex
     assert not spectrum.eigenvalues.flags.writeable and not spectrum.eigenvectors.flags.writeable
+    if flat_kind.all():
+        real = kernel.eigh_checked(flat.real)
+        assert real.eigenvectors.dtype == float
+        assert same_bits_as(real.eigenvectors, spectrum.eigenvectors)
     for k, row in enumerate(flat):
         one = kernel.eigh_checked(row[None])
+        if flat_kind[k]:
+            real = kernel.eigh_checked(row.real[None])
+            assert real.eigenvectors.dtype == float and same_bits_as(real.eigenvectors, one.eigenvectors)
         assert spectrum.eigenvalues[k].tobytes() == one.eigenvalues.tobytes()
         assert spectrum.eigenvectors[k].tobytes() == one.eigenvectors.tobytes()
         assert spectrum.eigenvalues[k].tobytes() == kernel.eigvalsh(row).tobytes()

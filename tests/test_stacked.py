@@ -99,7 +99,7 @@ def test_stacked_pass_matches_per_instant_reference(gen, grid, eps):
     for k in range(first):
         _, _, ref_omega, ref_nu, ref_tau, ref_W, ref_value = refs[k]
         assert (omega[k], nu[k], values[k]) == (ref_omega, ref_nu, ref_value)
-        assert _same_bits(tau[k], ref_tau)
+        assert same_bits_as(tau[k], ref_tau)
         # The package applies the summed superoperator sum_a c_a S_a where the
         # reference sums each term's image, so the witness matrix agrees to rounding only.
         assert np.abs(witnesses[k] - ref_W).max() <= 4 * np.finfo(float).eps * np.abs(ref_W).max()
@@ -107,9 +107,29 @@ def test_stacked_pass_matches_per_instant_reference(gen, grid, eps):
         m = nmwit.small_time_map(gen, grid[k], eps)
         choi = nmwit.choi_of(m)
         W = nmwit.build_witness(m)
-        assert choi.matrix.dtype == complex and same_bits_as(matrices[k], choi.matrix)
+        assert same_bits_as(matrices[k], choi.matrix)
         assert _same_bits(W.matrix, witnesses[k])
         assert nmwit.evaluate(W, choi) == values[k]
+
+
+@pytest.mark.parametrize("gen, dtype", [
+    (nmwit.eternal_depolarizer(), float),
+    (nmwit.dephasing(), float),
+    (nmwit.LindbladGenerator(dim=2, terms=((nmwit.constant(-0.8), _REAL_JUMP),)), float),
+    (nmwit.LindbladGenerator(dim=2, terms=((nmwit.constant(-0.8), _COMPLEX_JUMP),)), complex),
+], ids=["eternal", "dephasing", "real-jump", "complex-jump"])
+def test_what_is_read_off_the_choi_state_keeps_the_compiled_dtype(gen, dtype):
+    # The compile decides real or complex once; the Choi matrix, its eigenvectors, the
+    # witness, the SPA state and the pass's tau take that dtype. A matrix from outside is complex.
+    m = nmwit.small_time_map(gen, 1.0, 0.01)
+    choi, W = nmwit.choi_of(m), nmwit.build_witness(m)
+    *_, tau = grid_pass(gen, [1.0], 0.01, witness_stage)
+    spa_matrix = nmwit.optimal_decomposition(choi).spa_choi.matrix
+    assert gen.choi_images.dtype == dtype
+    for array in (choi.matrix, choi.spectrum.eigenvectors, W.tau, W.matrix, spa_matrix, tau):
+        assert array.dtype == dtype
+    outside = nmwit.choi_state(choi.matrix, 1.0, 0.01)
+    assert outside.matrix.dtype == outside.spectrum.eigenvectors.dtype == complex
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

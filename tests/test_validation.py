@@ -69,6 +69,8 @@ def _one_jump(matrix):
         lambda: nmwit.extend_and_apply(_SNAPSHOT, np.full((4, 4), 1e308)),
         lambda: nmwit.projector([NAN, 0.0]),
         lambda: nmwit.projector([1e200, 1.0]),
+        # A dimension that is not an integer >= 1 (a bool is not one), as for a generator's dim.
+        *(lambda d=d: nmwit.max_entangled(d) for d in (0, -1, 1.5, True, "2")),
     ],
     ids=[
         "resolution=0", "resolution=-1", "resolution=nan", "resolution=inf",
@@ -80,6 +82,8 @@ def _one_jump(matrix):
         "state-nan", "state-inf", "seed=-1", "draws=0", "draws=-3",
         "trace-norm-nan", "trace-norm-overflow", "trace-norm-x-overflow", "extend-overflow",
         "projector-nan", "projector-overflow",
+        "max-entangled-0", "max-entangled--1", "max-entangled-1.5", "max-entangled-true",
+        "max-entangled-string",
     ],
 )
 def test_bad_numeric_input_raises_parameter_out_of_range(build):
@@ -131,13 +135,16 @@ def test_numpy_scalars_are_shown_as_python_floats(build, shown):
             lambda X=X: nmwit.adjoint_identity_residual(X, np.ones(4), np.eye(4) / 4, 0.5),
             lambda X=X: nmwit.adjoint_identity_residual(nmwit.SIGMA_Z, X, np.eye(4) / 4, 0.5),
             lambda X=X: nmwit.adjoint_identity_residual(nmwit.SIGMA_Z, np.ones(4), X, 0.5))),
+        # Jumps that are ragged, a string, or of the wrong shape.
+        *(lambda jump=jump: _one_jump(jump) for jump in ([[1, 0], [0]], "sigma_x", np.eye(3))),
     ],
     ids=["trace-norm-vector", "trace-norm-stack", "trace-norm-string", "extend-string",
          "extend-ragged", "detect-string", "trace-norm-empty", "eig-hermitian-empty", "choi-state-empty",
          "is-hermitian-empty",
          *(f"{call}-{kind}" for kind in ("string", "ragged") for call in (
              "choi-state", "eig-hermitian", "is-hermitian", "projector", "adjoint-G", "adjoint-alpha",
-             "adjoint-rho"))],
+             "adjoint-rho")),
+         "jump-ragged", "jump-string", "jump-3x3"],
 )
 def test_input_that_is_not_a_numeric_matrix_raises_dimension_mismatch(build):
     # Each escaped as a LinAlgError or ValueError, or (a stack given to
@@ -182,6 +189,13 @@ def test_library_errors_are_typed_value_errors(build, error):
         build()
     assert type(raised.value) is error
     assert isinstance(raised.value, NmwitError) and isinstance(raised.value, ValueError)
+
+
+@pytest.mark.parametrize("d", [1, 2, np.int64(3)])
+def test_max_entangled_is_the_unit_ket_sum_of_ii_for_every_dimension(d):
+    v = nmwit.max_entangled(d)
+    assert v.shape == (d * d,) and not v.flags.writeable
+    assert np.array_equal(v, np.eye(d).ravel() / np.sqrt(d))
 
 
 def test_malformed_terms_are_named_and_typed_errors_inside_pass_through():

@@ -93,7 +93,8 @@ def test_a_callable_column_fails_at_its_first_non_finite_instant():
         late(2.5)
     with pytest.raises(nmwit.MalformedDescription) as column:
         coefficients(gen, [0.5, 1.0, 2.5, 1.5, 3.0])
-    assert str(column.value) == str(per_instant.value) == "coefficient evaluated to non-finite value at t=2.5"
+    assert (str(column.value) == str(per_instant.value)
+            == "coefficient evaluated to non-real or non-finite value at t=2.5")
     assert seen == [2.5, 0.5, 1.0, 2.5]
 
 
