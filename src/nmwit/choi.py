@@ -136,19 +136,18 @@ class DivisibilityVerdict:
 
 
 def divisibility_grid(eigenvalues: np.ndarray, tolerance: float):
-    """(minimum eigenvalues, trace-norm excesses, markovian flags), as lists, of a stack of
+    """(minimum eigenvalues, trace-norm excesses, markovian flags), as arrays, of a stack of
     checked Choi states from their ascending eigenvalues; ParameterOutOfRange unless
     tolerance is finite and >= 0."""
     check_tolerance(tolerance)
-    lam = eigenvalues[:, 0].tolist()
-    excess = (np.abs(eigenvalues).sum(axis=1) - 1.0).tolist()
-    return lam, excess, [x >= -tolerance for x in lam]
+    lam = eigenvalues[:, 0]
+    return lam, np.abs(eigenvalues).sum(axis=1) - 1.0, lam >= -tolerance
 
 
 def verdicts(eigenvalues: np.ndarray, tolerance: float) -> list:
     """DivisibilityVerdict of each of a stack of checked Choi states, from their ascending eigenvalues."""
-    return [DivisibilityVerdict(lam, excess, markovian, tolerance)
-            for lam, excess, markovian in zip(*divisibility_grid(eigenvalues, tolerance))]
+    lam, excess, markovian = (x.tolist() for x in divisibility_grid(eigenvalues, tolerance))
+    return [DivisibilityVerdict(*row, tolerance) for row in zip(lam, excess, markovian)]
 
 
 def classify(choi: ChoiState, tolerance: float = 1e-9) -> DivisibilityVerdict:

@@ -12,7 +12,8 @@ complete positivity to nonnegativity of the Choi weights
 {1 - 2*g1 - g2, g1, g1, g2}. Both closed forms are checked against the map
 itself at every use, from its stacked Choi matrices J (lindblad.choi_matrices):
 the Pauli transfer matrix, read off all of J in one matrix product, must be
-diag(1, s, s, u), and the spectrum of J must be the Choi weights. A
+diag(1, s, s, u), and the spectrum of J must be the Choi weights. Both run
+in real arithmetic, with no sort: the product is real since J is. A
 disagreement raises CrossCheckFailed. Every entry that judges a point runs
 this one check (_check_points), the phase scan on each block.
 
@@ -165,8 +166,12 @@ def is_positive(pt: MapFamilyPoint, *, tolerance: float = TOL_PSD) -> bool:
 
 
 def _choi_weights(g1, g2) -> np.ndarray:
-    """Closed-form Choi eigenvalues {1-2*g1-g2, g1, g1, g2} of each point, ascending."""
-    return np.sort(np.stack([1.0 - 2.0 * g1 - g2, g1, g1, g2], axis=-1), axis=-1)
+    """Closed-form Choi eigenvalues {1-2*g1-g2, g1, g1, g2} of each point, ascending, from a
+    sorting network of five comparators: (0, 1), (2, 3), (0, 2), (1, 3), (1, 2)."""
+    w = 1.0 - 2.0 * g1 - g2
+    a, b, c, d = np.minimum(w, g1), np.maximum(w, g1), np.minimum(g1, g2), np.maximum(g1, g2)
+    a, c, b, d = np.minimum(a, c), np.maximum(a, c), np.minimum(b, d), np.maximum(b, d)
+    return np.stack([a, np.minimum(b, c), np.maximum(b, c), d], axis=-1)
 
 
 def _disagree(residual: np.ndarray, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
@@ -190,7 +195,8 @@ def _check_points(g1: np.ndarray, g2: np.ndarray, tolerance: float):
     check_tolerance(tolerance)
     J = choi_matrices(_FAMILY, np.stack([g1, g1, g2], axis=-1), 1.0)
     s, u = _factors(g1, g2)
-    R = J.reshape(len(g1), 16) @ _TRANSFER  # R[k, 4i + j]; the diagonal is at columns 0, 5, 10, 15
+    # R[k, 4i + j], real J times _TRANSFER's interleaved parts; the diagonal is at 0, 5, 10, 15.
+    R = (J.reshape(len(g1), 16) @ _TRANSFER.view(float)).view(complex)
     R[:, 0] -= 1.0
     R[:, 5:11:5] -= s[:, None]
     R[:, 15] -= u

@@ -13,7 +13,9 @@ eigvalsh, under one rule decided per matrix, which knows three kinds:
 - a real matrix, of a real or a complex dtype: LAPACK in real arithmetic;
 - a real 4x4 matrix that is also exactly zero outside the "X" of the blocks
   (0, 3) and (1, 2), as every Bell-diagonal matrix is: the closed form of
-  those two symmetric 2x2 blocks (_x_blocks), never LAPACK.
+  those two symmetric 2x2 blocks (_x_blocks), never LAPACK. It runs over one
+  contiguous (3, 2, k) array of the blocks' (a, b, c), and merges their
+  ordered pairs with min/max and three masks (_x_solve), with no sort.
 _solve sorts a stack's matrices by kind, solves each kind in one call and
 scatters the results back, so a matrix gets the same bits alone as in any
 stack. A stack of a real dtype (the float64 stacks of a Pauli-diagonal
@@ -146,46 +148,43 @@ class Spectrum:
         return Spectrum(self.eigenvalues[index], None if vecs is None else vecs[index])
 
 
-# Flat indices into a 4x4 matrix: (a, b, c) of its blocks [[a, b], [b, c]] (0, 3) and (1, 2), b
-# from the lower triangle that LAPACK reads; and the eight entries outside that "X" pattern.
-_BLOCKS = np.array([0, 12, 15, 5, 9, 10])
+# Flat indices into a 4x4 matrix: (a, b, c) of its blocks [[a, b], [b, c]] (0, 3) and (1, 2),
+# both blocks' a, then their b (from the lower triangle that LAPACK reads), then their c; and the
+# eight entries outside that "X" pattern.
+_BLOCKS = np.array([0, 5, 12, 9, 15, 10])
 _OFF_X = np.array([1, 2, 4, 7, 8, 11, 13, 14])
-# Where the closed form's eigenvector components go, as flat indices into the 4x4 matrix whose
-# rows are the eigenvectors of lo (0, 3), hi (0, 3), lo (1, 2), hi (1, 2): the first component of
-# lo in both blocks, lo's second, hi's first, hi's second.
-_VEC = np.array([0, 9, 3, 10, 4, 13, 7, 14])
 _SPLIT = 2.0**27 + 1.0  # Dekker's splitter for float64 (TwoProduct)
 
 
 def _x_blocks(B: np.ndarray, vectors: bool):
-    """(values, x, y) of the symmetric blocks [[a, b], [b, c]] whose (a, b, c) run along the
-    last axis of B, elementwise.
+    """(lo, hi, x, y) of the symmetric blocks [[a, b], [b, c]] whose (a, b, c) run along the
+    first axis of B, elementwise.
 
-    values[..., :] is (lo, hi), lo <= hi, and (x, y) is hi's unit eigenvector, (-y, x) lo's
-    (x and y are None unless vectors). Each block is scaled by a power of two so that its
-    largest |entry| lies in [0.5, 1), which is exact. The eigenvalue of larger magnitude is rt1 of LAPACK's dlaev2, the other det / rt1,
-    with det = a*c - b*b from Dekker's error-free TwoProduct; the eigenvector is formed as in
-    dlaev2, from a ratio of magnitude at most 1.
+    lo <= hi are the eigenvalues, (x, y) is hi's unit eigenvector and (-y, x) lo's (x and y
+    are None unless vectors). Each block is scaled by a power of two so that its largest
+    |entry| lies in [0.5, 1), which is exact. The eigenvalue of larger magnitude is rt1 of
+    LAPACK's dlaev2, the other det / rt1, with det = a*c - b*b from Dekker's error-free
+    TwoProduct; the eigenvector is formed as in dlaev2, from a ratio of magnitude at most 1.
     """
-    e = np.frexp(np.abs(B).max(axis=-1))[1]
-    B = np.ldexp(B, -e[..., None])
+    e = np.frexp(np.abs(B).max(axis=0))[1]
+    B = np.ldexp(B, -e)
     H = B * _SPLIT
     H = H - (H - B)
     L = B - H  # each entry split exactly into halves of 26 bits
-    (X, Y), (HX, HY), (LX, LY) = ((A[..., :2], A[..., 2:0:-1]) for A in (B, H, L))
+    (X, Y), (HX, HY), (LX, LY) = ((A[:2], A[2:0:-1]) for A in (B, H, L))
     P = X * Y  # (a*c, b*b) and their rounding errors E
     E = (((HX * HY - P) + HX * LY) + LX * HY) + LX * LY
-    det = (P[..., 0] - P[..., 1]) + (E[..., 0] - E[..., 1])
-    a, b, c = B[..., 0], B[..., 1], B[..., 2]
+    det = (P[0] - P[1]) + (E[0] - E[1])
+    a, b, c = B
     sm, df, tb = a + c, a - c, b + b
     rt = np.sqrt(df * df + tb * tb)
     rt1 = 0.5 * (sm + np.copysign(rt, sm))
     rt2 = det / (rt1 + (rt1 == 0.0))  # 0 for a zero block
     with np.errstate(over="ignore"):  # an eigenvalue beyond the float range is inf, as from LAPACK
-        values = np.ldexp(np.stack((np.minimum(rt1, rt2), np.maximum(rt1, rt2)), axis=-1),
-                          e[..., None]) + 0.0  # + 0.0 turns -0.0 into 0.0
+        lo, hi = np.ldexp(np.stack((np.minimum(rt1, rt2), np.maximum(rt1, rt2))),
+                          e) + 0.0  # + 0.0 turns -0.0 into 0.0
     if not vectors:
-        return values, None, None
+        return lo, hi, None, None
     # hi's eigenvector is (r, tb) for df >= 0 and (tb, r) otherwise, up to a factor, with
     # r = |df| + rt >= |tb| free of cancellation; r = 0 only for a multiple of the identity.
     r = np.maximum(np.abs(df) + rt, np.abs(tb))
@@ -193,22 +192,37 @@ def _x_blocks(B: np.ndarray, vectors: bool):
     h = np.sqrt(1.0 + t * t)
     x, y = 1.0 / h, t / h
     up = df >= 0.0
-    return values, np.where(up, x, y), np.where(up, y, x)
+    return lo, hi, np.where(up, x, y), np.where(up, y, x)
 
 
 def _x_solve(R: np.ndarray, vectors: bool):
     """(eigenvalues, real eigenvectors or None) of a stack (k, 4, 4) of real X-pattern
-    matrices, from the closed form of their two blocks."""
+    matrices, from the closed form of their two blocks, merged in the order of a stable
+    sort of [lo (0, 3), hi (0, 3), lo (1, 2), hi (1, 2)]."""
     k = len(R)
-    values, x, y = _x_blocks(R.reshape(k, 16)[:, _BLOCKS].reshape(k, 2, 3), vectors)
-    vals = values.reshape(k, 4)  # [lo (0, 3), hi (0, 3), lo (1, 2), hi (1, 2)]
+    lo, hi, x, y = _x_blocks(R.reshape(k, 16).T[_BLOCKS].reshape(3, 2, k), vectors)
+    p, q = np.maximum(*lo), np.minimum(*hi)  # the middle two, in either order
+    vals = np.empty((k, 4))
+    for j, (merge, u, v) in enumerate(((np.minimum, *lo), (np.minimum, p, q),
+                                       (np.maximum, p, q), (np.maximum, *hi))):
+        merge(u, v, out=vals[:, j])
     if not vectors:
-        vals.sort(axis=1)
         return vals, None
-    V = np.zeros((k, 4, 4))  # V[i, j] is the eigenvector of vals[i, j]
-    V.reshape(k, 16)[:, _VEC] = np.concatenate((-y, x, x, y), axis=1) + 0.0
-    order, i = np.argsort(vals, axis=1, kind="stable"), np.arange(k)[:, None]
-    return vals[i, order], V[i, order].transpose(0, 2, 1)
+    first, last = lo[1] < lo[0], hi[0] > hi[1]  # block (1, 2)'s lo leads, block (0, 3)'s hi trails
+    # The middle lo goes after the middle hi where q < p, or on a tie of hi (0, 3) and lo (1, 2).
+    swap = (q < p) | ((q == p) & ~(first | last))
+    x, y = x + 0.0, y + 0.0  # no -0.0
+    # [block, component, k], on the coordinates (0, 3) of block (0, 3) and (1, 2) of (1, 2).
+    lov, hiv = np.stack((0.0 - y, x), axis=1), np.stack((x, y), axis=1)
+    V = np.zeros((4, 4, k))  # V[j, :, i] is the eigenvector of vals[i, j]
+    # The leading lo, the middle lo, the middle hi and the trailing hi; the middle two then swap.
+    for j, vec, block_03 in ((0, lov, ~first), (1, lov, first), (2, hiv, ~last), (3, hiv, last)):
+        np.copyto(V[j, ::3], vec[0], where=block_03)
+        np.copyto(V[j, 1:3], vec[1], where=~block_03)
+    middle = V[1].copy()
+    np.copyto(V[1], V[2], where=swap)
+    np.copyto(V[2], middle, where=swap)
+    return vals, V.transpose(2, 1, 0)
 
 
 def _lapack(A: np.ndarray, vectors: bool):

@@ -351,11 +351,11 @@ def _jump_from_desc(desc) -> np.ndarray:
         for row in desc["matrix"]:
             entries = []
             for entry in row:
-                if isinstance(entry, (list, tuple)):
-                    re, im = entry
-                    entries.append(complex(re, im))
-                else:
-                    entries.append(complex(entry))
+                re, im = entry if isinstance(entry, (list, tuple)) else (entry, 0.0)
+                if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
+                    raise TypeError("a jump matrix entry must be a number or an [re, im] pair of "
+                                    f"numbers, got {entry!r}")
+                entries.append(complex(re, im))
             rows.append(entries)
         return np.array(rows, dtype=complex)
     raise MalformedDescription(f"jump must be a Pauli name or {{'matrix': ...}}, got {desc!r}")
@@ -377,8 +377,9 @@ def generator_from_dict(desc: dict, label: str = "custom") -> LindbladGenerator:
 
     Format: {"dim": d, "terms": [{"coefficient": {...}, "jump": ...}, ...]}
     with jump a case-insensitive Pauli name or {"matrix": [[entry, ...], ...]}
-    where each entry is a real number or an [re, im] pair. A description that
-    does not follow the format raises MalformedDescription.
+    where each entry is a real number or an [re, im] pair of them; a bool or a
+    string is not a number. A description that does not follow the format
+    raises MalformedDescription.
     """
     if not isinstance(desc, dict):
         raise MalformedDescription("generator description must be a JSON object")
@@ -395,7 +396,7 @@ def generator_from_dict(desc: dict, label: str = "custom") -> LindbladGenerator:
             raise MalformedDescription(f"term {k} lacks the key {e}") from None
         except NmwitError:
             raise
-        except (TypeError, ValueError) as e:  # a value of the wrong JSON type or shape
+        except (TypeError, ValueError, OverflowError) as e:  # wrong JSON type or shape, 10**400
             raise MalformedDescription(f"term {k}: {e}") from None
     return LindbladGenerator(dim=desc.get("dim"), terms=tuple(parsed), label=label)
 

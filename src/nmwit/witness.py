@@ -165,9 +165,9 @@ def build_witness(m: SmallTimeMap) -> WitnessOperator:
                            source_map=m)
 
 
-def witness_values(nu: np.ndarray, tau: np.ndarray, matrices: np.ndarray) -> list[float]:
+def witness_values(nu: np.ndarray, tau: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     """nu * <tau| C |tau> of each instant of a stack, as two stacked matrix-vector products."""
-    return (nu * (tau.conj()[:, None, :] @ (matrices @ tau[:, :, None]))[:, 0, 0].real).tolist()
+    return nu * (tau.conj()[:, None, :] @ (matrices @ tau[:, :, None]))[:, 0, 0].real
 
 
 def evaluate(W: WitnessOperator, choi: ChoiState) -> float:
@@ -183,7 +183,7 @@ def evaluate(W: WitnessOperator, choi: ChoiState) -> float:
         raise DimensionMismatch(
             f"witness dimension {W.tau.shape[0]} vs Choi dimension {choi.matrix.shape[0]}"
         )
-    return witness_values(np.array([W.nu]), W.tau[None], choi.matrix[None])[0]
+    return float(witness_values(np.array([W.nu]), W.tau[None], choi.matrix[None])[0])
 
 
 def classify_by_witness(W: WitnessOperator, choi: ChoiState, tolerance: float = 1e-9) -> str:

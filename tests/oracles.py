@@ -31,6 +31,11 @@ package's column-wise coefficients and stacked witness values, which must
 reproduce them bit for bit; loop_coefficients reads each coefficient's kind
 and parameters itself (coefficient_at), not through the package's rule. same_bits_as compares a stack the package keeps
 real with a complex reference bit for bit.
+
+x_solve_by_argsort pins the order in which kernel's closed form returns the
+eigenvalues and eigenvectors of real X-pattern matrices: it takes each
+block's pair from the package's own kernel._x_blocks and orders the four by a
+stable argsort, as the closed form did before its merge replaced the sort.
 """
 
 from __future__ import annotations
@@ -424,6 +429,25 @@ def loop_coefficients(gen, times):
 def loop_witness_values(nu, tau, matrices):
     """nu * <tau| C |tau> of each instant, one np.vdot each."""
     return [float(np.real(n * np.vdot(v, C @ v))) for n, v, C in zip(nu.tolist(), tau, matrices)]
+
+
+def x_solve_by_argsort(R, vectors):
+    """(eigenvalues, eigenvectors or None) of a stack (k, 4, 4) of real X-pattern matrices:
+    the closed-form pairs of the blocks (0, 3) and (1, 2), [lo (0, 3), hi (0, 3), lo (1, 2),
+    hi (1, 2)], ordered by a stable argsort, and lo's eigenvector (-y, x) and hi's (x, y) on
+    the coordinates of their block, gathered in the same order."""
+    k, rows, cols = len(R), (0, 1), (3, 2)
+    B = np.stack([R[:, rows, rows].T, R[:, cols, rows].T, R[:, cols, cols].T])  # (a, b, c) of each
+    lo, hi, x, y = nmwit.kernel._x_blocks(B, vectors)
+    values = np.stack([lo[0], hi[0], lo[1], hi[1]], axis=1)
+    order, i = np.argsort(values, axis=1, kind="stable"), np.arange(k)[:, None]
+    if not vectors:
+        return values[i, order], None
+    V = np.zeros((k, 4, 4))  # V[:, j] is the eigenvector of values[:, j]
+    for j, (block, first, second) in enumerate([(0, -y[0], x[0]), (0, x[0], y[0]),
+                                                (1, -y[1], x[1]), (1, x[1], y[1])]):
+        V[:, j, rows[block]], V[:, j, cols[block]] = first + 0.0, second + 0.0
+    return values[i, order], V[i, order].transpose(0, 2, 1)
 
 
 def same_bits_as(A, ref) -> bool:

@@ -162,6 +162,80 @@ def test_cross_check_failure_is_a_runtime_error():
     assert issubclass(CrossCheckFailed, RuntimeError)
 
 
+# --- the check in real arithmetic ---------------------------------------------
+
+def _sorted_weights(g1, g2):
+    """The Choi weights {1-2*g1-g2, g1, g1, g2} of each point, ordered by np.sort."""
+    return np.sort(np.stack([1.0 - 2.0 * g1 - g2, g1, g1, g2], axis=-1), axis=-1)
+
+
+def test_the_family_compiles_to_real_choi_images():
+    # _check_points reads the transfer matrix off J in one real product, which needs a real J.
+    assert _FAMILY.choi_images.dtype == np.float64
+
+
+_COEFFICIENT = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 0.25, 0.5, 1e-300])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(points=st.lists(st.tuples(_COEFFICIENT, _COEFFICIENT), min_size=1, max_size=40))
+def test_the_real_transfer_product_is_the_complex_one_and_keeps_the_verdicts(points):
+    # J times the interleaved parts of _TRANSFER is J.astype(complex) @ _TRANSFER within
+    # 1e-15 of each row's largest entry; the complex product passes the transfer check, so
+    # _check_points, which passes it too, gives every point the closed forms' verdicts.
+    g1, g2 = np.array(points).T
+    n = len(g1)
+    J = choi_matrices(_FAMILY, np.stack([g1, g1, g2], axis=-1), 1.0)
+    real = (J.reshape(n, 16) @ entanglement._TRANSFER.view(float)).view(complex)
+    ref = J.astype(complex).reshape(n, 16) @ entanglement._TRANSFER
+    assert (np.abs(real - ref) <= 1e-15 * np.abs(ref).max(axis=1, keepdims=True)).all()
+    s, u = _factors(g1, g2)
+    ref[:, 0] -= 1.0
+    ref[:, 5:11:5] -= s[:, None]
+    ref[:, 15] -= u
+    assert not entanglement._disagree(ref, g1, g2).any()
+    positive, cp, least = entanglement._check_points(g1, g2, 1e-9)
+    assert np.array_equal(positive, np.maximum(np.abs(s), np.abs(u)) <= 1.0 + 2e-9)
+    assert np.array_equal(least, _sorted_weights(g1, g2)[:, 0]) and np.array_equal(cp, least >= -1e-9)
+
+
+# Finite coefficients with finite weights, no -0.0 among them, and ties among the weights.
+_FINITE = st.floats(-1e300, 1e300).map(lambda x: x + 0.0) | st.sampled_from([0.0, 0.25, 0.5, 1.0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(points=st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=20))
+def test_the_choi_weights_network_is_np_sort_bit_for_bit(points):
+    g1, g2 = np.array(points).T
+    assert _choi_weights(g1, g2).tobytes() == _sorted_weights(g1, g2).tobytes()
+    for a, b in points:  # and on the scalars of one MapFamilyPoint
+        assert _choi_weights(a, b).tobytes() == _sorted_weights(a, b).tobytes()
+
+
+@pytest.mark.parametrize("g1, g2", [(-0.0, 1.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.5, -0.0)])
+def test_the_choi_weights_network_orders_a_negative_zero_by_value(g1, g2):
+    # Against 0.0, -0.0 may take either place, in the network as in np.sort: the values
+    # agree, and no verdict reads the sign of a zero weight.
+    assert np.array_equal(_choi_weights(g1, g2), _sorted_weights(g1, g2))
+
+
+_ANY = st.floats() | st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, 0.5])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(points=st.lists(st.tuples(_ANY, _ANY), min_size=1, max_size=20))
+def test_finite_decides_as_with_np_sort_on_infinite_and_nan_input(points):
+    # The network keeps every inf and spreads every NaN, so the weights of each point are
+    # finite exactly when the np.sort ones are, and _finite's verdict is unchanged.
+    g1, g2 = np.array(points).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(_sorted_weights(g1, g2)).all(axis=1)
+        assert np.array_equal(np.isfinite(_choi_weights(g1, g2)).all(axis=1), finite)
+        for k, (a, b) in enumerate(points):
+            assert entanglement._finite(a, b) == (finite[k] and np.isfinite(_factors(a, b)).all())
+        assert entanglement._finite(g1, g2) == (finite.all() and np.isfinite(_factors(g1, g2)).all())
+
+
 # --- complete positivity -------------------------------------------------------
 
 def test_cp_known_points():

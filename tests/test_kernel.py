@@ -24,6 +24,7 @@ from oracles import (
     reconstruct,
     same_bits_as,
     tensor,
+    x_solve_by_argsort,
 )
 
 
@@ -287,6 +288,56 @@ def test_closed_form_matches_40_digit_eigenvalues_of_each_block(first, second, s
     assert values.tobytes() == kernel.eigvalsh(M).tobytes()
     for part in (values, V.real, V.imag):
         assert not (np.signbit(part) & (part == 0)).any()
+
+
+_DYADIC = st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 0.25, -0.75])
+
+
+@st.composite
+def x_stacks(draw):
+    """A stack (k, 4, 4) of X-pattern matrices; in each, the block (1, 2) is drawn alone
+    or from the block (0, 3) (a, b, c): equal to it, mirrored (c, b, a: the same eigenvalue
+    bits, other vectors), zero, entirely below or above it, or overflowing to +-inf; or the
+    two blocks are diagonal with dyadic entries and share one, so that their lo or hi tie."""
+    k = draw(st.integers(1, 6))
+    M = np.zeros((k, 4, 4))
+    for m in M:
+        first, scale = draw(x_blocks()), draw(st.sampled_from([1.0, 2.0**1000, 2.0**-1000, 1e300]))
+        a, b, c = first
+        second = draw(st.sampled_from(["any", "equal", "mirrored", "zero", "below", "above",
+                                       "inf", "shared"]))
+        if second == "shared":
+            (x, z, w), swap = draw(st.tuples(_DYADIC, _DYADIC, _DYADIC)), draw(st.booleans())
+            blocks = [(x, 0.0, z), (w, 0.0, x) if swap else (x, 0.0, w)]
+        else:
+            blocks = [first, {"any": draw(x_blocks()), "equal": first, "mirrored": (c, b, a),
+                              "zero": (0.0, 0.0, 0.0), "below": (a - 4.0, b, c - 4.0),
+                              "above": (a + 4.0, b, c + 4.0), "inf": (0.0, 0.0, 0.0)}[second]]
+        for (i, j), (a, b, c) in zip([(0, 3), (1, 2)], draw(st.permutations(blocks))):
+            m[i, i], m[i, j], m[j, i], m[j, j] = a * scale, b * scale, b * scale, c * scale
+        if second == "inf":  # a block with eigenvalues 0 and +-2e308, which is +-inf
+            sign, (i, j) = draw(st.sampled_from([1.0, -1.0])), draw(st.sampled_from([(0, 3), (1, 2)]))
+            m[i, i], m[i, j], m[j, i], m[j, j] = sign * 1e308, 1e308, 1e308, sign * 1e308
+    return M
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(M=x_stacks())
+def test_the_closed_form_merge_orders_as_a_stable_argsort_bit_for_bit(M):
+    # The merge of the blocks' pairs puts eigenvalues and eigenvectors in the order of a
+    # stable argsort of [lo (0, 3), hi (0, 3), lo (1, 2), hi (1, 2)], ties and infinities
+    # included, with vectors or without; so do the public entries, which solve these
+    # stacks in closed form.
+    for vectors in (True, False):
+        values, vecs = kernel._x_solve(M, vectors)
+        ref_values, ref_vecs = x_solve_by_argsort(M, vectors)
+        assert values.tobytes() == ref_values.tobytes()
+        assert vecs is None if not vectors else vecs.tobytes() == ref_vecs.tobytes()
+        spectrum = kernel.eigh_checked(M, vectors)
+        assert spectrum.eigenvalues.tobytes() == ref_values.tobytes()
+        assert spectrum.eigenvectors is None if not vectors else (
+            spectrum.eigenvectors.tobytes() == ref_vecs.tobytes())
+    assert kernel.eigvalsh(M).tobytes() == ref_values.tobytes()
 
 
 def test_an_overflowing_x_pattern_eigenvalue_is_inf_without_a_warning():

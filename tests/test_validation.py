@@ -1,5 +1,6 @@
 """Non-finite or out-of-range numeric input is rejected with a typed error."""
 
+import json
 import math
 import warnings
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import nmwit
+from nmwit import cli
 from nmwit.entanglement import _choi_weights, _werner_thresholds
 from nmwit.errors import (
     DimensionMismatch,
@@ -291,3 +293,48 @@ def test_a_tolerance_that_is_not_finite_and_nonnegative_raises(entry, tolerance)
 @pytest.mark.parametrize("entry", list(_TOLERANCE_ENTRIES))
 def test_a_zero_tolerance_is_accepted(entry):
     _TOLERANCE_ENTRIES[entry](0.0)
+
+
+# Jump matrix entries that are not JSON numbers, nor [re, im] pairs of them: strings that
+# complex() would parse, bools, None, and pairs holding either; and an integer beyond floats.
+_BAD_ENTRIES = [
+    ([["1", "0"], ["0", "-1+2j"]], "'1'"),
+    ([[True, 0], [0, False]], "True"),
+    ([[1, None], [0, 1]], "None"),
+    ([[1, [0, "1"]], [0, 1]], "[0, '1']"),
+    ([[1, [False, 1]], [0, 1]], "[False, 1]"),
+    ([[1, 0], [0, {"re": 1}]], "{'re': 1}"),
+]
+
+
+def _jump_description(matrix):
+    return {"dim": 2, "terms": [{"coefficient": {"kind": "constant", "value": 1.0},
+                                 "jump": {"matrix": matrix}}]}
+
+
+@pytest.mark.parametrize("matrix, entry", _BAD_ENTRIES, ids=[e for _, e in _BAD_ENTRIES])
+def test_a_jump_entry_that_is_not_a_number_or_a_pair_of_numbers_is_malformed(matrix, entry):
+    message = f"term 0: a jump matrix entry must be a number or an [re, im] pair of numbers, got {entry}"
+    with pytest.raises(MalformedDescription) as raised:
+        nmwit.generator_from_dict(_jump_description(matrix))
+    assert str(raised.value) == message
+
+
+def test_an_integer_entry_beyond_the_float_range_is_malformed():
+    with pytest.raises(MalformedDescription, match=r"^term 0: int too large to convert to float$"):
+        nmwit.generator_from_dict(_jump_description([[10**400, 0], [0, 1]]))
+
+
+def test_numbers_and_pairs_of_numbers_build_the_jump():
+    gen = nmwit.generator_from_dict(_jump_description([[1, [0.0, -2]], [[0, 2], -1.5]]))
+    assert np.array_equal(gen.terms[0][1], [[1, -2j], [2j, -1.5]])
+
+
+@pytest.mark.parametrize("matrix, entry", _BAD_ENTRIES, ids=[e for _, e in _BAD_ENTRIES])
+def test_a_generator_file_with_a_non_numeric_jump_entry_exits_2(matrix, entry, tmp_path, capsys):
+    path = tmp_path / "generator.json"
+    path.write_text(json.dumps(_jump_description(matrix)))
+    assert cli.main(["divisibility", "--scenario", "custom", "--generator", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"config error: cannot load generator {path}: term 0: a jump "
+                                       f"matrix entry must be a number or an [re, im] pair of "
+                                       f"numbers, got {entry}\n")

@@ -2,7 +2,7 @@
 
 The coefficient rows are filled one term's column at a time, the witness
 values come from two stacked matrix-vector products, and cli._emit writes a
-table from its columns, with one % over the whole CSV body. Each must give
+table from its typed columns, with one % over the whole CSV body. Each must give
 the bits of the per-instant loop or per-cell path it replaces
 (oracles.loop_coefficients, oracles.loop_witness_values, and cli._fmt joined
 over the cells of each row).
@@ -107,7 +107,7 @@ def test_witness_values_are_the_per_instant_vdots_bit_for_bit(seed, k, n):
     A = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
     matrices = A + A.conj().swapaxes(1, 2)
     values = witness_values(nu, tau, matrices)
-    assert all(type(v) is float for v in values)
+    assert isinstance(values, np.ndarray) and values.dtype == float
     assert _same_bits(values, loop_witness_values(nu, tau, matrices))
 
 
@@ -149,18 +149,28 @@ _FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.225e-308, 1e300, 
 _SPECIAL = (*_FLOATS, -5e-324, -1e300, 0.1, 2.0**53, 123456789012.5, 0, -7, 10**20, "eternal",
             "a b", "", True, False, None)
 _floats = st.sampled_from(_FLOATS) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _objects(cells: list) -> np.ndarray:
+    return np.array(cells, dtype=object)
+
+
+# Each kind of cells, and the column the commands pass them as: a list of Python floats (the
+# checked time grid), an array whose dtype gives the kind, or an object array of other cells.
 _COLUMNS = {
-    "float": _floats,
-    "bool": st.booleans(),
-    "int": st.integers(-10**20, 10**20),
-    "float or None": st.none() | _floats,
-    "numpy scalar": st.one_of(_floats.map(np.float64), st.booleans().map(np.bool_),
-                              st.integers(-10**6, 10**6).map(np.int64)),
-    "None": st.none(),
+    "float list": (_floats, list),
+    "float": (_floats, lambda cells: np.array(cells, dtype=float)),
+    "bool": (st.booleans(), lambda cells: np.array(cells, dtype=bool)),
+    "int": (st.integers(-2**63, 2**63 - 1), lambda cells: np.array(cells, dtype=np.int64)),
+    "big int": (st.integers(-10**20, 10**20), _objects),
+    "float or None": (st.none() | _floats, _objects),
+    "numpy scalar": (st.one_of(_floats.map(np.float64), st.booleans().map(np.bool_),
+                               st.integers(-10**6, 10**6).map(np.int64)), _objects),
+    "None": (st.none(), _objects),
     # No newline: the fmt-join test splits the CSV into lines.
-    "str": st.text(st.characters(codec="utf-8", exclude_characters="\n"), max_size=6),
-    "any": st.one_of(st.sampled_from(_SPECIAL), _floats, st.integers(-10**6, 10**6),
-                     st.text(alphabet="abc%s_ ", max_size=4)),
+    "str": (st.text(st.characters(codec="utf-8", exclude_characters="\n"), max_size=6), _objects),
+    "any": (st.one_of(st.sampled_from(_SPECIAL), _floats, st.integers(-10**6, 10**6),
+                      st.text(alphabet="abc%s_ ", max_size=4)), _objects),
 }
 
 
@@ -168,7 +178,8 @@ _COLUMNS = {
 def table_columns(draw):
     rows = draw(st.integers(1, 200))
     kinds = draw(st.lists(st.sampled_from(sorted(_COLUMNS)), min_size=1, max_size=5))
-    return [draw(st.lists(_COLUMNS[kind], min_size=rows, max_size=rows)) for kind in kinds]
+    return [column(draw(st.lists(cells, min_size=rows, max_size=rows)))
+            for cells, column in (_COLUMNS[kind] for kind in kinds)]
 
 
 def _written(fmt, names, columns, echo=(("command", "test"),)):
@@ -180,15 +191,16 @@ def _written(fmt, names, columns, echo=(("command", "test"),)):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@example(columns=[list(_FLOATS), [True, False] * 5, [-x for x in _FLOATS]])
-@example(columns=[[0.1, 0.25, None, math.nan], [np.float64(0.5), 1.0, -0.0, 2.0],
-                  [1, True, "a%s", None]])
+@example(columns=[list(_FLOATS), np.array([True, False] * 5), np.array([-x for x in _FLOATS])])
+@example(columns=[_objects([0.1, 0.25, None, math.nan]), _objects([np.float64(0.5), 1.0, -0.0, 2.0]),
+                  _objects([1, True, "a%s", None]), np.array([2**63 - 1, -1, 0, 7])])
 @given(columns=table_columns())
 def test_emit_writes_each_row_as_the_fmt_join_and_the_round12_of_its_cells(columns):
-    # Only a column of Python floats takes %.12g; any other is written cell by
-    # cell, whatever the type of its first cell.
+    # A column's dtype gives its kind, with no look at its cells: a float array or a list
+    # (of Python floats) takes %.12g, a bool array false/true, and any other is written
+    # cell by cell, whatever the type of each cell.
     names = [f"c{k}" for k in range(len(columns))]
-    rows = list(zip(*columns))
+    rows = list(zip(*(c if isinstance(c, list) else c.tolist() for c in columns)))
     csv = _written("csv", names, columns)
     assert csv.split("\n")[:2] == ["# command = test", ",".join(names)]
     assert csv.split("\n")[2:] == [",".join(map(cli._fmt, row)) for row in rows] + [""]
