@@ -12,8 +12,10 @@ given by --config is parsed as the flag ``--k`` (underscores become dashes);
 ``t_grid`` (a list of instants) is file-only, and a scan range may be a
 ``[lo, hi, steps]`` list. Unknown keys and wrongly typed values are config
 errors. Flags beat the file, which beats the defaults; the effective
-configuration is echoed into the output header. Outputs are deterministic
-(seeded streams, no timestamps), with 12 significant digits per numeric.
+configuration is echoed into the output header. --tolerance takes the library's
+rule (finite and >= 0). Outputs are deterministic (seeded streams, no
+timestamps), with 12 significant digits per numeric; _json_text writes both the
+JSON tables and the witness export (witness.witness_dicts of the stacked pass).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 degenerate witness minimum, 5 requested map point not positive.
@@ -38,7 +40,7 @@ import sys
 
 import numpy as np
 
-from . import choi, entanglement, lindblad, spa, witness
+from . import choi, entanglement, kernel, lindblad, spa, witness
 from .errors import DegenerateMinimum, MapNotPositive, NmwitError
 
 # glibc mallopt parameters, and the values _hold_heap gives them: its dynamic mmap threshold's
@@ -120,8 +122,6 @@ def _fmt(v) -> str:
 
 def _round12(v):
     """Round floats to 12 significant digits for JSON emission."""
-    if isinstance(v, bool) or v is None:
-        return v
     if isinstance(v, float):
         return float(f"{v:.12g}")
     if isinstance(v, (list, tuple)):
@@ -129,6 +129,11 @@ def _round12(v):
     if isinstance(v, dict):
         return {k: _round12(x) for k, x in v.items()}
     return v
+
+
+def _json_text(payload) -> str:
+    """payload as JSON text, _round12 of it indented by 2: the tables' JSON and the witness export."""
+    return json.dumps(_round12(payload), indent=2) + "\n"
 
 
 @functools.cache
@@ -218,9 +223,9 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
             raise ConfigError("config file must contain a JSON object")
         from_file = _parse_keys(from_file, args.config)
     cfg = {**_DEFAULTS, **from_file, **flags}
-    for key in ("epsilon", "tolerance"):
-        if not 0 < cfg[key] < np.inf:
-            raise ConfigError(f"{key} must be finite and > 0, got {cfg[key]!r}")
+    if not 0 < cfg["epsilon"] < np.inf:
+        raise ConfigError(f"epsilon must be finite and > 0, got {cfg['epsilon']!r}")
+    kernel.check_tolerance(cfg["tolerance"])  # the library's rule, raised as a config error
     if "seed" not in cfg and "NMWIT_SEED" in os.environ:
         cfg.update(_parse_keys({"seed": os.environ["NMWIT_SEED"]}, "NMWIT_SEED"))
     if cfg.setdefault("seed", 0) < 0:
@@ -302,17 +307,16 @@ def _csv_text(cfg: argparse.Namespace, columns: list[str], lines) -> str:
 
 def _emit(cfg: argparse.Namespace, names: list[str], columns: list) -> None:
     """Write the rows zipped from columns of equal length, 1-D arrays or lists of Python floats
-    (the checked time grid): in CSV, the body as one %-operation, the row template (%.12g for
-    a float column, else %s) repeated once per row over the cells taken row by row, with a
-    bool array's cells gathered from false/true in one indexing and any other's as each
-    cell's _fmt string; in JSON, _round12 of each row. No cell is looked at for its type.
+    (the checked time grid). In CSV, the body is one %-operation: the row template (%.12g for a
+    float column, else %s) repeated once per row, over the cells taken row by row, a bool array's
+    cells gathered from false/true in one indexing and any other's as each cell's _fmt string, so
+    no cell is looked at for its type. In JSON, the echo, names and rows go through _json_text.
 
-    One % over the 1000-row divisibility body took 0.94-1.05 ms, against 1.01-1.22 ms for
-    one template per row (in-process, best of 400 in each of two runs, 2 vCPU); taking its
-    cells by one slice assignment per column, 0.036 ms against 0.099 ms through
-    itertools.chain over zip (best of 7). Only the phase scan's CSV is written apart, in
-    cmd_entangle: formatting its two expanded 6161-cell axis columns cell by cell took
-    5.8 ms, against 0.16 ms for each axis value once (in-process, best of 7, 2 vCPU).
+    One % over the 1000-row divisibility body took 0.94-1.05 ms, against 1.01-1.22 ms for one
+    template per row (in-process, best of 400 in each of two runs, 2 vCPU); taking its cells by one
+    slice assignment per column, 0.036 ms against 0.099 ms through itertools.chain over zip. Only
+    the phase scan's CSV is written apart, in cmd_entangle: formatting its two expanded 6161-cell
+    axis columns cell by cell took 5.8 ms, against 0.16 ms for each axis value once (both best of 7).
     """
     if cfg.format == "csv":
         kinds = ["f" if isinstance(column, list) else column.dtype.kind for column in columns]
@@ -327,13 +331,8 @@ def _emit(cfg: argparse.Namespace, names: list[str], columns: list) -> None:
             cells[j::width] = column
         text = _csv_text(cfg, names, ()) + (template + "\n") * rows % tuple(cells)
     else:
-        payload = {
-            "config": {k: _round12(v) for k, v in cfg.echo},
-            "columns": names,
-            "rows": [[_round12(v) for v in row]
-                     for row in zip(*(c if isinstance(c, list) else c.tolist() for c in columns))],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text({"config": dict(cfg.echo), "columns": names,
+                           "rows": list(zip(*(c if isinstance(c, list) else c.tolist() for c in columns)))})
     _write(cfg.output, text)
 
 
@@ -363,13 +362,8 @@ def cmd_witness(cfg: argparse.Namespace) -> int:
           [cfg.t_grid, omega, nu, values, values < -cfg.tolerance])
     if cfg.export_witness:
         witnesses = witness.witness_matrices(cfg.generator, c, cfg.epsilon, nu, tau)
-        exports = [
-            witness.witness_to_dict(witness.WitnessOperator(
-                matrix=W, nu=n, omega=o, tau=v,
-                source_map=lindblad.small_time_map(cfg.generator, t, cfg.epsilon)))
-            for t, o, n, v, W in zip(cfg.t_grid, omega.tolist(), nu.tolist(), tau, witnesses)
-        ]
-        _write(cfg.export_witness, json.dumps(_round12(exports), indent=2) + "\n")
+        _write(cfg.export_witness, _json_text(witness.witness_dicts(
+            cfg.generator, cfg.t_grid, cfg.epsilon, omega, nu, tau, witnesses)))
     return EXIT_OK
 
 

@@ -48,7 +48,6 @@ a negative eigenvalue of (id (x) Map)(state) cannot occur on separable input.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -101,10 +100,8 @@ class MapFamilyPoint:
 
     def __post_init__(self) -> None:
         if not _finite(self.gamma1, self.gamma2):
-            raise ParameterOutOfRange(
-                f"map coefficients and their closed forms must be finite, "
-                f"got gamma1={float(self.gamma1)!r}, gamma2={float(self.gamma2)!r}"
-            )
+            raise ParameterOutOfRange("map coefficients must be real, with finite closed forms, got "
+                                      f"gamma1={_shown(self.gamma1)!r}, gamma2={_shown(self.gamma2)!r}")
 
 
 @dataclass(frozen=True)
@@ -133,9 +130,15 @@ def _factors(g1, g2):
 
 
 def _finite(g1, g2) -> bool:
-    """Whether the Bloch factors and Choi weights (g1, g2 among them) of every point are finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return all(np.isfinite(x).all() for x in (*_factors(g1, g2), _choi_weights(g1, g2)))
+    """Whether g1 and g2 are real and every point's Bloch factors finite. Then so are its Choi weights:
+    a finite u bounds |g1| by max/4, a finite s |g2| by max/2, so (1 - 2*g1) - g2 stays finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a complex g1 or g2 gives a complex factor
+        return all(np.isrealobj(x) and np.isfinite(x).all() for x in _factors(g1, g2))
+
+
+def _shown(x):
+    """x for a message, as Python floats (complex where x is complex), not numpy scalars."""
+    return (np.asarray(x) + 0.0).tolist()
 
 
 def _positive(s, u, tolerance: float):
@@ -319,8 +322,8 @@ def scan_axes(gamma1_range, gamma2_range, steps):
         g1s = np.linspace(gamma1_range[0], gamma1_range[1], n1)
         g2s = np.linspace(gamma2_range[0], gamma2_range[1], n2)
     if not _finite(*np.meshgrid(g1s, g2s, indexing="ij")):
-        raise ParameterOutOfRange("scan ranges must give finite coefficients and closed forms, got "
-                                  f"{tuple(map(float, gamma1_range))}, {tuple(map(float, gamma2_range))}")
+        raise ParameterOutOfRange("scan ranges must give real coefficients with finite closed forms, "
+                                  f"got {tuple(_shown(gamma1_range))}, {tuple(_shown(gamma2_range))}")
     return g1s, g2s
 
 
@@ -338,7 +341,7 @@ def _scan_columns(g1s: np.ndarray, g2s: np.ndarray, tolerance: float):
     thresholds: list[float | None] = [None] * positive.size
     rows = max(1, _BLOCK // n2)
     for start in range(0, len(g1s), rows):
-        g1, g2 = (x.ravel() for x in np.meshgrid(g1s[start:start + rows], g2s, indexing="ij"))
+        g1, g2 = np.repeat(g1s[start:start + rows], n2), np.tile(g2s, min(rows, len(g1s) - start))
         block = slice(start * n2, start * n2 + g1.size)
         positive[block], cp[block], least = _check_points(g1, g2, tolerance)
         todo = np.flatnonzero(positive[block] & ~cp[block])
@@ -369,6 +372,6 @@ def phase_scan(
     positive, cp, thresholds = _scan_columns(g1s, g2s, tolerance)
     return [
         PhaseScanRow(gamma1=g1, gamma2=g2, positive=p, cp=c, werner_threshold=t)
-        for (g1, g2), p, c, t in zip(itertools.product(g1s.tolist(), g2s.tolist()),
-                                     positive.tolist(), cp.tolist(), thresholds)
+        for g1, g2, p, c, t in zip(np.repeat(g1s, len(g2s)).tolist(), np.tile(g2s, len(g1s)).tolist(),
+                                   positive.tolist(), cp.tolist(), thresholds)
     ]

@@ -19,12 +19,13 @@ eigenvector of C's least eigenvalue and nothing is diagonalized but C. A grid
 of instants is one stacked pass (choi.grid_pass) with one stage,
 witness_stage: witness_weights reads (omega, nu) off the Choi spectra and
 rejects a degenerate minimum, so the pass fails as a loop of build_witness
-over the grid does. witness_matrices then forms every witness matrix from tau
-with one stacked extension. build_witness does both at one instant, off the
-Choi state the snapshot map keeps (choi.choi_of). evaluate is the one-instant
-case of witness_values, which needs no witness matrix, so the CLI's witness
-command runs the pass and its stage alone and forms the matrices only when it
-exports them.
+over the grid does. witness_matrices forms every witness matrix from tau with
+one stacked extension, and witness_dicts the export of the whole stack.
+build_witness, evaluate and witness_to_dict are the one-instant cases of the
+stage with witness_matrices (off the Choi state the snapshot map keeps,
+choi.choi_of), of witness_values and of witness_dicts. witness_values needs
+no witness matrix, so the CLI's witness command forms the matrices only when
+it exports them, and exports them from the stacks, with no snapshot map.
 """
 
 from __future__ import annotations
@@ -194,22 +195,24 @@ def classify_by_witness(W: WitnessOperator, choi: ChoiState, tolerance: float = 
 
 
 def _floored_pairs(A: np.ndarray) -> list:
-    """A as [re, im] pairs, each part below 1e-14 of A's largest magnitude, signed zeros included, as 0.0."""
+    """A stack's arrays as [re, im] pairs, a part below 1e-14 of its array's largest magnitude as 0.0."""
     parts = np.stack((A.real, A.imag), axis=-1)
-    parts[np.abs(parts) < 1e-14 * np.abs(A).max()] = 0.0
+    scale = np.abs(A).max(axis=tuple(range(1, A.ndim)), keepdims=True)[..., None]
+    parts[np.abs(parts) < 1e-14 * scale] = 0.0
     return parts.tolist()
 
 
+def witness_dicts(gen: LindbladGenerator, times, epsilon: float, omega, nu, tau, matrices) -> list:
+    """The JSON-exportable form of each instant of a witness stack: matrix and tau as [re, im]
+    pairs, floored by _floored_pairs, plus nu, omega and the source map's t, epsilon and label."""
+    return [{"matrix": W, "nu": n, "omega": o, "tau": v,
+             "source_map": {"t": t, "epsilon": float(epsilon), "generator": gen.label}}
+            for W, n, o, v, t in zip(_floored_pairs(matrices), nu.tolist(), omega.tolist(),
+                                     _floored_pairs(tau), times)]
+
+
 def witness_to_dict(W: WitnessOperator) -> dict:
-    """JSON-exportable form: matrix and tau as [re, im] pairs, floored by _floored_pairs, plus provenance."""
-    return {
-        "matrix": _floored_pairs(W.matrix),
-        "nu": W.nu,
-        "omega": W.omega,
-        "tau": _floored_pairs(W.tau),
-        "source_map": {
-            "t": W.source_map.t,
-            "epsilon": W.source_map.epsilon,
-            "generator": W.source_map.generator.label,
-        },
-    }
+    """JSON-exportable form of W: witness_dicts at W's one instant."""
+    m = W.source_map
+    return witness_dicts(m.generator, [m.t], m.epsilon, np.array([W.omega]), np.array([W.nu]),
+                         W.tau[None], W.matrix[None])[0]

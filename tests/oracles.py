@@ -196,6 +196,16 @@ def werner_extended_min_eig(g1, g2, p):
     return min(vals)
 
 
+def finite_by_factors_and_weights(g1, g2):
+    """The map family's finiteness rule as it was before it read the Bloch factors alone: the
+    factors s = 1-2g1-2g2 and u = 1-4g1 and the Choi weights {1-2g1-g2, g1, g1, g2} of every
+    point are finite."""
+    g1, g2 = np.asarray(g1, dtype=float), np.asarray(g2, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (1.0 - 2.0 * g1 - 2.0 * g2, 1.0 - 4.0 * g1, 1.0 - 2.0 * g1 - g2, g1, g2)
+        return all(np.isfinite(v).all() for v in values)
+
+
 def werner_threshold_closed(g1, g2):
     """Detection onset in p: 1 / max(1-4g1, 1-4g2, 8g1+4g2-3), None if > 1."""
     M = max(1.0 - 4.0 * g1, 1.0 - 4.0 * g2, 8.0 * g1 + 4.0 * g2 - 3.0)

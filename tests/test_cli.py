@@ -263,6 +263,23 @@ def test_non_finite_or_malformed_generator_input_exits_2(tmp_path, capsys):
     assert "config error" in r.stderr
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("divisibility", []), ("witness", []), ("spa", []),
+    ("entangle", ["--gamma1", "0.5", "--gamma2", "0.5", "--p", "0.5"]),
+    ("entangle", ["--scan", "--gamma1-range", "0:0.6:4", "--gamma2-range", "0:1:3"]),
+], ids=["divisibility", "witness", "spa", "entangle", "entangle-scan"])
+def test_the_tolerance_takes_the_librarys_rule(command, extra, tmp_path, capsys):
+    # Finite and >= 0, as kernel.check_tolerance: 0 runs (it used to exit 2), and a negative,
+    # NaN or infinite tolerance is a config error.
+    argv = [command, *extra, "--output", str(tmp_path / "out.csv"), "--tolerance"]
+    assert cli.main([*argv, "0"]) == 0
+    assert (tmp_path / "out.csv").read_text().count("# tolerance = 0\n") == 1
+    for bad in ("-1", "nan", "inf"):
+        assert cli.main([*argv, bad]) == 2, bad
+        assert capsys.readouterr().err == (
+            f"config error: tolerance must be finite and >= 0, got {float(bad)!r}\n")
+
+
 def _tabulated_generator(tmp_path, times, values, jump):
     path = tmp_path / "tabulated.json"
     path.write_text(json.dumps({"dim": 2, "terms": [

@@ -23,6 +23,7 @@ from nmwit.lindblad import (choi_matrices, depolarizer, extend, extend_and_apply
 from oracles import (
     family_extend,
     family_map_apply,
+    finite_by_factors_and_weights,
     loop_threshold,
     rand_density,
     rand_hermitian,
@@ -219,21 +220,39 @@ def test_the_choi_weights_network_orders_a_negative_zero_by_value(g1, g2):
     assert np.array_equal(_choi_weights(g1, g2), _sorted_weights(g1, g2))
 
 
-_ANY = st.floats() | st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, 0.5])
+# The largest |g1| whose u = 1 - 4*g1 is finite: at g1 = g2 = -_G1_EDGE, s is the largest float.
+_G1_EDGE = np.nextafter(2.0**1022, 0.0)
+_ANY = st.floats() | st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, 0.5, 2.0**1022,
+                                       -2.0**1022, 2.0**1023, -2.0**1023, _G1_EDGE, -_G1_EDGE,
+                                       np.nextafter(2.0**1023, 0.0), -np.nextafter(2.0**1023, 0.0)])
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(points=st.lists(st.tuples(_ANY, _ANY), min_size=1, max_size=20))
 def test_finite_decides_as_with_np_sort_on_infinite_and_nan_input(points):
     # The network keeps every inf and spreads every NaN, so the weights of each point are
-    # finite exactly when the np.sort ones are, and _finite's verdict is unchanged.
+    # finite exactly when the np.sort ones are. _finite reads the Bloch factors alone, and
+    # decides as the rule that read the weights too: a finite u bounds |g1| by max/4 and a
+    # finite s then |g2| by max/2, so a weight (1 - 2*g1) - g2 is finite wherever both are.
     g1, g2 = np.array(points).T
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.isfinite(_sorted_weights(g1, g2)).all(axis=1)
         assert np.array_equal(np.isfinite(_choi_weights(g1, g2)).all(axis=1), finite)
-        for k, (a, b) in enumerate(points):
-            assert entanglement._finite(a, b) == (finite[k] and np.isfinite(_factors(a, b)).all())
-        assert entanglement._finite(g1, g2) == (finite.all() and np.isfinite(_factors(g1, g2)).all())
+    for a, b in points:
+        assert entanglement._finite(a, b) == finite_by_factors_and_weights(a, b), (a, b)
+    assert entanglement._finite(g1, g2) == finite_by_factors_and_weights(g1, g2)
+
+
+def test_where_s_is_the_largest_float_a_weight_is_three_quarters_of_it():
+    # A weight w = 1 - 2*g1 - g2 is (s + 1 - 2*g1) / 2, largest where s and -g1 are: at
+    # g1 = g2 = -_G1_EDGE, s is the largest float and w about 3/4 of it. One float further
+    # out in g2, s overflows and the point is rejected for it.
+    big = np.finfo(float).max
+    s, u = _factors(-_G1_EDGE, -_G1_EDGE)
+    assert s == big and np.isfinite(u) and entanglement._finite(-_G1_EDGE, -_G1_EDGE)
+    assert _choi_weights(-_G1_EDGE, -_G1_EDGE).max() <= 0.75 * big
+    assert not entanglement._finite(-_G1_EDGE, -2.0**1022)
+    assert not finite_by_factors_and_weights(-_G1_EDGE, -2.0**1022)
 
 
 # --- complete positivity -------------------------------------------------------

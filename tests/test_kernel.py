@@ -382,3 +382,29 @@ def test_only_kernel_references_an_eigensolver_or_svd():
              for path in sorted(package.glob("*.py"))}
     assert sorted(found.pop("kernel.py")) == ["np.linalg.eigh", "np.linalg.svd"]
     assert found and not any(found.values()), found
+
+
+# The per-instant objects that the CLI's witness export used to build at every instant.
+_PER_INSTANT = {"small_time_map", "SmallTimeMap", "WitnessOperator"}
+
+
+def _per_instant_references(source):
+    """The names in Python source that refer to a per-instant snapshot map or witness object."""
+    for node in ast.walk(ast.parse(source)):
+        name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                else None)
+        if name in _PER_INSTANT:
+            yield name
+        elif isinstance(node, ast.ImportFrom):
+            yield from (a.name for a in node.names if a.name in _PER_INSTANT)
+
+
+def test_the_cli_builds_no_per_instant_map_or_witness():
+    # The CLI works from the stacked pass: cmd_witness exports through witness.witness_dicts,
+    # with no SmallTimeMap or WitnessOperator per instant.
+    assert list(_per_instant_references(
+        "from .witness import WitnessOperator\nlindblad.small_time_map(g, t, e)\n"
+        "m = SmallTimeMap(g, t, e)\nwitness.witness_to_dict(W)\n"
+    )) == ["WitnessOperator", "small_time_map", "SmallTimeMap"]
+    source = (Path(nmwit.__file__).parent / "cli.py").read_text(encoding="utf-8")
+    assert not list(_per_instant_references(source))

@@ -53,6 +53,11 @@ def _one_jump(matrix):
         lambda: nmwit.MapFamilyPoint(0.0, 9e307),
         lambda: nmwit.MapFamilyPoint(-5e307, -5e307),
         lambda: nmwit.phase_scan((8e307, 8.9e307), (0.0, 1.0), (2, 2)),
+        # Complex coefficients, which used to fail the transfer-matrix cross-check instead.
+        lambda: nmwit.MapFamilyPoint(0.4 + 1e-3j, 0.4),
+        lambda: nmwit.MapFamilyPoint(0.4, np.complex128(0.4)),
+        lambda: nmwit.phase_scan((0, 0.5 + 1j), (0, 1), (2, 2)),
+        lambda: nmwit.phase_scan((0, 0.5), (0, 1 + 0j), (2, 2)),
         # Jump operators that are not finite, or whose L^dag L overflows.
         lambda: _one_jump([[INF, 0], [0, 1]]),
         lambda: _one_jump([[NAN, 0], [0, 1]]),
@@ -80,6 +85,7 @@ def _one_jump(matrix):
         "dephasing-nan", "t=nan", "t=inf", "epsilon=inf",
         "gamma1=nan", "gamma2=-inf",
         "gamma1=8e307", "gamma2=9e307", "gamma1=gamma2=-5e307", "scan-overflow",
+        "gamma1-complex", "gamma2-complex-zero-imag", "scan-gamma1-complex", "scan-gamma2-complex",
         "jump-inf", "jump-nan", "jump-1e308",
         "state-nan", "state-inf", "seed=-1", "draws=0", "draws=-3",
         "trace-norm-nan", "trace-norm-overflow", "trace-norm-x-overflow", "extend-overflow",
@@ -106,8 +112,13 @@ def test_bad_numeric_input_raises_parameter_out_of_range(build):
         (lambda: nmwit.SmallTimeMap(nmwit.dephasing(-1.0), 1.0, np.float64(NAN)), "got nan"),
         (lambda: nmwit.phase_scan((np.float64(0), np.float64(INF)), (0, 1), (2, 2)),
          "got (0.0, inf), (0.0, 1.0)"),
+        # A complex coefficient keeps its imaginary part (no float() of it).
+        (lambda: nmwit.MapFamilyPoint(0.4 + 1e-3j, 0.4), "got gamma1=(0.4+0.001j), gamma2=0.4"),
+        (lambda: nmwit.MapFamilyPoint(0, np.complex128(0.5)), "got gamma1=0.0, gamma2=(0.5+0j)"),
+        (lambda: nmwit.phase_scan((0, 0.5 + 1j), (0, 1), (2, 2)), "got (0j, (0.5+1j)), (0.0, 1.0)"),
     ],
-    ids=["werner", "map-point", "resolution", "t=nan", "epsilon=inf", "epsilon=nan", "scan-range"],
+    ids=["werner", "map-point", "resolution", "t=nan", "epsilon=inf", "epsilon=nan", "scan-range",
+         "map-point-complex", "map-point-numpy-complex", "scan-range-complex"],
 )
 def test_numpy_scalars_are_shown_as_python_floats(build, shown):
     with pytest.raises(NmwitError) as raised:

@@ -1,13 +1,17 @@
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, assume, example, given, settings
+from hypothesis import strategies as st
 
 import nmwit
+from nmwit.cli import _round12
 from nmwit.errors import DegenerateMinimum, DimensionMismatch, NonHermitianJump
 from nmwit.choi import checked_grid, grid_pass
-from nmwit.witness import witness_matrices, witness_stage
+from nmwit.witness import witness_dicts, witness_matrices, witness_stage
 
 from oracles import BELL_PHI_PLUS, bell_witness_image, rand_density
 
@@ -250,6 +254,80 @@ def test_witness_export_writes_signed_zeros_as_zero_and_keeps_parts_above_the_fl
     d = nmwit.witness_to_dict(W)
     assert d["matrix"] == [[[1.0, 0.0], [0.0, above]], [[above, 0.0], [0.0, 0.0]]]
     assert d["tau"] == [[0.0, 0.0], [-2.0, 0.0]]
+
+
+@st.composite
+def _wide_generators(draw):
+    """d = 1-3, one or two real or complex jumps, each with a coefficient tabulated at t = 0, 2.5
+    and 5 from values of magnitude 1e-7 to 1e4. nu, which scales each witness matrix, keeps the
+    largest magnitudes of a grid's witnesses within a few orders of each other: the per-array
+    floor is pinned on arbitrary stacks below."""
+    d, dtype = draw(st.integers(1, 3)), draw(st.sampled_from((float, complex)))
+    part = st.lists(st.floats(-1.0, 1.0), min_size=d * d, max_size=d * d)
+    value = st.builds(lambda sign, k: sign * 10.0**k, st.sampled_from((-1.0, 1.0)), st.integers(-7, 4))
+    terms = []
+    for _ in range(draw(st.integers(1, min(2, d * d)))):
+        jump = np.array(draw(part)) + (1j * np.array(draw(part)) if dtype is complex else 0.0)
+        values = draw(st.lists(value, min_size=3, max_size=3))
+        terms.append((nmwit.tabulated([0.0, 2.5, 5.0], values), jump.reshape(d, d)))
+    return nmwit.LindbladGenerator(dim=d, terms=tuple(terms))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(gen=_wide_generators(),
+       grid=st.lists(st.floats(0.01, 4.99), min_size=1, max_size=8, unique=True).map(sorted),
+       eps=st.floats(0.001, 0.05))
+def test_the_stacked_export_is_the_one_instant_export_at_each_instant(gen, grid, eps):
+    # witness_to_dict is witness_dicts at one instant, so the export the CLI writes from the
+    # stacked pass is, in JSON text, a loop of witness_to_dict(build_witness(...)) over the grid.
+    kept, expected = [], []
+    for t in grid:  # a degenerate instant has no witness; the rest of the grid is exported
+        try:
+            expected.append(nmwit.witness_to_dict(nmwit.build_witness(nmwit.small_time_map(gen, t, eps))))
+            kept.append(t)
+        except DegenerateMinimum:
+            pass
+    assume(kept)
+    c, _, omega, nu, tau = grid_pass(gen, checked_grid(kept), eps, witness_stage)
+    stacked = witness_dicts(gen, checked_grid(kept), eps, omega, nu, tau,
+                            witness_matrices(gen, c, eps, nu, tau))
+    assert stacked == expected
+    assert json.dumps(_round12(stacked), indent=2) == json.dumps(_round12(expected), indent=2)
+
+
+_PART = st.sampled_from((0.0, -0.0, 1e-14, -1e-15, 0.5)) | st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _scaled_stacks(draw):
+    """(matrices, tau): 1-4 instants of d^2 x d^2 complex matrices and d^2-vectors, d = 1-3, the
+    instants scaled by 10**k with k from -30 to 30, so that their largest magnitudes differ widely."""
+    n, T = draw(st.integers(1, 3)) ** 2, draw(st.integers(1, 4))
+    parts = st.lists(_PART, min_size=2 * T * n * (n + 1), max_size=2 * T * n * (n + 1))
+    values = np.array(draw(parts)).view(complex).reshape(T, n, n + 1)
+    scales = 10.0 ** np.array(draw(st.lists(st.integers(-30, 30), min_size=T, max_size=T)))
+    values *= scales[:, None, None]
+    return values[:, :, :n], values[:, :, n]
+
+
+# No shrinking: a failing stack is reported as found, where shrinking it would take minutes.
+@settings(max_examples=150, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
+@given(stacks=_scaled_stacks(), nu=st.floats(1e-3, 1.0), omega=st.floats(0.0, 1.0))
+# The second instant is the first scaled by 1e-10: its parts at 1e-13 of its own largest
+# magnitude are kept, though they lie far below 1e-14 of the stack's.
+@example(stacks=(np.array([[[1.0, 1e-13j], [1e-13, 1e-15]], [[1e-10, 1e-23j], [1e-23, 1e-25]]]),
+                 np.array([[1.0, 1e-13], [1e-10, 1e-23]])), nu=1.0, omega=0.0)
+def test_witness_dicts_floors_each_array_of_a_stack_as_witness_to_dict_floors_it_alone(stacks, nu, omega):
+    matrices, tau = stacks
+    gen, times = nmwit.eternal_depolarizer(), checked_grid(0.5 + np.arange(len(tau)))
+    stacked = witness_dicts(gen, times, EPS, np.full(len(tau), omega), np.full(len(tau), nu), tau, matrices)
+    alone = [nmwit.witness_to_dict(nmwit.WitnessOperator(matrix=W, nu=nu, omega=omega, tau=v,
+                                                         source_map=nmwit.small_time_map(gen, t, EPS)))
+             for t, W, v in zip(times, matrices, tau)]
+    assert json.dumps(_round12(stacked), indent=2) == json.dumps(_round12(alone), indent=2)
+    for W, v in zip(matrices, tau):
+        _check_floor(nmwit.WitnessOperator(matrix=W, nu=nu, omega=omega, tau=v, source_map=_dephasing_map()))
 
 
 @pytest.mark.parametrize("start, stop", [(0.1, 3.0), (0.07, 4.2)])
