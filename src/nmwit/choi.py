@@ -9,13 +9,13 @@ trace-norm excess ||C||_1 - 1 is the equivalent scalar indicator.
 A grid of instants, which checked_grid accepts or rejects, is one stacked
 pass (grid_pass): choi_grid builds every Choi state from the generator's
 compiled Choi images and checks and diagonalizes them in one eigh_checked
-call (one solve per kind of matrix in the stack, under kernel's rule: the
-Pauli-diagonal scenarios' Choi matrices are Bell-diagonal and take the closed
-form), and a stage (the verdicts, the SPA, the witness) reads the stack and
-its eigendecomposition. grid_pass takes the list checked_grid returns, so a
-grid is checked once: scan checks its own, and the CLI checks its grid when
-it reads its configuration. choi_of and classify are the pass's one-instant
-case; a map keeps its choi_of state.
+call (one solve per kind of matrix, under kernel's rule), and a stage (the
+verdicts, the SPA, the witness) reads the stack and its eigendecomposition.
+grid_pass checks the snapshots' t and epsilon as small_time_map does. choi_of
+and classify are the pass's one-instant case. choi_of runs the coefficients'
+checks, then Hermiticity with finiteness (eigh_checked) and unit trace
+(checked_spectrum) of the Choi matrix, under one np.errstate; the map ran its
+checks of t and epsilon when it was built, and keeps the state choi_of builds.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ def checked_spectrum(matrices: np.ndarray, vectors: bool = True) -> Spectrum:
     """Spectra of a stack of Choi matrices (eigh_checked's); raises for the first that is not
     Hermitian (NonHermitianInput) or, failing that, not of unit trace (NotUnitTrace)."""
     spectrum = eigh_checked(matrices, vectors)
-    tr = np.trace(matrices, axis1=1, axis2=2).real
-    off = abs(tr - 1.0) > 1e-9
-    if off.any():
-        raise NotUnitTrace(f"Choi matrix trace {tr[off.argmax()]:.6g} is not 1")
+    tr = matrices.trace(axis1=1, axis2=2).real
+    off = abs(tr - 1.0)  # finite: eigh_checked rejects a stack with an entry that is not
+    if off.max() > 1e-9:
+        raise NotUnitTrace(f"Choi matrix trace {tr[(off > 1e-9).argmax()]:.6g} is not 1")
     return spectrum
 
 
@@ -62,9 +62,7 @@ def choi_state(matrix: np.ndarray, t: float, epsilon: float) -> ChoiState:
 
 def choi_grid(gen: LindbladGenerator, times, epsilon: float, vectors: bool = True):
     """(coefficient rows, Choi matrices, their spectra) for the snapshots at times; the spectra
-    carry eigenvectors only with vectors."""
-    # Checks the snapshots as small_time_map does: the first non-finite t, else the first t.
-    small_time_map(gen, times[int(np.isfinite(times).argmin())], epsilon)
+    carry eigenvectors only with vectors; the snapshots' t and epsilon are the caller's to check."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails checked_spectrum's checks
         c = coefficients(gen, times)
         matrices = choi_matrices(gen, c, epsilon)
@@ -99,6 +97,8 @@ def grid_pass(gen: LindbladGenerator, grid: list[float], epsilon: float, stage, 
     of a loop over the grid: the first failing instant's, at its first failing check.
     """
     def run(times):
+        # Checks the snapshots as small_time_map does: the first non-finite t, else the first t.
+        small_time_map(gen, times[int(np.isfinite(times).argmin())], epsilon)
         c, matrices, spectrum = choi_grid(gen, times, epsilon, vectors)
         # The stage gets the eigenvectors of the least eigenvalues; the others are freed.
         lam, tau = spectrum.eigenvalues, spectrum.eigenvectors[:, :, 0].copy() if vectors else None
@@ -115,10 +115,10 @@ def grid_pass(gen: LindbladGenerator, grid: list[float], epsilon: float, stage, 
 
 def choi_of(m: SmallTimeMap) -> ChoiState:
     """Choi state (id (x) N)(|phi+><phi+|) of a snapshot map, built once and kept by m."""
-    if m._choi is None:
-        _, matrices, spectrum = choi_grid(m.generator, [m.t], m.epsilon)
-        object.__setattr__(m, "_choi", ChoiState(matrices[0], m.t, m.epsilon, spectrum[0]))
-    return m._choi
+    if m._choi is None:  # m checked its t and epsilon when it was built
+        c, matrices, spectrum = choi_grid(m.generator, [m.t], m.epsilon)
+        object.__setattr__(m, "_choi", (ChoiState(matrices[0], m.t, m.epsilon, spectrum[0]), c))
+    return m._choi[0]
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,7 @@ from .errors import (
 )
 from .kernel import (
     BELL_PSI_MINUS,
+    COMPLEX,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -73,6 +74,7 @@ from .kernel import (
     frozen,
     is_hermitian,
     projector,
+    shown,
 )
 from .lindblad import choi_matrices, depolarizer, extend, finite_image
 
@@ -101,7 +103,7 @@ class MapFamilyPoint:
     def __post_init__(self) -> None:
         if not _finite(self.gamma1, self.gamma2):
             raise ParameterOutOfRange("map coefficients must be real, with finite closed forms, got "
-                                      f"gamma1={_shown(self.gamma1)!r}, gamma2={_shown(self.gamma2)!r}")
+                                      f"gamma1={shown(self.gamma1)!r}, gamma2={shown(self.gamma2)!r}")
 
 
 @dataclass(frozen=True)
@@ -119,8 +121,8 @@ def _werner_matrices(p):
 
 
 def werner(p: float) -> WernerState:
-    if not 0.0 <= p <= 1.0:
-        raise ParameterOutOfRange(f"Werner parameter must lie in [0, 1], got {float(p)!r}")
+    if isinstance(p, COMPLEX) or not 0.0 <= p <= 1.0:
+        raise ParameterOutOfRange(f"Werner parameter must lie in [0, 1], got {shown(p)!r}")
     return WernerState(p=float(p), matrix=frozen(_werner_matrices(p)))
 
 
@@ -134,11 +136,6 @@ def _finite(g1, g2) -> bool:
     a finite u bounds |g1| by max/4, a finite s |g2| by max/2, so (1 - 2*g1) - g2 stays finite."""
     with np.errstate(over="ignore", invalid="ignore"):  # a complex g1 or g2 gives a complex factor
         return all(np.isrealobj(x) and np.isfinite(x).all() for x in _factors(g1, g2))
-
-
-def _shown(x):
-    """x for a message, as Python floats (complex where x is complex), not numpy scalars."""
-    return (np.asarray(x) + 0.0).tolist()
 
 
 def _positive(s, u, tolerance: float):
@@ -297,8 +294,8 @@ def werner_threshold(
     Raises MapNotPositive or CrossCheckFailed as is_positive decides them;
     the walk starts from that check's least Choi weight.
     """
-    if not 0.0 < resolution < np.inf:
-        raise ParameterOutOfRange(f"resolution must be finite and > 0, got {float(resolution)!r}")
+    if isinstance(resolution, COMPLEX) or not 0.0 < resolution < np.inf:
+        raise ParameterOutOfRange(f"resolution must be finite and > 0, got {shown(resolution)!r}")
     return _werner_thresholds(np.array([pt.gamma1]), np.array([pt.gamma2]), resolution, tolerance,
                               _require_positive(pt, tolerance))[0]
 
@@ -323,7 +320,7 @@ def scan_axes(gamma1_range, gamma2_range, steps):
         g2s = np.linspace(gamma2_range[0], gamma2_range[1], n2)
     if not _finite(*np.meshgrid(g1s, g2s, indexing="ij")):
         raise ParameterOutOfRange("scan ranges must give real coefficients with finite closed forms, "
-                                  f"got {tuple(_shown(gamma1_range))}, {tuple(_shown(gamma2_range))}")
+                                  f"got {tuple(shown(gamma1_range))}, {tuple(shown(gamma2_range))}")
     return g1s, g2s
 
 

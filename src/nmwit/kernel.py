@@ -45,12 +45,26 @@ from .errors import DimensionMismatch, NonHermitianInput, ParameterOutOfRange
 #: Tolerances of the Hermiticity / positivity predicates.
 TOL_HERM = 1e-9
 TOL_PSD = 1e-9
+#: Complex scalars, which float() refuses (Python's) or truncates (numpy's), and numpy orders.
+COMPLEX = (complex, np.complexfloating)
+
+
+def shown(x):
+    """x for a message, as Python floats (complex where x is complex), not numpy scalars."""
+    return (np.asarray(x) + 0.0).tolist()
+
+
+def real_scalar(x, name: str) -> float:
+    """float(x); ParameterOutOfRange if x is a complex scalar."""
+    if isinstance(x, COMPLEX):
+        raise ParameterOutOfRange(f"{name} must be real, got {shown(x)!r}")
+    return float(x)
 
 
 def check_tolerance(tolerance: float) -> None:
-    """ParameterOutOfRange unless a verdict's tolerance is finite and >= 0."""
-    if not 0.0 <= tolerance < np.inf:
-        raise ParameterOutOfRange(f"tolerance must be finite and >= 0, got {float(tolerance)!r}")
+    """ParameterOutOfRange unless a verdict's tolerance is real, finite and >= 0."""
+    if isinstance(tolerance, COMPLEX) or not 0.0 <= tolerance < np.inf:
+        raise ParameterOutOfRange(f"tolerance must be finite and >= 0, got {shown(tolerance)!r}")
 
 
 def frozen(values, dtype=complex) -> np.ndarray:
@@ -249,6 +263,7 @@ def _solve(M: np.ndarray, vectors: bool):
     if len(kinds) == 1:  # one kind: the whole stack in one call, with no rows to gather
         (_, solve, A), = kinds
         vals, vecs = solve(A, vectors)
+        vecs = vecs.astype(M.dtype, copy=False) if vectors else None
     else:  # each kind solved once, its results scattered back to its rows
         vals = np.empty(M.shape[:-1])
         vecs = np.empty(M.shape, dtype=M.dtype) if vectors else None
@@ -275,7 +290,7 @@ def eigh_checked(M: np.ndarray, vectors: bool = True) -> Spectrum:
     """
     if M.ndim != 3 or M.shape[1] != M.shape[2]:
         raise NonHermitianInput(f"expected square matrices, got shape {M.shape[1:]}")
-    if not (np.abs(M - M.conj().swapaxes(1, 2)) < TOL_HERM).all():  # entrywise: no reduction
+    if not np.abs(M - M.conj().swapaxes(1, 2)).max(initial=0.0) < TOL_HERM:  # a NaN fails too
         deviation = np.abs(M - M.conj().swapaxes(1, 2)).max(axis=(1, 2))  # per matrix, to report
         k = int(np.argmin(deviation < TOL_HERM))
         raise NonHermitianInput(
@@ -284,7 +299,6 @@ def eigh_checked(M: np.ndarray, vectors: bool = True) -> Spectrum:
     vals, vecs = _solve(M, vectors)
     vals.setflags(write=False)
     if vectors:
-        vecs = vecs.astype(M.dtype, copy=False)
         vecs.setflags(write=False)
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 

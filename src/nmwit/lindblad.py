@@ -15,27 +15,26 @@ K_a = L_a^dag L_a and P = |phi+><phi+|, one real read-only array per d. The
 term's Liouville superoperator on a row-major vec(rho), S_a = L_a (x) conj(L_a)
 - (K_a (x) I + I (x) K_a^T) / 2, is read off it by the reshuffle
 S_a[(k,l),(i,j)] = B_a[(i,k),(j,l)] / P[0,0] (Havel, J. Math. Phys. 44, 534, 2003; Wood,
-Biamonte & Cory, QIC 15, 759, 2015). A grid of instants is then one stack:
-coefficients() gives the rows c_a(t), the Choi states are
-P + epsilon * sum_a c_a(t) B_a, and extend() applies id (x) N to a stack as
-one contraction S(t) = sum_a c_a(t) S_a and one batched matmul on the
+Biamonte & Cory, QIC 15, 759, 2015), once per generator, on first use. A grid
+of instants is then one stack: coefficients() gives the rows c_a(t), the Choi
+states are P + epsilon * sum_a c_a(t) B_a, and extend() applies id (x) N to a
+stack as one contraction S(t) = sum_a c_a(t) S_a and one batched matmul on the
 reshuffled stack, X[(i,a),(j,b)] -> X[(i,j),(a,b)]; single instants are the
-one-row case. Each coefficient kind has one rule, CoefficientModel._fill,
-which coefficients() applies column by column and a coefficient's call at one
-instant.
+one-row case. Each coefficient kind has one rule, CoefficientModel._fill.
 
 The compiled stack is float64 when every image is exactly real, as for every
 Pauli-diagonal generator (the eternal depolarizer, dephasing and
 entanglement's map family), and holds the complex images' real parts bit for
 bit; otherwise it is complex128. Only the compile decides real or complex:
-what is built from the stack has its dtype (Choi matrices and states, their
-eigenvectors, SPA states, superoperators, witnesses, images of real operators
-under extend), each the real part of its complex counterpart bit for bit. So
-a real generator's stacks are built, checked and diagonalized on half the bytes.
+what is built from the stack has its dtype, each the real part of its complex
+counterpart bit for bit, so a real generator's stacks take half the bytes.
 
-Generators and maps are immutable in value; a map only keeps the Choi state
-choi.choi_of builds for it (threads racing on a fresh map build the same
-read-only state twice). Grids of instants can be processed concurrently.
+Each check runs once, where its input is made: the compile checks the jumps
+and their images, a coefficient its parameters, small_time_map a map's t and
+epsilon (real, finite, epsilon > 0), and choi.choi_of the Choi matrix it
+builds. Generators and maps are immutable in value; a generator keeps its
+superoperators, a map the Choi state and coefficient row choi.choi_of builds
+for it (threads racing on a fresh one build the same read-only arrays twice).
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import numpy as np
 
 from .errors import MalformedDescription, NmwitError, NonPositiveEpsilon, ParameterOutOfRange
 from .kernel import (PAULI_BY_NAME, SIGMA_X, SIGMA_Y, SIGMA_Z, as_matrix, frozen, is_dim,
-                     max_entangled, projector)
+                     max_entangled, projector, real_scalar)
 
 _KINDS = ("constant", "eternal_tanh", "tabulated", "callable")
 
@@ -78,7 +77,7 @@ class CoefficientModel:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise MalformedDescription(f"unknown coefficient kind {self.kind!r}")
-        if not all(math.isfinite(v) for v in (self.value, self.scale, *self.times)):
+        if not (math.isfinite(self.value) and math.isfinite(self.scale) and all(map(math.isfinite, self.times))):
             raise ParameterOutOfRange("coefficient value, scale and times must be finite")
         if self.kind == "tabulated":
             if len(self.times) != len(self.values) or len(self.times) < 2:
@@ -99,7 +98,7 @@ class CoefficientModel:
         A tabulated or callable coefficient raises at its first failing instant.
         """
         if self.kind == "constant":
-            out[:] = self.value
+            out.fill(self.value)
         elif self.kind == "eternal_tanh":
             out[:] = list(map(math.tanh, times))
             out *= self.scale  # the same IEEE products as self.scale * math.tanh(t)
@@ -123,18 +122,18 @@ class CoefficientModel:
 
 
 def constant(value: float) -> CoefficientModel:
-    return CoefficientModel(kind="constant", value=float(value))
+    return CoefficientModel(kind="constant", value=real_scalar(value, "coefficient value"))
 
 
 def eternal_tanh(scale: float = -1.0) -> CoefficientModel:
-    return CoefficientModel(kind="eternal_tanh", scale=float(scale))
+    return CoefficientModel(kind="eternal_tanh", scale=real_scalar(scale, "coefficient scale"))
 
 
 def tabulated(times, values) -> CoefficientModel:
     return CoefficientModel(
         kind="tabulated",
-        times=tuple(float(t) for t in times),
-        values=tuple(float(v) for v in values),
+        times=tuple(real_scalar(t, "tabulated time") for t in times),
+        values=tuple(real_scalar(v, "tabulated value") for v in values),
     )
 
 
@@ -160,6 +159,8 @@ class LindbladGenerator:
     terms: tuple[tuple[CoefficientModel, np.ndarray], ...]
     label: str = "custom"
     choi_images: np.ndarray = field(init=False, repr=False, compare=False)
+    # The terms' read-only S_a (_superoperators), compiled on first use and kept.
+    superoperators = functools.cached_property(lambda self: _superoperators(self))
 
     def __post_init__(self) -> None:
         if not is_dim(self.dim):
@@ -167,16 +168,16 @@ class LindbladGenerator:
         d, n, T = self.dim, self.dim**2, len(self.terms)
         if T > n:
             raise MalformedDescription(f"{T} terms exceed dim^2 = {n}")
-        P = _choi_input(d).astype(complex)  # cast once, not promoted by each of three products
-        terms = tuple((_as_coefficient(coef), frozen(as_matrix(jump, (d, d)))) for coef, jump in self.terms)
-        object.__setattr__(self, "terms", terms)
+        terms = tuple((_as_coefficient(coef), as_matrix(jump, (d, d))) for coef, jump in self.terms)
         L, K = LK = np.empty((2, T, d, d), dtype=complex)  # L_a and K_a = L_a^dag L_a of every term
         for a, (_, jump) in enumerate(terms):
             L[a] = jump
+        eye, P = _compile_inputs(d)
         with np.errstate(all="ignore"):  # overflow is reported below, as ParameterOutOfRange
             np.matmul(L.conj().swapaxes(1, 2), L, out=K)
-            E, IK = _kron(np.eye(d, dtype=complex), LK).reshape(2, T, n, n)  # E = I (x) L and I (x) K
-            EP, sym = E @ P, IK @ P
+            # E = I (x) L and I (x) K for every term, bit for bit the products np.kron forms.
+            E, IK = EIK = (eye[:, None, :, None] * LK[..., None, :, None, :]).reshape(2, T, n, n)
+            EP, sym = EIK @ P
             images = EP @ E.conj().swapaxes(1, 2)
             sym += P @ IK
             sym *= 0.5
@@ -187,6 +188,8 @@ class LindbladGenerator:
             images = np.ascontiguousarray(images.real)
         images.setflags(write=False)
         object.__setattr__(self, "choi_images", images)
+        LK.setflags(write=False)  # the jumps are kept as read-only views of L
+        object.__setattr__(self, "terms", tuple((coef, LK[0, a]) for a, (coef, _) in enumerate(terms)))
 
 
 def dephasing(coefficient=-1.0) -> LindbladGenerator:
@@ -216,10 +219,10 @@ def eternal_depolarizer() -> LindbladGenerator:
     return gen
 
 
-def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A (x) B for each matrix of a stack of terms, bit for bit the product np.kron forms."""
-    d = A.shape[-1]
-    return (A[..., :, None, :, None] * B[..., None, :, None, :]).reshape(-1, d * d, d * d)
+@functools.cache
+def _compile_inputs(d: int):
+    """(I_d, P) as read-only complex arrays, the constant factors of the compile's products."""
+    return frozen(np.eye(d)), frozen(_choi_input(d))
 
 
 @functools.cache
@@ -241,8 +244,8 @@ def coefficients(gen: LindbladGenerator, times) -> np.ndarray:
     choi.grid_pass replays a failing grid to report the failure in grid order.
     """
     c = np.empty((len(times), len(gen.terms)))
-    for a, (coef, _) in enumerate(gen.terms):
-        coef._fill(times, c[:, a])
+    for (coef, _), column in zip(gen.terms, c.T):
+        coef._fill(times, column)
     return c
 
 
@@ -272,7 +275,7 @@ def _superoperators(gen: LindbladGenerator) -> np.ndarray:
     R = B.reshape(T, d, d, d, d).transpose(0, 2, 4, 1, 3)  # R[a,k,l,i,j] = B_a[(i,k),(j,l)]
     p = _choi_input(d)[0, 0]
     S = np.divide(R, p, order="C") if B.dtype.kind == "c" else np.multiply(R + 0.0, 1.0 / p, order="C")
-    return S.reshape(T, d**4)
+    return frozen(S.reshape(T, d**4), S.dtype)
 
 
 def extend(gen: LindbladGenerator, c: np.ndarray, epsilon: float, X: np.ndarray) -> np.ndarray:
@@ -284,7 +287,7 @@ def extend(gen: LindbladGenerator, c: np.ndarray, epsilon: float, X: np.ndarray)
     (k, rows, n, n) stack applies each row's map to k matrices.
     """
     n = gen.dim**2
-    S = (c[..., None, :] @ _superoperators(gen)).reshape(*c.shape[:-1], n, n)
+    S = (c[..., None, :] @ gen.superoperators).reshape(*c.shape[:-1], n, n)
     image = _reshuffle(_reshuffle(X, gen.dim) @ S.swapaxes(-1, -2), gen.dim)
     image *= epsilon
     image += X
@@ -307,8 +310,8 @@ class SmallTimeMap:
     generator: LindbladGenerator
     t: float
     epsilon: float
-    # The map's ChoiState, set by the first choi.choi_of(map).
-    _choi: object = field(default=None, init=False, repr=False, compare=False)
+    # (ChoiState, coefficient row) of the map, set by the first choi.choi_of(map).
+    _choi: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
@@ -324,7 +327,7 @@ class SmallTimeMap:
 
 
 def small_time_map(gen: LindbladGenerator, t: float, epsilon: float) -> SmallTimeMap:
-    return SmallTimeMap(generator=gen, t=float(t), epsilon=float(epsilon))
+    return SmallTimeMap(generator=gen, t=real_scalar(t, "t"), epsilon=real_scalar(epsilon, "epsilon"))
 
 
 def extend_and_apply(m: SmallTimeMap, X: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ import numpy as np
 from .choi import ChoiState, choi_of
 from .errors import DegenerateMinimum, DimensionMismatch, NonHermitianJump, ParameterOutOfRange
 from .kernel import as_complex, as_matrix, check_tolerance, dag, is_hermitian, projector
-from .lindblad import LindbladGenerator, SmallTimeMap, coefficients, constant, extend
+from .lindblad import LindbladGenerator, SmallTimeMap, constant, extend
 from .lindblad import extend_and_apply, small_time_map
 from .spa import spa_grid
 
@@ -158,15 +158,15 @@ def build_witness(m: SmallTimeMap) -> WitnessOperator:
     It reads m's Choi state through choi_of(m), which builds it only if no
     earlier call on m has. Raises DegenerateMinimum as witness_weights.
     """
-    spectrum = choi_of(m).spectrum[None]
-    omega, nu = witness_weights([m.t], spectrum.eigenvalues)
-    tau = spectrum.eigenvectors[:, :, 0]
-    matrices = witness_matrices(m.generator, coefficients(m.generator, [m.t]), m.epsilon, nu, tau)
+    spectrum = choi_of(m).spectrum
+    omega, nu = witness_weights([m.t], spectrum.eigenvalues[None])
+    tau = spectrum.eigenvectors[None, :, 0]
+    matrices = witness_matrices(m.generator, m._choi[1], m.epsilon, nu, tau)  # choi_of's row c
     return WitnessOperator(matrix=matrices[0], nu=float(nu[0]), omega=float(omega[0]), tau=tau[0],
                            source_map=m)
 
 
-def witness_values(nu: np.ndarray, tau: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+def witness_values(nu: np.ndarray | float, tau: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     """nu * <tau| C |tau> of each instant of a stack, as two stacked matrix-vector products."""
     return nu * (tau.conj()[:, None, :] @ (matrices @ tau[:, :, None]))[:, 0, 0].real
 
@@ -184,7 +184,7 @@ def evaluate(W: WitnessOperator, choi: ChoiState) -> float:
         raise DimensionMismatch(
             f"witness dimension {W.tau.shape[0]} vs Choi dimension {choi.matrix.shape[0]}"
         )
-    return float(witness_values(np.array([W.nu]), W.tau[None], choi.matrix[None])[0])
+    return float(witness_values(W.nu, W.tau[None], choi.matrix[None])[0])
 
 
 def classify_by_witness(W: WitnessOperator, choi: ChoiState, tolerance: float = 1e-9) -> str:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nmwit
-from nmwit import cli
+from nmwit import cli, kernel
 from nmwit.entanglement import _choi_weights, _werner_thresholds
 from nmwit.errors import (
     DimensionMismatch,
@@ -99,6 +99,44 @@ def test_bad_numeric_input_raises_parameter_out_of_range(build):
         build()
 
 
+_CHOI = nmwit.choi_of(_SNAPSHOT)
+
+
+@pytest.mark.parametrize("z", [1j, 0.5 + 0j, 1e-6 + 1j, np.complex128(0.5), np.complex64(1j)],
+                         ids=["1j", "0.5+0j", "1e-6+1j", "numpy-complex128", "numpy-complex64"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda z: kernel.check_tolerance(z),
+        lambda z: nmwit.classify(_CHOI, z),
+        lambda z: nmwit.scan(nmwit.dephasing(-1.0), [0.5, 1.0], 0.01, z),
+        lambda z: nmwit.is_positive(HALF, tolerance=z),
+        lambda z: nmwit.is_cp(HALF, tolerance=z),
+        lambda z: nmwit.classify_by_witness(nmwit.build_witness(_SNAPSHOT), _CHOI, z),
+        lambda z: nmwit.werner(z),
+        lambda z: nmwit.werner_threshold(nmwit.MapFamilyPoint(0.4, 0.4), resolution=z),
+        lambda z: nmwit.constant(z),
+        lambda z: nmwit.eternal_tanh(z),
+        lambda z: nmwit.tabulated([0.0, z], [1.0, 2.0]),
+        lambda z: nmwit.tabulated([0.0, 1.0], [z, 2.0]),
+        lambda z: nmwit.dephasing(z),
+        lambda z: nmwit.small_time_map(nmwit.dephasing(-1.0), z, 0.01),
+        lambda z: nmwit.small_time_map(nmwit.dephasing(-1.0), 1.0, z),
+    ],
+    ids=["check-tolerance", "classify", "scan", "is-positive", "is-cp", "classify-by-witness",
+         "werner", "resolution", "constant", "tanh-scale", "tabulated-time", "tabulated-value",
+         "dephasing", "t", "epsilon"],
+)
+def test_complex_scalars_raise_parameter_out_of_range(build, z):
+    # float() refuses a Python complex and truncates a numpy one, Python cannot order a
+    # complex and numpy orders it lexicographically: each used to escape as a bare TypeError
+    # or pass with its imaginary part dropped.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterOutOfRange):
+            build(z)
+
+
 @pytest.mark.parametrize(
     "build, shown",
     [
@@ -116,9 +154,12 @@ def test_bad_numeric_input_raises_parameter_out_of_range(build):
         (lambda: nmwit.MapFamilyPoint(0.4 + 1e-3j, 0.4), "got gamma1=(0.4+0.001j), gamma2=0.4"),
         (lambda: nmwit.MapFamilyPoint(0, np.complex128(0.5)), "got gamma1=0.0, gamma2=(0.5+0j)"),
         (lambda: nmwit.phase_scan((0, 0.5 + 1j), (0, 1), (2, 2)), "got (0j, (0.5+1j)), (0.0, 1.0)"),
+        (lambda: nmwit.werner(np.complex128(0.5)), "got (0.5+0j)"),
+        (lambda: nmwit.small_time_map(nmwit.dephasing(-1.0), 1.0, np.complex128(0.01)), "got (0.01+0j)"),
     ],
     ids=["werner", "map-point", "resolution", "t=nan", "epsilon=inf", "epsilon=nan", "scan-range",
-         "map-point-complex", "map-point-numpy-complex", "scan-range-complex"],
+         "map-point-complex", "map-point-numpy-complex", "scan-range-complex", "werner-numpy-complex",
+         "epsilon-numpy-complex"],
 )
 def test_numpy_scalars_are_shown_as_python_floats(build, shown):
     with pytest.raises(NmwitError) as raised:
