@@ -40,7 +40,11 @@ is the point where bisection of the detected interval would end; it is
 decided by the spectrum of (id (x) Map)(W_p) alone, at the threshold and one
 step below, both in one stacked solve per step, starting from the closed-form
 onset of the spectrum p*w + (1-p)/4 over the Choi weights w, which the
-block's check has already computed.
+block's check has already computed. The walk returns a block's thresholds as
+the arrays (hi, found), and the scan keeps them in one float column, NaN where
+no threshold is found, so no point is visited in Python; the check compares
+every residual entry with its point's bound and judges the block by one flat
+all(), reducing it point by point only when it fails.
 
 A point that is positive but not completely positive certifies entanglement:
 a negative eigenvalue of (id (x) Map)(state) cannot occur on separable input.
@@ -178,9 +182,13 @@ def _disagree(residual: np.ndarray, g1: np.ndarray, g2: np.ndarray) -> np.ndarra
     """Whether the closed-form-minus-numeric residual exceeds rounding at each point.
 
     Rounding may reach 1e-12 per unit of coefficient magnitude; NaN always differs.
+    Every entry is compared with its point's bound and the block judged by one
+    flat all(); only a block that fails is reduced point by point, to the
+    verdicts a per-point max would give.
     """
-    gap = np.abs(residual).reshape(len(g1), -1).max(axis=-1)
-    return ~(gap <= 1e-12 * (1.0 + np.abs(g1) + np.abs(g2)))
+    bound = 1e-12 * (1.0 + np.abs(g1) + np.abs(g2))
+    within = np.abs(residual).reshape(len(g1), -1) <= bound[:, None]
+    return np.zeros(len(g1), dtype=bool) if within.all() else ~within.all(axis=-1)
 
 
 def _check_points(g1: np.ndarray, g2: np.ndarray, tolerance: float):
@@ -245,7 +253,7 @@ def detect_entanglement(
 
 def _werner_thresholds(
     g1: np.ndarray, g2: np.ndarray, resolution: float, tolerance: float, least: np.ndarray
-) -> list[float | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Werner thresholds of positive points (g1[k], g2[k]), where bisection from [0, 1] ends.
 
     Bisection ends at [lo, hi], detected at hi and not at lo, of width h (the
@@ -257,7 +265,9 @@ def _werner_thresholds(
     every point at hi and at lo in one stacked extend and one eigvalsh, as
     detect_entanglement diagonalizes one image, and moves hi up where it is
     not detected (below 1) and down where lo is detected too. A point not
-    settled after _STEPS steps raises CrossCheckFailed.
+    settled after _STEPS steps raises CrossCheckFailed. Returns the arrays
+    (hi, found): point k has the threshold hi[k] where found[k], and none
+    (not even p = 1 is detected) elsewhere.
     """
     h = min(1.0, math.ldexp(0.5, math.frexp(resolution)[1]))
     rows = np.stack([g1, g1, g2], axis=-1)
@@ -272,7 +282,7 @@ def _werner_thresholds(
         found, below = eigvalsh(images)[..., 0] < -tolerance
         up, down = ~found & (hi < 1.0), found & below
         if not (up | down).any():
-            return [float(p) if f else None for p, f in zip(hi, found)]
+            return hi, found
         hi, last = np.where(up, np.minimum(np.maximum(hi + h, np.nextafter(hi, 2.0)), 1.0),
                             np.where(down, lo, hi)), hi
     k = int(np.argmax(up | down))
@@ -296,8 +306,9 @@ def werner_threshold(
     """
     if isinstance(resolution, COMPLEX) or not 0.0 < resolution < np.inf:
         raise ParameterOutOfRange(f"resolution must be finite and > 0, got {shown(resolution)!r}")
-    return _werner_thresholds(np.array([pt.gamma1]), np.array([pt.gamma2]), resolution, tolerance,
-                              _require_positive(pt, tolerance))[0]
+    hi, found = _werner_thresholds(np.array([pt.gamma1]), np.array([pt.gamma2]), resolution,
+                                   tolerance, _require_positive(pt, tolerance))
+    return float(hi[0]) if found[0] else None
 
 
 @dataclass(frozen=True)
@@ -327,15 +338,16 @@ def scan_axes(gamma1_range, gamma2_range, steps):
 def _scan_columns(g1s: np.ndarray, g2s: np.ndarray, tolerance: float):
     """The positive, cp and threshold columns of a phase scan over axes that scan_axes returned.
 
-    Point k of a column is (g1s[k // len(g2s)], g2s[k % len(g2s)]); a
-    threshold is None where the point is not positive-but-not-CP or no Werner
-    state is detected there. The grid is walked in blocks of whole gamma1
-    rows, about _BLOCK points each, so the first failing block raises, as a
-    loop over the points would.
+    Point k of a column is (g1s[k // len(g2s)], g2s[k % len(g2s)]). The
+    threshold column is float, NaN where the point is not positive-but-not-CP
+    or no Werner state is detected there; each block's found thresholds enter
+    it in one scatter. The grid is walked in blocks of whole gamma1 rows,
+    about _BLOCK points each, so the first failing block raises, as a loop
+    over the points would.
     """
     n2 = len(g2s)
     positive, cp = np.empty(len(g1s) * n2, dtype=bool), np.empty(len(g1s) * n2, dtype=bool)
-    thresholds: list[float | None] = [None] * positive.size
+    thresholds = np.full(positive.size, np.nan)
     rows = max(1, _BLOCK // n2)
     for start in range(0, len(g1s), rows):
         g1, g2 = np.repeat(g1s[start:start + rows], n2), np.tile(g2s, min(rows, len(g1s) - start))
@@ -343,9 +355,8 @@ def _scan_columns(g1s: np.ndarray, g2s: np.ndarray, tolerance: float):
         positive[block], cp[block], least = _check_points(g1, g2, tolerance)
         todo = np.flatnonzero(positive[block] & ~cp[block])
         if todo.size:
-            found = _werner_thresholds(g1[todo], g2[todo], _RESOLUTION, tolerance, least[todo])
-            for k, threshold in zip((todo + block.start).tolist(), found):
-                thresholds[k] = threshold
+            hi, found = _werner_thresholds(g1[todo], g2[todo], _RESOLUTION, tolerance, least[todo])
+            thresholds[todo[found] + block.start] = hi[found]
     return positive, cp, thresholds
 
 
@@ -370,5 +381,6 @@ def phase_scan(
     return [
         PhaseScanRow(gamma1=g1, gamma2=g2, positive=p, cp=c, werner_threshold=t)
         for g1, g2, p, c, t in zip(np.repeat(g1s, len(g2s)).tolist(), np.tile(g2s, len(g1s)).tolist(),
-                                   positive.tolist(), cp.tolist(), thresholds)
+                                   positive.tolist(), cp.tolist(),
+                                   np.where(np.isnan(thresholds), None, thresholds).tolist())
     ]

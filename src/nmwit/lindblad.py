@@ -295,7 +295,8 @@ def extend(gen: LindbladGenerator, c: np.ndarray, epsilon: float, X: np.ndarray)
 
 
 def finite_image(gen: LindbladGenerator, c: np.ndarray, epsilon: float, X: np.ndarray) -> np.ndarray:
-    """extend for one coefficient row c and one matrix X; ParameterOutOfRange unless the image is finite."""
+    """extend for coefficient rows c and a matrix or a stack X; ParameterOutOfRange unless the
+    image is finite."""
     with np.errstate(over="ignore", invalid="ignore"):  # an image that is not finite is reported below
         image = extend(gen, c, epsilon, X)
     if not np.isfinite(image).all():

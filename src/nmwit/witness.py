@@ -37,7 +37,7 @@ import numpy as np
 from .choi import ChoiState, choi_of
 from .errors import DegenerateMinimum, DimensionMismatch, NonHermitianJump, ParameterOutOfRange
 from .kernel import as_complex, as_matrix, check_tolerance, dag, is_hermitian, projector
-from .lindblad import LindbladGenerator, SmallTimeMap, constant, extend
+from .lindblad import LindbladGenerator, SmallTimeMap, constant, finite_image
 from .lindblad import extend_and_apply, small_time_map
 from .spa import spa_grid
 
@@ -138,8 +138,9 @@ def witness_weights(times, eigenvalues: np.ndarray):
 def witness_matrices(gen: LindbladGenerator, c: np.ndarray, epsilon: float, nu: np.ndarray,
                      tau: np.ndarray) -> np.ndarray:
     """The read-only witness matrices nu * (id (x) N)(|tau><tau|) of snapshots with
-    coefficient rows c, as one stacked extension."""
-    witnesses = extend(gen, c, epsilon, tau[:, :, None] * tau.conj()[:, None, :])
+    coefficient rows c, as one stacked extension. A snapshot's Choi state may be finite while
+    its terms overflow in the extension, so ParameterOutOfRange unless every image is finite."""
+    witnesses = finite_image(gen, c, epsilon, tau[:, :, None] * tau.conj()[:, None, :])
     witnesses *= nu[:, None, None]
     witnesses.setflags(write=False)
     return witnesses

@@ -234,6 +234,14 @@ GOLDEN_INVOCATIONS = [
      ["entangle", "--config", "config_override.json", "--p", "0.3", "--format", "json"], None),
     ("file_override_prop1.csv", ["prop1", "--config", "config_override.json", "--seed", "4"],
      None),
+    # Scans with no threshold at all (no point is positive but not CP), of one point, and
+    # with negative bounds.
+    *((f"entangle_scan_{name}.{fmt}",
+       ["entangle", "--scan", f"--gamma1-range={g1}", f"--gamma2-range={g2}", "--seed", "3",
+        "--format", fmt], None)
+      for name, g1, g2 in (("empty", "0:0.2:5", "0:0.5:6"), ("one_point", "0.3:0.3:1", "0.6:0.6:1"),
+                           ("negative", "-0.2:0.7:37", "-0.5:1.3:53"))
+      for fmt in ("csv", "json")),
 ]
 
 

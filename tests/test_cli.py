@@ -540,11 +540,23 @@ def test_each_command_checks_its_grids_once(argv, tmp_path, monkeypatch, capsys)
 def test_witness_forms_the_witness_matrices_only_for_an_export(export, tmp_path, monkeypatch,
                                                                capsys):
     monkeypatch.chdir(tmp_path)
-    calls, extend = [], nmwit.witness.extend
-    monkeypatch.setattr(nmwit.witness, "extend", lambda *args: (calls.append(args), extend(*args))[1])
+    calls, extend = [], nmwit.witness.finite_image
+    monkeypatch.setattr(nmwit.witness, "finite_image",
+                        lambda *args: (calls.append(args), extend(*args))[1])
     assert cli.main(["witness", *_GRID, *(["--export-witness", "wit.json"] if export else [])]) == 0
     assert len(calls) == export
     assert (tmp_path / "wit.json").exists() == export
+
+
+def test_a_witness_that_overflows_exits_3_and_writes_neither_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.json").write_text(json.dumps({"dim": 2, "terms": [
+        {"coefficient": {"kind": "constant", "value": -1e308}, "jump": "sigma_z"}]}))
+    code = cli.main(["witness", "--scenario", "custom", "--generator", "g.json", "--epsilon", "1e-300",
+                     "--output", "out.csv", "--export-witness", "wit.json"])
+    assert (code, capsys.readouterr().err) == (
+        3, "numerical failure: the operator and its image under id (x) N must be finite\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
 
 
 def test_a_degenerate_grid_exits_4_before_any_export(tmp_path, monkeypatch, capsys):

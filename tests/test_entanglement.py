@@ -200,6 +200,30 @@ def test_the_real_transfer_product_is_the_complex_one_and_keeps_the_verdicts(poi
     assert np.array_equal(least, _sorted_weights(g1, g2)[:, 0]) and np.array_equal(cp, least >= -1e-9)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(points=st.lists(st.tuples(_COEFFICIENT, _COEFFICIENT), min_size=1, max_size=12),
+       width=st.sampled_from([4, 16]), kind=st.sampled_from([float, complex]), data=st.data())
+def test_the_flat_check_gives_each_point_the_verdict_of_its_largest_residual(points, width, kind,
+                                                                             data):
+    # Residual entries within their point's bound, a few of them replaced by NaN, +-inf, the
+    # bound itself or the next float past it (in either sign); whether the block passes the flat
+    # all() or is reduced point by point, each point's verdict is that of its largest |entry|.
+    g1, g2 = np.array(points).T
+    n = len(g1)
+    bound = 1e-12 * (1.0 + np.abs(g1) + np.abs(g2))
+    parts = st.lists(st.floats(-0.7, 0.7), min_size=n * width, max_size=n * width)
+    r = np.array(data.draw(parts)).reshape(n, width) * bound[:, None]
+    if kind is complex:  # |re + i im| <= 0.7 * sqrt(2) * bound stays within the bound
+        r = r + 1j * np.array(data.draw(parts)).reshape(n, width) * bound[:, None]
+    specials = st.tuples(st.integers(0, n - 1), st.integers(0, width - 1),
+                         st.sampled_from(["at", "-at", "over", "-over", np.nan, np.inf, -np.inf]))
+    for k, j, special in data.draw(st.lists(specials, max_size=3)):
+        at, over = bound[k], np.nextafter(bound[k], np.inf)
+        r[k, j] = {"at": at, "-at": -at, "over": over, "-over": -over}.get(special, special)
+    expected = ~(np.abs(r).reshape(n, -1).max(axis=-1) <= bound)
+    assert np.array_equal(entanglement._disagree(r, g1, g2), expected)
+
+
 # Finite coefficients with finite weights, no -0.0 among them, and ties among the weights.
 _FINITE = st.floats(-1e300, 1e300).map(lambda x: x + 0.0) | st.sampled_from([0.0, 0.25, 0.5, 1.0])
 
@@ -377,8 +401,9 @@ def test_batched_werner_thresholds_match_per_point_bisection(g1, fractions):
     # where the closed-form onset is 1/(8*g1 + 4*g2 - 3).
     g2 = np.array([1.0 - 2.0 * g1 + f * g1 for f in fractions])
     g1s = np.full(len(g2), g1)
-    batch = _werner_thresholds(g1s, g2, 1e-6, 1e-9, _choi_weights(g1s, g2)[:, 0])
-    for thr, b in zip(batch, g2):
+    hi, found = _werner_thresholds(g1s, g2, 1e-6, 1e-9, _choi_weights(g1s, g2)[:, 0])
+    assert found.all()
+    for thr, b in zip(hi.tolist(), g2):
         point = pt(g1, float(b))
         assert thr == nmwit.werner_threshold(point) == loop_threshold(point)
         assert abs(thr - 1.0 / (8.0 * g1 + 4.0 * b - 3.0)) < 2e-6
@@ -433,8 +458,8 @@ def test_werner_walk_corrects_an_onset_some_steps_off(offset):
     # by about 4.4e-6, four or five lattice steps up or down; the walk still
     # ends where bisection does.
     g = np.array([0.5])
-    assert (_werner_thresholds(g, g, 1e-6, 1e-9, _choi_weights(g, g)[:, 0] + offset)
-            == [loop_threshold(pt(0.5, 0.5))])
+    hi, found = _werner_thresholds(g, g, 1e-6, 1e-9, _choi_weights(g, g)[:, 0] + offset)
+    assert found.tolist() == [True] and hi.tolist() == [loop_threshold(pt(0.5, 0.5))]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

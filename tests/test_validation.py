@@ -273,9 +273,9 @@ def test_werner_threshold_ends_at_float_spacing():
     # steps, and an undetected point never starts; each stops on its own.
     g1 = np.array([0.5, 0.5, 0.4, 0.3, 0.2])
     g2 = np.array([0.5, 0.3, 0.45, 0.6, 0.2])
-    batch = _werner_thresholds(g1, g2, 1e-300, 1e-9, _choi_weights(g1, g2)[:, 0])
-    assert batch[-1] is None
-    for a, b, thr in zip(g1[:-1], g2[:-1], batch[:-1]):
+    hi, found = _werner_thresholds(g1, g2, 1e-300, 1e-9, _choi_weights(g1, g2)[:, 0])
+    assert found.tolist() == [True] * 4 + [False]
+    for a, b, thr in zip(g1[:-1], g2[:-1], hi[:-1].tolist()):
         point = nmwit.MapFamilyPoint(float(a), float(b))
         assert thr == nmwit.werner_threshold(point, resolution=1e-300)
         assert abs(thr - werner_threshold_closed(a, b)) < 1e-6

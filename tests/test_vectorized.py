@@ -2,10 +2,10 @@
 
 The coefficient rows are filled one term's column at a time, the witness
 values come from two stacked matrix-vector products, and cli._emit writes a
-table from its typed columns, with one % over the whole CSV body. Each must give
-the bits of the per-instant loop or per-cell path it replaces
-(oracles.loop_coefficients, oracles.loop_witness_values, and cli._fmt joined
-over the cells of each row).
+table from its typed columns, with one % over the whole CSV body; the phase
+scan's CSV body is one packed record array. Each must give the bits of the
+per-instant loop or per-cell path it replaces (oracles.loop_coefficients,
+oracles.loop_witness_values, and cli._fmt joined over the cells of each row).
 """
 
 import argparse
@@ -213,6 +213,25 @@ def test_emit_writes_each_row_as_the_fmt_join_and_the_round12_of_its_cells(colum
             _written("json", names, columns)
     else:
         assert _written("json", names, columns) == expected
+
+
+_BOUND = st.floats(-1.0, 1.5) | st.sampled_from((0.0, -0.0, 0.25, 0.5, 1.0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@example(g1=(0.0, 0.6, 40), g2=(0.0, 1.0, 30))  # 1200 points, in two blocks
+@given(g1=st.tuples(_BOUND, _BOUND, st.integers(1, 6)), g2=st.tuples(_BOUND, _BOUND, st.integers(1, 6)))
+def test_the_packed_scan_body_is_the_fmt_join_of_the_phase_scan_rows(g1, g2):
+    # cmd_entangle writes the scan's CSV body from one record array; each line must be
+    # the cells of a phase_scan row, each written by _fmt.
+    argv = ["entangle", "--scan", "--gamma1-range=%r:%r:%d" % g1, "--gamma2-range=%r:%r:%d" % g2]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(argv) == 0
+    rows = nmwit.phase_scan(g1[:2], g2[:2], (g1[2], g2[2]))
+    body = out.getvalue().split("\ngamma1,gamma2,positive,cp,werner_threshold\n")[1]
+    assert body == "".join(",".join(map(cli._fmt, (r.gamma1, r.gamma2, r.positive, r.cp,
+                                                   r.werner_threshold))) + "\n" for r in rows)
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import nmwit
 from nmwit.cli import _round12
-from nmwit.errors import DegenerateMinimum, DimensionMismatch, NonHermitianJump
+from nmwit.errors import DegenerateMinimum, DimensionMismatch, NonHermitianJump, ParameterOutOfRange
 from nmwit.choi import checked_grid, grid_pass
 from nmwit.witness import witness_dicts, witness_matrices, witness_stage
 
@@ -35,6 +35,16 @@ def test_witness_reuses_the_maps_choi_state(solves):
     W = nmwit.build_witness(m)
     assert solves == [("x", 1, True)]
     assert nmwit.evaluate(W, choi) < 0
+
+
+def test_a_witness_that_overflows_is_refused():
+    # The Choi state is finite, Hermitian and of unit trace, but the term times
+    # the superoperator's 1/P[0,0] = 2 overflows in the extension.
+    gen = nmwit.LindbladGenerator(dim=2, terms=((nmwit.constant(-1e308), nmwit.SIGMA_Z),))
+    m = nmwit.small_time_map(gen, 1.0, 1e-300)
+    assert np.isfinite(nmwit.choi_of(m).matrix).all()
+    with pytest.raises(ParameterOutOfRange, match="must be finite$"):
+        nmwit.build_witness(m)
 
 
 def test_one_dimensional_snapshot_has_a_witness():
