@@ -9,30 +9,34 @@ only for 2*gamma1 + gamma2 > 1, and the threshold reaches 1/3 (full
 entangled range) only where 2*gamma1 + gamma2 = 3/2.
 """
 
+import math
+
 import nmwit
 
-rows = nmwit.phase_scan((0.0, 0.6), (0.0, 1.0), (13, 11))
+# One column per quantity, one entry per grid point; the threshold is NaN where there is none.
+columns = (column.tolist() for column in nmwit.phase_scan((0.0, 0.6), (0.0, 1.0), (13, 11)))
+by_point = {(round(g1, 9), round(g2, 9)): (positive, cp, None if math.isnan(t) else t)
+            for g1, g2, positive, cp, t in zip(*columns)}
 
 print("legend: '.' not positive | 'c' positive and CP | digits = Werner threshold")
 print("        (threshold printed as first decimal digit: 3 -> 0.3x, etc.)\n")
-g2_values = sorted({round(r.gamma2, 9) for r in rows}, reverse=True)
-g1_values = sorted({round(r.gamma1, 9) for r in rows})
-by_point = {(round(r.gamma1, 9), round(r.gamma2, 9)): r for r in rows}
+g2_values = sorted({g2 for _, g2 in by_point}, reverse=True)
+g1_values = sorted({g1 for g1, _ in by_point})
 for g2 in g2_values:
     cells = []
     for g1 in g1_values:
-        r = by_point[(g1, g2)]
-        if not r.positive:
+        positive, cp, threshold = by_point[(g1, g2)]
+        if not positive:
             cells.append(".")
-        elif r.cp:
+        elif cp:
             cells.append("c")
         else:
-            cells.append(str(int(r.werner_threshold * 10)))
+            cells.append(str(int(threshold * 10)))
     print(f"  g2={g2:4.1f}  " + " ".join(cells))
 print("            " + " ".join(f"{g1:.2f}"[2:4].rjust(1)[:1] for g1 in g1_values))
 print("            g1 from 0.00 to 0.60")
 
 print("\nselected points:")
 for g1, g2 in ((0.5, 0.5), (0.25, 0.6), (0.5, 0.9), (0.2, 0.2)):
-    r = by_point[(g1, g2)]
-    print(f"  ({g1:.2f}, {g2:.2f}): positive={r.positive} cp={r.cp} threshold={r.werner_threshold}")
+    positive, cp, threshold = by_point[(g1, g2)]
+    print(f"  ({g1:.2f}, {g2:.2f}): positive={positive} cp={cp} threshold={threshold}")

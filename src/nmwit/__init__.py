@@ -2,13 +2,15 @@
 witnesses, and positive-map entanglement detection.
 
 All heavy lifting is dense small-matrix numerics on numpy arrays; every
-public operation is a pure function over immutable values.
+public operation is a pure function over immutable values. The imports below
+are the public surface: __all__ is every name they bind, submodules aside.
 """
+
+from types import ModuleType as _Module
 
 from .choi import ChoiState, DivisibilityVerdict, choi_of, choi_state, classify, scan
 from .entanglement import (
     MapFamilyPoint,
-    PhaseScanRow,
     WernerState,
     detect_entanglement,
     is_cp,
@@ -69,72 +71,9 @@ from .witness import (
     evaluate,
     adjoint_identity_max_residual,
     adjoint_identity_residual,
-    witness_to_dict,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChoiState",
-    "CoefficientModel",
-    "CrossCheckFailed",
-    "DegenerateMinimum",
-    "DimensionMismatch",
-    "DivisibilityVerdict",
-    "EmptyGrid",
-    "LindbladGenerator",
-    "MalformedDescription",
-    "MapFamilyPoint",
-    "MapNotPositive",
-    "MARKOVIAN_CONSISTENT",
-    "NON_MARKOVIAN_DETECTED",
-    "NmwitError",
-    "NonHermitianInput",
-    "NonHermitianJump",
-    "NonPositiveEpsilon",
-    "NotUnitTrace",
-    "ParameterOutOfRange",
-    "PhaseScanRow",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "SmallTimeMap",
-    "SpaDecomposition",
-    "Spectrum",
-    "UnorderedGrid",
-    "WernerState",
-    "WitnessOperator",
-    "build_witness",
-    "choi_of",
-    "choi_state",
-    "classify",
-    "classify_by_witness",
-    "constant",
-    "dephasing",
-    "depolarizer",
-    "detect_entanglement",
-    "eig_hermitian",
-    "eternal_depolarizer",
-    "eternal_tanh",
-    "evaluate",
-    "extend_and_apply",
-    "from_callable",
-    "generator_from_dict",
-    "is_cp",
-    "is_hermitian",
-    "is_positive",
-    "load_generator",
-    "max_entangled",
-    "optimal_decomposition",
-    "phase_scan",
-    "projector",
-    "adjoint_identity_max_residual",
-    "adjoint_identity_residual",
-    "scan",
-    "small_time_map",
-    "tabulated",
-    "trace_norm",
-    "werner",
-    "werner_threshold",
-    "witness_to_dict",
-]
+__all__ = [name for name, value in globals().items()
+           if not (name.startswith("_") or isinstance(value, _Module))]

@@ -386,11 +386,10 @@ def cmd_entangle(cfg: argparse.Namespace) -> int:
               [np.array([v]) for v in (cfg.gamma1, cfg.gamma2, cfg.p, lam, detected)])
         return EXIT_OK
     g1s, g2s = cfg.scan_grid
-    positive, cp, thresholds = entanglement._scan_columns(g1s, g2s, cfg.tolerance)
+    g1, g2, positive, cp, thresholds = entanglement.scan_columns(g1s, g2s, cfg.tolerance)
     names = ["gamma1", "gamma2", "positive", "cp", "werner_threshold"]
     if cfg.format != "csv":
-        _emit(cfg, names, [np.repeat(g1s, len(g2s)), np.tile(g2s, len(g1s)), positive, cp,
-                           np.where(np.isnan(thresholds), None, thresholds)])
+        _emit(cfg, names, [g1, g2, positive, cp, np.where(np.isnan(thresholds), None, thresholds)])
         return EXIT_OK
     # The cells that _fmt writes, as NUL-padded fields of one record per row: each axis value
     # formatted once, each (positive, cp) pair looked up and each threshold found formatted.
@@ -399,7 +398,7 @@ def cmd_entangle(cfg: argparse.Namespace) -> int:
     t = np.array(["%.12g" % p for p in thresholds[found].tolist()], dtype="S")
     rows = np.zeros(positive.size, dtype=[("g1", a.dtype), ("g2", b.dtype),
                                           ("flags", _FLAG_CELLS.dtype), ("t", t.dtype), ("end", "S1")])
-    rows["g1"], rows["g2"] = np.repeat(a, len(b)), np.tile(b, len(a))
+    rows["g1"], rows["g2"] = entanglement.grid_points(a, b)
     rows["flags"], rows["end"] = _FLAG_CELLS[2 * positive + cp], b"\n"
     rows["t"][found] = t
     body = rows.tobytes().translate(None, b"\0").decode("ascii")

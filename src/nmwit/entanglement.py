@@ -311,15 +311,6 @@ def werner_threshold(
     return float(hi[0]) if found[0] else None
 
 
-@dataclass(frozen=True)
-class PhaseScanRow:
-    gamma1: float
-    gamma2: float
-    positive: bool
-    cp: bool
-    werner_threshold: float | None
-
-
 def scan_axes(gamma1_range, gamma2_range, steps):
     """The gamma1 and gamma2 axes of a phase scan; EmptyGrid unless both steps are >= 1, and
     ParameterOutOfRange unless every grid point has finite coefficients and closed forms."""
@@ -335,29 +326,34 @@ def scan_axes(gamma1_range, gamma2_range, steps):
     return g1s, g2s
 
 
-def _scan_columns(g1s: np.ndarray, g2s: np.ndarray, tolerance: float):
-    """The positive, cp and threshold columns of a phase scan over axes that scan_axes returned.
+def grid_points(g1s: np.ndarray, g2s: np.ndarray):
+    """The grid g1s x g2s in scan order, as two columns: point k is (g1s[k // len(g2s)], g2s[k % len(g2s)])."""
+    return np.repeat(g1s, len(g2s)), np.tile(g2s, len(g1s))
 
-    Point k of a column is (g1s[k // len(g2s)], g2s[k % len(g2s)]). The
-    threshold column is float, NaN where the point is not positive-but-not-CP
+
+def scan_columns(g1s: np.ndarray, g2s: np.ndarray, tolerance: float):
+    """The columns (gamma1, gamma2, positive, cp, werner_threshold) of a phase scan over axes that
+    scan_axes returned, point k of each at grid_points' point k.
+
+    The threshold column is float, NaN where the point is not positive-but-not-CP
     or no Werner state is detected there; each block's found thresholds enter
     it in one scatter. The grid is walked in blocks of whole gamma1 rows,
     about _BLOCK points each, so the first failing block raises, as a loop
     over the points would.
     """
-    n2 = len(g2s)
-    positive, cp = np.empty(len(g1s) * n2, dtype=bool), np.empty(len(g1s) * n2, dtype=bool)
-    thresholds = np.full(positive.size, np.nan)
-    rows = max(1, _BLOCK // n2)
-    for start in range(0, len(g1s), rows):
-        g1, g2 = np.repeat(g1s[start:start + rows], n2), np.tile(g2s, min(rows, len(g1s) - start))
-        block = slice(start * n2, start * n2 + g1.size)
-        positive[block], cp[block], least = _check_points(g1, g2, tolerance)
+    g1, g2 = grid_points(g1s, g2s)
+    positive, cp = np.empty(g1.size, dtype=bool), np.empty(g1.size, dtype=bool)
+    thresholds = np.full(g1.size, np.nan)
+    step = max(1, _BLOCK // len(g2s)) * len(g2s)
+    for start in range(0, g1.size, step):
+        block = slice(start, start + step)
+        g1b, g2b = g1[block], g2[block]
+        positive[block], cp[block], least = _check_points(g1b, g2b, tolerance)
         todo = np.flatnonzero(positive[block] & ~cp[block])
         if todo.size:
-            hi, found = _werner_thresholds(g1[todo], g2[todo], _RESOLUTION, tolerance, least[todo])
-            thresholds[todo[found] + block.start] = hi[found]
-    return positive, cp, thresholds
+            hi, found = _werner_thresholds(g1b[todo], g2b[todo], _RESOLUTION, tolerance, least[todo])
+            thresholds[todo[found] + start] = hi[found]
+    return g1, g2, positive, cp, thresholds
 
 
 def phase_scan(
@@ -366,21 +362,17 @@ def phase_scan(
     steps: tuple[int, int],
     *,
     tolerance: float = 1e-9,
-) -> list[PhaseScanRow]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Classify the (gamma1, gamma2) grid and locate Werner thresholds.
 
-    The grid is decided in blocks of whole gamma1 rows: positivity from the
-    closed-form Bloch criterion and complete positivity from the closed-form
-    Choi weights, both cross-checked against the block's stacked Choi
-    matrices (see is_positive and is_cp), and - only where the map is
-    positive but not completely positive - the Werner detection threshold at
-    the default resolution of werner_threshold, found for the whole block at once.
+    Returns the 1-D columns (gamma1, gamma2, positive, cp, werner_threshold),
+    one entry per grid point, gamma1 outer and gamma2 inner (the CLI table's
+    row order); werner_threshold is NaN where there is none. The grid is
+    decided in blocks of whole gamma1 rows: positivity from the closed-form
+    Bloch criterion and complete positivity from the closed-form Choi
+    weights, both cross-checked against the block's stacked Choi matrices
+    (see is_positive and is_cp), and - only where the map is positive but
+    not completely positive - the Werner detection threshold at the default
+    resolution of werner_threshold, found for the whole block at once.
     """
-    g1s, g2s = scan_axes(gamma1_range, gamma2_range, steps)
-    positive, cp, thresholds = _scan_columns(g1s, g2s, tolerance)
-    return [
-        PhaseScanRow(gamma1=g1, gamma2=g2, positive=p, cp=c, werner_threshold=t)
-        for g1, g2, p, c, t in zip(np.repeat(g1s, len(g2s)).tolist(), np.tile(g2s, len(g1s)).tolist(),
-                                   positive.tolist(), cp.tolist(),
-                                   np.where(np.isnan(thresholds), None, thresholds).tolist())
-    ]
+    return scan_columns(*scan_axes(gamma1_range, gamma2_range, steps), tolerance)

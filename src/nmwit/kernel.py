@@ -1,11 +1,11 @@
 """Dense matrix foundation.
 
 Construction helpers (Paulis, Bell vectors, projectors), Hermitian
-eigendecomposition and trace norm. All functions take and return plain numpy
-arrays, and every operation is a pure function. The module's constants, the
-arrays of frozen and max_entangled and those of eigh_checked's Spectrum are
-marked read-only, so they can be shared freely across threads; projector and
-eigvalsh return fresh writable arrays.
+eigendecomposition and the trace norm of a Hermitian matrix. All functions
+take and return plain numpy arrays, and every operation is a pure function.
+The module's constants, the arrays of frozen and max_entangled and those of
+eigh_checked's Spectrum are marked read-only, so they can be shared freely
+across threads; projector and eigvalsh return fresh writable arrays.
 
 Every Hermitian eigensolve of the package goes through eigh_checked or
 eigvalsh, under one rule decided per matrix, which knows three kinds:
@@ -314,17 +314,17 @@ def eig_hermitian(M: np.ndarray) -> Spectrum:
 
 
 def trace_norm(X: np.ndarray) -> float:
-    """Sum of absolute eigenvalues for Hermitian X (singular values otherwise).
+    """Sum of absolute eigenvalues of a Hermitian matrix X.
 
-    Raises DimensionMismatch unless X is a numeric matrix, and
-    ParameterOutOfRange unless X and its trace norm are finite.
+    Raises DimensionMismatch unless X is a numeric matrix, ParameterOutOfRange
+    unless X and its trace norm are finite, and NonHermitianInput unless X is
+    square and Hermitian within TOL_HERM.
     """
     X = as_matrix(X)
     if not np.isfinite(X).all():
         raise ParameterOutOfRange("matrix entries must be finite")
-    with np.errstate(over="ignore"):  # an overflowing sum is reported below
-        norm = float(np.abs(eigvalsh(X)).sum() if is_hermitian(X)
-                     else np.linalg.svd(X, compute_uv=False).sum())
+    with np.errstate(over="ignore"):  # an overflowing difference fails the Hermiticity check, a sum below
+        norm = float(np.abs(eigh_checked(X[None], vectors=False).eigenvalues).sum())
     if not np.isfinite(norm):
         raise ParameterOutOfRange(f"trace norm overflows, got {norm}")
     return norm

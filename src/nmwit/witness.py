@@ -21,11 +21,11 @@ witness_stage: witness_weights reads (omega, nu) off the Choi spectra and
 rejects a degenerate minimum, so the pass fails as a loop of build_witness
 over the grid does. witness_matrices forms every witness matrix from tau with
 one stacked extension, and witness_dicts the export of the whole stack.
-build_witness, evaluate and witness_to_dict are the one-instant cases of the
-stage with witness_matrices (off the Choi state the snapshot map keeps,
-choi.choi_of), of witness_values and of witness_dicts. witness_values needs
-no witness matrix, so the CLI's witness command forms the matrices only when
-it exports them, and exports them from the stacks, with no snapshot map.
+build_witness and evaluate are the one-instant cases of the stage with
+witness_matrices (off the Choi state the snapshot map keeps, choi.choi_of)
+and of witness_values. witness_values needs no witness matrix, so the CLI's
+witness command forms the matrices only when it exports them, and exports
+them from the stacks, with no snapshot map.
 """
 
 from __future__ import annotations
@@ -48,17 +48,16 @@ _DEGENERACY_TOL = 1e-12  # an SPA state whose two lowest eigenvalues are closer 
 
 @dataclass(frozen=True)
 class WitnessOperator:
-    """Witness matrix with the (nu, omega, tau) provenance used to build it.
+    """Witness matrix with the (nu, omega, tau) it was built from.
 
-    matrix is Hermitian and reconstructible as
-    nu * extend_and_apply(source_map, |tau><tau|).
+    For a witness of the snapshot map m, matrix is Hermitian and equal to
+    nu * extend_and_apply(m, |tau><tau|).
     """
 
     matrix: np.ndarray
     nu: float
     omega: float
     tau: np.ndarray
-    source_map: SmallTimeMap
 
 
 def adjoint_identity_residual(
@@ -163,8 +162,7 @@ def build_witness(m: SmallTimeMap) -> WitnessOperator:
     omega, nu = witness_weights([m.t], spectrum.eigenvalues[None])
     tau = spectrum.eigenvectors[None, :, 0]
     matrices = witness_matrices(m.generator, m._choi[1], m.epsilon, nu, tau)  # choi_of's row c
-    return WitnessOperator(matrix=matrices[0], nu=float(nu[0]), omega=float(omega[0]), tau=tau[0],
-                           source_map=m)
+    return WitnessOperator(matrix=matrices[0], nu=float(nu[0]), omega=float(omega[0]), tau=tau[0])
 
 
 def witness_values(nu: np.ndarray | float, tau: np.ndarray, matrices: np.ndarray) -> np.ndarray:
@@ -210,10 +208,3 @@ def witness_dicts(gen: LindbladGenerator, times, epsilon: float, omega, nu, tau,
              "source_map": {"t": t, "epsilon": float(epsilon), "generator": gen.label}}
             for W, n, o, v, t in zip(_floored_pairs(matrices), nu.tolist(), omega.tolist(),
                                      _floored_pairs(tau), times)]
-
-
-def witness_to_dict(W: WitnessOperator) -> dict:
-    """JSON-exportable form of W: witness_dicts at W's one instant."""
-    m = W.source_map
-    return witness_dicts(m.generator, [m.t], m.epsilon, np.array([W.omega]), np.array([W.nu]),
-                         W.tau[None], W.matrix[None])[0]

@@ -212,6 +212,14 @@ def werner_threshold_closed(g1, g2):
     return 1.0 / M if M > 1.0 else None
 
 
+def scan_rows(columns):
+    """phase_scan's columns as rows [gamma1, gamma2, positive, cp, threshold] of Python values,
+    the threshold None where its column holds NaN."""
+    g1, g2, positive, cp, threshold = (column.tolist() for column in columns)
+    return [[a, b, p, c, None if math.isnan(t) else t]
+            for a, b, p, c, t in zip(g1, g2, positive, cp, threshold)]
+
+
 def loop_threshold(point, resolution=1e-6, tolerance=1e-9):
     """Scalar bisection, one detect_entanglement per step: the batched reference."""
     if not nmwit.detect_entanglement(nmwit.werner(1.0).matrix, point, tolerance)[0]:

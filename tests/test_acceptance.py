@@ -16,7 +16,7 @@ import numpy as np
 import nmwit
 from nmwit import cli
 
-from oracles import spa_onset_bisect, werner_threshold_closed
+from oracles import scan_rows, spa_onset_bisect, werner_threshold_closed
 
 EPS = 0.01
 ETERNAL_INSTANTS = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -123,27 +123,26 @@ def test_criterion_7_phase_diagram_truth_finding():
     # Each row's transfer matrices and Choi spectra are checked against the
     # closed forms, and each Werner bracket against eigvalsh; any disagreement
     # raises, so a completed scan certifies zero disagreements across the grid.
-    rows = nmwit.phase_scan((0.0, 0.6), (0.0, 1.0), (61, 101))
+    rows = scan_rows(nmwit.phase_scan((0.0, 0.6), (0.0, 1.0), (61, 101)))
     assert len(rows) == 61 * 101
 
     margin = 1e-9
-    for r in rows:
-        g1, g2 = r.gamma1, r.gamma2
+    for g1, g2, positive, cp, threshold in rows:
         positive_expected = g1 <= 0.5 + margin and g1 + g2 <= 1.0 + margin
-        assert r.positive == positive_expected, (g1, g2)
+        assert positive == positive_expected, (g1, g2)
         cp_expected = 1.0 - 2.0 * g1 - g2 >= -margin
-        assert r.cp == cp_expected, (g1, g2)
-        if r.positive and not r.cp:
-            assert r.werner_threshold is not None, (g1, g2)
-            assert abs(r.werner_threshold - werner_threshold_closed(g1, g2)) < 2e-6
+        assert cp == cp_expected, (g1, g2)
+        if positive and not cp:
+            assert threshold is not None, (g1, g2)
+            assert abs(threshold - werner_threshold_closed(g1, g2)) < 2e-6
         else:
-            assert r.werner_threshold is None
+            assert threshold is None
 
-    by_point = {(round(r.gamma1, 9), round(r.gamma2, 9)): r for r in rows}
+    by_point = {(round(g1, 9), round(g2, 9)): row for g1, g2, *row in rows}  # [positive, cp, threshold]
     # documented discrepancies with the nominal parameter region
-    assert not by_point[(0.5, 0.9)].positive
-    assert by_point[(0.2, 0.2)].cp
-    assert abs(by_point[(0.5, 0.5)].werner_threshold - 1 / 3) < 1e-6
+    assert not by_point[(0.5, 0.9)][0]
+    assert by_point[(0.2, 0.2)][1]
+    assert abs(by_point[(0.5, 0.5)][2] - 1 / 3) < 1e-6
     _report(7, "positivity checks agree at all 6161 grid points; region boundaries "
                "are gamma1 <= 1/2 and gamma1+gamma2 <= 1 (positive), 2*gamma1+gamma2 > 1 (NCP)")
 

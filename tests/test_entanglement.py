@@ -29,6 +29,7 @@ from oracles import (
     rand_hermitian,
     rand_separable,
     sample_pure_states,
+    scan_rows,
     werner_extended_min_eig,
     werner_threshold_closed,
 )
@@ -529,16 +530,14 @@ def test_detection_diagonalizes_a_complex_image_as_complex_and_a_real_one_as_rea
 
 
 def test_phase_scan_small_grid():
-    rows = nmwit.phase_scan((0.0, 0.5), (0.0, 1.0), (3, 5))
-    assert len(rows) == 15
-    by_point = {(round(r.gamma1, 6), round(r.gamma2, 6)): r for r in rows}
-    r = by_point[(0.5, 0.5)]
-    assert r.positive and not r.cp
-    assert abs(r.werner_threshold - 1 / 3) < 1e-6
-    r = by_point[(0.0, 0.0)]
-    assert r.positive and r.cp and r.werner_threshold is None
-    r = by_point[(0.5, 1.0)]
-    assert not r.positive and r.werner_threshold is None
+    columns = nmwit.phase_scan((0.0, 0.5), (0.0, 1.0), (3, 5))
+    assert [(c.shape, c.dtype.kind) for c in columns] == [((15,), k) for k in "ffbbf"]
+    by_point = {(round(g1, 6), round(g2, 6)): row for g1, g2, *row in scan_rows(columns)}
+    positive, cp, threshold = by_point[(0.5, 0.5)]
+    assert positive and not cp
+    assert abs(threshold - 1 / 3) < 1e-6
+    assert by_point[(0.0, 0.0)] == [True, True, None]
+    assert by_point[(0.5, 1.0)] == [False, False, None]
 
 
 def test_phase_scan_rejects_empty_grid():
@@ -559,11 +558,6 @@ def blocks_of_512(monkeypatch):
     monkeypatch.setattr(entanglement, "_BLOCK", 512)
 
 
-def _scan_table(g1_range, g2_range, steps):
-    return [[r.gamma1, r.gamma2, r.positive, r.cp, r.werner_threshold]
-            for r in nmwit.phase_scan(g1_range, g2_range, steps)]
-
-
 @pytest.mark.parametrize("g1_range, g2_range, steps", _BLOCKED)
 def test_blocked_phase_scan_is_the_per_point_loop(g1_range, g2_range, steps, blocks_of_512):
     g1s, g2s = np.linspace(*g1_range, steps[0]), np.linspace(*g2_range, steps[1])
@@ -576,13 +570,13 @@ def test_blocked_phase_scan_is_the_per_point_loop(g1_range, g2_range, steps, blo
             threshold = nmwit.werner_threshold(point) if positive and not cp else None
             expected.append([g1, g2, positive, cp, threshold])
     assert any(row[4] is not None for row in expected)
-    assert _scan_table(g1_range, g2_range, steps) == expected
+    assert scan_rows(nmwit.phase_scan(g1_range, g2_range, steps)) == expected
 
 
 @pytest.mark.parametrize("g1_range, g2_range, steps", _BLOCKED)
 def test_blocked_scan_output_is_the_fmt_join_and_round12_of_the_rows(g1_range, g2_range, steps,
                                                                       capsys, blocks_of_512):
-    rows = _scan_table(g1_range, g2_range, steps)
+    rows = scan_rows(nmwit.phase_scan(g1_range, g2_range, steps))
     argv = ["entangle", "--scan", "--gamma1-range", f"{g1_range[0]}:{g1_range[1]}:{steps[0]}",
             "--gamma2-range", f"{g2_range[0]}:{g2_range[1]}:{steps[1]}"]
     assert cli.main([*argv, "--format", "csv"]) == 0

@@ -371,8 +371,8 @@ def _solver_references(source):
 
 def test_only_kernel_references_an_eigensolver_or_svd():
     # kernel's per-matrix rule (and its closed form for X-pattern matrices) holds for the
-    # package only if every eigensolve and SVD goes through kernel, and kernel's eigenvalues
-    # are the same bits with vectors or without only if its one LAPACK routine is eigh.
+    # package only if every eigensolve goes through kernel, and kernel's eigenvalues are the
+    # same bits with vectors or without only if its one LAPACK routine is eigh; no SVD is left.
     assert list(_solver_references(
         "import numpy as np\nfrom numpy.linalg import eigvalsh, norm\nla = np.linalg\n"
         "np.linalg.eigh(A); la.svd(A); np.linalg.norm(A); s.eigenvalues\n"
@@ -380,7 +380,7 @@ def test_only_kernel_references_an_eigensolver_or_svd():
     package = Path(nmwit.__file__).parent
     found = {path.name: list(_solver_references(path.read_text(encoding="utf-8")))
              for path in sorted(package.glob("*.py"))}
-    assert sorted(found.pop("kernel.py")) == ["np.linalg.eigh", "np.linalg.svd"]
+    assert found.pop("kernel.py") == ["np.linalg.eigh"]
     assert found and not any(found.values()), found
 
 
@@ -404,7 +404,7 @@ def test_the_cli_builds_no_per_instant_map_or_witness():
     # with no SmallTimeMap or WitnessOperator per instant.
     assert list(_per_instant_references(
         "from .witness import WitnessOperator\nlindblad.small_time_map(g, t, e)\n"
-        "m = SmallTimeMap(g, t, e)\nwitness.witness_to_dict(W)\n"
+        "m = SmallTimeMap(g, t, e)\nwitness.witness_dicts(g, ts, e, o, n, v, W)\n"
     )) == ["WitnessOperator", "small_time_map", "SmallTimeMap"]
     source = (Path(nmwit.__file__).parent / "cli.py").read_text(encoding="utf-8")
     assert not list(_per_instant_references(source))

@@ -15,6 +15,7 @@ from nmwit.errors import (
     EmptyGrid,
     MalformedDescription,
     NmwitError,
+    NonHermitianInput,
     NotUnitTrace,
     ParameterOutOfRange,
     UnorderedGrid,
@@ -243,6 +244,22 @@ def test_library_errors_are_typed_value_errors(build, error):
         build()
     assert type(raised.value) is error
     assert isinstance(raised.value, NmwitError) and isinstance(raised.value, ValueError)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: nmwit.trace_norm([[0.0, 1.0], [0.0, 0.0]]),
+     "matrix is not Hermitian within 1e-09 (max deviation 1)"),
+    (lambda: nmwit.trace_norm([[0.0, 1e308], [-1e308, 0.0]]),
+     "matrix is not Hermitian within 1e-09 (max deviation inf)"),
+    (lambda: nmwit.trace_norm(np.zeros((2, 3))), "expected square matrices, got shape (2, 3)"),
+], ids=["trace-norm-not-hermitian", "trace-norm-deviation-overflows", "trace-norm-not-square"])
+def test_input_that_is_not_hermitian_raises_non_hermitian_input(build, message):
+    # The trace norm is taken of Hermitian matrices only; no SVD stands in for the rest.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonHermitianInput) as raised:
+            build()
+    assert type(raised.value) is NonHermitianInput and str(raised.value) == message
 
 
 @pytest.mark.parametrize("d", [1, 2, np.int64(3)])

@@ -28,7 +28,7 @@ from nmwit.errors import ParameterOutOfRange
 from nmwit.lindblad import coefficients
 from nmwit.witness import witness_stage, witness_values
 
-from oracles import loop_coefficients, loop_witness_values
+from oracles import loop_coefficients, loop_witness_values, scan_rows
 
 _value = st.floats(-2.0, 2.0) | st.sampled_from((0.0, -0.0))
 
@@ -223,15 +223,14 @@ _BOUND = st.floats(-1.0, 1.5) | st.sampled_from((0.0, -0.0, 0.25, 0.5, 1.0))
 @given(g1=st.tuples(_BOUND, _BOUND, st.integers(1, 6)), g2=st.tuples(_BOUND, _BOUND, st.integers(1, 6)))
 def test_the_packed_scan_body_is_the_fmt_join_of_the_phase_scan_rows(g1, g2):
     # cmd_entangle writes the scan's CSV body from one record array; each line must be
-    # the cells of a phase_scan row, each written by _fmt.
+    # the cells of a point of the phase_scan columns, each written by _fmt.
     argv = ["entangle", "--scan", "--gamma1-range=%r:%r:%d" % g1, "--gamma2-range=%r:%r:%d" % g2]
     out = io.StringIO()
     with redirect_stdout(out):
         assert cli.main(argv) == 0
-    rows = nmwit.phase_scan(g1[:2], g2[:2], (g1[2], g2[2]))
+    rows = scan_rows(nmwit.phase_scan(g1[:2], g2[:2], (g1[2], g2[2])))
     body = out.getvalue().split("\ngamma1,gamma2,positive,cp,werner_threshold\n")[1]
-    assert body == "".join(",".join(map(cli._fmt, (r.gamma1, r.gamma2, r.positive, r.cp,
-                                                   r.werner_threshold))) + "\n" for r in rows)
+    assert body == "".join(",".join(map(cli._fmt, row)) + "\n" for row in rows)
 
 
 GOLDEN = Path(__file__).parent / "golden"

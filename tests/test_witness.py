@@ -216,9 +216,15 @@ def test_sign_equivalence_on_random_indivisible_snapshots():
 
 # --- export ------------------------------------------------------------------
 
+def _export(W, gen=nmwit.dephasing(-1.0), t=0.0, eps=EPS):
+    """witness_dicts at one instant: W's export as the witness of the snapshot (gen, t, eps)."""
+    return witness_dicts(gen, [t], eps, np.array([W.omega]), np.array([W.nu]), W.tau[None],
+                         W.matrix[None])[0]
+
+
 def test_witness_export_dict():
     W = nmwit.build_witness(_eternal_map(1.0))
-    d = nmwit.witness_to_dict(W)
+    d = _export(W, nmwit.eternal_depolarizer(), 1.0)
     assert d["source_map"] == {"t": 1.0, "epsilon": EPS, "generator": "eternal_depolarizer"}
     assert len(d["matrix"]) == 4 and all(len(row) == 4 for row in d["matrix"])
     matrix = np.array([[complex(re, im) for re, im in row] for row in d["matrix"]])
@@ -231,7 +237,7 @@ def test_witness_export_dict():
 def _check_floor(W):
     """Parts of W's matrix and tau below the floor are exported as +0.0, and every other part
     prints as without the floor. Returns the number of parts the floor changed."""
-    d = nmwit.witness_to_dict(W)
+    d = _export(W)
     changed = 0
     for key, A in (("matrix", W.matrix), ("tau", W.tau)):
         floor = 1e-14 * np.abs(A).max()
@@ -249,9 +255,8 @@ def test_witness_export_floors_only_the_rounding_residue():
     times, eps = np.linspace(0.1, 4.9, 100), 0.02
     c, _, omega, nu, tau = grid_pass(gen, checked_grid(times), eps, witness_stage)
     witnesses = witness_matrices(gen, c, eps, nu, tau)
-    changed = sum(_check_floor(nmwit.WitnessOperator(
-        matrix=W, nu=n, omega=o, tau=v, source_map=nmwit.small_time_map(gen, t, eps)))
-        for t, o, n, v, W in zip(times, omega, nu, tau, witnesses))
+    changed = sum(_check_floor(nmwit.WitnessOperator(matrix=W, nu=n, omega=o, tau=v))
+                  for o, n, v, W in zip(omega, nu, tau, witnesses))
     assert changed > 0
 
 
@@ -259,9 +264,9 @@ def test_witness_export_writes_signed_zeros_as_zero_and_keeps_parts_above_the_fl
     above, below = np.nextafter(1e-14, 1.0), np.nextafter(1e-14, 0.0)
     matrix = np.array([[1.0, complex(-0.0, above)], [complex(above, -0.0), complex(below, -below)]])
     tau = np.array([complex(-0.0, 0.0), complex(-2.0, -below * 2)])
-    W = nmwit.WitnessOperator(matrix=matrix, nu=1.0, omega=0.0, tau=tau, source_map=_dephasing_map())
+    W = nmwit.WitnessOperator(matrix=matrix, nu=1.0, omega=0.0, tau=tau)
     assert _check_floor(W) == 6
-    d = nmwit.witness_to_dict(W)
+    d = _export(W)
     assert d["matrix"] == [[[1.0, 0.0], [0.0, above]], [[above, 0.0], [0.0, 0.0]]]
     assert d["tau"] == [[0.0, 0.0], [-2.0, 0.0]]
 
@@ -288,12 +293,12 @@ def _wide_generators(draw):
        grid=st.lists(st.floats(0.01, 4.99), min_size=1, max_size=8, unique=True).map(sorted),
        eps=st.floats(0.001, 0.05))
 def test_the_stacked_export_is_the_one_instant_export_at_each_instant(gen, grid, eps):
-    # witness_to_dict is witness_dicts at one instant, so the export the CLI writes from the
-    # stacked pass is, in JSON text, a loop of witness_to_dict(build_witness(...)) over the grid.
+    # The export the CLI writes from the stacked pass is, in JSON text, a loop over the grid of
+    # witness_dicts at one instant, of the matrix, nu, omega and tau that build_witness gives.
     kept, expected = [], []
     for t in grid:  # a degenerate instant has no witness; the rest of the grid is exported
         try:
-            expected.append(nmwit.witness_to_dict(nmwit.build_witness(nmwit.small_time_map(gen, t, eps))))
+            expected.append(_export(nmwit.build_witness(nmwit.small_time_map(gen, t, eps)), gen, t, eps))
             kept.append(t)
         except DegenerateMinimum:
             pass
@@ -328,16 +333,15 @@ def _scaled_stacks(draw):
 # magnitude are kept, though they lie far below 1e-14 of the stack's.
 @example(stacks=(np.array([[[1.0, 1e-13j], [1e-13, 1e-15]], [[1e-10, 1e-23j], [1e-23, 1e-25]]]),
                  np.array([[1.0, 1e-13], [1e-10, 1e-23]])), nu=1.0, omega=0.0)
-def test_witness_dicts_floors_each_array_of_a_stack_as_witness_to_dict_floors_it_alone(stacks, nu, omega):
+def test_witness_dicts_floors_each_array_of_a_stack_as_it_floors_it_alone(stacks, nu, omega):
     matrices, tau = stacks
     gen, times = nmwit.eternal_depolarizer(), checked_grid(0.5 + np.arange(len(tau)))
     stacked = witness_dicts(gen, times, EPS, np.full(len(tau), omega), np.full(len(tau), nu), tau, matrices)
-    alone = [nmwit.witness_to_dict(nmwit.WitnessOperator(matrix=W, nu=nu, omega=omega, tau=v,
-                                                         source_map=nmwit.small_time_map(gen, t, EPS)))
-             for t, W, v in zip(times, matrices, tau)]
+    witnesses = [nmwit.WitnessOperator(matrix=W, nu=nu, omega=omega, tau=v) for W, v in zip(matrices, tau)]
+    alone = [_export(W, gen, t) for t, W in zip(times, witnesses)]
     assert json.dumps(_round12(stacked), indent=2) == json.dumps(_round12(alone), indent=2)
-    for W, v in zip(matrices, tau):
-        _check_floor(nmwit.WitnessOperator(matrix=W, nu=nu, omega=omega, tau=v, source_map=_dephasing_map()))
+    for W in witnesses:
+        _check_floor(W)
 
 
 @pytest.mark.parametrize("start, stop", [(0.1, 3.0), (0.07, 4.2)])
