@@ -17,14 +17,16 @@ grid = np.linspace(0.1, 4.0, 14)
 
 print("eternal depolarizer: gamma = (1, 1, -tanh t), eps =", eps)
 print(f"{'t':>6} {'lambda_min':>13} {'||C||_1 - 1':>13}  verdict")
-for t, verdict in nmwit.scan(nmwit.eternal_depolarizer(), grid, eps):
-    tag = "markovian" if verdict.markovian else "NON-markovian"
-    print(f"{t:6.2f} {verdict.minimum_eigenvalue:13.6f} {verdict.trace_norm_excess:13.6f}  {tag}")
+columns = nmwit.scan(nmwit.eternal_depolarizer(), grid, eps)  # (t, lambda_min, ||C||_1 - 1, markovian)
+for t, lam, excess, markovian in zip(*(column.tolist() for column in columns)):
+    tag = "markovian" if markovian else "NON-markovian"
+    print(f"{t:6.2f} {lam:13.6f} {excess:13.6f}  {tag}")
 
 # lambda_min tracks -eps*tanh(t): the negativity saturates with the coefficient
 print("\nclosed form -eps*tanh(t) at t=2:", -eps * np.tanh(2.0))
 
 # contrast: all-nonnegative coefficients are divisible at every instant
 print("\nconstant depolarizer gamma = (1, 1, 1):")
-for t, verdict in nmwit.scan(nmwit.depolarizer(1.0, 1.0, 1.0), [0.5, 1.0, 2.0], eps):
-    print(f"  t={t:4.1f}  markovian={verdict.markovian}  lambda_min={verdict.minimum_eigenvalue:.2e}")
+columns = nmwit.scan(nmwit.depolarizer(1.0, 1.0, 1.0), [0.5, 1.0, 2.0], eps)
+for t, lam, _, markovian in zip(*(column.tolist() for column in columns)):
+    print(f"  t={t:4.1f}  markovian={markovian}  lambda_min={lam:.2e}")

@@ -28,8 +28,6 @@ from .errors import (
     MapNotPositive,
     NmwitError,
     NonHermitianInput,
-    NonHermitianJump,
-    NonPositiveEpsilon,
     NotUnitTrace,
     ParameterOutOfRange,
     UnorderedGrid,
@@ -55,7 +53,6 @@ from .lindblad import (
     eternal_depolarizer,
     eternal_tanh,
     extend_and_apply,
-    from_callable,
     generator_from_dict,
     load_generator,
     small_time_map,

@@ -10,12 +10,14 @@ A grid of instants, which checked_grid accepts or rejects, is one stacked
 pass (grid_pass): choi_grid builds every Choi state from the generator's
 compiled Choi images and checks and diagonalizes them in one eigh_checked
 call (one solve per kind of matrix, under kernel's rule), and a stage (the
-verdicts, the SPA, the witness) reads the stack and its eigendecomposition.
-grid_pass checks the snapshots' t and epsilon as small_time_map does. choi_of
-and classify are the pass's one-instant case. choi_of runs the coefficients'
-checks, then Hermiticity with finiteness (eigh_checked) and unit trace
-(checked_spectrum) of the Choi matrix, under one np.errstate; the map ran its
-checks of t and epsilon when it was built, and keeps the state choi_of builds.
+divisibility columns, the SPA, the witness) reads the stack and its
+eigendecomposition. grid_pass checks the snapshots' t and epsilon as
+small_time_map does; scan returns the divisibility columns of a grid, as the
+CLI's divisibility table has them. choi_of and classify are the pass's
+one-instant case. choi_of runs the coefficients' checks, then Hermiticity
+with finiteness (eigh_checked) and unit trace (checked_spectrum) of the Choi
+matrix, under one np.errstate; the map ran its checks of t and epsilon when
+it was built, and keeps the state choi_of builds.
 """
 
 from __future__ import annotations
@@ -31,14 +33,9 @@ from .lindblad import LindbladGenerator, SmallTimeMap, choi_matrices, coefficien
 
 @dataclass(frozen=True)
 class ChoiState:
-    """Hermitian unit-trace d^2 x d^2 matrix with cached spectrum.
-
-    (t, epsilon) record which snapshot produced it.
-    """
+    """Hermitian unit-trace d^2 x d^2 matrix with cached spectrum."""
 
     matrix: np.ndarray
-    t: float
-    epsilon: float
     spectrum: Spectrum
 
 
@@ -53,11 +50,11 @@ def checked_spectrum(matrices: np.ndarray, vectors: bool = True) -> Spectrum:
     return spectrum
 
 
-def choi_state(matrix: np.ndarray, t: float, epsilon: float) -> ChoiState:
+def choi_state(matrix: np.ndarray) -> ChoiState:
     """Wrap a matrix as a ChoiState, enforcing a numeric matrix, Hermiticity and unit trace."""
     matrix = frozen(as_matrix(matrix))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the Hermiticity check
-        return ChoiState(matrix, t, epsilon, checked_spectrum(matrix[None])[0])
+        return ChoiState(matrix, checked_spectrum(matrix[None])[0])
 
 
 def choi_grid(gen: LindbladGenerator, times, epsilon: float, vectors: bool = True):
@@ -117,7 +114,7 @@ def choi_of(m: SmallTimeMap) -> ChoiState:
     """Choi state (id (x) N)(|phi+><phi+|) of a snapshot map, built once and kept by m."""
     if m._choi is None:  # m checked its t and epsilon when it was built
         c, matrices, spectrum = choi_grid(m.generator, [m.t], m.epsilon)
-        object.__setattr__(m, "_choi", (ChoiState(matrices[0], m.t, m.epsilon, spectrum[0]), c))
+        object.__setattr__(m, "_choi", (ChoiState(matrices[0], spectrum[0]), c))
     return m._choi[0]
 
 
@@ -132,7 +129,6 @@ class DivisibilityVerdict:
     minimum_eigenvalue: float
     trace_norm_excess: float
     markovian: bool
-    tolerance: float
 
 
 def divisibility_grid(eigenvalues: np.ndarray, tolerance: float):
@@ -144,23 +140,15 @@ def divisibility_grid(eigenvalues: np.ndarray, tolerance: float):
     return lam, np.abs(eigenvalues).sum(axis=1) - 1.0, lam >= -tolerance
 
 
-def verdicts(eigenvalues: np.ndarray, tolerance: float) -> list:
-    """DivisibilityVerdict of each of a stack of checked Choi states, from their ascending eigenvalues."""
-    lam, excess, markovian = (x.tolist() for x in divisibility_grid(eigenvalues, tolerance))
-    return [DivisibilityVerdict(*row, tolerance) for row in zip(lam, excess, markovian)]
-
-
 def classify(choi: ChoiState, tolerance: float = 1e-9) -> DivisibilityVerdict:
-    return verdicts(choi.spectrum.eigenvalues[None], tolerance)[0]
+    lam, excess, markovian = divisibility_grid(choi.spectrum.eigenvalues[None], tolerance)
+    return DivisibilityVerdict(lam.item(), excess.item(), markovian.item())
 
 
-def scan(
-    gen: LindbladGenerator,
-    t_grid,
-    epsilon: float,
-    tolerance: float = 1e-9,
-) -> list[tuple[float, DivisibilityVerdict]]:
-    """Classify instantaneous divisibility at each instant of an ascending grid (see grid_pass)."""
-    return grid_pass(gen, checked_grid(t_grid), epsilon,
-                     lambda times, c, matrices, lam, tau: list(zip(times, verdicts(lam, tolerance))),
-                     vectors=False)
+def scan(gen: LindbladGenerator, t_grid, epsilon: float, tolerance: float = 1e-9):
+    """Instantaneous divisibility at each instant of an ascending grid (see grid_pass), as the
+    1-D columns (t, lambda_min, trace_norm_excess, markovian) in grid order."""
+    def columns(times, c, matrices, lam, tau):
+        return (np.array(times), *divisibility_grid(lam, tolerance))
+
+    return grid_pass(gen, checked_grid(t_grid), epsilon, columns, vectors=False)

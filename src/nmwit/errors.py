@@ -5,24 +5,21 @@ class NmwitError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonHermitianInput(NmwitError):
-    """A Hermitian-only operation received a matrix that fails the Hermiticity check."""
+class NonHermitianInput(NmwitError, ValueError):
+    """A Hermitian-only operation received a matrix, or the adjoint identity a jump operator,
+    that fails the Hermiticity check."""
 
 
-class DimensionMismatch(NmwitError):
+class DimensionMismatch(NmwitError, ValueError):
     """Operator dimensions are incompatible with the requested operation."""
 
 
-class NonPositiveEpsilon(NmwitError):
-    """The small-time step must be strictly positive."""
-
-
-class EmptyGrid(NmwitError):
+class EmptyGrid(NmwitError, ValueError):
     """A scan was requested over an empty grid."""
 
 
-class ParameterOutOfRange(NmwitError):
-    """A scalar parameter lies outside its admissible range."""
+class ParameterOutOfRange(NmwitError, ValueError):
+    """A scalar parameter lies outside its admissible range, a small-time step <= 0 included."""
 
 
 class DegenerateMinimum(NmwitError):
@@ -31,10 +28,6 @@ class DegenerateMinimum(NmwitError):
     Tie-breaking inside a degenerate eigenspace is not well defined, so the
     construction refuses rather than silently picking a vector.
     """
-
-
-class NonHermitianJump(NmwitError):
-    """The adjoint identity is only asserted for Hermitian jump operators."""
 
 
 class MapNotPositive(NmwitError):
@@ -46,7 +39,7 @@ class CrossCheckFailed(NmwitError, RuntimeError):
 
 
 class MalformedDescription(NmwitError, ValueError):
-    """A generator or coefficient model is malformed, a callable coefficient's value included."""
+    """A generator or coefficient model is malformed."""
 
 
 class NotUnitTrace(NmwitError, ValueError):

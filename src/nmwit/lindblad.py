@@ -43,15 +43,14 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .errors import MalformedDescription, NmwitError, NonPositiveEpsilon, ParameterOutOfRange
+from .errors import MalformedDescription, NmwitError, ParameterOutOfRange
 from .kernel import (PAULI_BY_NAME, SIGMA_X, SIGMA_Y, SIGMA_Z, as_matrix, frozen, is_dim,
                      max_entangled, projector, real_scalar)
 
-_KINDS = ("constant", "eternal_tanh", "tabulated", "callable")
+_KINDS = ("constant", "eternal_tanh", "tabulated")
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,6 @@ class CoefficientModel:
                        negative coefficient of the benchmark depolarizer)
       tabulated     -> linear interpolation of (times, values); evaluation
                        outside the table domain raises ParameterOutOfRange
-      callable      -> func(t), a finite real number (else MalformedDescription)
     """
 
     kind: str
@@ -72,7 +70,6 @@ class CoefficientModel:
     scale: float = -1.0
     times: tuple[float, ...] = ()
     values: tuple[float, ...] = ()
-    func: Callable[[float], float] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -86,8 +83,6 @@ class CoefficientModel:
                 raise MalformedDescription("tabulated times must be strictly increasing")
             if not all(math.isfinite(v) for v in self.values):
                 raise MalformedDescription("tabulated values must be finite")
-        if self.kind == "callable" and self.func is None:
-            raise MalformedDescription("callable coefficient needs func")
 
     def __call__(self, t: float) -> float:
         return float(self._fill([t], np.empty(1))[0])
@@ -95,29 +90,20 @@ class CoefficientModel:
     def _fill(self, times, out: np.ndarray) -> np.ndarray:
         """out (1-D) with c(t) at each instant of times written into it under the kind's rule.
 
-        A tabulated or callable coefficient raises at its first failing instant.
+        A tabulated coefficient raises ParameterOutOfRange at its first instant outside its table.
         """
         if self.kind == "constant":
             out.fill(self.value)
         elif self.kind == "eternal_tanh":
             out[:] = list(map(math.tanh, times))
             out *= self.scale  # the same IEEE products as self.scale * math.tanh(t)
-        elif self.kind == "tabulated":
+        else:
             t = np.asarray(times, dtype=float)
             outside = ~((self.times[0] <= t) & (t <= self.times[-1]))
             if outside.any():
                 raise ParameterOutOfRange(f"t={t[np.argmax(outside)]:g} outside tabulated domain "
                                           f"[{self.times[0]:g}, {self.times[-1]:g}]")
             out[:] = np.interp(t, self.times, self.values)
-        else:
-            for k, t in enumerate(times):
-                value = self.func(t)  # an exception the callable raises propagates unchanged
-                try:  # not float() of a complex value, which would drop its imaginary part
-                    out[k] = number = math.nan if np.iscomplexobj(value) else float(value)
-                except (TypeError, ValueError, OverflowError):  # None, a list, "x", 10**400
-                    number = math.nan
-                if not math.isfinite(number):
-                    raise MalformedDescription(f"coefficient evaluated to non-real or non-finite value at t={t:g}")
         return out
 
 
@@ -135,10 +121,6 @@ def tabulated(times, values) -> CoefficientModel:
         times=tuple(real_scalar(t, "tabulated time") for t in times),
         values=tuple(real_scalar(v, "tabulated value") for v in values),
     )
-
-
-def from_callable(func: Callable[[float], float]) -> CoefficientModel:
-    return CoefficientModel(kind="callable", func=func)
 
 
 def _as_coefficient(c) -> CoefficientModel:
@@ -172,7 +154,7 @@ class LindbladGenerator:
         L, K = LK = np.empty((2, T, d, d), dtype=complex)  # L_a and K_a = L_a^dag L_a of every term
         for a, (_, jump) in enumerate(terms):
             L[a] = jump
-        eye, P = _compile_inputs(d)
+        eye, P = np.eye(d), _choi_input(d)  # promoted to complex in the products below
         with np.errstate(all="ignore"):  # overflow is reported below, as ParameterOutOfRange
             np.matmul(L.conj().swapaxes(1, 2), L, out=K)
             # E = I (x) L and I (x) K for every term, bit for bit the products np.kron forms.
@@ -220,12 +202,6 @@ def eternal_depolarizer() -> LindbladGenerator:
 
 
 @functools.cache
-def _compile_inputs(d: int):
-    """(I_d, P) as read-only complex arrays, the constant factors of the compile's products."""
-    return frozen(np.eye(d)), frozen(_choi_input(d))
-
-
-@functools.cache
 def _choi_input(d: int) -> np.ndarray:
     """P = |phi+><phi+| on the d^2-dimensional space, one real read-only array per d; numpy
     promotes it to P + 0i where it meets a complex stack."""
@@ -240,7 +216,7 @@ def _reshuffle(X: np.ndarray, d: int) -> np.ndarray:
 def coefficients(gen: LindbladGenerator, times) -> np.ndarray:
     """c_a(t) of each term (columns) at each instant (rows), one term's column at a time.
 
-    A tabulated or callable column stops at its first failing instant;
+    A tabulated column stops at its first instant outside its table;
     choi.grid_pass replays a failing grid to report the failure in grid order.
     """
     c = np.empty((len(times), len(gen.terms)))
@@ -316,7 +292,7 @@ class SmallTimeMap:
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
-            raise NonPositiveEpsilon(f"epsilon must be > 0, got {float(self.epsilon)!r}")
+            raise ParameterOutOfRange(f"epsilon must be > 0, got {float(self.epsilon)!r}")
         if not (math.isfinite(self.epsilon) and math.isfinite(self.t)):
             raise ParameterOutOfRange(
                 f"t and epsilon must be finite, got t={float(self.t)!r}, epsilon={float(self.epsilon)!r}"

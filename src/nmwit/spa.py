@@ -60,5 +60,5 @@ def optimal_decomposition(choi: ChoiState) -> SpaDecomposition:
     shifted = nu * choi.spectrum.eigenvalues + p / n  # the mixture keeps C's eigenvectors
     shifted.setflags(write=False)
     matrix = frozen(nu * choi.matrix + p * np.eye(n) / n, choi.matrix.dtype)
-    spa_choi = ChoiState(matrix, choi.t, choi.epsilon, Spectrum(shifted, choi.spectrum.eigenvectors))
+    spa_choi = ChoiState(matrix, Spectrum(shifted, choi.spectrum.eigenvectors))
     return SpaDecomposition(lambda_minus=lam, omega=p, nu=nu, spa_choi=spa_choi)

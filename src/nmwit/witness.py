@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choi import ChoiState, choi_of
-from .errors import DegenerateMinimum, DimensionMismatch, NonHermitianJump, ParameterOutOfRange
+from .errors import DegenerateMinimum, DimensionMismatch, NonHermitianInput, ParameterOutOfRange
 from .kernel import as_complex, as_matrix, check_tolerance, dag, is_hermitian, projector
 from .lindblad import LindbladGenerator, SmallTimeMap, constant, finite_image
 from .lindblad import extend_and_apply, small_time_map
@@ -71,13 +71,13 @@ def adjoint_identity_residual(
     With N(rho) = rho + gamma*(G rho G^dag - {G^dag G, rho}/2) extended as
     id (x) N, returns |Tr[|a><a| (id(x)N)(rho)] - Tr[(id(x)N)(|a><a|) rho]|.
     Both sides are computed independently; the result should be at roundoff
-    level. Raises NonHermitianJump when G fails the Hermiticity check, since
+    level. Raises NonHermitianInput when G fails the Hermiticity check, since
     the identity is only asserted under that hypothesis, and
     ParameterOutOfRange when a side overflows.
     """
     G, alpha, rho = as_matrix(G), as_complex(alpha), as_matrix(rho)
     if not is_hermitian(G):
-        raise NonHermitianJump("adjoint identity requires a Hermitian jump operator")
+        raise NonHermitianInput("adjoint identity requires a Hermitian jump operator")
     n = G.shape[0] ** 2
     if rho.shape != (n, n) or alpha.shape != (n,):
         raise DimensionMismatch(f"incompatible shapes: G {G.shape}, alpha {alpha.shape}, rho {rho.shape}")

@@ -434,9 +434,7 @@ def coefficient_at(coef, t):
         return coef.value
     if coef.kind == "eternal_tanh":
         return coef.scale * math.tanh(t)
-    if coef.kind == "tabulated":
-        return float(np.interp(t, coef.times, coef.values))
-    return float(coef.func(t))
+    return float(np.interp(t, coef.times, coef.values))
 
 
 def loop_coefficients(gen, times):

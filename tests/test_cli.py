@@ -178,6 +178,32 @@ def test_config_parse_failures_exit_2(tmp_path):
     assert run_cli("divisibility", "--config", str(unsorted)).returncode == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["divisibility", "--config", "array.json"], "config file must contain a JSON object"),
+    (["prop1", "--seed", "-1"], "seed must be a nonnegative integer"),
+    (["entangle", "--scan", "--gamma1-range", "0:1:2", "--gamma2-range", "0:1:2", "--samples", "0"],
+     "samples must be >= 1"),
+    (["entangle", "--scan"], "scan mode requires --gamma1-range and --gamma2-range"),
+    (["entangle", "--scan", "--gamma1-range", "0:1:2"],
+     "scan mode requires --gamma1-range and --gamma2-range"),
+], ids=["config-array", "seed-negative", "samples-zero", "scan-without-ranges", "scan-without-gamma2-range"])
+def test_config_values_out_of_range_exit_2_with_their_message(argv, message, tmp_path, monkeypatch,
+                                                              capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "array.json").write_text('[{"epsilon": 0.02}]')
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+def test_prop1_exits_3_when_the_residual_reaches_its_bound(monkeypatch, capsys):
+    # The table is written first, then the verdict goes to stderr.
+    monkeypatch.setattr(nmwit.witness, "adjoint_identity_max_residual", lambda draws, seed: 1e-10)
+    assert cli.main(["prop1", "--draws", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-2:] == ["draws,max_residual", "3,1e-10"]
+    assert err == "adjoint-identity residual 1.000e-10 exceeds 1e-10\n"
+
+
 def test_numeric_failure_exit_3(tmp_path):
     # tabulated coefficient evaluated outside its domain mid-scan
     gen = {
@@ -489,6 +515,10 @@ def test_bad_scan_range_exits_2_with_the_library_message(gamma1_range, gamma2_ra
                            "jump": {"matrix": 5}}]}, "term 0: 'int' object is not iterable"),
     ({"dim": 2, "terms": [{"coefficient": {"kind": "constant", "value": math.nan},
                            "jump": "sigma_z"}]}, "coefficient value, scale and times must be finite"),
+    ({"dim": 2, "terms": [{"coefficient": {"kind": "constant", "value": 1.0}, "jump": 5}]},
+     "jump must be a Pauli name or {'matrix': ...}, got 5"),
+    ({"dim": 2, "terms": [{"coefficient": {"kind": "constant", "value": 1.0}}]},
+     "term 0 lacks the key 'jump'"),
     # A jump that is not finite, and one whose L^dag L overflows (compiled without warnings).
     *(({"dim": 2, "terms": [{"coefficient": {"kind": "constant", "value": 1.0},
                              "jump": {"matrix": matrix}}]},

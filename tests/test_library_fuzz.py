@@ -114,8 +114,7 @@ CALLS = {
              st.tuples(generators(), st.one_of(st.lists(number, max_size=5, unique=True).map(sorted),
                                                st.lists(number, max_size=5), malformed_grids),
                        positive, positive)),
-    "choi_state": (nmwit.choi_state, st.tuples(st.one_of(states(4), matrices(4), states(3), malformed),
-                                               number, number)),
+    "choi_state": (nmwit.choi_state, st.tuples(st.one_of(states(4), matrices(4), states(3), malformed))),
     "eig_hermitian": (nmwit.eig_hermitian, st.tuples(st.one_of(
         hermitian(4), matrices(2), arrays(2, 3), arrays(3), malformed))),
     "projector": (nmwit.projector, st.tuples(st.one_of(arrays(4), arrays(1), malformed))),
@@ -138,12 +137,11 @@ CALLS = {
                       st.tuples(generators(), number, number)),
     "evaluate": (
         lambda g, t, eps, choi: nmwit.evaluate(
-            nmwit.build_witness(nmwit.small_time_map(generator(*g), t, eps)), nmwit.choi_state(*choi)),
-        st.tuples(generators(), number, number,
-                  st.tuples(st.one_of(states(4), states(1), states(9)), number, number))),
+            nmwit.build_witness(nmwit.small_time_map(generator(*g), t, eps)), nmwit.choi_state(choi)),
+        st.tuples(generators(), number, number, st.one_of(states(4), states(1), states(9)))),
     "optimal_decomposition": (
-        lambda matrix, t, eps: nmwit.optimal_decomposition(nmwit.choi_state(matrix, t, eps)),
-        st.tuples(st.one_of(states(4), matrices(4), states(9)), number, number)),
+        lambda matrix: nmwit.optimal_decomposition(nmwit.choi_state(matrix)),
+        st.tuples(st.one_of(states(4), matrices(4), states(9)))),
     "extend_and_apply": (
         lambda g, t, eps, X: nmwit.extend_and_apply(nmwit.small_time_map(generator(*g), t, eps), X),
         st.tuples(generators(), number, number,

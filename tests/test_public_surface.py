@@ -10,13 +10,13 @@ EXPORTED = {
     "ChoiState", "CoefficientModel", "CrossCheckFailed", "DegenerateMinimum", "DimensionMismatch",
     "DivisibilityVerdict", "EmptyGrid", "LindbladGenerator", "MARKOVIAN_CONSISTENT",
     "MalformedDescription", "MapFamilyPoint", "MapNotPositive", "NON_MARKOVIAN_DETECTED",
-    "NmwitError", "NonHermitianInput", "NonHermitianJump", "NonPositiveEpsilon", "NotUnitTrace",
+    "NmwitError", "NonHermitianInput", "NotUnitTrace",
     "ParameterOutOfRange", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "SmallTimeMap", "SpaDecomposition",
     "Spectrum", "UnorderedGrid", "WernerState", "WitnessOperator",
     "adjoint_identity_max_residual", "adjoint_identity_residual", "build_witness", "choi_of",
     "choi_state", "classify", "classify_by_witness", "constant", "dephasing", "depolarizer",
     "detect_entanglement", "eig_hermitian", "eternal_depolarizer", "eternal_tanh", "evaluate",
-    "extend_and_apply", "from_callable", "generator_from_dict", "is_cp", "is_hermitian",
+    "extend_and_apply", "generator_from_dict", "is_cp", "is_hermitian",
     "is_positive", "load_generator", "max_entangled", "optimal_decomposition", "phase_scan",
     "projector", "scan", "small_time_map", "tabulated", "trace_norm", "werner", "werner_threshold",
 }

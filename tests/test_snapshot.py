@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nmwit
-from nmwit.choi import checked_grid, grid_pass, verdicts
+from nmwit.choi import checked_grid, divisibility_grid, grid_pass
 from nmwit.errors import DegenerateMinimum, NonHermitianInput, ParameterOutOfRange
 from nmwit.lindblad import _superoperators
 from nmwit.witness import witness_matrices, witness_stage, witness_values
@@ -46,7 +46,7 @@ def _bits(x):
 def test_each_snapshot_call_gives_the_bits_of_the_grid_pass_row(gen, eps, times):
     grid = checked_grid(times)
     c, matrices, lam, tau = grid_pass(gen, grid, eps, lambda _, c, m, lam, tau: (c, m, lam, tau))
-    rows = verdicts(lam, 1e-9)
+    lam_min, excess, markovian = divisibility_grid(lam, 1e-9)
     witnessed = []
     for k, t in enumerate(times):
         m = nmwit.small_time_map(gen, t, eps)
@@ -55,9 +55,8 @@ def test_each_snapshot_call_gives_the_bits_of_the_grid_pass_row(gen, eps, times)
         assert _bits(choi.spectrum.eigenvalues) == _bits(lam[k])
         assert _bits(choi.spectrum.eigenvectors[:, 0]) == _bits(tau[k])
         v = nmwit.classify(choi)
-        assert _bits([v.minimum_eigenvalue, v.trace_norm_excess]) == _bits(
-            [rows[k].minimum_eigenvalue, rows[k].trace_norm_excess])
-        assert (v.markovian, v.tolerance) == (rows[k].markovian, rows[k].tolerance)
+        assert _bits([v.minimum_eigenvalue, v.trace_norm_excess]) == _bits([lam_min[k], excess[k]])
+        assert v.markovian is bool(markovian[k])
         try:
             W = nmwit.build_witness(m)
         except DegenerateMinimum:

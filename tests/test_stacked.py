@@ -128,7 +128,7 @@ def test_what_is_read_off_the_choi_state_keeps_the_compiled_dtype(gen, dtype):
     assert gen.choi_images.dtype == dtype
     for array in (choi.matrix, choi.spectrum.eigenvectors, W.tau, W.matrix, spa_matrix, tau):
         assert array.dtype == dtype
-    outside = nmwit.choi_state(choi.matrix, 1.0, 0.01)
+    outside = nmwit.choi_state(choi.matrix)
     assert outside.matrix.dtype == outside.spectrum.eigenvectors.dtype == complex
 
 

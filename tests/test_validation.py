@@ -180,10 +180,10 @@ def test_numpy_scalars_are_shown_as_python_floats(build, shown):
         lambda: nmwit.detect_entanglement("x", HALF),
         lambda: nmwit.trace_norm(np.zeros((0, 0))),
         lambda: nmwit.eig_hermitian(np.zeros((0, 0))),
-        lambda: nmwit.choi_state(np.zeros((0, 0)), 0.0, 0.01),
+        lambda: nmwit.choi_state(np.zeros((0, 0))),
         lambda: nmwit.is_hermitian(np.zeros((0, 0))),
         *(call for X in ("x", [[1, 2], [3]]) for call in (
-            lambda X=X: nmwit.choi_state(X, 0.0, 0.01),
+            lambda X=X: nmwit.choi_state(X),
             lambda X=X: nmwit.eig_hermitian(X),
             lambda X=X: nmwit.is_hermitian(X),
             lambda X=X: nmwit.projector(X),
@@ -214,35 +214,58 @@ def _too_many_terms():
 
 
 @pytest.mark.parametrize(
-    "build, error",
+    "build, error, message",
     [
-        (lambda: nmwit.CoefficientModel(kind="mystery"), MalformedDescription),
-        (lambda: nmwit.tabulated([0.0, 1.0], [1.0]), MalformedDescription),
-        (lambda: nmwit.tabulated([0.0, 0.0], [1.0, 2.0]), MalformedDescription),
-        (lambda: nmwit.tabulated([0.0, 1.0], [1.0, NAN]), MalformedDescription),
-        (lambda: nmwit.CoefficientModel(kind="callable"), MalformedDescription),
-        (lambda: nmwit.from_callable(lambda t: NAN)(1.0), MalformedDescription),
-        (_too_many_terms, MalformedDescription),
-        (lambda: nmwit.choi_state(np.eye(4), 0.0, 0.01), NotUnitTrace),
-        (lambda: nmwit.scan(nmwit.dephasing(1.0), [1.0, 0.5], 0.01), UnorderedGrid),
-        (lambda: nmwit.LindbladGenerator(dim=0, terms=()), MalformedDescription),
-        # Matrix jumps that are ragged, hold a string, or an [re, im] entry of three numbers.
+        (lambda: nmwit.CoefficientModel(kind="mystery"), MalformedDescription,
+         "unknown coefficient kind 'mystery'"),
+        (lambda: nmwit.tabulated([0.0, 1.0], [1.0]), MalformedDescription,
+         "tabulated coefficient needs >= 2 aligned (time, value) pairs"),
+        (lambda: nmwit.tabulated([0.0, 0.0], [1.0, 2.0]), MalformedDescription,
+         "tabulated times must be strictly increasing"),
+        (lambda: nmwit.tabulated([0.0, 1.0], [1.0, NAN]), MalformedDescription,
+         "tabulated values must be finite"),
+        (_too_many_terms, MalformedDescription, "5 terms exceed dim^2 = 4"),
+        (lambda: nmwit.choi_state(np.eye(4)), NotUnitTrace, "Choi matrix trace 4 is not 1"),
+        (lambda: nmwit.scan(nmwit.dephasing(1.0), [1.0, 0.5], 0.01), UnorderedGrid,
+         "t_grid must be strictly ascending"),
+        (lambda: nmwit.LindbladGenerator(dim=0, terms=()), MalformedDescription,
+         "generator dim must be an integer >= 1, got 0"),
+        # Matrix jumps that are ragged, hold a string, or an [re, im] entry of three numbers;
+        # numpy and Python word the first and the last, so only the prefix is pinned.
         *((lambda matrix=matrix: nmwit.generator_from_dict({"dim": 2, "terms": [
             {"coefficient": {"kind": "constant", "value": 1.0}, "jump": {"matrix": matrix}}]}),
-           MalformedDescription)
-          for matrix in ([[1, 0], [0]], [[1, "x"], [0, 1]], [[[1, 0, 0], 0], [0, 1]])),
+           MalformedDescription, message)
+          for matrix, message in (
+              ([[1, 0], [0]], "term 0: "),
+              ([[1, "x"], [0, 1]],
+               "term 0: a jump matrix entry must be a number or an [re, im] pair of numbers, got 'x'"),
+              ([[[1, 0, 0], 0], [0, 1]], "term 0: "))),
+        (lambda: nmwit.adjoint_identity_residual([[0, 1], [0, 0]], np.ones(4), np.eye(4) / 4, 0.5),
+         NonHermitianInput, "adjoint identity requires a Hermitian jump operator"),
+        (lambda: nmwit.adjoint_identity_residual(nmwit.SIGMA_Z, np.ones(3), np.eye(4) / 4, 0.5),
+         DimensionMismatch, "incompatible shapes: G (2, 2), alpha (3,), rho (4, 4)"),
+        (lambda: nmwit.adjoint_identity_residual(nmwit.SIGMA_Z, 1e150 * np.ones(4), 1e10 * np.eye(4), 0.5),
+         ParameterOutOfRange, "the two sides of the adjoint identity overflow"),
+        (lambda: nmwit.small_time_map(nmwit.dephasing(1.0), 0.0, 0.0), ParameterOutOfRange,
+         "epsilon must be > 0, got 0.0"),
+        (lambda: nmwit.MapFamilyPoint(NAN, 0.5), ParameterOutOfRange,
+         "map coefficients must be real, with finite closed forms, got gamma1=nan, gamma2=0.5"),
+        (lambda: nmwit.scan(nmwit.dephasing(1.0), [], 0.01), EmptyGrid, "t_grid is empty"),
     ],
     ids=[
         "unknown-kind", "tabulated-unaligned", "tabulated-times-not-increasing",
-        "tabulated-value-nan", "callable-without-func", "callable-gives-nan",
-        "terms-exceed-dim-squared", "choi-trace", "grid-order",
+        "tabulated-value-nan", "terms-exceed-dim-squared", "choi-trace", "grid-order",
         "generator-dim-0", "ragged-matrix", "string-entry", "three-part-entry",
+        "adjoint-jump-not-hermitian", "adjoint-alpha-shape", "adjoint-overflow", "epsilon-zero",
+        "map-point-nan", "grid-empty",
     ],
 )
-def test_library_errors_are_typed_value_errors(build, error):
-    with pytest.raises(error) as raised:
-        build()
-    assert type(raised.value) is error
+def test_library_errors_are_typed_value_errors(build, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as raised:
+            build()
+    assert type(raised.value) is error and str(raised.value).startswith(message)
     assert isinstance(raised.value, NmwitError) and isinstance(raised.value, ValueError)
 
 

@@ -39,8 +39,9 @@ def _same_bits(a, b):
 
 @st.composite
 def coefficient_models(draw):
-    """One coefficient of each of the four kinds, defined on [0, 5]."""
-    kind = draw(st.sampled_from(("constant", "eternal_tanh", "tabulated", "callable")))
+    """One coefficient of each of the three kinds, defined on [0, 5]: a table of a few drawn
+    values, or of a*sin(t) + b at up to 64 evenly spaced knots."""
+    kind = draw(st.sampled_from(("constant", "eternal_tanh", "tabulated", "sampled")))
     if kind == "constant":
         return nmwit.constant(draw(_value))
     if kind == "eternal_tanh":
@@ -50,7 +51,8 @@ def coefficient_models(draw):
         times = [0.0, *sorted(inner), 5.0]
         return nmwit.tabulated(times, [draw(_value) for _ in times])
     a, b = draw(_value), draw(_value)
-    return nmwit.from_callable(lambda t: a * math.sin(t) + b)
+    times = np.linspace(0.0, 5.0, draw(st.integers(2, 64))).tolist()
+    return nmwit.tabulated(times, [a * math.sin(t) + b for t in times])
 
 
 grids = st.lists(st.floats(0.0, 5.0), min_size=1, max_size=30, unique=True).map(sorted)
@@ -83,21 +85,6 @@ def test_a_tabulated_column_fails_at_its_first_instant_outside_the_table():
     assert str(column.value) == str(per_instant.value) == "t=2.5 outside tabulated domain [0, 2]"
 
 
-def test_a_callable_column_fails_at_its_first_non_finite_instant():
-    # A coefficient's call is the one-instant case of the rule that coefficients applies to
-    # a column: the same error, and no instant past the first failing one is evaluated.
-    seen = []
-    late = nmwit.from_callable(lambda t: seen.append(t) or (math.inf if t >= 2.0 else t))
-    gen = nmwit.LindbladGenerator(dim=2, terms=((late, nmwit.SIGMA_Z),))
-    with pytest.raises(nmwit.MalformedDescription) as per_instant:
-        late(2.5)
-    with pytest.raises(nmwit.MalformedDescription) as column:
-        coefficients(gen, [0.5, 1.0, 2.5, 1.5, 3.0])
-    assert (str(column.value) == str(per_instant.value)
-            == "coefficient evaluated to non-real or non-finite value at t=2.5")
-    assert seen == [2.5, 0.5, 1.0, 2.5]
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40), n=st.sampled_from((1, 4, 9)))
 def test_witness_values_are_the_per_instant_vdots_bit_for_bit(seed, k, n):
@@ -122,24 +109,23 @@ def test_witness_values_of_a_scan_are_the_per_instant_vdots_bit_for_bit(gen, eps
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(grid=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=12, unique=True).map(sorted),
-       top=st.floats(1.0, 5.0), fail_from=st.floats(0.0, 6.0))
-def test_a_grid_that_leaves_a_tabulated_domain_fails_at_its_first_failing_instant(grid, top,
-                                                                                 fail_from):
-    # Term 0 is tabulated on [0, top]; term 1, a callable, has no finite value
-    # from fail_from on. The columns are filled term by term, but the error is
+       top=st.floats(1.0, 5.0), start=st.floats(0.0, 5.9))
+def test_a_grid_that_leaves_a_tabulated_domain_fails_at_its_first_failing_instant(grid, top, start):
+    # Term 0 is tabulated on [0, top], term 1 on [start, 6]: term 0 fails late in the
+    # grid and term 1 early. The columns are filled term by term, but the error is
     # that of a loop over the grid: the first failing instant's, term order within it.
-    table = nmwit.tabulated([0.0, top], [1.0, -1.0])
-    late = nmwit.from_callable(lambda t: math.inf if t >= fail_from else t)
-    gen = nmwit.LindbladGenerator(dim=2, terms=((table, nmwit.SIGMA_X), (late, nmwit.SIGMA_Z)))
+    first_term = nmwit.tabulated([0.0, top], [1.0, -1.0])
+    second_term = nmwit.tabulated([start, 6.0], [0.5, -0.5])
+    terms = ((first_term, nmwit.SIGMA_X), (second_term, nmwit.SIGMA_Z))
+    gen = nmwit.LindbladGenerator(dim=2, terms=terms)
     stage, grid = lambda times, c, matrices, lam, tau: len(times), checked_grid(grid)
-    first = next((t for t in grid if t > top or t >= fail_from), None)
+    first = next((t for t in grid if t > top or t < start), None)
     if first is None:
         assert grid_pass(gen, grid, 0.01, stage) == len(grid)
-    elif first > top:
-        with pytest.raises(ParameterOutOfRange, match=re.escape(f"t={first:g} outside tabulated")):
-            grid_pass(gen, grid, 0.01, stage)
     else:
-        with pytest.raises(nmwit.MalformedDescription, match=re.escape(f"value at t={first:g}")):
+        domain = f"[0, {top:g}]" if first > top else f"[{start:g}, 6]"
+        message = f"t={first:g} outside tabulated domain {domain}"
+        with pytest.raises(ParameterOutOfRange, match=f"^{re.escape(message)}$"):
             grid_pass(gen, grid, 0.01, stage)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import nmwit
 from nmwit.cli import _round12
-from nmwit.errors import DegenerateMinimum, DimensionMismatch, NonHermitianJump, ParameterOutOfRange
+from nmwit.errors import DegenerateMinimum, DimensionMismatch, NonHermitianInput, ParameterOutOfRange
 from nmwit.choi import checked_grid, grid_pass
 from nmwit.witness import witness_dicts, witness_matrices, witness_stage
 
@@ -80,7 +80,7 @@ def test_adjoint_identity_randomized_suite():
 
 
 def test_adjoint_identity_rejects_non_hermitian_jump():
-    with pytest.raises(NonHermitianJump):
+    with pytest.raises(NonHermitianInput, match="^adjoint identity requires a Hermitian jump operator$"):
         nmwit.adjoint_identity_residual(
             np.array([[0, 1], [0, 0]]), TAU_TARGET, np.eye(4) / 4, 0.5
         )
@@ -139,7 +139,7 @@ def test_eternal_self_evaluation():
 
 def test_evaluate_dimension_mismatch():
     W = nmwit.build_witness(_dephasing_map())
-    bad = nmwit.choi_state(np.eye(2) / 2, 0.0, EPS)
+    bad = nmwit.choi_state(np.eye(2) / 2)
     with pytest.raises(DimensionMismatch):
         nmwit.evaluate(W, bad)
 
