@@ -17,6 +17,12 @@ rule (finite and >= 0). Outputs are deterministic (seeded streams, no
 timestamps), with 12 significant digits per numeric; _json_text writes both the
 JSON tables and the witness export (witness.witness_dicts of the stacked pass).
 
+Every CSV body, _emit's tables and the phase scan's, is one byte array of cells
+padded with 0xFF, which one bytes.translate drops. Its float cells come from
+one formatter, _format12, which writes '%.12g' % v byte for byte: numpy writes
+the cells with 1e-4 <= |v| < 1e11 that are not within 0.001 of a 12-digit tie,
+from a table of 4-digit groups, and Python's '%.12g' the rest.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 degenerate witness minimum, 5 requested map point not positive.
 
@@ -107,9 +113,6 @@ class ConfigError(Exception):
 
 
 _BOOL_TEXT = ("false", "true")
-_BOOL_CELLS = np.array(_BOOL_TEXT, dtype=object)
-# The phase scan's (positive, cp) cells, indexed by 2*positive + cp.
-_FLAG_CELLS = np.array([b"false,false,", b"false,true,", b"true,false,", b"true,true,"])
 
 
 def _fmt(v) -> str:
@@ -120,6 +123,119 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.12g}"
     return str(v)
+
+
+# A CSV cell is written as a field of bytes, padded to its column's width with 0xFF, a byte that
+# UTF-8 never produces, so that one bytes.translate of the body drops the padding and nothing else.
+_PAD = np.uint8(0xFF)
+
+
+def _fields(cells: list[bytes], width: int = 0) -> np.ndarray:
+    """cells as the rows of a (len(cells), width) uint8 array, right-aligned, width widened to the
+    longest cell."""
+    width = max(width, max(map(len, cells), default=0))
+    return np.frombuffer(b"".join(c.rjust(width, b"\xff") for c in cells),
+                         np.uint8).reshape(len(cells), width)
+
+
+@functools.cache
+def _slots() -> np.ndarray:
+    """The 4-byte pieces of _format12's fields, as one <u4 array of the sections that
+    _PLAIN, ..., _POINT_END index: each 4-digit group k, with its trailing zeros padded (_TRAIL,
+    0 all pad), its leading zeros padded (_LEAD, 0 all pad; _LEAD1, 0 as "0"); and each 3-digit
+    k after "-" (_NEG, leading zeros padded) or "." (_POINT; _POINT_END, trailing zeros padded,
+    0 all pad)."""
+    ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    digits = np.array([np.tile(np.repeat(ascii_digits, 10 ** (3 - j)), 10 ** j)
+                       for j in range(4)])  # by rows: digit j of each k
+    lead, trail = digits == ord("0"), digits == ord("0")
+    for j in (1, 2, 3):
+        lead[j] &= lead[j - 1]
+        trail[3 - j] &= trail[4 - j]
+    lead1 = lead & [[True], [True], [True], [False]]
+    trail, lead, lead1 = (digits | mask * _PAD for mask in (trail, lead, lead1))
+    neg, point, point_end = lead[:, :1000].copy(), digits[:, :1000].copy(), trail[:, :1000].copy()
+    neg[0], point[0], point_end[0, 1:] = ord("-"), ord("."), ord(".")
+    rows = np.concatenate([digits, trail, lead, lead1, neg, point, point_end], axis=1)
+    slots = np.empty((rows.shape[1], 4), np.uint8)
+    slots[:, 0], slots[:, 1], slots[:, 2], slots[:, 3] = rows
+    return slots.view("<u4").ravel()
+
+
+_PLAIN, _TRAIL, _LEAD, _LEAD1, _NEG, _POINT, _POINT_END = 0, 10_000, 20_000, 30_000, 40_000, 41_000, 42_000
+_WIDTH = 28  # seven slots; the widest '%.12g' cell, "-1.23456789012e-300", takes 19 bytes
+_BLOCK = 4096  # cells per pass of _format12 and per block of _emit's rows: it bounds their arrays
+_POW10 = np.array([float(10 ** k) for k in range(17)])  # exact, as is every power of ten to 1e22
+_POW10_INT = 10 ** np.arange(17, dtype=np.int64)
+
+
+def _format12(values) -> np.ndarray:
+    """'%.12g' % v of each v of the float array values, as an array of shape values.shape +
+    (_WIDTH,) of 0xFF-padded fields.
+
+    numpy writes a cell when 1e-4 <= |v| < 1e11. With x = floor(log10 |v|), s = |v| * 10**(11 - x)
+    is one correctly rounded product by an exact power of ten, within 2**-14 of the exact one. It
+    takes D = rint(s) when 1e11 <= s, D < 1e12 and |s - D| < 0.499: then the exact product is no
+    tie, and lies in [1e11, 1e12), or rounds to 1e11 where log10 overshot by one, so D is the
+    correctly rounded 12-digit mantissa of v, and x its exponent. Split at the point, D is an
+    integer part I < 10**11 and 15 fraction digits F (leading zeros where x < 0). A field is seven
+    slots of four bytes: the sign and I's first three digits, I's next two 4-digit groups, "." and
+    F's first three digits, and F's three 4-digit groups, each looked up in _slots() by its value
+    and by whether the groups before it (of I) or after it (of F) are all zero. So I's leading
+    zeros but its last digit, F's trailing zeros, and the point of an integer, are padding, and no
+    cell is looked at alone. Python's '%.12g' writes every other cell: zero, NaN, inf, the
+    exponent form, a near-tie, and a log10 off by one. The cells are taken _BLOCK at a time.
+    """
+    values, slots = np.asarray(values, dtype=float), _slots()
+    flat, out = values.ravel(), np.empty((values.size, 7), "<u4")
+    for start in range(0, flat.size, _BLOCK):
+        v, o = flat[start:start + _BLOCK], out[start:start + _BLOCK]
+        s = np.abs(v)  # |v|, scaled in place to s
+        fast = (s >= 1e-4) & (s < 1e11)
+        s[~fast] = 1.0
+        x = np.floor(np.log10(s)).astype(np.intp)  # -5..11, so that 11 - x and 4 + x index _POW10
+        s *= _POW10[11 - x]
+        d = np.rint(s)
+        fast &= (s >= 1e11) & (d < 1e12) & (np.abs(s - d) < 0.499)
+        slow = np.flatnonzero(~fast)
+        d[slow], x[slow] = 1e11, 0  # so that every group below indexes its section
+        i, f = np.divmod(d.astype(np.int64), _POW10_INT[11 - x])
+        f *= _POW10_INT[4 + x]
+        i0, i = np.divmod(i, 100_000_000)  # I's groups from the first, with "are all before 0"
+        o[:, 0] = slots.take(i0 + np.where(v < 0, _NEG, _LEAD))
+        head = i0 == 0
+        i1, i2 = np.divmod(i, 10_000)
+        o[:, 1] = slots.take(i1 + _LEAD * head)
+        o[:, 2] = slots.take(i2 + _LEAD1 * (head & (i1 == 0)))
+        f, f3 = np.divmod(f, 10_000)  # F's groups from the last, with "are all after 0"
+        o[:, 6] = slots.take(f3 + _TRAIL)
+        tail = f3 == 0
+        f, f2 = np.divmod(f, 10_000)
+        o[:, 5] = slots.take(f2 + _TRAIL * tail)
+        tail &= f2 == 0
+        f0, f1 = np.divmod(f, 10_000)
+        o[:, 4] = slots.take(f1 + _TRAIL * tail)
+        o[:, 3] = slots.take(f0 + (_POINT + (_POINT_END - _POINT) * (tail & (f1 == 0))))
+        if slow.size:
+            o.view(np.uint8)[slow] = _fields([b"%.12g" % c for c in v[slow].tolist()], _WIDTH)
+    return out.view(np.uint8).reshape(*values.shape, _WIDTH)
+
+
+_BOOL_FIELDS = _fields([t.encode() for t in _BOOL_TEXT])
+# The phase scan's (positive, cp) cells, indexed by 2*positive + cp.
+_FLAG_FIELDS = _fields([f"{p},{c}".encode() for p in _BOOL_TEXT for c in _BOOL_TEXT])
+
+
+def _lines(fields: list[np.ndarray]) -> str:
+    """The CSV lines whose cells are the rows of fields, (rows, width) arrays of 0xFF-padded bytes,
+    built as one (rows, line width) byte array."""
+    ends = np.cumsum([f.shape[1] + 1 for f in fields])
+    body = np.empty((len(fields[0]), ends[-1]), np.uint8)
+    for f, end in zip(fields, ends):
+        body[:, end - 1 - f.shape[1]:end - 1] = f
+    body[:, ends[:-1] - 1] = ord(",")
+    body[:, -1] = ord("\n")
+    return body.tobytes().translate(None, b"\xff").decode()
 
 
 def _round12(v):
@@ -309,33 +425,37 @@ def _csv_head(cfg: argparse.Namespace, columns: list[str]) -> str:
 
 def _emit(cfg: argparse.Namespace, names: list[str], columns: list) -> None:
     """Write the rows zipped from columns of equal length, 1-D arrays or lists of Python floats
-    (the checked time grid). In CSV, the body is one %-operation: the row template (%.12g for a
-    float column, else %s) repeated once per row, over the cells taken row by row, a bool array's
-    cells gathered from false/true in one indexing and any other's as each cell's _fmt string, so
-    no cell is looked at for its type. In JSON, the echo, names and rows go through _json_text.
+    (the checked time grid). In CSV, _csv_lines writes the body in blocks of rows of about _BLOCK
+    cells, so that its arrays stay small at any grid. In JSON, the echo, names and rows go through
+    _json_text.
 
-    One % over the 1000-row divisibility body took 0.94-1.05 ms, against 1.01-1.22 ms for one
-    template per row (in-process, best of 400 in each of two runs, 2 vCPU); taking its cells by one
-    slice assignment per column, 0.036 ms against 0.099 ms through itertools.chain over zip. Only
-    the phase scan's CSV is written apart, in cmd_entangle, as the bytes of one record array of
-    NUL-padded cells, so each axis value is formatted once and no row is joined in Python.
+    The 1000-row divisibility table took 0.45-0.52 ms, against 0.67-0.76 ms with the one
+    %-operation over a row template that this writer replaced (in-process, best of 400 in each of
+    four alternating runs, 2 vCPU).
     """
     if cfg.format == "csv":
-        kinds = ["f" if isinstance(column, list) else column.dtype.kind for column in columns]
-        template = ",".join("%.12g" if kind == "f" else "%s" for kind in kinds)
-        columns = [column if isinstance(column, list) else column.tolist() if kind == "f"
-                   else _BOOL_CELLS[column.view(np.uint8)].tolist() if kind == "b"
-                   else list(map(_fmt, column.tolist()))
-                   for column, kind in zip(columns, kinds)]
-        rows, width = len(columns[0]), len(columns)
-        cells = [None] * (rows * width)  # taken row by row: cell j of each row from column j
-        for j, column in enumerate(columns):
-            cells[j::width] = column
-        text = _csv_head(cfg, names) + (template + "\n") * rows % tuple(cells)
+        step = max(1, _BLOCK // len(columns))
+        text = _csv_head(cfg, names) + "".join(
+            _csv_lines([column[start:start + step] for column in columns])
+            for start in range(0, len(columns[0]), step))
     else:
         text = _json_text({"config": dict(cfg.echo), "columns": names,
                            "rows": list(zip(*(c if isinstance(c, list) else c.tolist() for c in columns)))})
     _write(cfg.output, text)
+
+
+def _csv_lines(columns: list) -> str:
+    """The CSV lines of the rows zipped from columns, built by _lines. A column's dtype gives its
+    kind, with no look at its cells: the float columns (a list is one) are formatted together by
+    one _format12, a bool column's cells are gathered from false/true, and any other's are each
+    cell's _fmt bytes."""
+    is_float = [isinstance(column, list) or column.dtype.kind == "f" for column in columns]
+    floats = [column for column, f in zip(columns, is_float) if f]
+    cells = iter(_format12(np.column_stack(floats)).swapaxes(0, 1) if floats else ())
+    return _lines([next(cells) if f
+                   else np.take(_BOOL_FIELDS, column.view(np.uint8), axis=0) if column.dtype.kind == "b"
+                   else _fields([_fmt(v).encode() for v in column.tolist()])
+                   for column, f in zip(columns, is_float)])
 
 
 def _write(path: str | None, text: str) -> None:
@@ -391,17 +511,20 @@ def cmd_entangle(cfg: argparse.Namespace) -> int:
     if cfg.format != "csv":
         _emit(cfg, names, [g1, g2, positive, cp, np.where(np.isnan(thresholds), None, thresholds)])
         return EXIT_OK
-    # The cells that _fmt writes, as NUL-padded fields of one record per row: each axis value
-    # formatted once, each (positive, cp) pair looked up and each threshold found formatted.
-    a, b = (np.array(["%.12g," % g for g in axis.tolist()], dtype="S") for axis in (g1s, g2s))
+    # Each axis value is formatted once, and each threshold where one was found; the byte columns
+    # that are padding in every cell of an axis or of the thresholds are dropped before the rows
+    # are gathered, so the body holds not many more bytes than it writes.
+    def packed(values):
+        fields = _format12(values)
+        return fields[:, (fields != _PAD).any(axis=0)]
+
+    i1, i2 = entanglement.grid_points(np.arange(len(g1s)), np.arange(len(g2s)))
     found = ~np.isnan(thresholds)
-    t = np.array(["%.12g" % p for p in thresholds[found].tolist()], dtype="S")
-    rows = np.zeros(positive.size, dtype=[("g1", a.dtype), ("g2", b.dtype),
-                                          ("flags", _FLAG_CELLS.dtype), ("t", t.dtype), ("end", "S1")])
-    rows["g1"], rows["g2"] = entanglement.grid_points(a, b)
-    rows["flags"], rows["end"] = _FLAG_CELLS[2 * positive + cp], b"\n"
-    rows["t"][found] = t
-    body = rows.tobytes().translate(None, b"\0").decode("ascii")
+    found_cells = packed(thresholds[found])
+    t = np.full((thresholds.size, found_cells.shape[1]), _PAD, np.uint8)
+    t[found] = found_cells
+    body = _lines([np.take(packed(g1s), i1, axis=0), np.take(packed(g2s), i2, axis=0),
+                   np.take(_FLAG_FIELDS, 2 * positive + cp, axis=0), t])
     _write(cfg.output, _csv_head(cfg, names) + body)
     return EXIT_OK
 

@@ -55,7 +55,9 @@ def shown(x):
 
 
 def real_scalar(x, name: str) -> float:
-    """float(x); ParameterOutOfRange if x is a complex scalar."""
+    """float(x); ParameterOutOfRange if x is a complex scalar or text, which float() would parse."""
+    if isinstance(x, (str, bytes)):
+        raise ParameterOutOfRange(f"{name} must be real, got {x!r}")
     if isinstance(x, COMPLEX):
         raise ParameterOutOfRange(f"{name} must be real, got {shown(x)!r}")
     return float(x)

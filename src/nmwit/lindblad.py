@@ -42,7 +42,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -50,7 +50,8 @@ from .errors import MalformedDescription, NmwitError, ParameterOutOfRange
 from .kernel import (PAULI_BY_NAME, SIGMA_X, SIGMA_Y, SIGMA_Z, as_matrix, frozen, is_dim,
                      max_entangled, projector, real_scalar)
 
-_KINDS = ("constant", "eternal_tanh", "tabulated")
+# Each coefficient kind, and the fields its rule reads.
+_KINDS = {"constant": ("value",), "eternal_tanh": ("scale",), "tabulated": ("times", "values")}
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,10 @@ class CoefficientModel:
                        negative coefficient of the benchmark depolarizer)
       tabulated     -> linear interpolation of (times, values); evaluation
                        outside the table domain raises ParameterOutOfRange
+
+    Each field is stored as a float, or a tuple of floats, by kernel.real_scalar, so a complex or
+    text entry raises ParameterOutOfRange; a field that the kind does not read and that is not
+    its default raises MalformedDescription.
     """
 
     kind: str
@@ -74,6 +79,15 @@ class CoefficientModel:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise MalformedDescription(f"unknown coefficient kind {self.kind!r}")
+        object.__setattr__(self, "value", real_scalar(self.value, "coefficient value"))
+        object.__setattr__(self, "scale", real_scalar(self.scale, "coefficient scale"))
+        object.__setattr__(self, "times", tuple(real_scalar(t, "tabulated time") for t in self.times))
+        object.__setattr__(self, "values", tuple(real_scalar(v, "tabulated value") for v in self.values))
+        unread = [name for name, default in _DEFAULTS.items()
+                  if name not in _KINDS[self.kind] and getattr(self, name) != default]
+        if unread:
+            raise MalformedDescription(
+                f"a coefficient of kind {self.kind!r} does not read {', '.join(unread)}")
         if not (math.isfinite(self.value) and math.isfinite(self.scale) and all(map(math.isfinite, self.times))):
             raise ParameterOutOfRange("coefficient value, scale and times must be finite")
         if self.kind == "tabulated":
@@ -107,20 +121,19 @@ class CoefficientModel:
         return out
 
 
+_DEFAULTS = {f.name: f.default for f in fields(CoefficientModel) if f.name != "kind"}
+
+
 def constant(value: float) -> CoefficientModel:
-    return CoefficientModel(kind="constant", value=real_scalar(value, "coefficient value"))
+    return CoefficientModel(kind="constant", value=value)
 
 
 def eternal_tanh(scale: float = -1.0) -> CoefficientModel:
-    return CoefficientModel(kind="eternal_tanh", scale=real_scalar(scale, "coefficient scale"))
+    return CoefficientModel(kind="eternal_tanh", scale=scale)
 
 
 def tabulated(times, values) -> CoefficientModel:
-    return CoefficientModel(
-        kind="tabulated",
-        times=tuple(real_scalar(t, "tabulated time") for t in times),
-        values=tuple(real_scalar(v, "tabulated value") for v in values),
-    )
+    return CoefficientModel(kind="tabulated", times=times, values=values)
 
 
 def _as_coefficient(c) -> CoefficientModel:

@@ -32,6 +32,10 @@ reproduce them bit for bit; loop_coefficients reads each coefficient's kind
 and parameters itself (coefficient_at), not through the package's rule. same_bits_as compares a stack the package keeps
 real with a complex reference bit for bit.
 
+template_csv_body is the CSV writer the CLI used before its numpy cell formatter: one
+%-operation over a row template, %.12g for a float column, which pins the bytes of every CSV
+body the CLI writes.
+
 x_solve_by_argsort pins the order in which kernel's closed form returns the
 eigenvalues and eigenvectors of real X-pattern matrices: it takes each
 block's pair from the package's own kernel._x_blocks and orders the four by a
@@ -45,6 +49,7 @@ import math
 import numpy as np
 
 import nmwit
+from nmwit.cli import _fmt
 from nmwit.errors import DimensionMismatch
 from nmwit.kernel import frozen
 
@@ -475,3 +480,21 @@ def same_bits_as(A, ref) -> bool:
             return False
         ref = ref.real
     return A.dtype == ref.dtype and A.shape == ref.shape and A.tobytes() == ref.tobytes()
+
+
+def template_csv_body(columns) -> str:
+    """The CSV body of the rows zipped from columns (as cli._emit takes them), written by one
+    %-operation: the row template (%.12g for a float array or a list, else %s) repeated once per
+    row, over the cells taken row by row; a bool array's cells are false/true, any other's each
+    cell's cli._fmt string."""
+    kinds = ["f" if isinstance(column, list) else column.dtype.kind for column in columns]
+    template = ",".join("%.12g" if kind == "f" else "%s" for kind in kinds)
+    columns = [column if isinstance(column, list) else column.tolist() if kind == "f"
+               else [("false", "true")[b] for b in column.tolist()] if kind == "b"
+               else list(map(_fmt, column.tolist()))
+               for column, kind in zip(columns, kinds)]
+    rows, width = len(columns[0]), len(columns)
+    cells = [None] * (rows * width)  # taken row by row: cell j of each row from column j
+    for j, column in enumerate(columns):
+        cells[j::width] = column
+    return (template + "\n") * rows % tuple(cells)

@@ -515,6 +515,8 @@ def test_bad_scan_range_exits_2_with_the_library_message(gamma1_range, gamma2_ra
                            "jump": {"matrix": 5}}]}, "term 0: 'int' object is not iterable"),
     ({"dim": 2, "terms": [{"coefficient": {"kind": "constant", "value": math.nan},
                            "jump": "sigma_z"}]}, "coefficient value, scale and times must be finite"),
+    ({"dim": 2, "terms": [{"coefficient": {"kind": "tabulated", "times": [0, "2"], "values": [1, 2]},
+                           "jump": "sigma_z"}]}, "tabulated time must be real, got '2'"),
     ({"dim": 2, "terms": [{"coefficient": {"kind": "constant", "value": 1.0}, "jump": 5}]},
      "jump must be a Pauli name or {'matrix': ...}, got 5"),
     ({"dim": 2, "terms": [{"coefficient": {"kind": "constant", "value": 1.0}}]},

@@ -251,13 +251,34 @@ def _too_many_terms():
         (lambda: nmwit.MapFamilyPoint(NAN, 0.5), ParameterOutOfRange,
          "map coefficients must be real, with finite closed forms, got gamma1=nan, gamma2=0.5"),
         (lambda: nmwit.scan(nmwit.dephasing(1.0), [], 0.01), EmptyGrid, "t_grid is empty"),
+        # A CoefficientModel built directly checks its fields as the factories do.
+        (lambda: nmwit.CoefficientModel(kind="constant", value=1j), ParameterOutOfRange,
+         "coefficient value must be real, got 1j"),
+        (lambda: nmwit.CoefficientModel(kind="constant", value="1"), ParameterOutOfRange,
+         "coefficient value must be real, got '1'"),
+        (lambda: nmwit.CoefficientModel(kind="eternal_tanh", scale=np.complex128(2)), ParameterOutOfRange,
+         "coefficient scale must be real, got (2+0j)"),
+        (lambda: nmwit.CoefficientModel(kind="tabulated", times=(0.0, "1"), values=(1.0, 2.0)),
+         ParameterOutOfRange, "tabulated time must be real, got '1'"),
+        (lambda: nmwit.CoefficientModel(kind="tabulated", times=(0.0, 1.0), values=(1.0, 2j)),
+         ParameterOutOfRange, "tabulated value must be real, got 2j"),
+        (lambda: nmwit.constant("1"), ParameterOutOfRange, "coefficient value must be real, got '1'"),
+        (lambda: nmwit.CoefficientModel(kind="constant", value=1.0, times=(0.0,)), MalformedDescription,
+         "a coefficient of kind 'constant' does not read times"),
+        (lambda: nmwit.CoefficientModel(kind="eternal_tanh", value=2.0, values=(1.0,)),
+         MalformedDescription, "a coefficient of kind 'eternal_tanh' does not read value, values"),
+        (lambda: nmwit.CoefficientModel(kind="tabulated", scale=1.0, times=(0.0, 1.0), values=(1.0, 2.0)),
+         MalformedDescription, "a coefficient of kind 'tabulated' does not read scale"),
     ],
     ids=[
         "unknown-kind", "tabulated-unaligned", "tabulated-times-not-increasing",
         "tabulated-value-nan", "terms-exceed-dim-squared", "choi-trace", "grid-order",
         "generator-dim-0", "ragged-matrix", "string-entry", "three-part-entry",
         "adjoint-jump-not-hermitian", "adjoint-alpha-shape", "adjoint-overflow", "epsilon-zero",
-        "map-point-nan", "grid-empty",
+        "map-point-nan", "grid-empty", "coefficient-complex-value", "coefficient-text-value",
+        "coefficient-complex-scale", "coefficient-text-time", "coefficient-complex-table-value",
+        "constant-text-value", "constant-reads-no-times", "tanh-reads-no-value-or-values",
+        "tabulated-reads-no-scale",
     ],
 )
 def test_library_errors_are_typed_value_errors(build, error, message):

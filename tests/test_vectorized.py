@@ -13,6 +13,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from nmwit.errors import ParameterOutOfRange
 from nmwit.lindblad import coefficients
 from nmwit.witness import witness_stage, witness_values
 
-from oracles import loop_coefficients, loop_witness_values, scan_rows
+from oracles import loop_coefficients, loop_witness_values, scan_rows, template_csv_body
 
 _value = st.floats(-2.0, 2.0) | st.sampled_from((0.0, -0.0))
 
@@ -199,6 +200,89 @@ def test_emit_writes_each_row_as_the_fmt_join_and_the_round12_of_its_cells(colum
             _written("json", names, columns)
     else:
         assert _written("json", names, columns) == expected
+
+
+# Floats where '%.12g' turns: zero, subnormals, NaN and inf; 1e-4, below which the exponent form
+# starts, and its neighbours; cells that round up to the next power of ten (into the exponent
+# form, or by a digit); a 12-digit tie; the bounds of numpy's range.
+_EDGES = (0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf, 1e-4,
+          float(np.nextafter(1e-4, 0.0)), float(np.nextafter(1e-4, 1.0)), 9.9999999999995e-5,
+          0.99999999999951, 99999999999.95, 99999999999.96, 123456789012.5, 1e11, 1e12)
+_cells12 = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(1e-5, 1e12),
+    # Ties and near-ties of the 12th digit, at every exponent of the fixed form.
+    st.builds(lambda k, x, d: (k + 0.5 + d) * 10.0 ** (x - 11), st.integers(10**11, 10**12 - 1),
+              st.integers(-5, 11), st.sampled_from((0.0, 1e-3, -1e-3, 0.4989, -0.4989))),
+    # Short decimals, whose trailing zeros and point are dropped; powers of ten and neighbours.
+    st.builds(lambda k, x: k * 10.0 ** x, st.integers(-10**6, 10**6), st.integers(-10, 11)),
+    st.builds(lambda x, step: float(np.nextafter(10.0 ** x, step)), st.integers(-6, 13),
+              st.sampled_from((0.0, np.inf))),
+    st.sampled_from(_EDGES))
+
+
+def _bulk12(seed: int) -> np.ndarray:
+    """3000 floats of the seed: log-uniform over the fixed form's range and beyond, any bits, and
+    12-digit ties at every exponent of the fixed form; each with a random sign."""
+    rng = np.random.default_rng(seed)
+    ties = (rng.integers(10**11, 10**12, 1000) + 0.5) * 10.0 ** (rng.integers(-5, 12, 1000) - 11)
+    cells = np.concatenate([10.0 ** rng.uniform(-6, 13, 1000),
+                            rng.integers(0, 2**63, 1000, dtype=np.int64).view(float), ties])
+    return np.copysign(cells, rng.choice([-1.0, 1.0], cells.size))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@example(cells=list(_EDGES) + [-v for v in _EDGES], seed=0)
+@given(cells=st.lists(_cells12, max_size=100), seed=st.integers(0, 2**32 - 1))
+def test_format12_writes_each_float_as_percent_12g(cells, seed):
+    values = np.concatenate([cells, _bulk12(seed)])
+    fields = cli._format12(values)
+    assert fields.shape == (values.size, cli._WIDTH)
+    assert [bytes(f).replace(b"\xff", b"") for f in fields] == [b"%.12g" % v for v in values.tolist()]
+
+
+def test_format12_leaves_to_python_only_the_cells_outside_its_range(monkeypatch):
+    # The cells of a time-grid table are written by numpy; Python's '%.12g' writes zero, NaN,
+    # inf, the exponent form and the cells within 0.001 of a 12-digit tie (about 0.2% of cells
+    # of many digits). A formatter that sent every cell to Python passes the test above and
+    # fails this one.
+    sent = []
+    monkeypatch.setattr(cli, "_fields", lambda cells, width=0: sent.extend(cells) or
+                        np.full((len(cells), width), 0xFF, np.uint8))
+    grid = np.linspace(0.05, 4.7, 1000)
+    cli._format12(np.concatenate([grid, -0.0137 * np.tanh(grid), 1e10 + grid]))
+    assert len(sent) <= 15
+    sent.clear()
+    outside = [0.0, math.nan, -math.inf, 9.9999e-5, 1e11, 123456789012.5, 0.12345678901249999]
+    cli._format12(np.array([0.5, *outside, -0.25]))
+    assert sent == [b"%.12g" % v for v in outside]
+
+
+def test_emit_writes_the_csv_body_of_the_template_writer_in_blocks_of_rows():
+    # _emit writes the body in blocks of rows; joined, they are the template writer's body.
+    step = cli._BLOCK // 5
+    for rows in (1, step - 1, step, step + 1, 3 * step + 7):
+        rng = np.random.default_rng(rows)
+        grid = np.linspace(0.01, 5.0, rows)
+        values = rng.standard_normal(rows) * 10.0 ** rng.integers(-8, 14, rows)
+        values[::7] = 0.0
+        columns = [grid.tolist(), values, values < 0, rng.integers(-5, 5, rows), -values]
+        body = _written("csv", list("abcde"), columns).split("a,b,c,d,e\n")[1]
+        assert body == template_csv_body(columns)
+
+
+def test_format12_temporaries_stay_within_a_block():
+    # The fields take _WIDTH bytes a cell; what _format12 holds besides them is one block's worth.
+    values = np.linspace(-3.0, 3.0, 200_001)
+    tracemalloc.start()
+    try:
+        fields = cli._format12(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < fields.nbytes + 4 * 2**20
+    assert [bytes(f).replace(b"\xff", b"") for f in fields[::997]] == [
+        b"%.12g" % v for v in values[::997].tolist()]
 
 
 _BOUND = st.floats(-1.0, 1.5) | st.sampled_from((0.0, -0.0, 0.25, 0.5, 1.0))
