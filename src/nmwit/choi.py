@@ -66,8 +66,8 @@ def choi_grid(gen: LindbladGenerator, times, epsilon: float, vectors: bool = Tru
         return c, matrices, checked_spectrum(matrices, vectors)
 
 
-def checked_grid(t_grid) -> list[float]:
-    """The instants of t_grid as floats, None as NaN (left to the snapshots' finiteness check);
+def checked_grid(t_grid) -> np.ndarray:
+    """The instants of t_grid as a float64 array, None as NaN (left to the snapshots' finiteness check);
     DimensionMismatch unless a 1-D real sequence, EmptyGrid if empty, UnorderedGrid unless ascending."""
     try:
         grid = np.asarray(t_grid)
@@ -81,11 +81,11 @@ def checked_grid(t_grid) -> list[float]:
         raise EmptyGrid("t_grid is empty")
     if (grid[1:] <= grid[:-1]).any():
         raise UnorderedGrid("t_grid must be strictly ascending")
-    return grid.tolist()
+    return grid
 
 
-def grid_pass(gen: LindbladGenerator, grid: list[float], epsilon: float, stage, vectors: bool = True):
-    """stage(times, c, matrices, eigenvalues, tau) after choi_grid over grid, a list that
+def grid_pass(gen: LindbladGenerator, grid: np.ndarray, epsilon: float, stage, vectors: bool = True):
+    """stage(times, c, matrices, eigenvalues, tau) after choi_grid over grid, an array that
     checked_grid has returned, in one pass.
 
     tau[k] is the eigenvector of the least eigenvalue eigenvalues[k, 0], and

@@ -424,10 +424,9 @@ def _csv_head(cfg: argparse.Namespace, columns: list[str]) -> str:
 
 
 def _emit(cfg: argparse.Namespace, names: list[str], columns: list) -> None:
-    """Write the rows zipped from columns of equal length, 1-D arrays or lists of Python floats
-    (the checked time grid). In CSV, _csv_lines writes the body in blocks of rows of about _BLOCK
-    cells, so that its arrays stay small at any grid. In JSON, the echo, names and rows go through
-    _json_text.
+    """Write the rows zipped from columns of equal length, 1-D arrays. In CSV, _csv_lines writes
+    the body in blocks of rows of about _BLOCK cells, so that its arrays stay small at any grid. In
+    JSON, the echo, names and rows go through _json_text.
 
     The 1000-row divisibility table took 0.45-0.52 ms, against 0.67-0.76 ms with the one
     %-operation over a row template that this writer replaced (in-process, best of 400 in each of
@@ -440,16 +439,16 @@ def _emit(cfg: argparse.Namespace, names: list[str], columns: list) -> None:
             for start in range(0, len(columns[0]), step))
     else:
         text = _json_text({"config": dict(cfg.echo), "columns": names,
-                           "rows": list(zip(*(c if isinstance(c, list) else c.tolist() for c in columns)))})
+                           "rows": list(zip(*(c.tolist() for c in columns)))})
     _write(cfg.output, text)
 
 
 def _csv_lines(columns: list) -> str:
     """The CSV lines of the rows zipped from columns, built by _lines. A column's dtype gives its
-    kind, with no look at its cells: the float columns (a list is one) are formatted together by
-    one _format12, a bool column's cells are gathered from false/true, and any other's are each
-    cell's _fmt bytes."""
-    is_float = [isinstance(column, list) or column.dtype.kind == "f" for column in columns]
+    kind, with no look at its cells: the float columns are formatted together by one _format12,
+    a bool column's cells are gathered from false/true, and any other's are each cell's _fmt
+    bytes."""
+    is_float = [column.dtype.kind == "f" for column in columns]
     floats = [column for column, f in zip(columns, is_float) if f]
     cells = iter(_format12(np.column_stack(floats)).swapaxes(0, 1) if floats else ())
     return _lines([next(cells) if f
@@ -511,19 +510,17 @@ def cmd_entangle(cfg: argparse.Namespace) -> int:
     if cfg.format != "csv":
         _emit(cfg, names, [g1, g2, positive, cp, np.where(np.isnan(thresholds), None, thresholds)])
         return EXIT_OK
-    # Each axis value is formatted once, and each threshold where one was found; the byte columns
-    # that are padding in every cell of an axis or of the thresholds are dropped before the rows
-    # are gathered, so the body holds not many more bytes than it writes.
-    def packed(values):
-        fields = _format12(values)
-        return fields[:, (fields != _PAD).any(axis=0)]
-
-    i1, i2 = entanglement.grid_points(np.arange(len(g1s)), np.arange(len(g2s)))
+    # Each axis value is formatted once, and each threshold where one was found, all in one
+    # _format12; the byte columns that are padding in every cell of an axis or of the thresholds
+    # are dropped before the rows are gathered, so the body holds not many more bytes than it writes.
     found = ~np.isnan(thresholds)
-    found_cells = packed(thresholds[found])
+    fields = _format12(np.concatenate([g1s, g2s, thresholds[found]]))
+    cells1, cells2, found_cells = (part[:, (part != _PAD).any(axis=0)]
+                                   for part in np.split(fields, [len(g1s), len(g1s) + len(g2s)]))
+    i1, i2 = entanglement.grid_points(np.arange(len(g1s)), np.arange(len(g2s)))
     t = np.full((thresholds.size, found_cells.shape[1]), _PAD, np.uint8)
     t[found] = found_cells
-    body = _lines([np.take(packed(g1s), i1, axis=0), np.take(packed(g2s), i2, axis=0),
+    body = _lines([np.take(cells1, i1, axis=0), np.take(cells2, i2, axis=0),
                    np.take(_FLAG_FIELDS, 2 * positive + cp, axis=0), t])
     _write(cfg.output, _csv_head(cfg, names) + body)
     return EXIT_OK

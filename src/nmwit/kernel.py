@@ -47,6 +47,7 @@ TOL_HERM = 1e-9
 TOL_PSD = 1e-9
 #: Complex scalars, which float() refuses (Python's) or truncates (numpy's), and numpy orders.
 COMPLEX = (complex, np.complexfloating)
+_NOT_REAL = (str, bytes, *COMPLEX)  # what real_scalar refuses before float() sees it
 
 
 def shown(x):
@@ -55,17 +56,21 @@ def shown(x):
 
 
 def real_scalar(x, name: str) -> float:
-    """float(x); ParameterOutOfRange if x is a complex scalar or text, which float() would parse."""
-    if isinstance(x, (str, bytes)):
-        raise ParameterOutOfRange(f"{name} must be real, got {x!r}")
-    if isinstance(x, COMPLEX):
-        raise ParameterOutOfRange(f"{name} must be real, got {shown(x)!r}")
-    return float(x)
+    """float(x); ParameterOutOfRange if x is a complex scalar, text (which float() would parse) or
+    anything else that float() refuses, an integer beyond the float range included."""
+    if not isinstance(x, _NOT_REAL):
+        try:
+            return float(x)
+        except OverflowError:  # not shown: repr() refuses an int of over 4300 digits
+            raise ParameterOutOfRange(f"{name} must be within the float range") from None
+        except (TypeError, ValueError):
+            pass
+    raise ParameterOutOfRange(f"{name} must be real, got {(shown(x) if isinstance(x, COMPLEX) else x)!r}")
 
 
 def check_tolerance(tolerance: float) -> None:
     """ParameterOutOfRange unless a verdict's tolerance is real, finite and >= 0."""
-    if isinstance(tolerance, COMPLEX) or not 0.0 <= tolerance < np.inf:
+    if isinstance(tolerance, COMPLEX) or not 0.0 <= real_scalar(tolerance, "tolerance") < np.inf:
         raise ParameterOutOfRange(f"tolerance must be finite and >= 0, got {shown(tolerance)!r}")
 
 

@@ -65,9 +65,10 @@ class CoefficientModel:
       tabulated     -> linear interpolation of (times, values); evaluation
                        outside the table domain raises ParameterOutOfRange
 
-    Each field is stored as a float, or a tuple of floats, by kernel.real_scalar, so a complex or
-    text entry raises ParameterOutOfRange; a field that the kind does not read and that is not
-    its default raises MalformedDescription.
+    Each field is stored as a float, or a tuple of floats, by kernel.real_scalar, so a complex,
+    text or other non-number entry raises ParameterOutOfRange; a table that is not a sequence,
+    and a field that the kind does not read and that is not its default, raise
+    MalformedDescription.
     """
 
     kind: str
@@ -81,8 +82,10 @@ class CoefficientModel:
             raise MalformedDescription(f"unknown coefficient kind {self.kind!r}")
         object.__setattr__(self, "value", real_scalar(self.value, "coefficient value"))
         object.__setattr__(self, "scale", real_scalar(self.scale, "coefficient scale"))
-        object.__setattr__(self, "times", tuple(real_scalar(t, "tabulated time") for t in self.times))
-        object.__setattr__(self, "values", tuple(real_scalar(v, "tabulated value") for v in self.values))
+        for name in ("times", "values"):
+            if not np.iterable(table := getattr(self, name)):
+                raise MalformedDescription(f"tabulated {name} must be a sequence, got {table!r}")
+            object.__setattr__(self, name, tuple(real_scalar(x, f"tabulated {name[:-1]}") for x in table))
         unread = [name for name, default in _DEFAULTS.items()
                   if name not in _KINDS[self.kind] and getattr(self, name) != default]
         if unread:
@@ -109,7 +112,7 @@ class CoefficientModel:
         if self.kind == "constant":
             out.fill(self.value)
         elif self.kind == "eternal_tanh":
-            out[:] = list(map(math.tanh, times))
+            out[:] = list(map(math.tanh, np.asarray(times, dtype=float).tolist()))
             out *= self.scale  # the same IEEE products as self.scale * math.tanh(t)
         else:
             t = np.asarray(times, dtype=float)

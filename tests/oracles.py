@@ -6,8 +6,10 @@ coefficient algebra, Choi matrices from explicit Bell-projector sums, and SPA
 thresholds from bisection on the positivity indicator. The exceptions are
 loop_threshold, the per-point Werner bisection on the package's own
 detect_entanglement, which pins where the package's threshold search must
-end, and the one-matrix eigensolves of reference_snapshot and of
-spa_mixture's Choi state (below).
+end; per_block_scan_columns, the phase scan's block loop on the package's own
+checks and walk, which pins the error a failing scan raises; and the
+one-matrix eigensolves of reference_snapshot and of spa_mixture's Choi state
+(below).
 
 The linear-algebra helpers that only tests use (tensor, partial_trace,
 is_density, reconstruct) live here too, as do the single-system map actions
@@ -223,6 +225,27 @@ def scan_rows(columns):
     g1, g2, positive, cp, threshold = (column.tolist() for column in columns)
     return [[a, b, p, c, None if math.isnan(t) else t]
             for a, b, p, c, t in zip(g1, g2, positive, cp, threshold)]
+
+
+def per_block_scan_columns(g1s, g2s, tolerance):
+    """entanglement.scan_columns as it was when each check block walked its own
+    positive-but-not-CP points: check, then walk, block after block. It calls the module's
+    _check_points and _werner_thresholds and reads its _BLOCK at call time, so that a test may
+    replace them."""
+    E = nmwit.entanglement
+    g1, g2 = E.grid_points(g1s, g2s)
+    positive, cp = np.empty(g1.size, dtype=bool), np.empty(g1.size, dtype=bool)
+    thresholds = np.full(g1.size, np.nan)
+    step = max(1, E._BLOCK // len(g2s)) * len(g2s)
+    for start in range(0, g1.size, step):
+        block = slice(start, start + step)
+        g1b, g2b = g1[block], g2[block]
+        positive[block], cp[block], least = E._check_points(g1b, g2b, tolerance)
+        todo = np.flatnonzero(positive[block] & ~cp[block])
+        if todo.size:
+            hi, found = E._werner_thresholds(g1b[todo], g2b[todo], E._RESOLUTION, tolerance, least[todo])
+            thresholds[todo[found] + start] = hi[found]
+    return g1, g2, positive, cp, thresholds
 
 
 def loop_threshold(point, resolution=1e-6, tolerance=1e-9):

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from oracles import (
     family_map_apply,
     finite_by_factors_and_weights,
     loop_threshold,
+    per_block_scan_columns,
     rand_density,
     rand_hermitian,
     rand_separable,
@@ -636,3 +638,110 @@ def test_blocked_scan_fails_at_the_first_failing_point_in_grid_order(
     message = f"{what} mismatch at gamma1={_G1S[i]:g}, gamma2={_G2S[j]:g}"
     with pytest.raises(CrossCheckFailed, match=f"^{re.escape(message)}$"):
         nmwit.phase_scan((0.0, 0.6), (0.0, 1.0), (13, 101))
+
+
+# --- the batched Werner walk ---------------------------------------------------
+
+# 21 rows of 31 points; with one row per check block, the positive-but-not-CP points
+# (up to 15 a row) wait in batches of 20, which span several blocks.
+_ROW_AXES = np.linspace(0.0, 0.6, 21), np.linspace(0.0, 1.0, 31)
+
+
+@pytest.fixture
+def one_row_blocks(monkeypatch):
+    monkeypatch.setattr(entanglement, "_BLOCK", len(_ROW_AXES[1]))
+
+
+def test_walks_across_one_row_blocks_are_a_per_point_loop_bit_for_bit(one_row_blocks, monkeypatch):
+    walks, walk = [], entanglement._werner_thresholds
+    monkeypatch.setattr(entanglement, "_werner_thresholds",
+                        lambda g1, g2, *args: walks.append(g1) or walk(g1, g2, *args))
+    g1, g2, positive, cp, thresholds = entanglement.scan_columns(*_ROW_AXES, 1e-9)
+    monkeypatch.setattr(entanglement, "_werner_thresholds", walk)
+    points = [pt(a, b) for a, b in zip(g1.tolist(), g2.tolist())]
+    assert positive.tolist() == [nmwit.is_positive(point) for point in points]
+    assert cp.tolist() == [nmwit.is_cp(point) for point in points]
+    expected = [nmwit.werner_threshold(point) if p and not c else None
+                for point, p, c in zip(points, positive.tolist(), cp.tolist())]
+    assert thresholds.tobytes() == np.array([np.nan if t is None else t for t in expected]).tobytes()
+    # Batches of two thirds of a block, each in grid order, some across blocks.
+    sizes = [len(w) for w in walks]
+    assert sum(sizes) == np.count_nonzero(positive & ~cp) and max(sizes) == 2 * 31 // 3
+    assert len(walks) < len(set(g1[positive & ~cp].tolist()))
+    assert any(len(set(w.tolist())) > 1 for w in walks)
+
+
+def _failing(monkeypatch, check_row=None, walk_row=None):
+    """Replace the scan's check and walk by ones that raise CrossCheckFailed, naming the first
+    given point of the gamma1 row given, as the real ones name their first failing point; log
+    each call as ("check" or "walk", its first point's row)."""
+    row_of = {g: i for i, g in enumerate(_ROW_AXES[0].tolist())}
+    log, check, walk = [], entanglement._check_points, entanglement._werner_thresholds
+
+    def failing(name, real, row):
+        def run(g1, g2, *args):
+            log.append((name, row_of[g1[0]]))
+            bad = g1 == _ROW_AXES[0][row] if row is not None else np.zeros(len(g1), dtype=bool)
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise CrossCheckFailed(f"{name} failed at gamma1={g1[k]:g}, gamma2={g2[k]:g}")
+            return real(g1, g2, *args)
+        return run
+
+    monkeypatch.setattr(entanglement, "_check_points", failing("check", check, check_row))
+    monkeypatch.setattr(entanglement, "_werner_thresholds", failing("walk", walk, walk_row))
+    return log
+
+
+@pytest.mark.parametrize("check_row, walk_row, expected, pending", [
+    # Row 10's walk fails and row 11's check fails while row 10 is pending: the per-block
+    # loop walks row 10 before it checks row 11, so the batched scan walks it first too.
+    (11, 10, "walk failed at gamma1=0.3, gamma2=0.433333", True),
+    # Row 11's check fails while row 10 is pending, which is walked first, and passes.
+    (11, None, "check failed at gamma1=0.33, gamma2=0", True),
+    # The batch of rows 10-12, walked once row 12 is checked, fails at row 12's first point.
+    (13, 12, "walk failed at gamma1=0.36, gamma2=0.3", False),
+    (None, 12, "walk failed at gamma1=0.36, gamma2=0.3", False),
+    # The batch walked once row 11 is checked holds all of row 10, which comes first.
+    (None, 10, "walk failed at gamma1=0.3, gamma2=0.433333", False),
+])
+def test_a_failing_batched_scan_raises_the_error_of_the_per_block_loop(
+        check_row, walk_row, expected, pending, one_row_blocks, monkeypatch):
+    log = _failing(monkeypatch, check_row, walk_row)
+    with pytest.raises(CrossCheckFailed) as per_block:
+        per_block_scan_columns(*_ROW_AXES, 1e-9)
+    del log[:]
+    with pytest.raises(CrossCheckFailed) as batched:
+        entanglement.scan_columns(*_ROW_AXES, 1e-9)
+    assert str(batched.value) == str(per_block.value) == expected
+    # Whether the failing check was the last call but one, and the pending points were walked
+    # after it.
+    assert (check_row is not None and log[-2:] == [("check", check_row), ("walk", check_row - 1)]) == pending
+
+
+def _traced_peak(run):
+    """The tracemalloc peak of run(), above what is allocated when it starts."""
+    run()  # once untraced, so that caches and first-use costs are not counted
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_walk_batch_peaks_below_a_check_block():
+    # The 61x101 grid's blocks of 10 rows, and a batch of two thirds of a block walked from
+    # their positive-but-not-CP points: the walk's peak stays below the check's.
+    g1s, g2s = entanglement.scan_axes((0.0, 0.6), (0.0, 1.0), (61, 101))
+    g1, g2 = entanglement.grid_points(g1s, g2s)
+    step = entanglement._BLOCK // 101 * 101
+    positive, cp, least = entanglement._check_points(g1, g2, 1e-9)
+    todo = np.flatnonzero(positive & ~cp)[:2 * step // 3]
+    assert len(todo) == 2 * step // 3
+    block = slice(20 * 101, 20 * 101 + step)
+    check = _traced_peak(lambda: entanglement._check_points(g1[block], g2[block], 1e-9))
+    walk = _traced_peak(lambda: entanglement._werner_thresholds(
+        g1[todo], g2[todo], entanglement._RESOLUTION, 1e-9, least[todo]))
+    assert walk < check

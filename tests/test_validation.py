@@ -269,6 +269,29 @@ def _too_many_terms():
          MalformedDescription, "a coefficient of kind 'eternal_tanh' does not read value, values"),
         (lambda: nmwit.CoefficientModel(kind="tabulated", scale=1.0, times=(0.0, 1.0), values=(1.0, 2.0)),
          MalformedDescription, "a coefficient of kind 'tabulated' does not read scale"),
+        # Text and other non-numbers given for a real scalar, which float() parses or refuses.
+        (lambda: nmwit.scan(nmwit.dephasing(1.0), [1.0], 0.01, tolerance="1"), ParameterOutOfRange,
+         "tolerance must be real, got '1'"),
+        (lambda: nmwit.classify(_CHOI, tolerance="1"), ParameterOutOfRange,
+         "tolerance must be real, got '1'"),
+        (lambda: nmwit.is_positive(HALF, tolerance="x"), ParameterOutOfRange,
+         "tolerance must be real, got 'x'"),
+        (lambda: nmwit.is_cp(HALF, tolerance=None), ParameterOutOfRange, "tolerance must be real, got None"),
+        (lambda: nmwit.werner("0.5"), ParameterOutOfRange, "Werner parameter must be real, got '0.5'"),
+        (lambda: nmwit.werner_threshold(HALF, resolution="1e-6"), ParameterOutOfRange,
+         "resolution must be real, got '1e-6'"),
+        (lambda: nmwit.MapFamilyPoint("0.1", 0.2), ParameterOutOfRange, "gamma1 must be real, got '0.1'"),
+        (lambda: nmwit.MapFamilyPoint(0.1, [0.2]), ParameterOutOfRange, "gamma2 must be real, got [0.2]"),
+        (lambda: nmwit.CoefficientModel(kind="tabulated", times=5, values=(1.0,)), MalformedDescription,
+         "tabulated times must be a sequence, got 5"),
+        (lambda: nmwit.CoefficientModel(kind="tabulated", times=(0.0, 1.0), values=None),
+         MalformedDescription, "tabulated values must be a sequence, got None"),
+        # An integer beyond the float range, which float() refuses with OverflowError; repr()
+        # refuses the second one, of over 4300 digits.
+        (lambda: nmwit.scan(nmwit.dephasing(1.0), [1.0], 0.01, tolerance=10**400), ParameterOutOfRange,
+         "tolerance must be within the float range"),
+        (lambda: nmwit.werner(-(10**5000)), ParameterOutOfRange,
+         "Werner parameter must be within the float range"),
     ],
     ids=[
         "unknown-kind", "tabulated-unaligned", "tabulated-times-not-increasing",
@@ -278,7 +301,10 @@ def _too_many_terms():
         "map-point-nan", "grid-empty", "coefficient-complex-value", "coefficient-text-value",
         "coefficient-complex-scale", "coefficient-text-time", "coefficient-complex-table-value",
         "constant-text-value", "constant-reads-no-times", "tanh-reads-no-value-or-values",
-        "tabulated-reads-no-scale",
+        "tabulated-reads-no-scale", "scan-text-tolerance", "classify-text-tolerance",
+        "is-positive-text-tolerance", "is-cp-none-tolerance", "werner-text", "resolution-text",
+        "map-point-text", "map-point-list", "tabulated-times-int", "tabulated-values-none",
+        "scan-int-tolerance-beyond-float", "werner-int-beyond-repr",
     ],
 )
 def test_library_errors_are_typed_value_errors(build, error, message):

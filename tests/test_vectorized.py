@@ -142,10 +142,9 @@ def _objects(cells: list) -> np.ndarray:
     return np.array(cells, dtype=object)
 
 
-# Each kind of cells, and the column the commands pass them as: a list of Python floats (the
-# checked time grid), an array whose dtype gives the kind, or an object array of other cells.
+# Each kind of cells, and the column the commands pass them as: an array whose dtype gives the
+# kind, or an object array of other cells.
 _COLUMNS = {
-    "float list": (_floats, list),
     "float": (_floats, lambda cells: np.array(cells, dtype=float)),
     "bool": (st.booleans(), lambda cells: np.array(cells, dtype=bool)),
     "int": (st.integers(-2**63, 2**63 - 1), lambda cells: np.array(cells, dtype=np.int64)),
@@ -178,16 +177,16 @@ def _written(fmt, names, columns, echo=(("command", "test"),)):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@example(columns=[list(_FLOATS), np.array([True, False] * 5), np.array([-x for x in _FLOATS])])
+@example(columns=[np.array(_FLOATS), np.array([True, False] * 5), np.array([-x for x in _FLOATS])])
 @example(columns=[_objects([0.1, 0.25, None, math.nan]), _objects([np.float64(0.5), 1.0, -0.0, 2.0]),
                   _objects([1, True, "a%s", None]), np.array([2**63 - 1, -1, 0, 7])])
 @given(columns=table_columns())
 def test_emit_writes_each_row_as_the_fmt_join_and_the_round12_of_its_cells(columns):
-    # A column's dtype gives its kind, with no look at its cells: a float array or a list
-    # (of Python floats) takes %.12g, a bool array false/true, and any other is written
-    # cell by cell, whatever the type of each cell.
+    # A column's dtype gives its kind, with no look at its cells: a float array takes %.12g,
+    # a bool array false/true, and any other is written cell by cell, whatever the type of
+    # each cell.
     names = [f"c{k}" for k in range(len(columns))]
-    rows = list(zip(*(c if isinstance(c, list) else c.tolist() for c in columns)))
+    rows = list(zip(*(c.tolist() for c in columns)))
     csv = _written("csv", names, columns)
     assert csv.split("\n")[:2] == ["# command = test", ",".join(names)]
     assert csv.split("\n")[2:] == [",".join(map(cli._fmt, row)) for row in rows] + [""]
@@ -266,7 +265,7 @@ def test_emit_writes_the_csv_body_of_the_template_writer_in_blocks_of_rows():
         grid = np.linspace(0.01, 5.0, rows)
         values = rng.standard_normal(rows) * 10.0 ** rng.integers(-8, 14, rows)
         values[::7] = 0.0
-        columns = [grid.tolist(), values, values < 0, rng.integers(-5, 5, rows), -values]
+        columns = [grid, values, values < 0, rng.integers(-5, 5, rows), -values]
         body = _written("csv", list("abcde"), columns).split("a,b,c,d,e\n")[1]
         assert body == template_csv_body(columns)
 
