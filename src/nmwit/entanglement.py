@@ -32,23 +32,23 @@ walk's real image, its imaginary part is zero, and kernel gives a matrix the
 same bits real or complex, alone or in a stack. So the Werner walk and
 detect_entanglement decide every Werner parameter alike.
 
-The phase scan checks the grid in blocks of whole gamma1 rows, about _BLOCK
-points each, one Choi stack a block. The positive-but-not-CP points of the
-checked blocks wait in a pending batch, and their Werner thresholds are found
-together, two thirds of a block of points at a time, so that a walk holds no
-more memory than a check. Every stacked step works point by point, so neither
-the block nor the batch edges change a result, and the pending points are
-walked before a failing check raises, so the first error is that of a loop
-over the points. A threshold is the point where bisection of the detected
-interval would end; it is decided by the spectrum of (id (x) Map)(W_p) alone,
-at the threshold and one step below, both in one stacked solve per step,
-starting from the closed-form onset of the spectrum p*w + (1-p)/4 over the
-Choi weights w, which the check has already computed. The walk returns a
-batch's thresholds as the arrays (hi, found), and the scan keeps them in one
-float column, NaN where no threshold is found, so no point is visited in
-Python; the check compares every residual entry with its point's bound and
-judges the block by one flat all(), reducing it point by point only when it
-fails.
+The phase scan checks the grid in flat slices of _BLOCK points, one Choi
+stack a slice, and then finds the Werner thresholds of its
+positive-but-not-CP points together, in grid order, two thirds of a block
+of points at a time, so that a walk holds no more memory than a check.
+Every stacked step works point by point, so neither the block nor the batch
+edges change a result. A failing check first walks the points before its
+block, so the first error raised is that of a loop over the points. A
+threshold is the point where bisection of the detected interval would end,
+on the lattice of multiples of _H = 2**-20; it is decided by the spectrum
+of (id (x) Map)(W_p) alone, at the threshold and one step below, both in
+one stacked solve per step, starting from the closed-form onset of the
+spectrum p*w + (1-p)/4 over the Choi weights w, which the check has already
+computed. The walk returns a batch's thresholds as the arrays (hi, found),
+and the scan keeps them in one float column, NaN where no threshold is
+found, so no point is visited in Python; the check compares every residual
+entry with its point's bound and judges the block by one flat all(),
+reducing it point by point only when it fails.
 
 A point that is positive but not completely positive certifies entanglement:
 a negative eigenvalue of (id (x) Map)(state) cannot occur on separable input.
@@ -56,7 +56,6 @@ a negative eigenvalue of (id (x) Map)(state) cannot occur on separable input.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +79,9 @@ from .kernel import (
     check_tolerance,
     eigvalsh,
     frozen,
+    is_dim,
     is_hermitian,
+    is_integer,
     projector,
     real_scalar,
     shown,
@@ -89,11 +90,12 @@ from .lindblad import choi_matrices, depolarizer, extend, finite_image
 
 _FAMILY = depolarizer(0.0, 0.0, 0.0)
 _SINGLET = frozen(projector(BELL_PSI_MINUS).real, float)
-_RESOLUTION = 1e-6
+_H = 2.0**-20  # the Werner walk's lattice spacing
 _STEPS = 64  # lattice steps a Werner threshold may walk from its closed-form onset
-# Points per phase-scan check block, rounded down to whole gamma1 rows (at least one); a walk
-# batch is two thirds of a block. The 61x101 grid in one block ran a CLI scan about 15% faster
-# (4.7-4.9 against 5.6-5.7 ms), but the process kept 4.4 MB more resident (in-process, 2 vCPU).
+# Points per phase-scan check block; a walk batch is two thirds of a block, since a walk holds
+# about 4/3 of a check's bytes per point. The 61x101 grid in one block ran a CLI scan about 15%
+# faster (4.7-4.9 against 5.6-5.7 ms), but the process kept 4.4 MB more resident (in-process,
+# 2 vCPU).
 _BLOCK = 1024
 # R[i, j] = Tr[(sigma_j^T (x) sigma_i) J] is the Pauli transfer matrix of the map
 # whose Choi matrix is J. Flattened, R.ravel() = J.ravel() @ _TRANSFER, with
@@ -260,74 +262,69 @@ def detect_entanglement(
 
 
 def _werner_thresholds(
-    g1: np.ndarray, g2: np.ndarray, resolution: float, tolerance: float, least: np.ndarray
+    g1: np.ndarray, g2: np.ndarray, tolerance: float, least: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Werner thresholds of positive points (g1[k], g2[k]), where bisection from [0, 1] ends.
 
-    Bisection ends at [lo, hi], detected at hi and not at lo, of width h (the
-    largest power of two <= resolution, at most 1) or at float spacing: hi is
-    the first lattice point that is detected. Each point starts at the
-    closed-form onset p* = (1/4 + tolerance) / (1/4 - w_min) of the spectrum
-    p*w + (1-p)/4 of (id (x) Map)(W_p), rounded up to the lattice; least holds
-    each point's w_min, as _check_points returns it. Each step diagonalizes
-    every point at hi and at lo in one stacked extend and one eigvalsh, as
-    detect_entanglement diagonalizes one image, and moves hi up where it is
-    not detected (below 1) and down where lo is detected too. A point not
-    settled after _STEPS steps raises CrossCheckFailed. Returns the arrays
-    (hi, found): point k has the threshold hi[k] where found[k], and none
-    (not even p = 1 is detected) elsewhere.
+    Bisection ends at [lo, hi] of width _H, detected at hi and not at lo: hi
+    is the first point of the lattice of multiples of _H that is detected.
+    Each point starts at the closed-form onset p* = (1/4 + tolerance) /
+    (1/4 - w_min) of the spectrum p*w + (1-p)/4 of (id (x) Map)(W_p), rounded
+    up to the lattice; least holds each point's w_min, as _check_points
+    returns it. Each step diagonalizes every point at hi and at lo in one
+    stacked extend and one eigvalsh, as detect_entanglement diagonalizes one
+    image, and moves hi up where it is not detected (below 1) and down where
+    lo is detected too. Every step is exact on the lattice, and hi stays
+    >= _H, since W_0 = I/4 is never detected. A point not settled after
+    _STEPS steps raises CrossCheckFailed. Returns the arrays (hi, found):
+    point k has the threshold hi[k] where found[k], and none (not even p = 1
+    is detected) elsewhere.
     """
-    h = min(1.0, math.ldexp(0.5, math.frexp(resolution)[1]))
     rows = np.stack([g1, g1, g2], axis=-1)
     with np.errstate(all="ignore"):  # p* is not finite where no Werner state can be detected
         onset = (0.25 + tolerance) / (0.25 - least)
-    unit = max(h, 2.0**-60)  # multiples of 2**-60 lie on every finer lattice; onset/unit is finite
-    hi = np.fmin(np.fmax(np.ceil(np.fmin(onset, 1.0) / unit) * unit, h), 1.0)
+    hi = np.fmax(np.ceil(np.fmin(onset, 1.0) / _H) * _H, _H)
     for _ in range(_STEPS):
-        lo = np.maximum(np.minimum(hi - h, np.nextafter(hi, 0.0)), 0.0)
+        lo = hi - _H
         # Each point's map applied to its Werner states at hi and at lo, a (2, n, 4, 4) stack.
         images = extend(_FAMILY, rows, 1.0, _werner_matrices([hi, lo]))
         found, below = eigvalsh(images)[..., 0] < -tolerance
         up, down = ~found & (hi < 1.0), found & below
         if not (up | down).any():
             return hi, found
-        hi, last = np.where(up, np.minimum(np.maximum(hi + h, np.nextafter(hi, 2.0)), 1.0),
-                            np.where(down, lo, hi)), hi
+        hi, last = np.where(up, hi + _H, np.where(down, lo, hi)), hi
     k = int(np.argmax(up | down))
     raise CrossCheckFailed(f"Werner bracket [{lo[k]:g}, {last[k]:g}] not confirmed "
                            f"at gamma1={g1[k]:g}, gamma2={g2[k]:g}")
 
 
-def werner_threshold(
-    pt: MapFamilyPoint,
-    *,
-    resolution: float = _RESOLUTION,
-    tolerance: float = 1e-9,
-) -> float | None:
+def werner_threshold(pt: MapFamilyPoint, *, tolerance: float = 1e-9) -> float | None:
     """Smallest Werner parameter detected at pt, where bisection from [0, 1] ends.
 
     Returns None when not even p = 1 is detected. The detection region in p
-    is an interval ending at 1, so its end is exact up to the requested
-    resolution, or up to float spacing when that is coarser.
+    is an interval ending at 1, so its end is exact up to _H = 2**-20.
     Raises MapNotPositive or CrossCheckFailed as is_positive decides them;
     the walk starts from that check's least Choi weight.
     """
-    if isinstance(resolution, COMPLEX) or not 0.0 < real_scalar(resolution, "resolution") < np.inf:
-        raise ParameterOutOfRange(f"resolution must be finite and > 0, got {shown(resolution)!r}")
-    hi, found = _werner_thresholds(np.array([pt.gamma1]), np.array([pt.gamma2]), resolution,
-                                   tolerance, _require_positive(pt, tolerance))
+    hi, found = _werner_thresholds(np.array([pt.gamma1]), np.array([pt.gamma2]), tolerance,
+                                   _require_positive(pt, tolerance))
     return float(hi[0]) if found[0] else None
 
 
 def scan_axes(gamma1_range, gamma2_range, steps):
-    """The gamma1 and gamma2 axes of a phase scan; EmptyGrid unless both steps are >= 1, and
-    ParameterOutOfRange unless every grid point has finite coefficients and closed forms."""
-    n1, n2 = steps
-    if n1 < 1 or n2 < 1:
+    """The gamma1 and gamma2 axes of a phase scan. ParameterOutOfRange unless steps is a tuple or
+    list of two integers and every range bound is a number, EmptyGrid unless both steps are >= 1,
+    and ParameterOutOfRange unless every grid point has finite coefficients and closed forms."""
+    if not (isinstance(steps, (tuple, list)) and len(steps) == 2 and all(map(is_integer, steps))):
+        raise ParameterOutOfRange(f"grid steps must be two integers, got {steps!r}")
+    if not all(map(is_dim, steps)):
         raise EmptyGrid(f"grid steps must be >= 1, got {steps}")
+    # real_scalar refuses text and other non-numbers; a complex bound is reported below.
+    bounds = [x if isinstance(x, COMPLEX) else real_scalar(x, "scan range bound")
+              for r in (gamma1_range, gamma2_range) for x in (r[0], r[1])]
     with np.errstate(over="ignore", invalid="ignore"):  # a span that overflows is reported below
-        g1s = np.linspace(gamma1_range[0], gamma1_range[1], n1)
-        g2s = np.linspace(gamma2_range[0], gamma2_range[1], n2)
+        g1s = np.linspace(*bounds[:2], steps[0])
+        g2s = np.linspace(*bounds[2:], steps[1])
     if not _finite(*np.meshgrid(g1s, g2s, indexing="ij")):
         raise ParameterOutOfRange("scan ranges must give real coefficients with finite closed forms, "
                                   f"got {tuple(shown(gamma1_range))}, {tuple(shown(gamma2_range))}")
@@ -345,37 +342,32 @@ def scan_columns(g1s: np.ndarray, g2s: np.ndarray, tolerance: float):
 
     The threshold column is float, NaN where the point is not positive-but-not-CP
     or no Werner state is detected there; each walk's found thresholds enter
-    it in one scatter. The grid is checked in blocks of whole gamma1 rows,
-    about _BLOCK points each, and the checked positive-but-not-CP points wait
-    in a pending batch, which is walked in grid order, two thirds of a block
-    at a time (a walk holds about 4/3 of a check's bytes per point), and
-    before a failing check raises. So the error raised is the first that a
-    loop over the points would meet.
+    it in one scatter. The grid is checked _BLOCK points at a time, and then
+    its positive-but-not-CP points are walked in grid order, 2 * _BLOCK // 3
+    at a time (a walk holds about 4/3 of a check's bytes per point). A
+    failing check first walks the points before its block, then raises, so
+    the error raised is the first that a loop over the points would meet.
     """
     g1, g2 = grid_points(g1s, g2s)
     positive, cp = np.empty(g1.size, dtype=bool), np.empty(g1.size, dtype=bool)
     least, thresholds = np.empty(g1.size), np.full(g1.size, np.nan)
+    batch = 2 * _BLOCK // 3
 
-    def walk(points):
-        if points.size:
-            hi, found = _werner_thresholds(g1[points], g2[points], _RESOLUTION, tolerance, least[points])
+    def walk(stop):
+        todo = np.flatnonzero(positive[:stop] & ~cp[:stop])
+        for k in range(0, todo.size, batch):
+            points = todo[k:k + batch]
+            hi, found = _werner_thresholds(g1[points], g2[points], tolerance, least[points])
             thresholds[points[found]] = hi[found]
 
-    step = max(1, _BLOCK // len(g2s)) * len(g2s)
-    batch = max(1, 2 * step // 3)
-    pending = np.empty(0, dtype=np.intp)
-    for start in range(0, g1.size, step):
-        block = slice(start, start + step)
+    for start in range(0, g1.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
         try:
             positive[block], cp[block], least[block] = _check_points(g1[block], g2[block], tolerance)
         except Exception:
-            walk(pending)
+            walk(start)
             raise
-        pending = np.concatenate([pending, start + np.flatnonzero(positive[block] & ~cp[block])])
-        while pending.size >= batch:
-            walk(pending[:batch])
-            pending = pending[batch:]
-    walk(pending)
+    walk(g1.size)
     return g1, g2, positive, cp, thresholds
 
 
@@ -391,11 +383,11 @@ def phase_scan(
     Returns the 1-D columns (gamma1, gamma2, positive, cp, werner_threshold),
     one entry per grid point, gamma1 outer and gamma2 inner (the CLI table's
     row order); werner_threshold is NaN where there is none. The grid is
-    decided in blocks of whole gamma1 rows: positivity from the closed-form
-    Bloch criterion and complete positivity from the closed-form Choi
-    weights, both cross-checked against the block's stacked Choi matrices
-    (see is_positive and is_cp), and - only where the map is positive but
-    not completely positive - the Werner detection threshold at the default
-    resolution of werner_threshold, found for a batch of points at once.
+    decided _BLOCK points at a time: positivity from the closed-form Bloch
+    criterion and complete positivity from the closed-form Choi weights, both
+    cross-checked against the block's stacked Choi matrices (see is_positive
+    and is_cp), and - only where the map is positive but not completely
+    positive - the Werner detection threshold of werner_threshold, found for
+    a batch of points at once.
     """
     return scan_columns(*scan_axes(gamma1_range, gamma2_range, steps), tolerance)

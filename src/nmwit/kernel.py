@@ -120,9 +120,14 @@ def is_hermitian(M: np.ndarray) -> bool:
         return M.shape[0] == M.shape[1] and np.abs(M - dag(M)).max() < TOL_HERM
 
 
+def is_integer(n) -> bool:
+    """Whether n is a Python or numpy integer, and not a bool."""
+    return not isinstance(n, bool) and isinstance(n, (int, np.integer))
+
+
 def is_dim(d) -> bool:
-    """Whether d is a dimension: an integer >= 1, and not a bool."""
-    return not isinstance(d, bool) and isinstance(d, (int, np.integer)) and d >= 1
+    """Whether d is a dimension: an integer >= 1."""
+    return is_integer(d) and d >= 1
 
 
 def max_entangled(d: int) -> np.ndarray:

@@ -66,9 +66,9 @@ class CoefficientModel:
                        outside the table domain raises ParameterOutOfRange
 
     Each field is stored as a float, or a tuple of floats, by kernel.real_scalar, so a complex,
-    text or other non-number entry raises ParameterOutOfRange; a table that is not a sequence,
-    and a field that the kind does not read and that is not its default, raise
-    MalformedDescription.
+    text or other non-number entry raises ParameterOutOfRange; a table that is not a list, a
+    tuple or a 1-D array, and a field that the kind does not read and that is not its default,
+    raise MalformedDescription.
     """
 
     kind: str
@@ -83,7 +83,8 @@ class CoefficientModel:
         object.__setattr__(self, "value", real_scalar(self.value, "coefficient value"))
         object.__setattr__(self, "scale", real_scalar(self.scale, "coefficient scale"))
         for name in ("times", "values"):
-            if not np.iterable(table := getattr(self, name)):
+            table = getattr(self, name)
+            if not (isinstance(table, (list, tuple)) or isinstance(table, np.ndarray) and table.ndim == 1):
                 raise MalformedDescription(f"tabulated {name} must be a sequence, got {table!r}")
             object.__setattr__(self, name, tuple(real_scalar(x, f"tabulated {name[:-1]}") for x in table))
         unread = [name for name, default in _DEFAULTS.items()
@@ -139,18 +140,14 @@ def tabulated(times, values) -> CoefficientModel:
     return CoefficientModel(kind="tabulated", times=times, values=values)
 
 
-def _as_coefficient(c) -> CoefficientModel:
-    return c if isinstance(c, CoefficientModel) else constant(c)
-
-
 @dataclass(frozen=True, eq=False)
 class LindbladGenerator:
     """Diagonal-form generator on dim >= 1: at most dim^2 (coefficient, jump) terms; equal only to itself.
 
-    Each jump is a numeric dim x dim matrix (DimensionMismatch otherwise).
-    choi_images, one d^2 x d^2 Choi image B_a per term, is the one compiled stack
-    (module docstring): float64 when every image is exactly real, else
-    complex128; ParameterOutOfRange if any is not finite.
+    Each jump is a numeric dim x dim matrix (DimensionMismatch otherwise), and a coefficient
+    that is not a CoefficientModel is the value of a constant one. choi_images, one d^2 x d^2
+    Choi image B_a per term, is the one compiled stack (module docstring): float64 when every
+    image is exactly real, else complex128; ParameterOutOfRange if any is not finite.
     """
 
     dim: int
@@ -166,7 +163,8 @@ class LindbladGenerator:
         d, n, T = self.dim, self.dim**2, len(self.terms)
         if T > n:
             raise MalformedDescription(f"{T} terms exceed dim^2 = {n}")
-        terms = tuple((_as_coefficient(coef), as_matrix(jump, (d, d))) for coef, jump in self.terms)
+        terms = tuple((coef if isinstance(coef, CoefficientModel) else constant(coef), as_matrix(jump, (d, d)))
+                      for coef, jump in self.terms)
         L, K = LK = np.empty((2, T, d, d), dtype=complex)  # L_a and K_a = L_a^dag L_a of every term
         for a, (_, jump) in enumerate(terms):
             L[a] = jump
@@ -192,17 +190,13 @@ class LindbladGenerator:
 
 def dephasing(coefficient=-1.0) -> LindbladGenerator:
     """Single sigma_z term with the given coefficient (default constant -1)."""
-    return LindbladGenerator(dim=2, terms=((_as_coefficient(coefficient), SIGMA_Z),), label="dephasing")
+    return LindbladGenerator(dim=2, terms=((coefficient, SIGMA_Z),), label="dephasing")
 
 
 def depolarizer(gx, gy, gz) -> LindbladGenerator:
     """Pauli-coefficient generator with terms on sigma_x, sigma_y, sigma_z."""
-    terms = (
-        (_as_coefficient(gx), SIGMA_X),
-        (_as_coefficient(gy), SIGMA_Y),
-        (_as_coefficient(gz), SIGMA_Z),
-    )
-    return LindbladGenerator(dim=2, terms=terms, label="depolarizer")
+    return LindbladGenerator(dim=2, terms=((gx, SIGMA_X), (gy, SIGMA_Y), (gz, SIGMA_Z)),
+                             label="depolarizer")
 
 
 def eternal_depolarizer() -> LindbladGenerator:
@@ -212,9 +206,8 @@ def eternal_depolarizer() -> LindbladGenerator:
     stays completely positive, so snapshot indivisibility is present at all
     positive times.
     """
-    gen = depolarizer(constant(1.0), constant(1.0), eternal_tanh())
-    object.__setattr__(gen, "label", "eternal_depolarizer")
-    return gen
+    return LindbladGenerator(dim=2, terms=((1.0, SIGMA_X), (1.0, SIGMA_Y), (eternal_tanh(), SIGMA_Z)),
+                             label="eternal_depolarizer")
 
 
 @functools.cache

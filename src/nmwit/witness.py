@@ -36,7 +36,8 @@ import numpy as np
 
 from .choi import ChoiState, choi_of
 from .errors import DegenerateMinimum, DimensionMismatch, NonHermitianInput, ParameterOutOfRange
-from .kernel import as_complex, as_matrix, check_tolerance, dag, is_hermitian, projector
+from .kernel import (as_complex, as_matrix, check_tolerance, dag, is_dim, is_hermitian, is_integer,
+                     projector)
 from .lindblad import LindbladGenerator, SmallTimeMap, constant, finite_image
 from .lindblad import extend_and_apply, small_time_map
 from .spa import spa_grid
@@ -98,10 +99,12 @@ def adjoint_identity_max_residual(draws: int = 100, seed: int = 0) -> float:
 
     Each draw uses a random Hermitian 2x2 jump, a random unit 4-vector, a
     random 4x4 density matrix and a coefficient in [-1, 1]. A maximum over
-    no draws is undefined, so ParameterOutOfRange unless draws >= 1 and seed >= 0.
+    no draws is undefined, so ParameterOutOfRange unless draws is an integer >= 1 and seed an
+    integer >= 0.
     """
-    if draws < 1 or seed < 0:
-        raise ParameterOutOfRange(f"draws must be >= 1 and seed >= 0, got draws={draws!r}, seed={seed!r}")
+    if not (is_dim(draws) and is_integer(seed) and seed >= 0):
+        raise ParameterOutOfRange("draws must be an integer >= 1 and seed an integer >= 0, "
+                                  f"got draws={draws!r}, seed={seed!r}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(draws):

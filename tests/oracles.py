@@ -243,7 +243,7 @@ def per_block_scan_columns(g1s, g2s, tolerance):
         positive[block], cp[block], least = E._check_points(g1b, g2b, tolerance)
         todo = np.flatnonzero(positive[block] & ~cp[block])
         if todo.size:
-            hi, found = E._werner_thresholds(g1b[todo], g2b[todo], E._RESOLUTION, tolerance, least[todo])
+            hi, found = E._werner_thresholds(g1b[todo], g2b[todo], tolerance, least[todo])
             thresholds[todo[found] + start] = hi[found]
     return g1, g2, positive, cp, thresholds
 

@@ -526,6 +526,10 @@ def test_bad_scan_range_exits_2_with_the_library_message(gamma1_range, gamma2_ra
                              "jump": {"matrix": matrix}}]},
        "jump operators and their compiled images must be finite")
       for matrix in ([[math.nan, 0], [0, 1]], [[1e308, 0], [0, 1e308]])),
+    # A table given as an object or as text, which used to be read as its keys or characters.
+    *(({"dim": 2, "terms": [{"coefficient": {"kind": "tabulated", "times": times, "values": [1, 2]},
+                             "jump": "sigma_z"}]}, f"tabulated times must be a sequence, got {times!r}")
+      for times in ({"0": 1, "1": 2}, "01")),
 ])
 def test_malformed_generator_file_exits_2(description, message, tmp_path, capsys):
     path = tmp_path / "generator.json"

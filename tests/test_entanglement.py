@@ -140,7 +140,7 @@ def test_werner_bracket_check_fires_on_wrong_weights():
     # about 0.01, far outside the 1e-6 bracket that eigvalsh confirms.
     g = np.array([0.5])
     with pytest.raises(CrossCheckFailed, match="^Werner bracket .* not confirmed at gamma1=0.5"):
-        _werner_thresholds(g, g, 1e-6, 1e-9, _choi_weights(g, g)[:, 0] + 0.01)
+        _werner_thresholds(g, g, 1e-9, _choi_weights(g, g)[:, 0] + 0.01)
 
 
 @pytest.mark.parametrize("entry", [
@@ -404,7 +404,7 @@ def test_batched_werner_thresholds_match_per_point_bisection(g1, fractions):
     # where the closed-form onset is 1/(8*g1 + 4*g2 - 3).
     g2 = np.array([1.0 - 2.0 * g1 + f * g1 for f in fractions])
     g1s = np.full(len(g2), g1)
-    hi, found = _werner_thresholds(g1s, g2, 1e-6, 1e-9, _choi_weights(g1s, g2)[:, 0])
+    hi, found = _werner_thresholds(g1s, g2, 1e-9, _choi_weights(g1s, g2)[:, 0])
     assert found.all()
     for thr, b in zip(hi.tolist(), g2):
         point = pt(g1, float(b))
@@ -416,23 +416,21 @@ def test_batched_werner_thresholds_match_per_point_bisection(g1, fractions):
 @given(
     g1=st.floats(0.0, 0.5),
     f=st.floats(0.0, 1.0),
-    resolution=st.one_of(st.integers(1, 30).map(lambda u: 2.0**-u), st.floats(2.0**-30, 0.5),
-                         st.sampled_from((0.5, 0.75, 1.0, 3.0, 1e300))),
     tolerance=st.floats(1e-15, 1e-3),
 )
-def test_werner_threshold_matches_per_point_bisection_at_any_resolution(g1, f, resolution,
-                                                                        tolerance):
+def test_werner_threshold_matches_per_point_bisection_at_any_tolerance(g1, f, tolerance):
     # Positive points, 0 <= g1 <= 1/2 and -g1 <= g2 <= 1 - g1; CP ones
-    # (g1 <= f <= 1 - g1) return None from both.
+    # (g1 <= f <= 1 - g1) return None from both. The walk's lattice of 2**-20 is where
+    # bisection to a width of 1e-6 ends.
     point = pt(g1, f - g1)
-    assert (nmwit.werner_threshold(point, resolution=resolution, tolerance=tolerance)
-            == loop_threshold(point, resolution, tolerance))
+    assert (nmwit.werner_threshold(point, tolerance=tolerance)
+            == loop_threshold(point, tolerance=tolerance))
 
 
 def test_werner_bisection_diagonalizes_only_at_the_boundary(solves, monkeypatch):
     # After the positivity check's one-row Choi solve, every decision is one
     # eigenvalue solve of a stacked (hi, one step below) pair, one step being 2**-20
-    # (the lattice of resolution 1e-6). At (0.5, 0.3) the closed-form onset
+    # (the walk's lattice). At (0.5, 0.3) the closed-form onset
     # lands on the crossing, so one pair settles it; at (0.5, 0.25 + 2e-9)
     # the crossing is within rounding of p = 1/2, where the closed form cannot
     # decide and the spectra do. Every matrix is X-pattern, so each solve is kernel's closed form.
@@ -461,7 +459,7 @@ def test_werner_walk_corrects_an_onset_some_steps_off(offset):
     # by about 4.4e-6, four or five lattice steps up or down; the walk still
     # ends where bisection does.
     g = np.array([0.5])
-    hi, found = _werner_thresholds(g, g, 1e-6, 1e-9, _choi_weights(g, g)[:, 0] + offset)
+    hi, found = _werner_thresholds(g, g, 1e-9, _choi_weights(g, g)[:, 0] + offset)
     assert found.tolist() == [True] and hi.tolist() == [loop_threshold(pt(0.5, 0.5))]
 
 
@@ -549,8 +547,8 @@ def test_phase_scan_rejects_empty_grid():
 
 # --- the blocked phase scan ------------------------------------------------------
 
-# Grids of several blocks of 512 points: 13 rows of 101 points go in blocks of
-# 5 rows, the last one partial; rows of 700 points go one row per block.
+# Grids of several blocks of 512 points: 13 rows of 101 points, and 3 rows of 700 points,
+# wider than a block, so that blocks start and end inside rows.
 _BLOCKED = [((0.0, 0.6), (0.0, 1.0), (13, 101)), ((0.0, 0.6), (0.0, 1.0), (3, 700))]
 
 
@@ -591,20 +589,18 @@ def test_blocked_scan_output_is_the_fmt_join_and_round12_of_the_rows(g1_range, g
 
 
 @pytest.mark.parametrize("g1_range, g2_range, steps", _BLOCKED)
-def test_blocked_scan_checks_whole_rows_at_most_a_block_at_a_time(g1_range, g2_range, steps,
-                                                                  monkeypatch, blocks_of_512):
-    sizes, check = [], entanglement._check_points
-
-    def recorder(g1, g2, tolerance):
-        sizes.append(len(g1))
-        return check(g1, g2, tolerance)
-
-    monkeypatch.setattr(entanglement, "_check_points", recorder)
+def test_blocked_scan_checks_and_walks_at_most_a_block_at_a_time(g1_range, g2_range, steps,
+                                                                 monkeypatch, blocks_of_512):
+    checks, walks = [], []
+    check, walk = entanglement._check_points, entanglement._werner_thresholds
+    monkeypatch.setattr(entanglement, "_check_points",
+                        lambda g1, *args: checks.append(len(g1)) or check(g1, *args))
+    monkeypatch.setattr(entanglement, "_werner_thresholds",
+                        lambda g1, *args: walks.append(len(g1)) or walk(g1, *args))
     nmwit.phase_scan(g1_range, g2_range, steps)
-    n1, n2 = steps
-    assert sum(sizes) == n1 * n2 and all(size % n2 == 0 for size in sizes)
-    assert max(sizes) <= max(n2, entanglement._BLOCK)
-    assert len(sizes) == -(-n1 // max(1, entanglement._BLOCK // n2))
+    n = steps[0] * steps[1]
+    assert checks == [min(512, n - start) for start in range(0, n, 512)]
+    assert walks and max(walks) <= 2 * 512 // 3 and min(walks) > 0
 
 
 _G1S, _G2S = np.linspace(0.0, 0.6, 13), np.linspace(0.0, 1.0, 101)
@@ -643,7 +639,7 @@ def test_blocked_scan_fails_at_the_first_failing_point_in_grid_order(
 # --- the batched Werner walk ---------------------------------------------------
 
 # 21 rows of 31 points; with one row per check block, the positive-but-not-CP points
-# (up to 15 a row) wait in batches of 20, which span several blocks.
+# (up to 15 a row) are walked in batches of 20, which span several blocks.
 _ROW_AXES = np.linspace(0.0, 0.6, 21), np.linspace(0.0, 1.0, 31)
 
 
@@ -674,13 +670,13 @@ def test_walks_across_one_row_blocks_are_a_per_point_loop_bit_for_bit(one_row_bl
 def _failing(monkeypatch, check_row=None, walk_row=None):
     """Replace the scan's check and walk by ones that raise CrossCheckFailed, naming the first
     given point of the gamma1 row given, as the real ones name their first failing point; log
-    each call as ("check" or "walk", its first point's row)."""
+    each call as ("check" or "walk", its first point's row, its last point's row)."""
     row_of = {g: i for i, g in enumerate(_ROW_AXES[0].tolist())}
     log, check, walk = [], entanglement._check_points, entanglement._werner_thresholds
 
     def failing(name, real, row):
         def run(g1, g2, *args):
-            log.append((name, row_of[g1[0]]))
+            log.append((name, row_of[g1[0]], row_of[g1[-1]]))
             bad = g1 == _ROW_AXES[0][row] if row is not None else np.zeros(len(g1), dtype=bool)
             if bad.any():
                 k = int(np.argmax(bad))
@@ -693,20 +689,20 @@ def _failing(monkeypatch, check_row=None, walk_row=None):
     return log
 
 
-@pytest.mark.parametrize("check_row, walk_row, expected, pending", [
-    # Row 10's walk fails and row 11's check fails while row 10 is pending: the per-block
-    # loop walks row 10 before it checks row 11, so the batched scan walks it first too.
-    (11, 10, "walk failed at gamma1=0.3, gamma2=0.433333", True),
-    # Row 11's check fails while row 10 is pending, which is walked first, and passes.
-    (11, None, "check failed at gamma1=0.33, gamma2=0", True),
-    # The batch of rows 10-12, walked once row 12 is checked, fails at row 12's first point.
-    (13, 12, "walk failed at gamma1=0.36, gamma2=0.3", False),
-    (None, 12, "walk failed at gamma1=0.36, gamma2=0.3", False),
-    # The batch walked once row 11 is checked holds all of row 10, which comes first.
-    (None, 10, "walk failed at gamma1=0.3, gamma2=0.433333", False),
+@pytest.mark.parametrize("check_row, walk_row, expected", [
+    # Row 10's walk fails and row 11's check fails: the per-block loop walks row 10 before
+    # it checks row 11, so the batched scan walks the rows before row 11 before it raises.
+    (11, 10, "walk failed at gamma1=0.3, gamma2=0.433333"),
+    # Row 11's check fails; the rows before it are walked first, and pass.
+    (11, None, "check failed at gamma1=0.33, gamma2=0"),
+    # A walk fails at row 12's first point, before the check of row 13 or with none failing.
+    (13, 12, "walk failed at gamma1=0.36, gamma2=0.3"),
+    (None, 12, "walk failed at gamma1=0.36, gamma2=0.3"),
+    # The batch that holds row 10 fails there, though it may hold later rows too.
+    (None, 10, "walk failed at gamma1=0.3, gamma2=0.433333"),
 ])
 def test_a_failing_batched_scan_raises_the_error_of_the_per_block_loop(
-        check_row, walk_row, expected, pending, one_row_blocks, monkeypatch):
+        check_row, walk_row, expected, one_row_blocks, monkeypatch):
     log = _failing(monkeypatch, check_row, walk_row)
     with pytest.raises(CrossCheckFailed) as per_block:
         per_block_scan_columns(*_ROW_AXES, 1e-9)
@@ -714,9 +710,10 @@ def test_a_failing_batched_scan_raises_the_error_of_the_per_block_loop(
     with pytest.raises(CrossCheckFailed) as batched:
         entanglement.scan_columns(*_ROW_AXES, 1e-9)
     assert str(batched.value) == str(per_block.value) == expected
-    # Whether the failing check was the last call but one, and the pending points were walked
-    # after it.
-    assert (check_row is not None and log[-2:] == [("check", check_row), ("walk", check_row - 1)]) == pending
+    # After a failing check, only points before its block are walked.
+    if check_row is not None:
+        after = log[log.index(("check", check_row, check_row)) + 1:]
+        assert after and all(name == "walk" and last < check_row for name, _, last in after)
 
 
 def _traced_peak(run):
@@ -732,16 +729,15 @@ def _traced_peak(run):
 
 
 def test_a_walk_batch_peaks_below_a_check_block():
-    # The 61x101 grid's blocks of 10 rows, and a batch of two thirds of a block walked from
-    # their positive-but-not-CP points: the walk's peak stays below the check's.
+    # A block of the 61x101 grid, and a batch of two thirds of a block walked from its
+    # positive-but-not-CP points: the walk's peak stays below the check's.
     g1s, g2s = entanglement.scan_axes((0.0, 0.6), (0.0, 1.0), (61, 101))
     g1, g2 = entanglement.grid_points(g1s, g2s)
-    step = entanglement._BLOCK // 101 * 101
+    size = entanglement._BLOCK
     positive, cp, least = entanglement._check_points(g1, g2, 1e-9)
-    todo = np.flatnonzero(positive & ~cp)[:2 * step // 3]
-    assert len(todo) == 2 * step // 3
-    block = slice(20 * 101, 20 * 101 + step)
+    todo = np.flatnonzero(positive & ~cp)[:2 * size // 3]
+    assert len(todo) == 2 * size // 3
+    block = slice(20 * 101, 20 * 101 + size)
     check = _traced_peak(lambda: entanglement._check_points(g1[block], g2[block], 1e-9))
-    walk = _traced_peak(lambda: entanglement._werner_thresholds(
-        g1[todo], g2[todo], entanglement._RESOLUTION, 1e-9, least[todo]))
+    walk = _traced_peak(lambda: entanglement._werner_thresholds(g1[todo], g2[todo], 1e-9, least[todo]))
     assert walk < check

@@ -123,9 +123,8 @@ CALLS = {
     "MapFamilyPoint": (nmwit.MapFamilyPoint, gammas),
     "werner": (nmwit.werner, st.tuples(st.one_of(number, st.floats(0.0, 1.0)))),
     "werner_threshold": (
-        lambda g, r, tol: nmwit.werner_threshold(nmwit.MapFamilyPoint(*g), resolution=r,
-                                                 tolerance=tol),
-        st.tuples(gammas, st.one_of(positive, number), positive)),
+        lambda g, tol: nmwit.werner_threshold(nmwit.MapFamilyPoint(*g), tolerance=tol),
+        st.tuples(gammas, positive)),
     "detect_entanglement": (
         lambda state, g, tol: nmwit.detect_entanglement(state, nmwit.MapFamilyPoint(*g), tol),
         st.tuples(st.one_of(states(4), matrices(4), states(2)), gammas, positive)),

@@ -9,7 +9,6 @@ import pytest
 
 import nmwit
 from nmwit import cli, kernel
-from nmwit.entanglement import _choi_weights, _werner_thresholds
 from nmwit.errors import (
     DimensionMismatch,
     EmptyGrid,
@@ -21,7 +20,6 @@ from nmwit.errors import (
     UnorderedGrid,
 )
 
-from oracles import werner_threshold_closed
 
 NAN, INF = math.nan, math.inf
 HALF = nmwit.MapFamilyPoint(0.5, 0.5)
@@ -35,10 +33,6 @@ def _one_jump(matrix):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: nmwit.werner_threshold(HALF, resolution=0.0),
-        lambda: nmwit.werner_threshold(HALF, resolution=-1.0),
-        lambda: nmwit.werner_threshold(HALF, resolution=NAN),
-        lambda: nmwit.werner_threshold(HALF, resolution=INF),
         lambda: nmwit.constant(NAN),
         lambda: nmwit.constant(INF),
         lambda: nmwit.eternal_tanh(NAN),
@@ -81,7 +75,6 @@ def _one_jump(matrix):
         *(lambda d=d: nmwit.max_entangled(d) for d in (0, -1, 1.5, True, "2")),
     ],
     ids=[
-        "resolution=0", "resolution=-1", "resolution=nan", "resolution=inf",
         "constant-nan", "constant-inf", "tanh-scale-nan", "tabulated-time-nan",
         "dephasing-nan", "t=nan", "t=inf", "epsilon=inf",
         "gamma1=nan", "gamma2=-inf",
@@ -115,7 +108,6 @@ _CHOI = nmwit.choi_of(_SNAPSHOT)
         lambda z: nmwit.is_cp(HALF, tolerance=z),
         lambda z: nmwit.classify_by_witness(nmwit.build_witness(_SNAPSHOT), _CHOI, z),
         lambda z: nmwit.werner(z),
-        lambda z: nmwit.werner_threshold(nmwit.MapFamilyPoint(0.4, 0.4), resolution=z),
         lambda z: nmwit.constant(z),
         lambda z: nmwit.eternal_tanh(z),
         lambda z: nmwit.tabulated([0.0, z], [1.0, 2.0]),
@@ -125,7 +117,7 @@ _CHOI = nmwit.choi_of(_SNAPSHOT)
         lambda z: nmwit.small_time_map(nmwit.dephasing(-1.0), 1.0, z),
     ],
     ids=["check-tolerance", "classify", "scan", "is-positive", "is-cp", "classify-by-witness",
-         "werner", "resolution", "constant", "tanh-scale", "tabulated-time", "tabulated-value",
+         "werner", "constant", "tanh-scale", "tabulated-time", "tabulated-value",
          "dephasing", "t", "epsilon"],
 )
 def test_complex_scalars_raise_parameter_out_of_range(build, z):
@@ -143,7 +135,6 @@ def test_complex_scalars_raise_parameter_out_of_range(build, z):
     [
         (lambda: nmwit.werner(np.float64(2.0)), "got 2.0"),
         (lambda: nmwit.MapFamilyPoint(np.float64(INF), 0), "gamma1=inf, gamma2=0.0"),
-        (lambda: nmwit.werner_threshold(HALF, resolution=np.float64(-1)), "got -1.0"),
         (lambda: nmwit.SmallTimeMap(nmwit.dephasing(-1.0), np.float64(NAN), 0.01),
          "got t=nan, epsilon=0.01"),
         (lambda: nmwit.SmallTimeMap(nmwit.dephasing(-1.0), 1.0, np.float64(INF)),
@@ -158,7 +149,7 @@ def test_complex_scalars_raise_parameter_out_of_range(build, z):
         (lambda: nmwit.werner(np.complex128(0.5)), "got (0.5+0j)"),
         (lambda: nmwit.small_time_map(nmwit.dephasing(-1.0), 1.0, np.complex128(0.01)), "got (0.01+0j)"),
     ],
-    ids=["werner", "map-point", "resolution", "t=nan", "epsilon=inf", "epsilon=nan", "scan-range",
+    ids=["werner", "map-point", "t=nan", "epsilon=inf", "epsilon=nan", "scan-range",
          "map-point-complex", "map-point-numpy-complex", "scan-range-complex", "werner-numpy-complex",
          "epsilon-numpy-complex"],
 )
@@ -278,14 +269,34 @@ def _too_many_terms():
          "tolerance must be real, got 'x'"),
         (lambda: nmwit.is_cp(HALF, tolerance=None), ParameterOutOfRange, "tolerance must be real, got None"),
         (lambda: nmwit.werner("0.5"), ParameterOutOfRange, "Werner parameter must be real, got '0.5'"),
-        (lambda: nmwit.werner_threshold(HALF, resolution="1e-6"), ParameterOutOfRange,
-         "resolution must be real, got '1e-6'"),
         (lambda: nmwit.MapFamilyPoint("0.1", 0.2), ParameterOutOfRange, "gamma1 must be real, got '0.1'"),
         (lambda: nmwit.MapFamilyPoint(0.1, [0.2]), ParameterOutOfRange, "gamma2 must be real, got [0.2]"),
         (lambda: nmwit.CoefficientModel(kind="tabulated", times=5, values=(1.0,)), MalformedDescription,
          "tabulated times must be a sequence, got 5"),
         (lambda: nmwit.CoefficientModel(kind="tabulated", times=(0.0, 1.0), values=None),
          MalformedDescription, "tabulated values must be a sequence, got None"),
+        # Iterables that are not a list, a tuple or a 1-D array: a dict's keys, text's characters.
+        (lambda: nmwit.tabulated({0.0: 1, 1.0: 2}, [1.0, 2.0]), MalformedDescription,
+         "tabulated times must be a sequence, got {0.0: 1, 1.0: 2}"),
+        (lambda: nmwit.tabulated("01", [1.0, 2.0]), MalformedDescription,
+         "tabulated times must be a sequence, got '01'"),
+        (lambda: nmwit.tabulated([0.0, 1.0], np.ones((2, 1))), MalformedDescription,
+         "tabulated values must be a sequence, got array("),
+        # Grid steps that are not two integers, and a range bound that is not a number.
+        (lambda: nmwit.phase_scan((0, 1), (0, 1), (2.5, 3)), ParameterOutOfRange,
+         "grid steps must be two integers, got (2.5, 3)"),
+        (lambda: nmwit.phase_scan((0, 1), (0, 1), (2, 3, 4)), ParameterOutOfRange,
+         "grid steps must be two integers, got (2, 3, 4)"),
+        (lambda: nmwit.phase_scan(("0", 1), (0, 1), (2, 3)), ParameterOutOfRange,
+         "scan range bound must be real, got '0'"),
+        (lambda: nmwit.phase_scan((0, 1), (0, 1), (0, 3)), EmptyGrid, "grid steps must be >= 1, got (0, 3)"),
+        # Draws and a seed that are not integers.
+        (lambda: nmwit.adjoint_identity_max_residual(2.5), ParameterOutOfRange,
+         "draws must be an integer >= 1 and seed an integer >= 0, got draws=2.5, seed=0"),
+        (lambda: nmwit.adjoint_identity_max_residual("3"), ParameterOutOfRange,
+         "draws must be an integer >= 1 and seed an integer >= 0, got draws='3', seed=0"),
+        (lambda: nmwit.adjoint_identity_max_residual(3, 1.0), ParameterOutOfRange,
+         "draws must be an integer >= 1 and seed an integer >= 0, got draws=3, seed=1.0"),
         # An integer beyond the float range, which float() refuses with OverflowError; repr()
         # refuses the second one, of over 4300 digits.
         (lambda: nmwit.scan(nmwit.dephasing(1.0), [1.0], 0.01, tolerance=10**400), ParameterOutOfRange,
@@ -302,8 +313,11 @@ def _too_many_terms():
         "coefficient-complex-scale", "coefficient-text-time", "coefficient-complex-table-value",
         "constant-text-value", "constant-reads-no-times", "tanh-reads-no-value-or-values",
         "tabulated-reads-no-scale", "scan-text-tolerance", "classify-text-tolerance",
-        "is-positive-text-tolerance", "is-cp-none-tolerance", "werner-text", "resolution-text",
+        "is-positive-text-tolerance", "is-cp-none-tolerance", "werner-text",
         "map-point-text", "map-point-list", "tabulated-times-int", "tabulated-values-none",
+        "tabulated-times-dict", "tabulated-times-text", "tabulated-values-2-d",
+        "scan-steps-float", "scan-steps-three", "scan-range-text", "scan-steps-zero",
+        "draws-float", "draws-text", "seed-float",
         "scan-int-tolerance-beyond-float", "werner-int-beyond-repr",
     ],
 )
@@ -349,23 +363,6 @@ def test_malformed_terms_are_named_and_typed_errors_inside_pass_through():
         nmwit.generator_from_dict(term({"kind": "tabulated", "times": [0, 1], "values": [0, NAN]}))
     with pytest.raises(MalformedDescription, match=r"^generator dim must be an integer >= 1, got 0$"):
         nmwit.LindbladGenerator(dim=0, terms=())
-
-
-def test_werner_threshold_ends_at_float_spacing():
-    # A resolution below float spacing used to bisect forever.
-    thr = nmwit.werner_threshold(HALF, resolution=1e-300)
-    assert abs(thr - 1 / 3) < 1e-6
-    assert abs(thr - nmwit.werner_threshold(HALF)) < 1e-6
-    # In one batch, points reach float spacing after different numbers of
-    # steps, and an undetected point never starts; each stops on its own.
-    g1 = np.array([0.5, 0.5, 0.4, 0.3, 0.2])
-    g2 = np.array([0.5, 0.3, 0.45, 0.6, 0.2])
-    hi, found = _werner_thresholds(g1, g2, 1e-300, 1e-9, _choi_weights(g1, g2)[:, 0])
-    assert found.tolist() == [True] * 4 + [False]
-    for a, b, thr in zip(g1[:-1], g2[:-1], hi[:-1].tolist()):
-        point = nmwit.MapFamilyPoint(float(a), float(b))
-        assert thr == nmwit.werner_threshold(point, resolution=1e-300)
-        assert abs(thr - werner_threshold_closed(a, b)) < 1e-6
 
 
 def test_a_well_formed_non_square_matrix_is_not_hermitian():
